@@ -18,7 +18,9 @@ rather than resume from a state the journal does not describe.
 
 The file handle is opened lazily in append mode and flushed per record
 (durability against process death; no fsync — the journal guards
-against crashes of *this* process, not the machine).  A ledger with
+against crashes of *this* process, not the machine).  A crash mid-write
+leaves a torn final line without its newline; readers drop it and
+recovery cuts it off before appending again.  A ledger with
 ``path=None`` is memory-only: same record stream, nothing on disk —
 what the latency benchmarks use so disk flush noise never pollutes
 admission percentiles.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, List, Optional
+from typing import IO, List, Optional, Tuple
 
 __all__ = ["ReservationLedger"]
 
@@ -64,11 +66,43 @@ class ReservationLedger:
 
     @staticmethod
     def read(path: str) -> List[dict]:
-        """Load every record of a journal (empty file -> empty list)."""
-        records = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return records
+        """Load every record of a journal (empty file -> empty list).
+
+        A final line that lacks its newline and does not parse is a torn
+        append — the process died mid-write — and is dropped.  A bad
+        line anywhere else is corruption and raises.
+        """
+        return _scan(path)[0]
+
+    @staticmethod
+    def trim_torn_tail(path: str) -> None:
+        """Cut the file back to its last complete record, so appends
+        resume on a record boundary (see :meth:`read`)."""
+        end = _scan(path)[1]
+        with open(path, "r+b") as handle:
+            handle.truncate(end)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":  # intact record, torn newline
+                    handle.write(b"\n")
+
+
+def _scan(path: str) -> Tuple[List[dict], int]:
+    """The journal's records, plus the byte length of the prefix that
+    holds them."""
+    records: List[dict] = []
+    pos = end = 0
+    with open(path, "rb") as handle:
+        for raw in handle:
+            pos += len(raw)
+            try:
+                text = raw.decode("utf-8").strip()
+                if not text:
+                    continue
+                records.append(json.loads(text))
+            except ValueError:
+                if raw.endswith(b"\n"):
+                    raise
+                break  # torn tail: the last line, cut mid-write
+            end = pos
+    return records, end

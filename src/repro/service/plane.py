@@ -818,7 +818,9 @@ class ControlPlane:
         JSON round-trips floats via ``repr``); any divergence raises
         ``RuntimeError`` instead of resuming from an unjournaled state.
         With ``resume_appending=True`` the journal is reopened for
-        append, so the recovered plane continues the same file.
+        append, so the recovered plane continues the same file; a torn
+        final append (a crash mid-write) is cut off first, so new
+        records start on a line of their own.
         """
         records = ReservationLedger.read(path)
         if not records or not records[0].get("header"):
@@ -865,6 +867,7 @@ class ControlPlane:
                     f"differ from the journal"
                 )
         if resume_appending:
+            ReservationLedger.trim_torn_tail(path)
             plane.ledger = ReservationLedger(path)
         return plane
 

@@ -90,13 +90,17 @@ class ControlPlaneServer:
                 line = await reader.readline()
                 if not line:
                     break
-                text = line.decode("utf-8").strip()
-                if not text:
-                    continue
-                payload = json.loads(text)
-                if isinstance(payload, dict) and payload.get("op") == "bye":
-                    break
-                out = self._dispatch(payload)
+                try:
+                    text = line.decode("utf-8").strip()
+                    if not text:
+                        continue
+                    payload = json.loads(text)
+                except ValueError as exc:  # bad UTF-8 or JSON: answer it
+                    out = _error_response(exc)
+                else:
+                    if isinstance(payload, dict) and payload.get("op") == "bye":
+                        break
+                    out = self._dispatch(payload)
                 writer.write((json.dumps(out) + "\n").encode("utf-8"))
                 await writer.drain()
         finally:
@@ -118,6 +122,12 @@ class ControlPlaneServer:
         """Decode, submit, encode.  Malformed input becomes an error
         response on the wire instead of a dropped connection."""
         try:
+            items = payload if isinstance(payload, list) else [payload]
+            if not all(isinstance(item, dict) for item in items):
+                raise TypeError(
+                    "a request line must be a JSON object or an array of "
+                    "objects"
+                )
             if isinstance(payload, list):
                 batch = tuple(decode_request(item) for item in payload)
                 return [
@@ -125,9 +135,13 @@ class ControlPlaneServer:
                 ]
             return encode_response(self.plane.submit(decode_request(payload)))
         except (ValueError, TypeError, KeyError) as exc:
-            return encode_response(
-                Response(op="request", status="error", error=str(exc))
-            )
+            return _error_response(exc)
+
+
+def _error_response(exc: Exception) -> dict:
+    return encode_response(
+        Response(op="request", status="error", error=str(exc))
+    )
 
 
 class ControlPlaneClient:

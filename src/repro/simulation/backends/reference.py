@@ -1,16 +1,31 @@
-"""The historical per-edge dict loop, extracted verbatim.
+"""The historical per-edge dict loop, with its exact RNG stream.
 
 This backend reproduces the monolithic ``simulate_packet_broadcast``
 loop exactly: the same RNG call sequence (one shuffle of the persistent
 edge order per slot, then rejection-sampled useful-packet draws per
 transfer), the same credit/burst arithmetic, the same missing-set
 bookkeeping.  The one deliberate deviation is the rare exact-scan
-fallback of :meth:`_MissingSet.sample_useful`, which now draws from a
-*sorted* pool instead of raw set iteration order — set order depends on
-the set's allocation history, which no snapshot can reproduce, and
-``restore()`` must replay bit for bit.  The historical test suite pins
-behavior through the wrapper, which makes this backend the equivalence
-baseline the vectorized and sharded backends are tested against.
+fallback, which draws from a *sorted* pool instead of raw set iteration
+order — set order depends on the set's allocation history, which no
+snapshot can reproduce, and ``restore()`` must replay bit for bit.  The
+historical test suite pins behavior through the wrapper, which makes
+this backend the equivalence baseline the vectorized and sharded
+backends are tested against.
+
+Exact-stream contract.  The useful-packet draw is inlined into the edge
+loop: up to 16 rejection tries ``pool[randrange(len(pool))]``, then a
+uniform draw from the sorted useful packets.  For a stock
+``random.Random`` the loop draws with ``k = n.bit_length(); r =
+getrandbits(k); while r >= n: r = getrandbits(k)`` — the body of the
+stdlib's ``Random._randbelow_with_getrandbits``, which is what
+``randrange(n)`` runs — so it consumes the very same bits without the
+per-draw call frames.  That path is taken only when the RNG's class
+still uses the stdlib ``_randbelow_with_getrandbits`` and ``randrange``;
+any other subclass (one that overrides only ``random()`` gets
+``_randbelow_without_getrandbits``, a different integer stream) draws
+through its own ``randrange``.  Golden-state digests in
+``tests/test_simulation_backends.py`` pin the stream, the buffers, the
+credits and the RNG state against the original implementation.
 
 It handles *any* scheme — cyclic ones included — which is why
 ``backend="auto"`` falls back to it whenever the arborescence
@@ -20,7 +35,8 @@ decomposition does not apply.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional
+from itertools import repeat
+from typing import TYPE_CHECKING
 
 from . import SimBackend, register_backend
 
@@ -29,11 +45,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ReferenceBackend"]
 
+#: Rejection tries per draw before the exact-scan fallback.
+_TRIES = 16
+
 
 class _MissingSet:
     """Packets injected but not yet held by a node.
 
-    Backed by a set plus a lazily-compacted list for O(1) random choice.
+    Backed by a set plus a lazily-compacted list for O(1) random choice:
+    ``pool`` keeps stale entries for packets that have since arrived
+    until it grows past four times the live set.
     """
 
     __slots__ = ("items", "pool")
@@ -42,42 +63,14 @@ class _MissingSet:
         self.items: set[int] = set()
         self.pool: list[int] = []
 
-    def add(self, pkt: int) -> None:
-        self.items.add(pkt)
-        self.pool.append(pkt)
 
-    def discard(self, pkt: int) -> None:
-        self.items.discard(pkt)  # pool entry removed lazily
-
-    def _compact(self) -> None:
-        if len(self.pool) > 4 * max(len(self.items), 1):
-            self.pool = [p for p in self.pool if p in self.items]
-
-    def sample_useful(
-        self, holder: Optional[set[int]], rng: random.Random, tries: int = 16
-    ) -> Optional[int]:
-        """A random element also held by ``holder`` (None = holds all)."""
-        if not self.items:
-            return None
-        self._compact()
-        pool = self.pool
-        for _ in range(tries):
-            pkt = pool[rng.randrange(len(pool))]
-            if pkt not in self.items:
-                continue  # stale entry
-            if holder is None or pkt in holder:
-                return pkt
-        # Fallback: exact scan (rare; bounded by the node's lag).  The
-        # scan runs in sorted order — set iteration order depends on the
-        # set's allocation history, which a snapshot/restore round trip
-        # cannot reproduce, and the draw must replay identically.
-        if holder is None:
-            live = sorted(self.items)
-            return live[rng.randrange(len(live))] if live else None
-        useful = sorted(p for p in self.items if p in holder)
-        if not useful:
-            return None
-        return useful[rng.randrange(len(useful))]
+def _stock_randbelow(rng: random.Random) -> bool:
+    """Whether ``rng.randrange(n)`` runs the stdlib getrandbits loop."""
+    cls = type(rng)
+    return (
+        cls._randbelow is random.Random._randbelow_with_getrandbits
+        and cls.randrange is random.Random.randrange
+    )
 
 
 @register_backend
@@ -104,35 +97,89 @@ class ReferenceBackend(SimBackend):
     def run(self, start_slot: int, num_slots: int) -> None:
         # Local bindings: this is the hot loop.
         rng = self.rng
-        num = self.config.num
+        stock = _stock_randbelow(rng)
+        getrandbits = rng.getrandbits
+        # rng.randrange(n) minus its argument checks, unless a subclass
+        # changed how it draws
+        draw = rng._randbelow if stock else rng.randrange
         pkt_rate = self.config.pkt_rate
         burst_cap = self.config.burst_cap
-        edges, credit = self.edges, self.credit
-        have, missing = self.have, self.missing
+        credit, have, missing = self.credit, self.have, self.missing
         arrivals, order, dead = self.arrivals, self.order, self.dead
+        receivers = missing[1:]
+        # Per-edge constants for this run (kills only land between runs);
+        # None marks an edge with a dead endpoint.
+        plan = [
+            None
+            if u in dead or v in dead
+            else (v, cap, burst_cap + cap, missing[v], have[v],
+                  None if u == 0 else have[u])
+            for u, v, cap in self.edges
+        ]
 
         for _ in range(num_slots):
             self.injected += pkt_rate
             new_horizon = int(self.injected)
-            for pkt in range(self.horizon, new_horizon):
-                for v in range(1, num):
-                    missing[v].add(pkt)
-            self.horizon = new_horizon
+            if new_horizon > self.horizon:
+                fresh = range(self.horizon, new_horizon)
+                for m in receivers:
+                    m.items.update(fresh)
+                    m.pool.extend(fresh)
+                self.horizon = new_horizon
             rng.shuffle(order)
             for e in order:
-                u, v, cap = edges[e]
-                if u in dead or v in dead:
+                edge = plan[e]
+                if edge is None:
                     continue
-                credit[e] = min(credit[e] + cap, burst_cap + cap)
-                while credit[e] >= 1.0:
-                    holder = None if u == 0 else have[u]
-                    pkt = missing[v].sample_useful(holder, rng)
+                v, cap, limit, m, got, holder = edge
+                c = credit[e] + cap
+                if c > limit:
+                    c = limit
+                if c < 1.0:
+                    credit[e] = c
+                    continue
+                items = m.items
+                sent = 0
+                while items:
+                    pool = m.pool
+                    n = len(pool)
+                    if n > 4 * len(items):
+                        pool = m.pool = [p for p in pool if p in items]
+                        n = len(pool)
+                    pkt = None
+                    if stock:
+                        k = n.bit_length()
+                        for _ in repeat(None, _TRIES):
+                            r = getrandbits(k)
+                            while r >= n:
+                                r = getrandbits(k)
+                            p = pool[r]
+                            if p in items and (holder is None or p in holder):
+                                pkt = p
+                                break
+                    else:
+                        for _ in repeat(None, _TRIES):
+                            p = pool[draw(n)]
+                            if p in items and (holder is None or p in holder):
+                                pkt = p
+                                break
                     if pkt is None:
+                        # Exact scan (bounded by the node's lag), in
+                        # sorted order so restores replay identically.
+                        useful = sorted(
+                            items if holder is None else items & holder
+                        )
+                        if not useful:
+                            break
+                        pkt = useful[draw(len(useful))]
+                    got.add(pkt)
+                    items.remove(pkt)
+                    sent += 1
+                    c -= 1.0
+                    if c < 1.0:
                         break
-                    have[v].add(pkt)
-                    missing[v].discard(pkt)
-                    credit[e] -= 1.0
-                    arrivals[v] += 1
+                arrivals[v] += sent
+                credit[e] = c
 
     def kill(self, node: int) -> None:
         self.dead.add(node)

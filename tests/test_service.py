@@ -365,6 +365,60 @@ class TestLedger:
         with pytest.raises(RuntimeError, match="replay diverged"):
             ControlPlane.recover(path)
 
+    @staticmethod
+    def _journal(tmp_path):
+        fleet = small_fleet(num_sessions=2, seed=3)
+        path = str(tmp_path / "plane.jsonl")
+        plane = ControlPlane(fleet.platform, ledger=ReservationLedger(path))
+        for batch in make_trace("mixed", fleet, seed=3):
+            plane.submit_batch(batch)
+        plane.ledger.close()
+        with open(path, "rb") as handle:
+            return path, handle.read()
+
+    def test_torn_tail_is_dropped_and_trimmed_on_recover(self, tmp_path):
+        path, data = self._journal(tmp_path)
+        whole = ReservationLedger.read(path)
+        with open(path, "wb") as handle:
+            handle.write(data[:-40])  # a crash mid-append
+        assert ReservationLedger.read(path) == whole[:-1]
+
+        recovered = ControlPlane.recover(path, verify=True)
+        recovered.submit(Query())
+        recovered.ledger.close()
+
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        assert lines[-1] == b""  # every record ends its own line
+        records = [json.loads(line) for line in lines[:-1]]
+        assert records[:-1] == whole[:-1]
+        assert len(records) == len(whole)
+        ControlPlane.recover(path, verify=True, resume_appending=False)
+
+    def test_torn_newline_keeps_the_intact_last_record(self, tmp_path):
+        path, data = self._journal(tmp_path)
+        whole = ReservationLedger.read(path)
+        with open(path, "wb") as handle:
+            handle.write(data[:-1])
+        assert ReservationLedger.read(path) == whole
+
+        recovered = ControlPlane.recover(path, verify=True)
+        recovered.submit(Query())
+        recovered.ledger.close()
+        records = ReservationLedger.read(path)
+        assert records[:-1] == whole and len(records) == len(whole) + 1
+
+    def test_corrupt_line_mid_journal_still_raises(self, tmp_path):
+        path, data = self._journal(tmp_path)
+        lines = data.split(b"\n")
+        lines[2] = lines[2][:-40]
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join(lines))
+        with pytest.raises(ValueError):
+            ReservationLedger.read(path)
+        with pytest.raises(ValueError):
+            ControlPlane.recover(path)
+
     def test_recover_rejects_non_ledger(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text('{"seq": 1}\n')
@@ -441,6 +495,32 @@ class TestTransports:
         assert decode_response(malformed).status == "error"
         assert plane.sessions["s"].spec.priority == 2.0
         assert plane.requests_served == 3
+
+    def test_tcp_answers_undecodable_lines_and_keeps_reading(self):
+        plane = ControlPlane(small_platform())
+        query = json.dumps(encode_request(Query())).encode("utf-8")
+
+        async def scenario():
+            async with ControlPlaneServer(plane) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"{not json\n\xff\n42\n" + query + b"\n")
+                await writer.drain()
+                answers = [await reader.readline() for _ in range(4)]
+                writer.write(b'{"op":"bye"}\n')
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+                return answers
+
+        answers = [
+            decode_response(json.loads(line)) for line in asyncio.run(scenario())
+        ]
+        assert [r.status for r in answers] == ["error"] * 3 + ["ok"]
+        assert answers[3].op == "query"
+        assert "JSON object" in answers[2].error
+        assert plane.requests_served == 1
 
     def test_tcp_concurrent_clients_interleave_at_batch_level(self):
         plane = ControlPlane(small_platform())

@@ -4,8 +4,13 @@ Covers the backend-equivalence acceptance criteria (sharded and
 vectorized goodput match the reference within slotting tolerance on
 acyclic schemes, same seed), snapshot/restore determinism
 (``step(a); step(b)`` ≡ ``step(a + b)``), the failure schedule, worker
-sharding, and the ``auto`` fallback on cyclic schemes.
+sharding, and the ``auto`` fallback on cyclic schemes.  Golden-state
+digests pin the ``reference`` backend's exact RNG stream, so its hot loop
+can be optimized without changing a single draw.
 """
+
+import hashlib
+import random
 
 import pytest
 
@@ -259,6 +264,183 @@ class TestFailureSchedule:
         goodput = sim.step(100).window_goodput()
         # Downstream of node 1 only its residual pipeline lag drains.
         assert goodput[3] < 0.1 * rate
+
+
+def _state_digest(sim):
+    """SHA-256 over a reference run's complete observable state: counters,
+    held packets, credits, missing pools (stale entries included, in pool
+    order) and the RNG state."""
+    state = sim.snapshot().payload
+    h = hashlib.sha256()
+    for part in (
+        sim.delivered(),
+        sim.received(),
+        [sorted(held) for held in state["have"]],
+        state["credit"],
+        [(sorted(items), pool) for items, pool in state["missing"]],
+        state["rng"],
+    ):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _golden_case(case):
+    """A seeded random overlay (cyclic more often than not), a mid-run
+    failure schedule and a ``packets_per_unit`` from the tested set."""
+    rng = random.Random(f"golden:{case}")
+    num = rng.randint(3, 12)
+    edges = {}
+    for v in range(1, num):  # every receiver gets at least one feeder
+        u = rng.choice([w for w in range(num) if w != v])
+        edges[u, v] = rng.uniform(0.1, 2.0)
+    for _ in range(rng.randint(0, 2 * num)):
+        u, v = rng.randrange(num), rng.randrange(1, num)
+        if u != v:
+            edges[u, v] = rng.uniform(0.1, 2.0)
+    scheme = BroadcastScheme.from_edges(
+        num, [(u, v, c) for (u, v), c in sorted(edges.items())]
+    )
+    inst = Instance.open_only(10.0, [10.0] * (num - 1))
+    slots = rng.randint(60, 180)
+    failures = {}
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        failures[rng.randrange(1, num)] = rng.randint(5, slots - 5)
+    kwargs = dict(
+        packets_per_unit=rng.choice((0.5, 1.0, 2.0, 3.7)),
+        seed=rng.randrange(1000),
+        failures=failures,
+    )
+    split = rng.randint(1, slots - 1)
+    return inst, scheme, rng.uniform(0.3, 2.5), kwargs, split, slots - split
+
+
+class _RandomOnly(random.Random):
+    """Overrides only ``random()``, so the stdlib derives ``_randbelow``
+    from floats instead of ``getrandbits`` — a different integer stream."""
+
+    def random(self):
+        return super().random()
+
+
+#: SHA-256 state digests of the ``reference`` backend, recorded before its
+#: hot loop was rewritten; the rewrite must reproduce every draw exactly.
+GOLDEN_CASES = {
+    0: "f4ae9bf7832e18133f22ec34c915b0f74faf07bcc7d681889ec829fb6db07fef",
+    1: "bfe33b265eab3c3f0108adbd12b1d8a4362b3adc7e68b3406ddef1b763f35b8e",
+    2: "1dc7dd7768d4999f634207faf81b5b13349004cb54364a0a37a4270736341c5a",
+    3: "c119e612b0ed1dc15219afc1016f1801b7998e62a7796d44b369178708aa5d37",
+    4: "f23b0074159979c8bbc2388cd43e9ac1983dfde420e512f52400ef55ecfe4a42",
+    5: "8aca8911227508304e996cd4e9fde21532256ec535518e7ae462831118c6e22f",
+    6: "895369e021c737f862e01c7fe722b46260c22a04a84df68987c8e1f824f2b324",
+    7: "55de2ae5d32f03688d47a25598eeb97053cc6846a9151142a1b54b541e1c6605",
+    8: "27dd6343bf8d8e7e78094e0a3ce719e0c5449444dcbf006567f866fa8528dee5",
+    9: "aecfc21ae491b1af265a3ff83343744ab17970de15bb2c192463df50e1c5d461",
+    10: "247c265fd96f092582aacfa05e818f775bb668ce2b4de6adc7aef1e232b441b2",
+    11: "3c3b657428a0b70f3cf348635bf83770ca4cb1dca8d19690f6ae40a7b70de054",
+    12: "7e384ebf8987b9572718ab93f6cd3ad560bd3d52b72d150a523c2b93125b038b",
+    13: "c7996bd1569648b133c495314477151689a55b815f2c7f4fae36324b3a0abdf0",
+    14: "2de2bbb587a6822bcdcdad1c1a7f86ae2f8b8354dbdc702277147cdb081faf1a",
+    15: "97fcd069d8d2fd486a019eb9b36abc3f51e6fd258112f5ef12555faa5eb3044f",
+    16: "fb8af7a893bb66a59cf41ddccd902f313389485b8ea3fb71a496290e255291d8",
+    17: "849e0d403884d6be1346d762fb842341cc00e4ee2fe2b40e6c4c6a2bda4e58f3",
+    18: "a48b30705c38d762655184cb08693c879234f14156f5fbdc7252b2044b8ec132",
+    19: "6075630a951d29706167eba16ebb1adbaa8bca9c931a273f7d221d21e853b18f",
+    20: "4f27937f1f61356b2e52490858332913296ea46e278d06540b087e1208373794",
+    21: "ea37f45fbc94aa5d6f1d4c083ee8b01e972827a11109c16e8ca6bbba53b848bc",
+    22: "53448d9d1eabfee4557c79de4b83fce7c82f485000bd413e90c0c32a43f9c767",
+    23: "bd1a465a114f0bc68603acf06fe8d8713c8077e12bf1feb3d53b198abd7e2ad8",
+    24: "97515a230d59e636cf62ce76ce56f35abf967df511b72c71c87ad86b88a06fbb",
+    25: "2605574dbdaecbdb6c0779a72cb282bd54ac641a73e035d8b6e3c96c97707e9e",
+    26: "53db1742cf7f2bbc806c47b978d7a3906253e3e0a3b64a20f678f47a987787ce",
+    27: "8d66c168f5e9d7aacdf29db7e153ba25262de9b3f8cc800b11049b01f9af43bc",
+    28: "f2819f4bf5e71c113d2f66d2bf3ef2ec21f20ad5c15444e558ffb28c16acc9ee",
+    29: "b9fc16059aee8e0051c32362a0545c9b0eabaf1178b3c6a385922bfbe7b559fb",
+    30: "fc2fc0de998a8883f8b987d14ea3b5a993d44837c34f965799a7e8059701f319",
+    31: "88dc3973a2e40b8ace4702485220aaa72bff7567e647d3c57973d2da8cd8c4de",
+    32: "b3df151f9af79d8c1c6360b54b55f4b866169b06cd7062a4f2f31e4bd92ace0c",
+    33: "9f23adde06462d8567248a54cb8efac8117f354b25a5275bfba498b1f4676084",
+    34: "d05f445978edb924bc6779e992da39cd329669f4ffbcbb099f5515e41c70d10d",
+    35: "e7d771135c7cc42457c21317368a3a8ca7ce24cd5517b74033ffa4d4b285ed1b",
+    36: "4101e61290b48f220167d4f72f222c7bdf14b9919e6d64a71959acdf03255e79",
+    37: "cafccb45c670556dbdaed86c4b97e5b158de9982264bf0e44a20e3a9080a1852",
+    38: "205accb4a0a0c244d3aab00b0c24a3312cea07dd624649c327c4d7e65e36ade6",
+    39: "8e4ce29c2a8522ecabe13faf25746fb303132fc937a19633e523c75f6da371b6",
+}
+GOLDEN_RANDOM_ONLY = (
+    "8b89cd5ec4f668f1673fc4476e273b6c75a9b70d457d32f51076ea05fcc66705"
+)
+#: SHA-256 of each run's per-epoch (min_goodput, mean_goodput,
+#: optimal_rate) tuples on the default ``reference`` transport.
+GOLDEN_RUNTIME = {
+    "steady-churn:1": "0da11626089f4ee05ea467a9a60dc033d8b4f40dcd965e73ef391b326f7a1daa",
+    "steady-churn:2": "0f94028a36d2259ae44c482c8df5dad0ff99d4de2e072489887fc09bbce6d095",
+    "steady-churn:3": "6fbc5fbe131a0b447dec7d8e621b46431fd48b92defb1adf54f250c83d5a76ce",
+    "steady-churn:4": "59e1613b79538441391f064bec6f60593414a63b52e98cabff136119d5380e1f",
+    "live-stream:1": "6853d43f69b1bc7952cfbd1a1094d2ee9a9abe00bf618c1e1128809d29912b47",
+    "live-stream:2": "6273913d743b12243b50f7e64865dcd22a11673c5823c55c609e7162b4e9d4f8",
+    "live-stream:3": "bf4fc41a28a2d7e4562c887819461cfbee7785e89b0d0de0776e39b52072c43d",
+    "live-stream:4": "117792ccabc934454f1566a4fa2b7f8e56e9dbd3b81b60957130d2e791531b8e",
+}
+
+
+class TestReferenceGoldenState:
+    """The ``reference`` backend's exact RNG stream and state, pinned."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_random_schemes_match_golden_state(self, case):
+        inst, scheme, rate, kwargs, a, b = _golden_case(case)
+        sim = PacketSimEngine(inst, scheme, rate, **kwargs)
+        sim.step(a)
+        sim.step(b)
+        assert _state_digest(sim) == GOLDEN_CASES[case]
+
+    def test_snapshot_replay_matches_golden_state(self):
+        inst, scheme, rate, kwargs, a, b = _golden_case(7)
+        sim = PacketSimEngine(inst, scheme, rate, **kwargs)
+        snap = sim.step(a).snapshot()
+        stepped = _state_digest(sim.step(b))
+        sim.restore(snap)
+        replayed = _state_digest(sim.step(b))
+        fresh = PacketSimEngine(inst, scheme, rate, **kwargs).restore(snap)
+        assert stepped == replayed == _state_digest(fresh.step(b))
+        assert stepped == GOLDEN_CASES[7]
+
+    def test_random_only_subclass_keeps_its_own_stream(self):
+        inst, scheme, rate, kwargs, a, b = _golden_case(3)
+        kwargs["rng"] = _RandomOnly(kwargs.pop("seed"))
+        sim = PacketSimEngine(inst, scheme, rate, **kwargs)
+        sim.step(a + b)
+        assert _state_digest(sim) == GOLDEN_RANDOM_ONLY
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNTIME))
+    def test_runtime_epochs_match_golden(self, name):
+        from repro.runtime import RuntimeEngine, make_controller
+        from repro.runtime.scenarios import LiveStreamTrace, SteadyChurn
+
+        kind, seed = name.split(":")
+        if kind == "steady-churn":
+            spec, controller, extra = (
+                SteadyChurn(size=25, horizon=160),
+                "reactive",
+                {},
+            )
+        else:
+            spec, controller, extra = (
+                LiveStreamTrace(size=20, horizon=120),
+                "incremental",
+                {"estimation": "online"},
+            )
+        run = spec.build(int(seed))
+        engine = RuntimeEngine(
+            run.platform, run.events, run.horizon, seed=int(seed), **extra
+        )
+        result = engine.run(make_controller(controller))
+        epochs = [
+            (ep.min_goodput, ep.mean_goodput, ep.optimal_rate)
+            for ep in result.epochs
+        ]
+        digest = hashlib.sha256(repr(epochs).encode()).hexdigest()
+        assert digest == GOLDEN_RUNTIME[name]
 
 
 class TestBitsetBackend:
