@@ -24,8 +24,9 @@ reasonable accuracy, which the tests quantify on synthetic ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -82,6 +83,130 @@ class LastMileEstimate:
         return guarded_relative_errors(self.b_out, truth_out)
 
 
+def _quantile(values: Sequence[float], q: float) -> float:
+    """``float(np.quantile(values, q))`` for a short list, bit for bit.
+
+    numpy's default ``linear`` method without its per-call array
+    overhead, which dominates on the short per-node samples the fit
+    takes (~60 µs against ~1.5 µs for 40 values on a Xeon VM): the
+    virtual index ``(n - 1) * q`` clamped to the last element, then
+    numpy's two-sided interpolation (``a + d*g`` below the midpoint,
+    ``b - d*(1-g)`` from it), which is what makes the two agree to the
+    last bit.  ``q`` must lie in ``[0, 1]``.
+    """
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    index = last * q
+    if index >= last:
+        return ordered[-1]
+    lo = int(index)
+    gamma = index - lo
+    a, b = ordered[lo], ordered[lo + 1]
+    diff = b - a
+    if gamma < 0.5:
+        return a + diff * gamma
+    return b - diff * (1 - gamma)
+
+
+class _LastMileFit(NamedTuple):
+    """The alternating fit's raw output, in index space."""
+
+    b_out: list[float]  #: fitted, unmeasured nodes imputed
+    b_in: list[float]  #: inf for nodes nothing was measured into
+    #: node -> quantile of its own outgoing values (the fit's initial
+    #: ``b_out``), for every node that sent at least one probe
+    out_quantile: dict[int, float]
+    touched: set[int]  #: nodes that are the source or target of a row
+
+
+def _fit_lastmile(
+    rows: Iterable[tuple[int, int, float]],
+    num_nodes: int,
+    *,
+    iterations: int = 6,
+    quantile: float = 0.85,
+    unmeasured: Union[str, float] = "raise",
+) -> _LastMileFit:
+    """Alternating quantile fit over in-range, finite, non-negative
+    ``(source, target, value)`` rows (see :func:`estimate_lastmile`)."""
+    if not 0.0 <= quantile <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {quantile}")
+    out_obs: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
+    in_obs: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
+    for source, target, value in rows:
+        out_obs[source].append((target, value))
+        in_obs[target].append((source, value))
+    out_values = [[v for _, v in obs] for obs in out_obs]
+    in_values = [[v for _, v in obs] for obs in in_obs]
+    unmeasured_nodes = [i for i, obs in enumerate(out_obs) if not obs]
+    if unmeasured_nodes and unmeasured == "raise":
+        raise EstimationError(
+            f"node {unmeasured_nodes[0]} has no outgoing measurement"
+        )
+
+    # Initialise at the *quantile*, not the max, of each node's
+    # observations.  The max is exact on noiseless data but
+    # self-reinforcing under noise: the single largest noisy probe
+    # ``(i, j)`` seeds both ``b_out_i`` and ``b_in_j`` with the same
+    # inflated value, so the "unexplained" filter below keeps that pair
+    # as its own justification forever and the node's estimate never
+    # recovers — the more probes, the worse the max-envelope bias.  The
+    # quantile init is still exact on noiseless sender-limited data
+    # (every sender-limited observation equals ``b_out_i``, so any
+    # quantile that lands on that mass returns it) while a lone outlier
+    # can no longer anchor the fit.
+    out_quantile = {
+        i: _quantile(values, quantile)
+        for i, values in enumerate(out_values)
+        if values
+    }
+    b_out = [out_quantile.get(i, 0.0) for i in range(num_nodes)]
+    b_in = [
+        _quantile(values, quantile) if values else math.inf
+        for values in in_values
+    ]
+
+    for _ in range(iterations):
+        # Re-fit b_out from pairs where the receiver is (currently) not
+        # the binding side; fall back to all pairs when none qualify.
+        new_out = list(b_out)
+        for i, obs in enumerate(out_obs):
+            if not obs:
+                continue
+            own = b_out[i]
+            unexplained = [v for j, v in obs if b_in[j] >= own]
+            new_out[i] = _quantile(unexplained or out_values[i], quantile)
+        new_in = list(b_in)
+        for j, obs in enumerate(in_obs):
+            if not obs:
+                continue
+            own = b_in[j]
+            unexplained = [v for i, v in obs if new_out[i] >= own]
+            new_in[j] = _quantile(unexplained or in_values[j], quantile)
+        b_out, b_in = new_out, new_in
+
+    if unmeasured_nodes:
+        skip = set(unmeasured_nodes)
+        measured = [b_out[i] for i in range(num_nodes) if i not in skip]
+        if unmeasured == "median":
+            if not measured:
+                raise EstimationError(
+                    "no node has an outgoing measurement; cannot impute"
+                )
+            fill = float(np.median(measured))
+        else:
+            fill = float(unmeasured)
+            if fill < 0:
+                raise ValueError(
+                    f"unmeasured fill value must be >= 0, got {fill}"
+                )
+        for i in unmeasured_nodes:
+            b_out[i] = fill
+
+    touched = {i for i in range(num_nodes) if out_obs[i] or in_obs[i]}
+    return _LastMileFit(b_out, b_in, out_quantile, touched)
+
+
 def estimate_lastmile(
     measurements: Sequence[Measurement],
     num_nodes: int,
@@ -106,7 +231,9 @@ def estimate_lastmile(
       advertised class bandwidth).
 
     Unmeasured nodes are excluded from the alternating fit either way;
-    only their final ``b_out`` entry is imputed.
+    only their final ``b_out`` entry is imputed.  Every per-node
+    quantile equals ``np.quantile``'s default ``linear`` method to the
+    last bit (:func:`_quantile`).
     """
     if not measurements:
         raise EstimationError("no measurements supplied")
@@ -115,93 +242,30 @@ def estimate_lastmile(
             f"unmeasured must be 'raise', 'median' or a float, "
             f"got {unmeasured!r}"
         )
-    out_obs: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
-    in_obs: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
     for msr in measurements:
         if not (0 <= msr.source < num_nodes and 0 <= msr.target < num_nodes):
             raise EstimationError(f"measurement out of range: {msr}")
+        if not math.isfinite(msr.value):
+            raise EstimationError(f"non-finite measurement: {msr}")
         if msr.value < 0:
             raise EstimationError(f"negative measurement: {msr}")
-        out_obs[msr.source].append((msr.target, msr.value))
-        in_obs[msr.target].append((msr.source, msr.value))
-    unmeasured_nodes = [i for i, obs in enumerate(out_obs) if not obs]
-    if unmeasured_nodes and unmeasured == "raise":
-        raise EstimationError(
-            f"node {unmeasured_nodes[0]} has no outgoing measurement"
-        )
-
-    # Initialise at the *quantile*, not the max, of each node's
-    # observations.  The max is exact on noiseless data but
-    # self-reinforcing under noise: the single largest noisy probe
-    # ``(i, j)`` seeds both ``b_out_i`` and ``b_in_j`` with the same
-    # inflated value, so the "unexplained" filter below keeps that pair
-    # as its own justification forever and the node's estimate never
-    # recovers — the more probes, the worse the max-envelope bias.  The
-    # quantile init is still exact on noiseless sender-limited data
-    # (every sender-limited observation equals ``b_out_i``, so any
-    # quantile that lands on that mass returns it) while a lone outlier
-    # can no longer anchor the fit.
-    b_out = np.array(
-        [
-            float(np.quantile([v for _, v in obs], quantile)) if obs else 0.0
-            for obs in out_obs
-        ]
+    fit = _fit_lastmile(
+        ((m.source, m.target, m.value) for m in measurements),
+        num_nodes,
+        iterations=iterations,
+        quantile=quantile,
+        unmeasured=unmeasured,
     )
-    b_in = np.array(
-        [
-            float(np.quantile([v for _, v in obs], quantile))
-            if obs
-            else float("inf")
-            for obs in in_obs
-        ]
-    )
-
-    for _ in range(iterations):
-        # Re-fit b_out from pairs where the receiver is (currently) not
-        # the binding side; fall back to all pairs when none qualify.
-        new_out = b_out.copy()
-        for i, obs in enumerate(out_obs):
-            if not obs:
-                continue
-            unexplained = [v for j, v in obs if b_in[j] >= b_out[i]]
-            sample = unexplained if unexplained else [v for _, v in obs]
-            new_out[i] = float(np.quantile(sample, quantile))
-        new_in = b_in.copy()
-        for j, obs in enumerate(in_obs):
-            if not obs:
-                continue
-            unexplained = [v for i, v in obs if new_out[i] >= b_in[j]]
-            sample = unexplained if unexplained else [v for _, v in obs]
-            new_in[j] = float(np.quantile(sample, quantile))
-        b_out, b_in = new_out, new_in
-
-    if unmeasured_nodes:
-        skip = set(unmeasured_nodes)
-        measured = [b_out[i] for i in range(num_nodes) if i not in skip]
-        if unmeasured == "median":
-            if not measured:
-                raise EstimationError(
-                    "no node has an outgoing measurement; cannot impute"
-                )
-            fill = float(np.median(measured))
-        else:
-            fill = float(unmeasured)
-            if fill < 0:
-                raise ValueError(
-                    f"unmeasured fill value must be >= 0, got {fill}"
-                )
-        for i in unmeasured_nodes:
-            b_out[i] = fill
 
     # Fit diagnostic: multiplicative residuals over all measured pairs.
     logs = []
     for msr in measurements:
-        model = min(b_out[msr.source], b_in[msr.target])
+        model = min(fit.b_out[msr.source], fit.b_in[msr.target])
         if model > 0 and msr.value > 0:
             logs.append(np.log(msr.value / model))
     rms = float(np.sqrt(np.mean(np.square(logs)))) if logs else 0.0
     return LastMileEstimate(
-        tuple(float(v) for v in b_out),
-        tuple(float(v) for v in b_in),
+        tuple(float(v) for v in fit.b_out),
+        tuple(float(v) for v in fit.b_in),
         rms,
     )

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..core.instance import Instance, NodeKind
-from .lastmile import estimate_lastmile, guarded_relative_errors
+from .lastmile import _fit_lastmile, guarded_relative_errors
 from .measurements import Measurement, pair_noise
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -245,7 +245,19 @@ class OnlineEstimator:
     # Observation intake
     # ------------------------------------------------------------------
     def ingest(self, probes: Iterable[Measurement]) -> None:
-        """Absorb one round of probes (external-id space)."""
+        """Absorb one round of probes (external-id space).
+
+        The whole round is validated before the store is touched: one
+        non-finite or negative probe raises :class:`ValueError` and
+        leaves the estimator exactly as it was, instead of poisoning
+        every re-fit until the probe ages out of the window.
+        """
+        probes = list(probes)
+        for m in probes:
+            if not (math.isfinite(m.value) and m.value >= 0):
+                raise ValueError(
+                    f"probe values must be finite and >= 0, got {m}"
+                )
         self._round += 1
         for m in probes:
             self._latest[(m.source, m.target)] = (m.value, self._round)
@@ -310,36 +322,28 @@ class OnlineEstimator:
         if not self._dirty and alive == self._fit_alive:
             return self._fit
         index = {ext: k for k, ext in enumerate(alive)}
-        ms = [
-            Measurement(index[s], index[t], value)
-            for (s, t), (value, _) in sorted(self._latest.items())
+        # Store order is fine: every quantile of the fit sorts its sample.
+        rows = [
+            (index[s], index[t], value)
+            for (s, t), (value, _) in self._latest.items()
             if s in index and t in index
         ]
-        if not ms or len(alive) < 2:
+        if not rows or len(alive) < 2:
             fit = {ext: self.prior_for(ext) for ext in alive}
         else:
-            est = estimate_lastmile(
-                ms,
-                len(alive),
-                quantile=self.quantile,
-                unmeasured="median",
+            est = _fit_lastmile(
+                rows, len(alive), quantile=self.quantile, unmeasured="median"
             )
-            own: Dict[int, List[float]] = {}
-            touched = set()
-            for m in ms:
-                own.setdefault(m.source, []).append(m.value)
-                touched.add(m.source)
-                touched.add(m.target)
             fit = {}
             for ext, k in index.items():
                 value = est.b_out[k]
-                obs = own.get(k)
-                if obs:
+                cap = est.out_quantile.get(k)
+                if cap is not None:
                     # Conservative envelope (see class docstring): the
                     # fit may never exceed the node's own observation
-                    # quantile.
-                    value = min(value, float(np.quantile(obs, self.quantile)))
-                elif k not in touched and ext in self._warm:
+                    # quantile — which is exactly the fit's initial b_out.
+                    value = min(value, cap)
+                elif k not in est.touched and ext in self._warm:
                     # A peer no probe has touched carries no information
                     # for the fit — its warm prior beats the population
                     # median imputation.

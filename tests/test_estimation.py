@@ -5,6 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import (
     EstimationError,
@@ -13,6 +14,7 @@ from repro import (
     estimate_lastmile,
     sample_measurements,
 )
+from repro.estimation.lastmile import _quantile
 
 
 @pytest.fixture
@@ -101,6 +103,15 @@ class TestEstimation:
                 [Measurement(0, 1, -2.0), Measurement(1, 0, 1.0)], 2
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_measurement_rejected(self, bad):
+        """A NaN or infinite probe must not leak into b_out / b_in (and
+        from there into the planners) as a silent NaN."""
+        with pytest.raises(EstimationError, match="non-finite"):
+            estimate_lastmile(
+                [Measurement(0, 1, bad), Measurement(1, 0, 1.0)], 2
+            )
+
     def test_estimates_usable_for_instances(self, truth):
         """End of the pipeline: estimated b_out values feed Instance."""
         from repro import Instance
@@ -129,6 +140,42 @@ class TestEstimation:
         est = estimate_lastmile(spiked, truth.num_nodes)
         errors = est.relative_out_errors(truth.b_out)
         assert float(np.max(errors)) < 0.10  # was ~0.6 under the ratchet
+
+
+#: Non-negative floats across the whole range: 0, subnormals, huge
+#: magnitudes, and a small pool that makes ties likely.
+_sample_values = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 2.5, 1e300]),
+)
+
+
+class TestQuantileKernel:
+    """The fit's scalar quantile is numpy's ``linear`` method, exactly."""
+
+    @settings(max_examples=400)
+    @given(
+        st.lists(_sample_values, min_size=1, max_size=20),
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 0.85, 1.0]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+    )
+    # The first two hit each side of numpy's two-sided lerp, where the
+    # other side's formula rounds differently in the last bit.
+    @example([0.1, 0.3], 0.85)
+    @example([0.1, 0.7], 0.3)
+    @example([3.0], 0.85)
+    @example([2.0, 2.0, 2.0, 7.0], 0.5)
+    def test_matches_np_quantile_bit_for_bit(self, values, q):
+        expected = float(np.quantile(values, q))
+        assert _quantile(values, q).hex() == expected.hex()
+
+    def test_quantile_out_of_range_rejected(self):
+        ms = [Measurement(0, 1, 1.0), Measurement(1, 0, 1.0)]
+        with pytest.raises(ValueError, match="quantile"):
+            estimate_lastmile(ms, 2, quantile=1.5)
 
 
 class TestZeroTruthErrors:

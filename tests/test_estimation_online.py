@@ -7,6 +7,7 @@ estimated view degrades *monotonically* — lower probe budgets or higher
 noise never beat the oracle on the seeded scenario grid.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -14,14 +15,18 @@ import pytest
 
 from repro import (
     EstimatedPlatformView,
+    LastMileGroundTruth,
     OnlineEstimator,
     ProbeScheduler,
+    estimate_lastmile,
     random_instance,
+    sample_measurements,
 )
 from repro.estimation.measurements import Measurement
 from repro.runtime import (
     BandwidthDrift,
     DynamicPlatform,
+    LiveStreamTrace,
     NodeJoin,
     NodeLeave,
     RuntimeEngine,
@@ -191,6 +196,18 @@ class TestOnlineEstimator:
         for node, obs in by_src.items():
             cap = float(np.quantile(obs, view.estimator.quantile))
             assert view.bandwidth(node) <= cap + 1e-9
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_probe_round_rejected_atomically(self, platform, bad):
+        """A rejected round leaves the store, the round counter and the
+        estimates untouched — one bad probe cannot poison later refits."""
+        est = OnlineEstimator()
+        a, b, c = platform.alive_ids()[:3]
+        est.ingest([Measurement(a, b, 4.0), Measurement(b, c, 6.0)])
+        before = (len(est), est._round, dict(est.estimates(platform)))
+        with pytest.raises(ValueError, match="finite"):
+            est.ingest([Measurement(c, a, 5.0), Measurement(a, c, bad)])
+        assert (len(est), est._round, est.estimates(platform)) == before
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -502,3 +519,124 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["runtime", "--estimation", "magic"])
+
+
+def _lastmile_case(case):
+    """Seeded offline fit inputs spanning both quantiles, both
+    imputation modes, noiseless ties, receiver-limited pairs (headroom 1)
+    and nodes whose outgoing probes were all dropped."""
+    rng = np.random.default_rng((0xE57, case))
+    n = 8 + 4 * (case % 5)
+    truth = LastMileGroundTruth.symmetric(
+        rng.uniform(1.0, 100.0, n), headroom=(1.0, 4.0)[case % 2]
+    )
+    ms = sample_measurements(
+        case,
+        truth,
+        pairs_per_node=2 + case % 4,
+        noise_sigma=(0.0, 0.1, 0.3)[case % 3],
+    )
+    dropped = {case % n, (3 * case + 1) % n}
+    ms = [m for m in ms if m.source not in dropped]
+    kwargs = dict(
+        quantile=(0.5, 0.85)[case % 2],
+        unmeasured=("median", 7.5)[(case // 2) % 2],
+    )
+    return ms, n, kwargs
+
+
+def _lastmile_digest(case):
+    ms, n, kwargs = _lastmile_case(case)
+    est = estimate_lastmile(ms, n, **kwargs)
+    record = (
+        [v.hex() for v in est.b_out],
+        [v.hex() for v in est.b_in],
+        est.residual_rms_log.hex(),
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def _online_digest(name):
+    """Every estimate map the view handed out, plus the epoch reports."""
+    kind, seed = name.split(":")
+    if kind == "steady-churn":
+        spec, controller = SteadyChurn(size=25, horizon=160), "reactive"
+    else:
+        spec, controller = LiveStreamTrace(size=20, horizon=120), "incremental"
+    run = spec.build(int(seed))
+    engine = RuntimeEngine(
+        run.platform, run.events, run.horizon, seed=int(seed),
+        estimation="online",
+    )
+    estimator = engine.view.estimator
+    fits = []
+    refit = estimator.estimates
+
+    def recording(platform):
+        fit = refit(platform)
+        fits.append(sorted((k, v.hex()) for k, v in fit.items()))
+        return fit
+
+    estimator.estimates = recording
+    result = engine.run(make_controller(controller))
+    epochs = [
+        (ep.start, ep.end, ep.num_alive, ep.planned_rate.hex(),
+         ep.optimal_rate.hex(), ep.min_goodput.hex(),
+         ep.mean_goodput.hex(), ep.starved, ep.unserved, ep.rebuilt,
+         ep.plan_op, ep.probes,
+         None if ep.estimation_error is None else ep.estimation_error.hex())
+        for ep in result.epochs
+    ]
+    record = (fits, epochs, estimator.fits)
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+#: SHA-256 of each offline ``LastMileEstimate`` (``b_out``, ``b_in`` and
+#: ``residual_rms_log`` as ``float.hex``), recorded when the fit still
+#: ran every per-node quantile through ``np.quantile``.
+GOLDEN_LASTMILE = {
+    0: "8a17eeff4ed765400be5ff1e4f5caf14781b44b30b17e229edf95aac4de0e101",
+    1: "cf676b8833e9386329f6ec40e37a8f1f6c878a2aac154267e06457cf1ae80254",
+    2: "cad2553eebeb1bc124c1fce9c101b7cf65bc5310c9bd11cf5bcf464d23d65dc4",
+    3: "8c463c1018fbdb1619e30f919845be1abe77d46fde3b8e695bc230a9f6dc520e",
+    4: "5cce28522f5cfdf922049b97ab84350d898c6a8d5824aa2051a54fe8b4ebead8",
+    5: "b747d50a93a893585388349c940fad1b687305d9c11723c6e9dc9825f3c72568",
+    6: "5486a55e8525abc772efedcf09e6d9785f0446242f6072596852802b708576c3",
+    7: "b4cf0a269e4e1dc2ad60f3a6b8554d1613b2a964343c1aa8a91ead3494359a7e",
+    8: "d31e99f71e1e90f48a948b1b156a44aae83bbb3a8e70042850d025c0a0cfc187",
+    9: "b4770b8079c12cc57107e47276c2219bbf17623114cc570d44495debede82afb",
+    10: "00cb33184543388f7548c2fe1b96b0aec522593fbc88808d9a6194e2f9060fdc",
+    11: "7644d3f5d888cade69323948bfa080701160af4d1966cf507e8f61a2c01ddebc",
+    12: "43d45a2aff89058dc8c5b501856491016955f342d934a610e0305a57b6d947f4",
+    13: "1ca1da7cd42ac647161de07ffb6bae730aa119b5e93c93b22f428293f15ae8c2",
+    14: "c12226500afb2d15c28d5a4dd9f9a3786bb53bd6cf6a0bf316575291a9e3537a",
+    15: "e11d236739e23089b8ec9f703cc77c4bf19da6c3a22839bdd5099622addb2e57",
+    16: "1e18f0f249aa9214ea8bee028c9dea7553a707b3f5fc61c800b342ad6c722173",
+    17: "36cfde047f50228eeb0cbfbdf1f5a83ebc262f2b086c477e46c44122fbb65d3f",
+    18: "ad86705649429c1fda60edeff9cfb55a8a5b3aa2280e5be25242d69a59f071a3",
+    19: "b9b20a0b851f3cec38af90de2ef1dc2500617039b8addfc48413894b8b837d28",
+}
+#: SHA-256 of every online estimate map plus the per-epoch reports of
+#: one engine run under ``estimation="online"``, recorded likewise.
+GOLDEN_ONLINE = {
+    "live-stream:1": "d7a06a0fb1662cf3eeefaa1d3600a5852de5287bb9db200eaa61e5c6330066f5",
+    "live-stream:2": "ceef0fd9ea0eaa2bb9415ef41afc5ce49ab287a9290b23aa41dea11d442f16a9",
+    "live-stream:3": "c970229b54eea20457fc8582f1656fd9933e329f7631ad823f29bc61ca5cce17",
+    "live-stream:4": "e4d81c43e837a15cf9bf9f39bd4f97979d1e9316cdcd8f59a702219ea248aeb6",
+    "steady-churn:1": "6432bd1e2075ef41bcb5fbfcc16ce94b60c0a93e44ff85ae9e01085e3fd5afd6",
+    "steady-churn:2": "42830da5e208b1839442c7a54f150c1f32a5cb80dafaec7fbf676a659be1ff58",
+    "steady-churn:3": "6e4e3f4ce68d3a5166de040815ed3e303631faf31d3203ea8ffa963bb0e95fc3",
+    "steady-churn:4": "62100df86dc4d0c67300a92d8390fe86cd362f6f60899737f7b8d7fbfc8b6b16",
+}
+
+
+class TestEstimationGoldenState:
+    """The estimation layer's exact outputs, pinned bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LASTMILE))
+    def test_offline_fit_matches_golden(self, case):
+        assert _lastmile_digest(case) == GOLDEN_LASTMILE[case]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ONLINE))
+    def test_online_run_matches_golden(self, name):
+        assert _online_digest(name) == GOLDEN_ONLINE[name]
