@@ -24,15 +24,50 @@ recovery cuts it off before appending again.  A ledger with
 ``path=None`` is memory-only: same record stream, nothing on disk —
 what the latency benchmarks use so disk flush noise never pollutes
 admission percentiles.
+
+Records are **read-only** once appended.  A session's grants payload is
+a :class:`FrozenPayload` that the plane keeps until the session's
+grants move, so consecutive records share the payloads of sessions
+whose grants did not change (``ledger.records`` holds one dict per
+*change*, not per batch), and :meth:`ReservationLedger.append` re-uses
+their encoded JSON instead of re-encoding the full grants table every
+batch.  Every line is still byte-identical to
+``json.dumps(record, separators=(",", ":"))``; a frozen payload raises
+on in-place mutation, so a re-used encoding can never go stale.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import IO, List, Optional, Tuple
+from typing import IO, Dict, List, Optional, Tuple
 
-__all__ = ["ReservationLedger"]
+__all__ = ["FrozenPayload", "ReservationLedger"]
+
+#: ``json.dumps(obj, separators=(",", ":"))`` without rebuilding an
+#: encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _read_only(self, *_args, **_kwargs):
+    raise TypeError("journal payloads are read-only")
+
+
+class FrozenPayload(dict):
+    """A dict that refuses in-place mutation (see module docstring).
+
+    The ledger caches the encoding of a frozen payload for as long as
+    consecutive records carry the same object, so its values must be
+    immutable too (grants are floats); copies (``dict(p)``,
+    ``copy.deepcopy``, pickling) are ordinary or frozen snapshots.
+    """
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
 
 
 class ReservationLedger:
@@ -42,6 +77,9 @@ class ReservationLedger:
         self.path = os.fspath(path) if path is not None else None
         self.records: List[dict] = []  #: records appended *by this handle*
         self._file: Optional[IO[str]] = None
+        #: ``id(payload) -> (payload, its JSON)`` for the frozen grants
+        #: payloads of the last record (holding the payload pins its id).
+        self._fragments: Dict[int, Tuple[FrozenPayload, str]] = {}
 
     def append(self, record: dict) -> None:
         """Journal one record (one JSON object, one line, flushed)."""
@@ -50,8 +88,42 @@ class ReservationLedger:
             return
         if self._file is None:
             self._file = open(self.path, "a", encoding="utf-8")
-        self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._file.write(self._encode_record(record) + "\n")
         self._file.flush()
+
+    def _encode_record(self, record: dict) -> str:
+        """``json.dumps(record, separators=(",", ":"))``, re-using the
+        encoding of every frozen grants payload the previous record
+        already carried."""
+        grants = record.get("grants")
+        if not (
+            isinstance(grants, dict)
+            and all(isinstance(key, str) for key in record)
+            and all(isinstance(name, str) for name in grants)
+        ):
+            self._fragments = {}
+            return _encode(record)
+        fragments: Dict[int, Tuple[FrozenPayload, str]] = {}
+        parts = []
+        for name, payload in grants.items():
+            if type(payload) is FrozenPayload:
+                cached = self._fragments.get(id(payload))
+                if cached is None:
+                    cached = (payload, _encode(payload))
+                fragments[id(payload)] = cached
+                text = cached[1]
+            else:
+                text = _encode(payload)
+            parts.append(_encode(name) + ":" + text)
+        self._fragments = fragments
+        grants_text = "{" + ",".join(parts) + "}"
+        items = (
+            _encode(key)
+            + ":"
+            + (grants_text if key == "grants" else _encode(value))
+            for key, value in record.items()
+        )
+        return "{" + ",".join(items) + "}"
 
     def close(self) -> None:
         if self._file is not None:

@@ -71,7 +71,7 @@ from ..sessions.broker import (
 )
 from ..sessions.fleet import ADMISSIONS, FleetEngine, admission_names
 from ..sessions.spec import SessionSpec
-from .ledger import ReservationLedger
+from .ledger import FrozenPayload, ReservationLedger
 from .requests import (
     MigrateSession,
     PriorityChange,
@@ -153,6 +153,11 @@ class _SessionEntry:
     #: an unchanged component means unchanged grants (see
     #: :meth:`ControlPlane._arbitrate`), so the diff is skipped.
     arb_key: Optional[Tuple[SessionClaim, ...]] = None
+    #: ``(grants, journal payload)``: the payload encodes ``grants`` and
+    #: is re-used until ``grants`` is rebound (grants dicts are replaced
+    #: wholesale, never mutated in place), so the ledger can re-use its
+    #: encoding — see :mod:`repro.service.ledger`.
+    journal: Optional[Tuple[Dict[int, float], FrozenPayload]] = None
 
 
 class _PlanHost:
@@ -700,8 +705,9 @@ class ControlPlane:
                 self.keeps += 1
                 continue
             entry.arb_key = key
+            fractions = alloc.fractions[name]
             new_grants = {
-                n: alloc.bandwidth(name, n, bandwidths[n])
+                n: fractions.get(n, 0.0) * bandwidths[n]
                 for n in members_of[name]
             }
             entry.bound = alloc.bounds.get(name, 0.0)
@@ -772,10 +778,17 @@ class ControlPlane:
     # Journal
     # ------------------------------------------------------------------
     def _grants_payload(self) -> Dict[str, Dict[str, float]]:
-        return {
-            name: {str(n): bw for n, bw in sorted(entry.grants.items())}
-            for name, entry in self.sessions.items()
-        }
+        payload: Dict[str, Dict[str, float]] = {}
+        for name, entry in self.sessions.items():
+            if entry.journal is None or entry.journal[0] is not entry.grants:
+                entry.journal = (
+                    entry.grants,
+                    FrozenPayload(
+                        (str(n), bw) for n, bw in sorted(entry.grants.items())
+                    ),
+                )
+            payload[name] = entry.journal[1]
+        return payload
 
     def _record(
         self,

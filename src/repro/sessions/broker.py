@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Sequence
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from ..core.instance import NodeKind
 
@@ -163,19 +163,21 @@ class CapacityBroker:
         claims: Sequence[SessionClaim],
     ) -> Allocation:
         weights = self._session_weights(kinds, bandwidths, claims)
-        subscribers: Dict[int, list[str]] = {}
-        for claim in claims:
-            for node in claim.members:
-                subscribers.setdefault(node, []).append(claim.name)
+        subscribers = _subscriber_sets(claims)
+        splits: Dict[Tuple[str, ...], list[float]] = {}
+        for names in dict.fromkeys(subscribers.values()):
+            total = sum(weights[name] for name in names)
+            splits[names] = [
+                weights[name] / total if total > 0 else 1.0 / len(names)
+                for name in names
+            ]
         alloc = Allocation(
             fractions={claim.name: {} for claim in claims}
         )
+        fractions = alloc.fractions
         for node, names in subscribers.items():
-            total = sum(weights[name] for name in names)
-            for name in names:
-                alloc.fractions[name][node] = (
-                    weights[name] / total if total > 0 else 1.0 / len(names)
-                )
+            for name, fraction in zip(names, splits[names]):
+                fractions[name][node] = fraction
         _fill_bounds(alloc, kinds, bandwidths, claims)
         return alloc
 
@@ -186,6 +188,20 @@ class CapacityBroker:
         claims: Sequence[SessionClaim],
     ) -> Dict[str, float]:
         raise NotImplementedError
+
+
+def _subscriber_sets(
+    claims: Iterable[SessionClaim],
+) -> Dict[int, Tuple[str, ...]]:
+    """Node -> the names of its subscribing claims (claim order), in
+    first-subscription node order.  A node's split depends only on this
+    tuple, and a component has only a handful of distinct tuples, so
+    every broker computes one split per tuple rather than per node."""
+    subscribers: Dict[int, list[str]] = {}
+    for claim in claims:
+        for node in claim.members:
+            subscribers.setdefault(node, []).append(claim.name)
+    return {node: tuple(names) for node, names in subscribers.items()}
 
 
 def _fill_bounds(
@@ -275,10 +291,8 @@ class WaterfillBroker(CapacityBroker):
         self.rounds = int(rounds)
 
     def arbitrate(self, kinds, bandwidths, claims):
-        subscribers: Dict[int, list[str]] = {}
-        for claim in claims:
-            for node in claim.members:
-                subscribers.setdefault(node, []).append(claim.name)
+        subscribers = _subscriber_sets(claims)
+        tuples = tuple(dict.fromkeys(subscribers.values()))
 
         needs: Dict[str, float] = {}
         requests: Dict[str, float] = {}
@@ -319,15 +333,26 @@ class WaterfillBroker(CapacityBroker):
 
         alloc = Allocation(fractions={claim.name: {} for claim in claims})
         by_name = {claim.name: claim for claim in claims}
-        for _ in range(self.rounds):
-            granted_bw = {claim.name: 0.0 for claim in claims}
-            for node, names in subscribers.items():
-                grants = _waterfill_node(
-                    {name: requests[name] for name in names}
+        rows = [
+            (bandwidths[node], names) for node, names in subscribers.items()
+        ]
+        for round_ in range(self.rounds):
+            splits = {
+                names: list(
+                    _waterfill_node(
+                        {name: requests[name] for name in names}
+                    ).items()
                 )
-                for name, fraction in grants.items():
-                    alloc.fractions[name][node] = fraction
-                    granted_bw[name] += fraction * bandwidths[node]
+                for names in tuples
+            }
+            if round_ == self.rounds - 1:
+                break  # the last round's requests feed nothing
+            # Per-session sums accumulate in node order, exactly as a
+            # per-node sweep would add them.
+            granted_bw = {claim.name: 0.0 for claim in claims}
+            for bandwidth, names in rows:
+                for name, fraction in splits[names]:
+                    granted_bw[name] += fraction * bandwidth
             # Raise the requests of sessions still short of their need on
             # the members that did not throttle them (multiplicative
             # update; deterministic, converges in a handful of rounds).
@@ -337,6 +362,12 @@ class WaterfillBroker(CapacityBroker):
                     requests[claim.name] = min(
                         1.0, requests[claim.name] * min(need / got, 4.0)
                     )
+        # Only the last round's grants survive, so only it writes them,
+        # in node order as a per-node sweep would.
+        fractions = alloc.fractions
+        for node, names in subscribers.items():
+            for name, fraction in splits[names]:
+                fractions[name][node] = fraction
         _fill_bounds(alloc, kinds, bandwidths, by_name.values())
         return alloc
 

@@ -6,8 +6,11 @@ warm-start seam, and the FleetEngine reject-all allocation fix.
 """
 
 import asyncio
+import copy
+import hashlib
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -43,6 +46,7 @@ from repro.service import (
     make_trace,
     trace_names,
 )
+from repro.service.ledger import FrozenPayload
 from repro.sessions import FleetEngine, make_fleet
 
 
@@ -419,6 +423,111 @@ class TestLedger:
         with pytest.raises(ValueError):
             ControlPlane.recover(path)
 
+    @pytest.mark.parametrize("broker", ["equal", "waterfill"])
+    def test_every_line_is_json_dumps_of_its_record(self, tmp_path, broker):
+        """Fragment re-use is invisible: each journal line equals the
+        plain encoding of the in-memory record it came from."""
+        fleet = small_fleet(num_sessions=3, seed=4)
+        path = tmp_path / "plane.jsonl"
+        ledger = ReservationLedger(str(path))
+        plane = ControlPlane(fleet.platform, broker=broker, ledger=ledger)
+        names = [sp.name for sp in fleet.sessions]
+        moved = tuple(
+            n for n in fleet.sessions[0].members
+            if n in fleet.platform.nodes
+            and n not in fleet.sessions[1].members
+        )[:2]
+        assert moved
+        batches = [
+            *[(req,) for req in make_trace("flash-start", fleet, seed=4)[0]],
+            (Query(),),
+            (PriorityChange(name=names[0], priority=3.0),),
+            (Query(name=names[1]),),
+            (
+                MigrateSession(name=names[0], remove=moved),
+                MigrateSession(name=names[1], add=moved),
+            ),
+            (StopSession(name=names[2]), Query()),
+            (StopSession(name="ghost"),),  # an error: mutates nothing
+            (Query(),),
+        ]
+        for batch in batches:
+            plane.submit_batch(batch)
+        ledger.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(ledger.records) == len(batches) + 1
+        for line, record in zip(lines, ledger.records):
+            assert line == json.dumps(record, separators=(",", ":"))
+        # Unchanged grants are shared between consecutive records.
+        shared = [
+            name
+            for name in ledger.records[-1]["grants"]
+            if ledger.records[-1]["grants"][name]
+            is ledger.records[-2]["grants"][name]
+        ]
+        assert shared == list(ledger.records[-1]["grants"])
+
+    def test_header_and_grantless_records_encode_as_before(self, tmp_path):
+        path = tmp_path / "raw.jsonl"
+        records = [
+            {"header": True, "version": 1, "platform": {"nodes": {"1": {}}}},
+            {"seq": 1, "requests": [], "bounds": {"s": math.inf}},
+            {"seq": 2, "grants": None},
+            {"seq": 3, 7: "int key", "grants": {"s": {"1": 0.5}}},
+            {"seq": 4, "grants": {1: {"1": 0.5}}},
+        ]
+        with ReservationLedger(str(path)) as ledger:
+            for record in records:
+                ledger.append(record)
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            json.dumps(record, separators=(",", ":")) for record in records
+        ]
+
+    def test_appended_payloads_never_encode_stale(self, tmp_path):
+        """A frozen payload refuses in-place mutation; a plain-dict
+        payload is never cached, so mutating it shows in the next line."""
+        path = tmp_path / "raw.jsonl"
+        frozen = FrozenPayload({"1": 0.25, "2": 0.5})
+        plain = {"1": 1.0}
+        ledger = ReservationLedger(str(path))
+        ledger.append({"seq": 1, "grants": {"a": frozen, "b": plain}})
+        for mutate in (
+            lambda p: p.__setitem__("1", 9.0),
+            lambda p: p.__delitem__("1"),
+            lambda p: p.update({"3": 1.0}),
+            lambda p: p.pop("1"),
+            lambda p: p.popitem(),
+            lambda p: p.setdefault("3", 1.0),
+            lambda p: p.clear(),
+            lambda p: p.__ior__({"3": 1.0}),
+        ):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(frozen)
+        plain["1"] = 2.0
+        plain["2"] = -0.0
+        ledger.append({"seq": 2, "grants": {"a": frozen, "b": plain}})
+        ledger.close()
+        assert frozen == {"1": 0.25, "2": 0.5}
+        assert [
+            json.loads(line)["grants"]["b"]
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ] == [{"1": 1.0}, {"1": 2.0, "2": -0.0}]
+        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(
+            '"b":{"1":2.0,"2":-0.0}}}'
+        )
+
+    def test_frozen_payload_copies(self):
+        frozen = FrozenPayload({"1": 0.25})
+        for copied in (
+            copy.copy(frozen),
+            copy.deepcopy(frozen),
+            pickle.loads(pickle.dumps(frozen)),
+        ):
+            assert type(copied) is FrozenPayload and copied == frozen
+        thawed = dict(frozen)
+        thawed["1"] = 1.0  # a plain copy is an ordinary dict
+        assert frozen["1"] == 0.25
+
     def test_recover_rejects_non_ledger(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text('{"seq": 1}\n')
@@ -753,6 +862,47 @@ class TestAnalysisService:
             == reports[1].preemption_disruption
         )
 
+    #: (trace, validate_migration) -> per planning regime:
+    #: (preemption_disruption, migration_goodput, (requests, batches,
+    #: builds, repairs, fallbacks, keeps, arb_hits, arb_misses)),
+    #: recorded before the ledger began sharing unchanged grant payloads.
+    PINNED = {
+        ("priority-storm", False): [
+            ("0x1.2c35f2a34255fp-2", "nan", (13, 13, 23, 4, 20, 6, 5, 10)),
+            ("0x1.2c35f2a34255fp-2", "nan", (13, 13, 33, 0, 0, 0, 0, 15)),
+        ],
+        ("mixed", True): [
+            ("0x1.f2377b5e03e07p-4", "0x1.102a359377873p-2",
+             (18, 16, 18, 3, 16, 4, 4, 11)),
+            ("0x1.f2377b5e03e07p-4", "0x1.102a359377873p-2",
+             (18, 16, 23, 0, 0, 0, 0, 15)),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
+    def test_grant_derived_fields_pinned(self, case):
+        """The analysis reads ``ledger.records`` — whose grant payloads
+        are shared between records — and must see the same history."""
+        trace, validate = case
+        reports = service_experiment(
+            SteadyChurn(size=16, horizon=60),
+            3,
+            4,
+            trace=trace,
+            overlap=0.4,
+            broker="proportional",
+            validate_migration=validate,
+        )
+        assert [
+            (
+                r.preemption_disruption.hex(),
+                r.migration_goodput.hex(),
+                (r.requests, r.batches, r.builds, r.repairs, r.fallbacks,
+                 r.keeps, r.arb_hits, r.arb_misses),
+            )
+            for r in reports
+        ] == self.PINNED[case]
+
     def test_migration_fork_check_ratio(self):
         plane = ControlPlane(small_platform(n=6))
         plane.submit(
@@ -842,3 +992,222 @@ class TestServeCli:
         # a well-formed request against a missing ledger fails cleanly
         assert main(["request", "--ledger", path, "--op", "query"]) == 2
         capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# Golden state: the plane's journals and the fleet's broker outcomes,
+# pinned byte for byte.  Recorded before the per-subscriber-set
+# arbitration and the journal fragment reuse; both are optimizations,
+# so every digest must hold unchanged.
+# ----------------------------------------------------------------------
+def _journal_digest(tmp_path, trace, broker, planning):
+    """Journal file bytes plus the final grants and bounds (as hex)."""
+    fleet = small_fleet(num_sessions=4, seed=5, overlap=0.4)
+    path = tmp_path / f"{trace}-{broker}-{planning}.jsonl"
+    plane = ControlPlane(
+        fleet.platform,
+        broker=broker,
+        planning=planning,
+        ledger=ReservationLedger(str(path)),
+    )
+    for batch in make_trace(trace, fleet, seed=5):
+        plane.submit_batch(batch)
+    plane.ledger.close()
+    state = (
+        sorted(
+            (name, sorted((n, bw.hex()) for n, bw in entry.grants.items()))
+            for name, entry in plane.sessions.items()
+        ),
+        sorted((name, e.bound.hex()) for name, e in plane.sessions.items()),
+    )
+    digest = hashlib.sha256(path.read_bytes())
+    digest.update(repr(state).encode())
+    return digest.hexdigest()
+
+
+_GOLDEN_FLEETS = {
+    "rack-failure:3:1:0.3": lambda: make_fleet(
+        "rack-failure", 3, 1, overlap=0.3
+    ),
+    "steady-churn:4:2:0.5": lambda: make_fleet(
+        SteadyChurn(size=30, horizon=80, join_rate=0.03, leave_rate=0.03),
+        4,
+        2,
+        overlap=0.5,
+    ),
+}
+
+
+def _fleet_digest(name):
+    """Waterfill fleet: every session job the arbitration timeline
+    compiled (granted platforms and events) plus the run summaries."""
+    engine = FleetEngine.from_fleet(
+        _GOLDEN_FLEETS[name](), broker="waterfill"
+    )
+    jobs = [
+        (
+            job.name,
+            job.platform.source_bw.hex(),
+            sorted(
+                (n, st.kind, st.bandwidth.hex(), st.alive)
+                for n, st in job.platform.nodes.items()
+            ),
+            [repr(ev) for ev in job.events],
+        )
+        for job in engine.prepare()
+    ]
+    result = engine.run()
+    sessions = [
+        (
+            s.name, s.status, s.subscribed, s.initial_members,
+            s.bound.hex(), s.solo_bound.hex(), s.min_bound.hex(),
+            s.goodput.hex(), s.final_alive,
+        )
+        for s in result.sessions
+    ]
+    record = (jobs, sessions, result.rearbitrations,
+              result.probes_per_node.hex())
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+GOLDEN_JOURNALS = {
+    "flash-start:equal:incremental": (
+        "90cd068eec57851e4c20f012c42ae974e106452621835f24560f41b5e5046a63"
+    ),
+    "flash-start:equal:full": (
+        "84cd151b1f3167eb5b4bfd1f7cd89231bfefb8c8264e9e7b26342ea1d4cab13b"
+    ),
+    "flash-start:proportional:incremental": (
+        "11385a116f54670b8d7d0c490cf88b8380c6682cd1f2e0c8398a9f291fda7261"
+    ),
+    "flash-start:proportional:full": (
+        "0d0e6ca8c16883b14b712d0270ceadf063cfc10a2ede7c49dfc54b5fe30a1183"
+    ),
+    "flash-start:waterfill:incremental": (
+        "8802eb966a94c2fb255947cc159307708ac8c8d50cd6724017c918cfe50dc6a1"
+    ),
+    "flash-start:waterfill:full": (
+        "557cb140bc7836c96ff328e345255ba8d448e26ed3beed308ddfc9be4270f67d"
+    ),
+    "migration-wave:equal:incremental": (
+        "dd62585b78e4f1a57c7b1343bf2ab007129d2154cf14c6e25991761a858da506"
+    ),
+    "migration-wave:equal:full": (
+        "93680f0c56038560ba46d47685499df45bbed00219e09fbf096b47f086946418"
+    ),
+    "migration-wave:proportional:incremental": (
+        "3a1c732ea904a2f23c3b8362f4c2c01d95d82dbbd98f5add016ebc4da749ff5f"
+    ),
+    "migration-wave:proportional:full": (
+        "90172c6f9c9b6162ae3060433bf26cc549982c4f3c765f068f8c10634f305de9"
+    ),
+    "migration-wave:waterfill:incremental": (
+        "483b86443e0d7eaf627545a7acad9e30243462675b886a6a990f0d9ca356b759"
+    ),
+    "migration-wave:waterfill:full": (
+        "b2dadb7153fd1b4a5b72c523472cb1471d5f1eb5a91a8048df14a6f785b70d99"
+    ),
+    "mixed:equal:incremental": (
+        "dc50d2fedfc5f3b2b348552d27c44d8acfb3cda1be9f7283d4177c278659faf9"
+    ),
+    "mixed:equal:full": (
+        "8c1e31a0c5bfa795a664ac5f87798b8a1a2a23a04eb68219ac96f8088127cb2b"
+    ),
+    "mixed:proportional:incremental": (
+        "4d8f884848df9b53f41b04dc2aada327e24710fccf5a59b490cc8326b3060679"
+    ),
+    "mixed:proportional:full": (
+        "03407c435728d4d33676c131ca824e4bdc9952eeae0b348534d9d063f9632917"
+    ),
+    "mixed:waterfill:incremental": (
+        "674a772ef4c8e35cd3eb4f6a7295b62910625ebc2bebaabc9ccb28c4820511f1"
+    ),
+    "mixed:waterfill:full": (
+        "c0882dfddd8ad523af863282e8c3bdb1837b7f92b97197d12117675b54a1a136"
+    ),
+    "priority-storm:equal:incremental": (
+        "75606dca16b3c52686966cd6e11bea8752d186f7da0717488b2245ccf63bed3a"
+    ),
+    "priority-storm:equal:full": (
+        "b3c114ca3ba5fbc8eb376030765327595fb4ba93dd320770f06654d67df6ade7"
+    ),
+    "priority-storm:proportional:incremental": (
+        "b3ce559f59e37ae60b8fafd1e1179cf85fb610505e805d4b3e9d22d5653aa88f"
+    ),
+    "priority-storm:proportional:full": (
+        "2eb376f5f2d40fe0ef66aa61031850aa6d56368ad1e10192a995861093a9e8bb"
+    ),
+    "priority-storm:waterfill:incremental": (
+        "a5a2565c3c54dba103cbfc1da2b9e19f7fabb028766ddfca720c1a73a45ef03d"
+    ),
+    "priority-storm:waterfill:full": (
+        "daa9cc16ea7647dcb9d243c1a5add17402772397bda15146ec59c001d9465834"
+    ),
+    "roaming:equal:incremental": (
+        "6e38ba011071a8d56406b77c332d4fb624e6ac6c6f8321caea354238192aedbd"
+    ),
+    "roaming:equal:full": (
+        "ce5ef68ea123860bf3e893ea0ee6dc87bc57ec3109c276704b7d6d5539b154ba"
+    ),
+    "roaming:proportional:incremental": (
+        "2d92bce63c33f07669634ba06b56a8207a722b840c2dad713a6ef9a94998a6f7"
+    ),
+    "roaming:proportional:full": (
+        "7fa73ffd485793eca6f9fd39dfededa8ab439cf9e0da9a57d7304582148bca60"
+    ),
+    "roaming:waterfill:incremental": (
+        "497f5023e68fabaad68c5af5872eb0aad2c987e181d36b706d812f7fd0164f3e"
+    ),
+    "roaming:waterfill:full": (
+        "305df2cde0c550aacd7f0c53f3a2aa21a4f1fbc5f49d100419e4a08d046adfea"
+    ),
+    "start-stop:equal:incremental": (
+        "b9e1a08974718429b10436fc9eb96a5f60c944518a041ee73c29fe60a5fcf6c1"
+    ),
+    "start-stop:equal:full": (
+        "d3e6771f420afb7c5416fef66f44498eb1ac2a6d3c823589be0fcd2195153a5c"
+    ),
+    "start-stop:proportional:incremental": (
+        "f824bdea7023f743322ea14a1d9f8a1d7bc79a5e16e13b7b2e9ecfd819596707"
+    ),
+    "start-stop:proportional:full": (
+        "55bf97b679a8e26bee425255d1e732c7bda2ce033a8446c3bafdb21be5e75f47"
+    ),
+    "start-stop:waterfill:incremental": (
+        "9f470fa72cfd2a9ade9b910626c07e0d55dec6e5482bf39355c625d20513d9e9"
+    ),
+    "start-stop:waterfill:full": (
+        "03c4d5dfdc614c1927ae3c630b580661c3c2c70ccaa441ddd9bf81dc5b5d9e07"
+    ),
+}
+
+GOLDEN_FLEET = {
+    "rack-failure:3:1:0.3": (
+        "d2daf620da605895e0b1310abd6cd55063f82df860105c2bf914c5b9c2b1edbd"
+    ),
+    "steady-churn:4:2:0.5": (
+        "c36f805a784d26ff775ec913233bec8e3bbb8fcc71fa69e0018f6077e7c2206e"
+    ),
+}
+
+
+class TestJournalGoldenState:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_JOURNALS))
+    def test_journal_matches_golden(self, tmp_path, case):
+        trace, broker, planning = case.split(":")
+        assert (
+            _journal_digest(tmp_path, trace, broker, planning)
+            == GOLDEN_JOURNALS[case]
+        )
+
+    def test_every_combination_is_pinned(self):
+        assert sorted(GOLDEN_JOURNALS) == sorted(
+            f"{t}:{b}:{p}"
+            for t in REQUESTS
+            for b in ("equal", "proportional", "waterfill")
+            for p in ("incremental", "full")
+        )
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_FLEETS))
+    def test_fleet_matches_golden(self, name):
+        assert _fleet_digest(name) == GOLDEN_FLEET[name]

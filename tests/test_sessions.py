@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     fleet_experiment,
@@ -37,7 +38,7 @@ from repro.sessions import (
     make_broker,
     make_fleet,
 )
-from repro.sessions.broker import _waterfill_node
+from repro.sessions.broker import FRACTION_EPS, Allocation, _waterfill_node
 
 
 def tiny_claims():
@@ -668,3 +669,229 @@ class TestReviewRegressions:
         assert repeat.cache_hits > 0
         assert repeat.cache_misses == 0
         assert first == repeat  # cache reuse never changes measurements
+
+
+# ----------------------------------------------------------------------
+# Per-subscriber-set arbitration == the per-node reference, bit for bit
+# ----------------------------------------------------------------------
+def _reference_waterfill_node(requests):
+    """Verbatim per-node water-fill (the pre-grouping kernel)."""
+    total = sum(requests.values())
+    if total <= FRACTION_EPS:
+        return dict(requests)
+    if total <= 1.0 + FRACTION_EPS:
+        return {name: req / total for name, req in requests.items()}
+    items = sorted(requests.items(), key=lambda kv: (kv[1], kv[0]))
+    remaining = 1.0
+    grants = {}
+    for idx, (name, req) in enumerate(items):
+        level = remaining / (len(items) - idx)
+        if req <= level:
+            grants[name] = req
+            remaining -= req
+        else:
+            for tail_name, _tail_req in items[idx:]:
+                grants[tail_name] = level
+            return grants
+    return grants
+
+
+def _reference_bounds(alloc, kinds, bandwidths, claims):
+    for claim in claims:
+        alloc.bounds[claim.name] = lemma51_bound(
+            claim.source_bw, claim.demand, claim.members, kinds, bandwidths,
+            alloc.fractions[claim.name].get,
+        )
+
+
+def _reference_weighted(broker, kinds, bandwidths, claims):
+    """Verbatim per-node weighted split (``equal``/``proportional``)."""
+    weights = broker._session_weights(kinds, bandwidths, claims)
+    subscribers = {}
+    for claim in claims:
+        for node in claim.members:
+            subscribers.setdefault(node, []).append(claim.name)
+    alloc = Allocation(fractions={claim.name: {} for claim in claims})
+    for node, names in subscribers.items():
+        total = sum(weights[name] for name in names)
+        for name in names:
+            alloc.fractions[name][node] = (
+                weights[name] / total if total > 0 else 1.0 / len(names)
+            )
+    _reference_bounds(alloc, kinds, bandwidths, claims)
+    return alloc
+
+
+def _reference_waterfill(rounds, kinds, bandwidths, claims):
+    """Verbatim per-node waterfill: one split per node per round."""
+    subscribers = {}
+    for claim in claims:
+        for node in claim.members:
+            subscribers.setdefault(node, []).append(claim.name)
+    needs, requests = {}, {}
+    for claim in claims:
+        target = lemma51_bound(
+            claim.source_bw, claim.demand, claim.members, kinds, bandwidths
+        )
+        size = len(claim.members)
+        if not math.isfinite(target) or size == 0:
+            needs[claim.name] = 0.0
+            requests[claim.name] = 0.0
+            continue
+        b0 = min(claim.source_bw, claim.demand)
+        open_sum = math.fsum(
+            bandwidths[n] for n in claim.members
+            if kinds[n] != NodeKind.GUARDED
+        )
+        guarded = [n for n in claim.members if kinds[n] == NodeKind.GUARDED]
+        total_bw = open_sum + math.fsum(bandwidths[n] for n in guarded)
+        fraction = 0.0
+        if target * size > b0:
+            fraction = (target * size - b0) / total_bw if total_bw > 0 else 1.0
+        if guarded and target * len(guarded) > b0:
+            fraction = max(
+                fraction,
+                (target * len(guarded) - b0) / open_sum
+                if open_sum > 0 else 1.0,
+            )
+        requests[claim.name] = min(1.0, fraction)
+        needs[claim.name] = requests[claim.name] * total_bw
+    alloc = Allocation(fractions={claim.name: {} for claim in claims})
+    for _ in range(rounds):
+        granted_bw = {claim.name: 0.0 for claim in claims}
+        for node, names in subscribers.items():
+            grants = _reference_waterfill_node(
+                {name: requests[name] for name in names}
+            )
+            for name, fraction in grants.items():
+                alloc.fractions[name][node] = fraction
+                granted_bw[name] += fraction * bandwidths[node]
+        for claim in claims:
+            need, got = needs[claim.name], granted_bw[claim.name]
+            if need > 0 and got > FRACTION_EPS and got < need:
+                requests[claim.name] = min(
+                    1.0, requests[claim.name] * min(need / got, 4.0)
+                )
+    _reference_bounds(alloc, kinds, bandwidths, claims)
+    return alloc
+
+
+def _bits(alloc):
+    """Everything an allocation carries, order-sensitive and exact."""
+    return (
+        [
+            (name, [(node, f.hex()) for node, f in fractions.items()])
+            for name, fractions in alloc.fractions.items()
+        ],
+        [(name, bound.hex()) for name, bound in alloc.bounds.items()],
+    )
+
+
+@st.composite
+def contended_platforms(draw):
+    """A shared platform plus overlapping claims: subscriber tuples
+    repeat (few nodes, several sessions, members drawn from a handful
+    of templates), demands may be infinite, guarded members and
+    zero-bandwidth nodes occur."""
+    num_nodes = draw(st.integers(1, 14))
+    nodes = list(range(1, num_nodes + 1))
+    kind = st.sampled_from([NodeKind.OPEN, NodeKind.OPEN, NodeKind.GUARDED])
+    kinds = {n: draw(kind) for n in nodes}
+    bandwidths = {
+        n: draw(st.one_of(
+            st.just(0.0),
+            st.sampled_from([1.0, 2.5, 4.0]),
+            st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+        ))
+        for n in nodes
+    }
+    templates = draw(st.lists(
+        st.lists(st.sampled_from(nodes), unique=True, max_size=num_nodes),
+        min_size=1, max_size=3,
+    ))
+    claims = []
+    for k in range(draw(st.integers(1, 6))):
+        members = draw(st.one_of(
+            st.sampled_from(templates),
+            st.lists(st.sampled_from(nodes), unique=True, max_size=num_nodes),
+        ))
+        claims.append(SessionClaim(
+            name=f"s{k}",
+            source_bw=draw(st.floats(0.0, 60.0, allow_nan=False)),
+            demand=draw(st.one_of(
+                st.just(math.inf), st.floats(0.01, 80.0, allow_nan=False)
+            )),
+            priority=draw(st.sampled_from([0.25, 1.0, 1.0, 3.0])),
+            members=tuple(members),
+        ))
+    return kinds, bandwidths, claims
+
+
+class TestGroupedArbitration:
+    @settings(max_examples=300)
+    @given(case=contended_platforms())
+    def test_weighted_brokers_match_per_node_reference(self, case):
+        kinds, bandwidths, claims = case
+        for name in ("equal", "proportional"):
+            broker = make_broker(name)
+            alloc = broker.arbitrate(kinds, bandwidths, claims)
+            ref = _reference_weighted(broker, kinds, bandwidths, claims)
+            assert _bits(alloc) == _bits(ref), name
+            assert alloc.bounds == ref.bounds
+
+    @settings(max_examples=300)
+    @given(case=contended_platforms(), rounds=st.sampled_from([1, 2, 3, 5]))
+    def test_waterfill_matches_per_node_reference(self, case, rounds):
+        kinds, bandwidths, claims = case
+        alloc = make_broker("waterfill", rounds=rounds).arbitrate(
+            kinds, bandwidths, claims
+        )
+        ref = _reference_waterfill(rounds, kinds, bandwidths, claims)
+        assert _bits(alloc) == _bits(ref)
+        assert alloc.bounds == ref.bounds
+
+    def test_repeated_tuple_oversubscribed_example(self):
+        # Three sessions on the same two nodes (one tuple) plus a third
+        # node with a different tuple: the water-fill sweep saturates.
+        kinds = {1: NodeKind.OPEN, 2: NodeKind.GUARDED, 3: NodeKind.OPEN}
+        bandwidths = {1: 4.0, 2: 0.0, 3: 2.0}
+        claims = [
+            SessionClaim(name="a", source_bw=20.0, members=(1, 2, 3)),
+            SessionClaim(name="b", source_bw=20.0, members=(1, 2, 3)),
+            SessionClaim(name="c", source_bw=20.0, demand=3.0, members=(1, 2)),
+        ]
+        for rounds in (1, 2, 3, 5):
+            alloc = make_broker("waterfill", rounds=rounds).arbitrate(
+                kinds, bandwidths, claims
+            )
+            ref = _reference_waterfill(rounds, kinds, bandwidths, claims)
+            assert _bits(alloc) == _bits(ref)
+
+    def test_accumulation_order_example(self):
+        # Found by random search: granted bandwidth summed per
+        # subscriber tuple (instead of in node order) moves the requests
+        # by an ulp after round one, and the final grants with them.
+        open_, guarded = NodeKind.OPEN, NodeKind.GUARDED
+        kinds = {n: open_ for n in range(1, 12)}
+        kinds[6] = kinds[11] = guarded
+        bandwidths = {
+            1: 0.0, 2: 0.0, 3: 41.754415658833175, 4: 18.050190902616247,
+            5: 0.0, 6: 46.527298689496206, 7: 6.707849874263033,
+            8: 11.390362963745154, 9: 0.0, 10: 48.21612273098926, 11: 0.0,
+        }
+        claims = [
+            SessionClaim("s0", 23.897350844769516, 27.490590003783126,
+                         members=(9, 3, 1, 11, 5, 10, 2, 7, 8, 4)),
+            SessionClaim("s1", 2.109269784470491,
+                         members=(11, 6, 9, 1, 8, 10)),
+            SessionClaim("s2", 33.654831619509395, members=(1, 2, 9, 3)),
+            SessionClaim("s3", 11.844571916332207,
+                         members=(7, 1, 9, 8, 5, 11)),
+            SessionClaim("s4", 6.18274491062714, 51.523550384510216,
+                         members=(5, 6, 4, 9, 3, 7, 11, 10, 8, 2)),
+            SessionClaim("s5", 31.64473750841879, 29.37281269381235,
+                         members=(3, 9, 2, 10, 4, 11, 6, 7, 5, 8, 1)),
+        ]
+        alloc = make_broker("waterfill").arbitrate(kinds, bandwidths, claims)
+        ref = _reference_waterfill(3, kinds, bandwidths, claims)
+        assert _bits(alloc) == _bits(ref)
