@@ -72,10 +72,10 @@ def test_bench_overlay_cache(benchmark, report_sink):
     """Memoization win: the same trace replayed static-vs-reactive."""
 
     def both():
-        from repro.runtime import OverlayCache
+        from repro.runtime import PlanCache
         from repro.runtime.events import DynamicPlatform
 
-        cache = OverlayCache()
+        cache = PlanCache()
         spec = get_scenario("rack-failure")
         for controller in (StaticController(), ReactiveController()):
             run = spec.build(3, name="rack-failure")

@@ -176,7 +176,6 @@ from .runtime import (
     IncrementalController,
     NodeJoin,
     NodeLeave,
-    OverlayCache,
     PeriodicController,
     Plan,
     ReactiveController,
@@ -308,7 +307,6 @@ __all__ = [
     "NodeJoin",
     "NodeLeave",
     "BandwidthDrift",
-    "OverlayCache",
     "Plan",
     "EpochReport",
     "RunResult",

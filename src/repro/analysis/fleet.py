@@ -39,6 +39,7 @@ from ..sessions import (
     make_broker,
     make_fleet,
 )
+from ..sessions.arbiter import alive_snapshot, make_claim
 
 __all__ = [
     "FleetComparisonRow",
@@ -177,20 +178,8 @@ def fleet_flow_report(
         demand=demand,
     )
     cache = cache if cache is not None else PlanCache()
-    kinds = {i: s.kind for i, s in fleet.platform.nodes.items() if s.alive}
-    bandwidths = {
-        i: s.bandwidth for i, s in fleet.platform.nodes.items() if s.alive
-    }
-    claims = [
-        SessionClaim(
-            name=sp.name,
-            source_bw=sp.source_bw,
-            demand=sp.demand,
-            priority=sp.priority,
-            members=tuple(n for n in sp.members if n in bandwidths),
-        )
-        for sp in fleet.sessions
-    ]
+    kinds, bandwidths = alive_snapshot(fleet.platform)
+    claims = [make_claim(sp, bandwidths) for sp in fleet.sessions]
     alloc = make_broker(broker).arbitrate(kinds, bandwidths, claims)
 
     def solve(claim: SessionClaim, fraction_of) -> float:

@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=list(available_backends()),
                          help="per-epoch transport implementation: "
                               "'reference' (historical per-edge loop, any "
-                              "scheme), 'vectorized' (numpy-batched, any "
-                              "scheme), 'sharded' (arborescence-"
+                              "scheme), 'bitset' (packed, RNG-free), "
+                              "'sharded' (arborescence-"
                               "decomposed, acyclic schemes only), or "
                               "'auto' (sharded when the overlay "
                               "decomposes, reference otherwise)")

@@ -375,8 +375,8 @@ def simulation_backend_ablation(
 ) -> list[BackendRow]:
     """Validate one Theorem 4.1 overlay with every simulation backend.
 
-    The reference backend is the behavioral baseline; the vectorized and
-    arborescence-sharded backends must deliver the same worst-receiver
+    The reference backend is the behavioral baseline; the faster
+    backends must deliver the same worst-receiver
     efficiency (up to slotting noise) while spending less wall clock —
     the ablation quantifies both on a mid-size swarm.  See
     :mod:`repro.simulation.backends` for what each backend does.

@@ -23,8 +23,8 @@ Layout:
 
 Plan construction itself (the Theorem 4.1 pipeline, the LRU
 :class:`~repro.planning.PlanCache`, incremental repair) lives in
-:mod:`repro.planning`; ``OverlayCache`` and ``Plan`` remain importable
-from here for backward compatibility.  The measurement loop that lets
+:mod:`repro.planning`; ``Plan`` remains importable from here for
+backward compatibility.  The measurement loop that lets
 controllers plan on *estimated* rather than oracle bandwidths
 (``RuntimeEngine(estimation="online")``) lives in
 :mod:`repro.estimation.online` and plugs in through ``engine.view``.
@@ -59,7 +59,7 @@ from .controller import (
     controller_names,
     make_controller,
 )
-from .engine import EpochReport, OverlayCache, Plan, RunResult, RuntimeEngine
+from .engine import EpochReport, Plan, RunResult, RuntimeEngine
 from .events import (
     BandwidthDrift,
     DynamicPlatform,
@@ -96,7 +96,6 @@ __all__ = [
     "DynamicPlatform",
     # engine
     "RuntimeEngine",
-    "OverlayCache",
     "Plan",
     "EpochReport",
     "RunResult",

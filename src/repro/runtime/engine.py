@@ -93,7 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .controller import Controller
 
 __all__ = [
-    "OverlayCache",
     "Plan",
     "EpochReport",
     "RunResult",
@@ -104,10 +103,6 @@ __all__ = [
 #: never asks the overlay for more than it provisions (same back-off the
 #: churn experiment has always used).
 RATE_BACKOFF = 1.0 - 1e-9
-
-#: Back-compat name: the engine's memo moved to ``repro.planning`` (and
-#: gained real LRU eviction on the way — see :class:`PlanCache`).
-OverlayCache = PlanCache
 
 
 @dataclass

@@ -13,9 +13,12 @@ mutating batch:
    function, so a rejected trial is discarded by simply not applying
    it);
 2. **one re-arbitration** — the broker re-splits the shared upload over
-   the surviving claims; per session the new grants are diffed against
-   the old ones and only changes beyond ``_GRANT_EPS`` become events
-   (membership moves -> join/leave, grant moves -> drift);
+   the surviving claims (through the shared
+   :class:`~repro.sessions.arbiter.Arbiter`, memoized per claim
+   component when planning incrementally); per session the new grants
+   are diffed against the old ones and only changes beyond
+   ``GRANT_EPS`` become events (membership moves -> join/leave, grant
+   moves -> drift);
 3. **one plan delta per affected session** — the events are coalesced
    (:func:`~repro.planning.coalesce_events`) and handed to the
    session's planner in a single
@@ -63,13 +66,14 @@ from ..runtime.events import (
     NodeLeave,
     NodeState,
 )
-from ..sessions.broker import (
-    Allocation,
-    SessionClaim,
-    broker_names,
-    make_broker,
+from ..sessions.arbiter import (
+    GRANT_EPS,
+    Arbiter,
+    resolve_arbitration,
+    serves_nobody,
 )
-from ..sessions.fleet import ADMISSIONS, FleetEngine, admission_names
+from ..sessions.broker import SessionClaim
+from ..sessions.fleet import FleetEngine
 from ..sessions.spec import SessionSpec
 from .ledger import FrozenPayload, ReservationLedger
 from .requests import (
@@ -87,15 +91,8 @@ from .requests import (
 
 __all__ = ["ControlPlane", "ServiceStats"]
 
-#: Grant changes below this (bandwidth units) emit no drift event —
-#: the same threshold the fleet timeline uses.
-_GRANT_EPS = 1e-9
-
 #: Journal format version (bumped on any record-shape change).
 _LEDGER_VERSION = 1
-
-#: Arbitration fragments memoized per claim component (FIFO-evicted).
-_ARB_CACHE_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ class _SessionEntry:
     fallbacks: int = 0
     #: claim component this session's grants were last arbitrated in;
     #: an unchanged component means unchanged grants (see
-    #: :meth:`ControlPlane._arbitrate`), so the diff is skipped.
+    #: :class:`~repro.sessions.arbiter.Arbiter`), so the diff is skipped.
     arb_key: Optional[Tuple[SessionClaim, ...]] = None
     #: ``(grants, journal payload)``: the payload encodes ``grants`` and
     #: is re-used until ``grants`` is rebound (grants dicts are replaced
@@ -191,19 +188,9 @@ class ControlPlane:
         ledger: Optional[ReservationLedger] = None,
         seed: int = 0,
     ) -> None:
-        if broker not in broker_names():
-            raise ValueError(
-                f"unknown broker {broker!r} (known: {', '.join(broker_names())})"
-            )
-        if admission not in ADMISSIONS:
-            raise ValueError(
-                f"unknown admission policy {admission!r} "
-                f"(known: {', '.join(admission_names())})"
-            )
-        if admission_floor < 0:
-            raise ValueError(
-                f"admission_floor must be >= 0, got {admission_floor}"
-            )
+        self.broker, self.admission, self.admission_floor = (
+            resolve_arbitration(broker, admission, admission_floor)
+        )
         if planning not in planner_names():
             raise ValueError(
                 f"unknown planning mode {planning!r} "
@@ -211,9 +198,6 @@ class ControlPlane:
             )
         self.platform = platform
         self.broker_name = broker
-        self.broker = make_broker(broker)
-        self.admission = ADMISSIONS[admission]
-        self.admission_floor = float(admission_floor)
         self.planning = planning
         #: The whole incremental regime hangs off the planning mode:
         #: ``"incremental"`` arbitrates per claim component (memoized)
@@ -223,22 +207,12 @@ class ControlPlane:
         #: mutating batch, exactly what a plane without change tracking
         #: would have to do.
         self.incremental = planning == "incremental"
+        self._arbiter = Arbiter(platform, memoize=self.incremental)
         self.repair_tolerance = float(repair_tolerance)
         self.cache = cache if cache is not None else PlanCache()
         self.seed = int(seed)
         self.sessions: Dict[str, _SessionEntry] = {}
         self.seq = 0  #: batches processed — also the planner clock
-        self.rearbitrations = 0
-        self.arb_hits = 0
-        self.arb_misses = 0
-        self._arb_cache: Dict[Tuple[SessionClaim, ...], "Allocation"] = {}
-        self._alive_snapshot: Optional[
-            Tuple[Dict[int, str], Dict[int, float]]
-        ] = None
-        #: name -> (spec object, its claim): claims are pure functions
-        #: of (spec, alive set) and specs are frozen, so identity of the
-        #: spec object pins the claim — rebuilt only after a mutation.
-        self._claim_memo: Dict[str, Tuple[SessionSpec, SessionClaim]] = {}
         self.requests_served = 0
         self.errors = 0
         self.admitted = 0
@@ -302,127 +276,6 @@ class ControlPlane:
         if self.planning == "incremental":
             return make_planner("incremental", tolerance=self.repair_tolerance)
         return make_planner(self.planning)
-
-    # ------------------------------------------------------------------
-    # Arbitration plumbing
-    # ------------------------------------------------------------------
-    def _alive(self) -> Tuple[Dict[int, str], Dict[int, float]]:
-        # The shared platform is immutable while the plane runs (churn
-        # enters only through requests), so the alive snapshot is
-        # computed once and reused by every batch.
-        if self._alive_snapshot is None:
-            kinds: Dict[int, str] = {}
-            bandwidths: Dict[int, float] = {}
-            for node_id, state in self.platform.nodes.items():
-                if state.alive:
-                    kinds[node_id] = state.kind
-                    bandwidths[node_id] = state.bandwidth
-            self._alive_snapshot = (kinds, bandwidths)
-        return self._alive_snapshot
-
-    @staticmethod
-    def _claim(spec: SessionSpec, bandwidths: Dict[int, float]) -> SessionClaim:
-        return SessionClaim(
-            name=spec.name,
-            source_bw=spec.source_bw,
-            demand=spec.demand,
-            priority=spec.priority,
-            members=tuple(n for n in spec.members if n in bandwidths),
-        )
-
-    def _claim_for(
-        self, spec: SessionSpec, bandwidths: Dict[int, float]
-    ) -> SessionClaim:
-        """Memoized :meth:`_claim`: specs are frozen and replaced
-        wholesale on mutation, so object identity pins the claim."""
-        cached = self._claim_memo.get(spec.name)
-        if cached is not None and cached[0] is spec:
-            return cached[1]
-        claim = self._claim(spec, bandwidths)
-        self._claim_memo[spec.name] = (spec, claim)
-        return claim
-
-    @staticmethod
-    def _components(
-        claims: Sequence[SessionClaim],
-    ) -> List[Tuple[SessionClaim, ...]]:
-        """Connected components of the claim-member bipartite graph,
-        ordered by first claim; claims inside keep their submission
-        order.  Sessions couple *only* through shared member nodes, so
-        every registered broker's arbitration factorizes exactly over
-        these components (per-node splits see only that node's
-        subscribers; the waterfill feedback rounds couple a session
-        only to its own members)."""
-        parent = list(range(len(claims)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        owner: Dict[int, int] = {}
-        for i, claim in enumerate(claims):
-            for node in claim.members:
-                j = owner.setdefault(node, i)
-                if j != i:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        groups: Dict[int, List[SessionClaim]] = {}
-        for i, claim in enumerate(claims):
-            groups.setdefault(find(i), []).append(claim)
-        return [tuple(groups[root]) for root in sorted(groups)]
-
-    def _arbitrate(self, specs: Sequence[SessionSpec]):
-        """One *incremental* broker round: arbitration is computed per
-        claim component and memoized on the component's exact claims.
-
-        The shared platform is immutable while the plane runs (churn
-        enters only through requests), so a component whose claims did
-        not change since its last arbitration has a bit-identical
-        outcome — the memo returns the previous fragment and the broker
-        never runs.  A request burst that touches 2 of K sessions pays
-        broker work for the touched components only; the exactness of
-        the component factorization means this is an *optimization*,
-        never an approximation (asserted by the test suite against the
-        monolithic arbitration).
-
-        In the cold-solve regime (``planning != "incremental"``) the
-        broker runs monolithically over all claims, uncached — the
-        control arm pays what a plane without component tracking pays.
-        """
-        kinds, bandwidths = self._alive()
-        claims = [self._claim_for(sp, bandwidths) for sp in specs]
-        self.rearbitrations += 1
-        alloc = Allocation()
-        comp_key: Dict[str, Tuple[SessionClaim, ...]] = {}
-        if not self.incremental:
-            self.arb_misses += 1
-            whole = tuple(claims)
-            fragment = self.broker.arbitrate(kinds, bandwidths, claims)
-            alloc.fractions.update(fragment.fractions)
-            alloc.bounds.update(fragment.bounds)
-            for claim in claims:
-                comp_key[claim.name] = whole
-            return alloc, kinds, bandwidths, claims, comp_key
-        for component in self._components(claims):
-            fragment = self._arb_cache.get(component)
-            if fragment is None:
-                self.arb_misses += 1
-                fragment = self.broker.arbitrate(
-                    kinds, bandwidths, list(component)
-                )
-                self._arb_cache[component] = fragment
-                if len(self._arb_cache) > _ARB_CACHE_CAP:
-                    self._arb_cache.pop(next(iter(self._arb_cache)))
-            else:
-                self.arb_hits += 1
-            alloc.fractions.update(fragment.fractions)
-            alloc.bounds.update(fragment.bounds)
-            for claim in component:
-                comp_key[claim.name] = component
-        return alloc, kinds, bandwidths, claims, comp_key
 
     # ------------------------------------------------------------------
     # Request entry points
@@ -532,10 +385,8 @@ class ControlPlane:
             priority=req.priority,
             members=tuple(req.members),
         )
-        _kinds, bandwidths = self._alive()
-        if not any(n in bandwidths for n in spec.members):
-            # Same rule as FleetEngine._admit: a memberless channel has
-            # a vacuously infinite bound and nobody to serve.
+        _kinds, bandwidths = self._arbiter.alive()
+        if serves_nobody(spec, bandwidths):
             self.rejected += 1
             return Response(
                 op=req.op,
@@ -549,9 +400,10 @@ class ControlPlane:
         # trial leaves the standing grants untouched, which is what
         # makes repeated rejected starts idempotent under replay.
         specs = [e.spec for e in self.sessions.values()] + [spec]
-        alloc, _kinds, _bw, _claims, _keys = self._arbitrate(specs)
+        alloc = self._arbiter.arbitrate(self.broker, specs).alloc
         bound = alloc.bounds.get(spec.name, 0.0)
-        if bound < self.admission_floor and self.admission.rejects:
+        status = self.admission.verdict(bound, self.admission_floor)
+        if status == "rejected":
             self.rejected += 1
             return Response(
                 op=req.op,
@@ -564,7 +416,6 @@ class ControlPlane:
                 ),
                 seq=self.seq,
             )
-        status = "admitted" if bound >= self.admission_floor else "degraded"
         if status == "admitted":
             self.admitted += 1
         else:
@@ -593,7 +444,6 @@ class ControlPlane:
     def _stop(self, req: StopSession) -> Response:
         self._entry(req.name)
         del self.sessions[req.name]
-        self._claim_memo.pop(req.name, None)
         self.stopped += 1
         return Response(
             op=req.op, name=req.name, status="stopped", seq=self.seq
@@ -686,12 +536,13 @@ class ControlPlane:
         ops: Dict[str, str] = {}
         if not self.sessions:
             return ops
-        alloc, kinds, bandwidths, claims, comp_key = self._arbitrate(
-            [e.spec for e in self.sessions.values()]
+        arb = self._arbiter.arbitrate(
+            self.broker, [e.spec for e in self.sessions.values()]
         )
-        members_of = {c.name: c.members for c in claims}
+        alloc, kinds, bandwidths = arb.alloc, arb.kinds, arb.bandwidths
+        members_of = {c.name: c.members for c in arb.claims}
         for name, entry in self.sessions.items():
-            key = comp_key.get(name)
+            key = arb.keys.get(name)
             if (
                 self.incremental
                 and entry.plan is not None
@@ -726,7 +577,7 @@ class ControlPlane:
                             node_id=node,
                         )
                     )
-                elif abs(grant - old) > _GRANT_EPS:
+                elif abs(grant - old) > GRANT_EPS:
                     events.append(
                         BandwidthDrift(
                             time=self.seq, node_id=node, bandwidth=grant
@@ -894,9 +745,9 @@ class ControlPlane:
         return ServiceStats(
             requests=self.requests_served,
             batches=self.seq,
-            rearbitrations=self.rearbitrations,
-            arb_hits=self.arb_hits,
-            arb_misses=self.arb_misses,
+            rearbitrations=self._arbiter.rearbitrations,
+            arb_hits=self._arbiter.arb_hits,
+            arb_misses=self._arbiter.arb_misses,
             builds=builds,
             repairs=repairs,
             fallbacks=fallbacks,

@@ -15,9 +15,12 @@ lifts the single-tenant restriction:
   partition each shared node's Theorem 4.1 upload budget across its
   subscribed sessions (re-arbitrated on churn and drift), plus the
   per-session Lemma 5.1 bound the waterfill targets;
+* :mod:`~repro.sessions.arbiter` — the arbitration core the fleet and
+  the control plane share: alive snapshot, claims, the per-component
+  fragment memo and admission control (``reject`` / ``degrade`` below a
+  rate floor);
 * :mod:`~repro.sessions.fleet` — the :class:`FleetEngine` that compiles
-  broker decisions into per-session workloads, applies admission control
-  (``reject`` / ``degrade`` below a rate floor), and drives K concurrent
+  broker decisions into per-session workloads and drives K concurrent
   :class:`~repro.runtime.engine.RuntimeEngine` runs across the worker
   pool with fleet-amortized probe budgets.
 
@@ -25,6 +28,7 @@ Fleet-level reporting (aggregate vs per-session goodput, Jain fairness,
 admission rate) lives in :mod:`repro.analysis.fleet`.
 """
 
+from .arbiter import ADMISSIONS, AdmissionPolicy, admission_names, get_admission
 from .broker import (
     BROKERS,
     Allocation,
@@ -38,13 +42,9 @@ from .broker import (
     make_broker,
 )
 from .fleet import (
-    ADMISSIONS,
-    AdmissionPolicy,
     FleetEngine,
     FleetResult,
     SessionResult,
-    admission_names,
-    get_admission,
     jain_fairness,
     session_goodput,
 )
@@ -66,14 +66,15 @@ __all__ = [
     "make_broker",
     "broker_names",
     "lemma51_bound",
-    # fleet
-    "FleetEngine",
-    "FleetResult",
-    "SessionResult",
+    # arbiter
     "AdmissionPolicy",
     "ADMISSIONS",
     "admission_names",
     "get_admission",
+    # fleet
+    "FleetEngine",
+    "FleetResult",
+    "SessionResult",
     "jain_fairness",
     "session_goodput",
 ]

@@ -55,61 +55,23 @@ from ..runtime.events import (
     NodeLeave,
     NodeState,
 )
-from .broker import (
-    Allocation,
-    CapacityBroker,
-    SessionClaim,
-    broker_names,
-    lemma51_bound,
-    make_broker,
+from .arbiter import (
+    GRANT_EPS,
+    Arbiter,
+    make_claim,
+    resolve_arbitration,
+    serves_nobody,
 )
+from .broker import Allocation, CapacityBroker, lemma51_bound
 from .spec import FleetRun, SessionSpec
 
 __all__ = [
-    "ADMISSIONS",
-    "AdmissionPolicy",
     "FleetEngine",
     "FleetResult",
     "SessionResult",
-    "admission_names",
-    "get_admission",
     "jain_fairness",
     "session_goodput",
 ]
-
-#: Allocation changes below this (in bandwidth units) emit no drift event.
-_ALLOC_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """What happens to a session whose bound falls below the floor."""
-
-    name: str
-    rejects: bool  #: True: drop the session; False: admit it, marked degraded
-
-
-#: Name -> policy registry, read by the CLI's ``--help``/``--list`` (like
-#: CONTROLLERS / PLANNERS / BROKERS: never hard-code these choices).
-ADMISSIONS: Dict[str, AdmissionPolicy] = {
-    "reject": AdmissionPolicy("reject", rejects=True),
-    "degrade": AdmissionPolicy("degrade", rejects=False),
-}
-
-
-def get_admission(name: str) -> AdmissionPolicy:
-    try:
-        return ADMISSIONS[name]
-    except KeyError:
-        known = ", ".join(sorted(ADMISSIONS))
-        raise KeyError(
-            f"unknown admission policy {name!r} (known: {known})"
-        ) from None
-
-
-def admission_names() -> list[str]:
-    return sorted(ADMISSIONS)
-
 
 def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index ``(sum x)^2 / (n * sum x^2)`` in ``(0, 1]``.
@@ -301,28 +263,14 @@ class FleetEngine:
         names = [s.name for s in sessions]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate session names: {names}")
-        if isinstance(broker, str) and broker not in broker_names():
-            raise ValueError(
-                f"unknown broker {broker!r} "
-                f"(known: {', '.join(broker_names())})"
-            )
-        if admission not in ADMISSIONS:
-            raise ValueError(
-                f"unknown admission policy {admission!r} "
-                f"(known: {', '.join(admission_names())})"
-            )
-        if admission_floor < 0:
-            raise ValueError(
-                f"admission_floor must be >= 0, got {admission_floor}"
-            )
+        self.broker, self.admission, self.admission_floor = (
+            resolve_arbitration(broker, admission, admission_floor)
+        )
         self.platform = platform
         self.events = tuple(events)
         self.horizon = int(horizon)
         self.sessions = tuple(sessions)
         self.membership = dict(membership or {})
-        self.broker = broker if isinstance(broker, CapacityBroker) else make_broker(broker)
-        self.admission = ADMISSIONS[admission]
-        self.admission_floor = float(admission_floor)
         self.seed = seed
         self.controller = controller
         self.controller_kwargs = tuple(sorted((controller_kwargs or {}).items()))
@@ -333,8 +281,14 @@ class FleetEngine:
         self.engine_kwargs = dict(engine_kwargs)
         self._prepared: Optional[list[_SessionJob]] = None
         self._results: Optional[Dict[str, SessionResult]] = None
-        self.rearbitrations = 0
+        #: Unmemoized: the platform churns between rounds.
+        self._arbiter = Arbiter(platform, memoize=False)
         self.probes_per_node = 0.0
+
+    @property
+    def rearbitrations(self) -> int:
+        """Broker rounds the timeline paid for (admission trials too)."""
+        return self._arbiter.rearbitrations
 
     @classmethod
     def from_fleet(cls, fleet: FleetRun, **kwargs) -> "FleetEngine":
@@ -353,37 +307,6 @@ class FleetEngine:
     # ------------------------------------------------------------------
     # Phase 1: the arbitration timeline
     # ------------------------------------------------------------------
-    def _alive(self) -> tuple[Dict[int, str], Dict[int, float]]:
-        kinds: Dict[int, str] = {}
-        bandwidths: Dict[int, float] = {}
-        for node_id, state in self.platform.nodes.items():
-            if state.alive:
-                kinds[node_id] = state.kind
-                bandwidths[node_id] = state.bandwidth
-        return kinds, bandwidths
-
-    def _claims(
-        self, specs: Sequence[SessionSpec], bandwidths: Dict[int, float]
-    ) -> list[SessionClaim]:
-        return [
-            SessionClaim(
-                name=sp.name,
-                source_bw=sp.source_bw,
-                demand=sp.demand,
-                priority=sp.priority,
-                members=tuple(n for n in sp.members if n in bandwidths),
-            )
-            for sp in specs
-        ]
-
-    def _arbitrate(
-        self, specs: Sequence[SessionSpec]
-    ) -> tuple[Allocation, Dict[int, str], Dict[int, float]]:
-        kinds, bandwidths = self._alive()
-        claims = self._claims(specs, bandwidths)
-        self.rearbitrations += 1
-        return self.broker.arbitrate(kinds, bandwidths, claims), kinds, bandwidths
-
     def _admit(self) -> tuple[list[SessionSpec], Dict[str, str], Allocation]:
         """Start-of-stream admission control on the initial allocation.
 
@@ -392,34 +315,27 @@ class FleetEngine:
         returns to the pool, which can lift the survivors above the
         floor); under ``degrade`` every below-floor session is admitted
         but marked, so operators see which channels run underwater.
-
         Sessions with no alive member at start of stream are rejected
-        under *either* policy: there is nobody to serve, their Lemma 5.1
-        bound is vacuously infinite (it would sail over any floor), and
-        running them would poison every fleet aggregate with
-        infinities.
+        under either policy (:func:`~repro.sessions.arbiter.serves_nobody`).
         """
-        _kinds, bandwidths = self._alive()
-        empty = [
-            sp
+        _kinds, bandwidths = self._arbiter.alive()
+        status = {
+            sp.name: "rejected"
             for sp in self.sessions
-            if not any(n in bandwidths for n in sp.members)
-        ]
-        active = [sp for sp in self.sessions if sp not in empty]
-        status = {sp.name: "admitted" for sp in active}
-        status.update({sp.name: "rejected" for sp in empty})
-        if not active:
-            return active, status, Allocation()
-        while True:
-            alloc, _kinds, _bw = self._arbitrate(active)
-            below = [
-                sp
+            if serves_nobody(sp, bandwidths)
+        }
+        active = [sp for sp in self.sessions if sp.name not in status]
+        while active:
+            alloc = self._arbiter.arbitrate(self.broker, active).alloc
+            verdicts = {
+                sp.name: self.admission.verdict(
+                    alloc.bounds.get(sp.name, 0.0), self.admission_floor
+                )
                 for sp in active
-                if alloc.bounds.get(sp.name, 0.0) < self.admission_floor
-            ]
-            if not below or not self.admission.rejects:
-                for sp in below:
-                    status[sp.name] = "degraded"
+            }
+            below = [sp for sp in active if verdicts[sp.name] == "rejected"]
+            if not below:
+                status.update(verdicts)
                 return active, status, alloc
             victim = min(
                 below,
@@ -427,13 +343,10 @@ class FleetEngine:
             )
             status[victim.name] = "rejected"
             active.remove(victim)
-            if not active:
-                # Every session was rejected: the last trial allocation
-                # still carries the victims' grants and bounds, and
-                # returning it would leak them into initial/min-bound
-                # accounting (and into any replayed admission round).
-                # Nobody is admitted, so nobody holds capacity.
-                return active, status, Allocation()
+        # Nobody is admitted, so nobody holds capacity: the last trial
+        # allocation still carries the victims' grants and bounds, and
+        # returning it would leak them into initial/min-bound accounting.
+        return active, status, Allocation()
 
     def _membership_of(self, node_id: int) -> tuple[str, ...]:
         """Sessions a node subscribes to; unknown ids (anonymous joins)
@@ -456,16 +369,16 @@ class FleetEngine:
         self._status = status
         self._initial_bounds = dict(alloc.bounds)
         self._min_bounds = dict(alloc.bounds)
-        kinds, bandwidths = self._alive()
+        kinds, bandwidths = self._arbiter.alive()
+        claims = [make_claim(sp, bandwidths) for sp in self.sessions]
         self._solo_bounds = {
             claim.name: lemma51_bound(
                 claim.source_bw, claim.demand, claim.members, kinds, bandwidths
             )
-            for claim in self._claims(self.sessions, bandwidths)
+            for claim in claims
         }
         self._initial_members = {
-            sp.name: sum(1 for n in sp.members if n in bandwidths)
-            for sp in self.sessions
+            claim.name: len(claim.members) for claim in claims
         }
 
         # Fleet-wide probe amortization: scale the per-node budget so the
@@ -523,7 +436,8 @@ class FleetEngine:
                         node_id=assigned,
                     )
                 applied.append(ev)
-            alloc, kinds, bandwidths = self._arbitrate(active)
+            arb = self._arbiter.arbitrate(self.broker, active)
+            alloc, kinds, bandwidths = arb.alloc, arb.kinds, arb.bandwidths
             for name, bound in alloc.bounds.items():
                 if bound < self._min_bounds.get(name, float("inf")):
                     self._min_bounds[name] = bound
@@ -561,7 +475,7 @@ class FleetEngine:
                     share = alloc.bandwidth(
                         sp.name, node_id, bandwidths[node_id]
                     )
-                    if abs(share - old_share) > _ALLOC_EPS:
+                    if abs(share - old_share) > GRANT_EPS:
                         grants[node_id] = share
                         session_events[sp.name].append(
                             BandwidthDrift(

@@ -46,10 +46,15 @@ class SessionSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("session name must be non-empty")
-        if self.source_bw < 0:
+        if not self.source_bw >= 0:
             raise ValueError(f"source_bw must be >= 0, got {self.source_bw}")
         if not self.demand > 0:
             raise ValueError(f"demand must be > 0, got {self.demand}")
+        if math.isinf(min(self.source_bw, self.demand)):
+            raise ValueError(
+                "origin rate min(source_bw, demand) must be finite, got "
+                f"source_bw={self.source_bw}, demand={self.demand}"
+            )
         if not self.priority > 0:
             raise ValueError(f"priority must be > 0, got {self.priority}")
         if len(set(self.members)) != len(self.members):

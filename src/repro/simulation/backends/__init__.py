@@ -30,9 +30,6 @@ Which backend applies where:
   ``simulate_packet_broadcast`` (bit-for-bit except the documented
   sample-fallback ordering, see :mod:`.reference`); handles *any*
   scheme, cyclic included.
-* ``vectorized`` — numpy credit accumulation plus batched useful-packet
-  transfers; statistically equivalent to the reference on any scheme
-  (its RNG stream differs).
 * ``sharded`` — decomposes an acyclic equal-in-rate scheme into weighted
   arborescences (:mod:`repro.flows.arborescence`) and pipelines each
   substream deterministically with numpy, optionally across
@@ -131,5 +128,4 @@ def make_backend(
 # Populate the registry (imports must come after the decorator exists).
 from . import reference as _reference  # noqa: E402,F401
 from . import sharded as _sharded  # noqa: E402,F401
-from . import vectorized as _vectorized  # noqa: E402,F401
 from . import bitset as _bitset  # noqa: E402,F401

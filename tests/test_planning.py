@@ -36,7 +36,6 @@ from repro.runtime import (
     NodeJoin,
     NodeLeave,
     BandwidthDrift,
-    OverlayCache,
     ReactiveController,
     RuntimeEngine,
     SteadyChurn,
@@ -86,9 +85,6 @@ class TestPlanCache:
         assert sol is cache.solve(fig1)
         assert sol.packing is not None
         assert cache.stats() == (1, 1)
-
-    def test_overlay_cache_is_the_plan_cache(self):
-        assert OverlayCache is PlanCache
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from repro.runtime import (
     EventQueue,
     NodeJoin,
     NodeLeave,
-    OverlayCache,
     PeriodicController,
+    PlanCache,
     ReactiveController,
     RuntimeEngine,
     Scenario,
@@ -177,7 +177,7 @@ class TestControllerPolicies:
         assert a.repair_latencies == b.repair_latencies
 
     def test_overlay_cache_absorbs_recomputation(self, fig1):
-        cache = OverlayCache()
+        cache = PlanCache()
         failed = _busiest_relay(fig1)
         for _ in range(2):
             engine = RuntimeEngine(
@@ -365,7 +365,7 @@ class TestWarmEpochs:
         ).run(StaticController())
         assert explicit.epochs == default.epochs
 
-    @pytest.mark.parametrize("backend", ["vectorized", "sharded", "auto"])
+    @pytest.mark.parametrize("backend", ["sharded", "auto"])
     def test_alternate_backends_drive_the_engine(self, fig1, backend):
         failed = _busiest_relay(fig1)
         engine = RuntimeEngine(

@@ -280,6 +280,28 @@ class TestRegimeEquivalence:
         assert payloads["incremental"] == payloads["full"]
 
 
+    @pytest.mark.parametrize("planning", ["incremental", "full"])
+    def test_swapped_broker_serves_every_round(self, planning):
+        fleet = small_fleet(num_sessions=3, seed=2)
+        plane = ControlPlane(fleet.platform, planning=planning)
+        calls = []
+
+        class Counting:  # only ``arbitrate``, like a tracing wrapper
+            def __init__(self, inner):
+                self.inner = inner
+
+            def arbitrate(self, kinds, bandwidths, claims):
+                calls.append(len(claims))
+                return self.inner.arbitrate(kinds, bandwidths, claims)
+
+        plane.broker = Counting(plane.broker)
+        for batch in make_trace("mixed", fleet, seed=2):
+            plane.submit_batch(batch)
+        stats = plane.stats()
+        assert len(calls) == stats.arb_misses > 0
+        assert (stats.arb_hits > 0) == (planning == "incremental")
+
+
 class TestLedger:
     def test_memory_ledger_records_batches(self):
         ledger = ReservationLedger()
@@ -630,6 +652,52 @@ class TestTransports:
         assert answers[3].op == "query"
         assert "JSON object" in answers[2].error
         assert plane.requests_served == 1
+
+    def test_tcp_non_finite_origin_rates_get_error_responses(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        plane = ControlPlane(small_platform(), ledger=ReservationLedger(path))
+        lines = [
+            b'{"op":"start_session","name":"x","source_bw":NaN,'
+            b'"members":[1,2]}',
+            b'{"op":"start_session","name":"y","source_bw":Infinity,'
+            b'"members":[1,2]}',
+            b'{"op":"start_session","name":"b","source_bw":4.0,'
+            b'"members":[1,2]}',
+            b'{"op":"migrate_session","name":"b","source_bw":Infinity}',
+            b'{"op":"priority_change","name":"b","priority":2.0}',
+        ]
+
+        async def scenario():
+            async with ControlPlaneServer(plane) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                answers = []
+                for line in lines:
+                    writer.write(line + b"\n")
+                    await writer.drain()
+                    answers.append(await reader.readline())
+                writer.write(b'{"op":"bye"}\n')
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+                return answers
+
+        answers = [
+            decode_response(json.loads(line)) for line in asyncio.run(scenario())
+        ]
+        plane.ledger.close()
+        assert [r.status for r in answers] == [
+            "error", "error", "admitted", "error", "applied",
+        ]
+        assert "source_bw" in answers[0].error
+        assert "finite" in answers[1].error and "finite" in answers[3].error
+        assert list(plane.sessions) == ["b"]
+        assert plane.sessions["b"].spec.source_bw == 4.0
+        assert plane.seq == len(lines)
+        recovered = ControlPlane.recover(path, verify=True)
+        assert recovered._grants_payload() == plane._grants_payload()
+        assert recovered.stats().errors == 3
 
     def test_tcp_concurrent_clients_interleave_at_batch_level(self):
         plane = ControlPlane(small_platform())
@@ -1000,13 +1068,15 @@ class TestServeCli:
 # arbitration and the journal fragment reuse; both are optimizations,
 # so every digest must hold unchanged.
 # ----------------------------------------------------------------------
-def _journal_digest(tmp_path, trace, broker, planning):
+def _journal_digest(tmp_path, trace, broker, planning, admission_floor=0.0):
     """Journal file bytes plus the final grants and bounds (as hex)."""
     fleet = small_fleet(num_sessions=4, seed=5, overlap=0.4)
     path = tmp_path / f"{trace}-{broker}-{planning}.jsonl"
     plane = ControlPlane(
         fleet.platform,
         broker=broker,
+        admission="reject",
+        admission_floor=admission_floor,
         planning=planning,
         ledger=ReservationLedger(str(path)),
     )
@@ -1025,25 +1095,53 @@ def _journal_digest(tmp_path, trace, broker, planning):
     return digest.hexdigest()
 
 
-_GOLDEN_FLEETS = {
-    "rack-failure:3:1:0.3": lambda: make_fleet(
-        "rack-failure", 3, 1, overlap=0.3
-    ),
-    "steady-churn:4:2:0.5": lambda: make_fleet(
+def _rack_fleet():
+    return make_fleet("rack-failure", 3, 1, overlap=0.3)
+
+
+def _churn_fleet():
+    return make_fleet(
         SteadyChurn(size=30, horizon=80, join_rate=0.03, leave_rate=0.03),
         4,
         2,
         overlap=0.5,
+    )
+
+
+#: name -> (fleet factory, FleetEngine keywords).  On the churn fleet
+#: the allocated bounds are ~17.8 / 12.8 / 18.6 / 9.9: a floor of 14
+#: under ``reject`` drops s3, and the re-arbitration lifts s1 over the
+#: floor; 18 drops two sessions in two rounds; 13 under ``degrade``
+#: marks s1 and s3.
+_GOLDEN_FLEETS = {
+    "rack-failure:3:1:0.3": (_rack_fleet, {"broker": "waterfill"}),
+    "steady-churn:4:2:0.5": (_churn_fleet, {"broker": "waterfill"}),
+    "rack-failure:3:1:0.3:equal": (_rack_fleet, {"broker": "equal"}),
+    "steady-churn:4:2:0.5:proportional": (
+        _churn_fleet, {"broker": "proportional"}
+    ),
+    "steady-churn:4:2:0.5:waterfill:reject@14": (
+        _churn_fleet,
+        {"broker": "waterfill", "admission": "reject",
+         "admission_floor": 14.0},
+    ),
+    "steady-churn:4:2:0.5:equal:reject@18": (
+        _churn_fleet,
+        {"broker": "equal", "admission": "reject", "admission_floor": 18.0},
+    ),
+    "steady-churn:4:2:0.5:proportional:degrade@13": (
+        _churn_fleet,
+        {"broker": "proportional", "admission": "degrade",
+         "admission_floor": 13.0},
     ),
 }
 
 
 def _fleet_digest(name):
-    """Waterfill fleet: every session job the arbitration timeline
-    compiled (granted platforms and events) plus the run summaries."""
-    engine = FleetEngine.from_fleet(
-        _GOLDEN_FLEETS[name](), broker="waterfill"
-    )
+    """Every session job the arbitration timeline compiled (granted
+    platforms and events) plus the run summaries."""
+    factory, kwargs = _GOLDEN_FLEETS[name]
+    engine = FleetEngine.from_fleet(factory(), **kwargs)
     jobs = [
         (
             job.name,
@@ -1069,6 +1167,15 @@ def _fleet_digest(name):
               result.probes_per_node.hex())
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
+
+#: Plane traces under ``reject`` with a floor that refuses a start
+#: (s3 is allocated ~26.8 on the mixed trace), so the admission verdict
+#: and the error responses of requests on the refused session are
+#: journaled too.
+_FLOOR_JOURNALS = (
+    "mixed:waterfill:incremental:reject@30",
+    "mixed:waterfill:full:reject@30",
+)
 
 GOLDEN_JOURNALS = {
     "flash-start:equal:incremental": (
@@ -1179,6 +1286,12 @@ GOLDEN_JOURNALS = {
     "start-stop:waterfill:full": (
         "03c4d5dfdc614c1927ae3c630b580661c3c2c70ccaa441ddd9bf81dc5b5d9e07"
     ),
+    "mixed:waterfill:incremental:reject@30": (
+        "eed8a9941268f6eb9cdbe1e89e5eeb90cf611baf4cbafc24371fced996ee8107"
+    ),
+    "mixed:waterfill:full:reject@30": (
+        "c6bb507f3844de284407064e6767fcef61d0dbc1083100989e3675fe89b170e6"
+    ),
 }
 
 GOLDEN_FLEET = {
@@ -1188,26 +1301,76 @@ GOLDEN_FLEET = {
     "steady-churn:4:2:0.5": (
         "c36f805a784d26ff775ec913233bec8e3bbb8fcc71fa69e0018f6077e7c2206e"
     ),
+    "rack-failure:3:1:0.3:equal": (
+        "f546cda82e3e012d04bcdf421a64af062df484a60c8a6de6906e0b32e9ee70c8"
+    ),
+    "steady-churn:4:2:0.5:proportional": (
+        "127f9f87c6c36fdecfdd005fb034b14f8d95c1cc1bddc9781897c03e089eb1d3"
+    ),
+    "steady-churn:4:2:0.5:waterfill:reject@14": (
+        "86e6fcf514550642bdaab32094eda38d5ab1cc47e25386b2e96103ea8356dc2f"
+    ),
+    "steady-churn:4:2:0.5:equal:reject@18": (
+        "1c85c3aa7a136b12ecdb7ff7782e488705406ee10f2a8a46c9dd95816be2cf4c"
+    ),
+    "steady-churn:4:2:0.5:proportional:degrade@13": (
+        "e4eaf63c8665685f535e4e1a404bfd71bcaed59360d0edb61dd7c2ef3e960748"
+    ),
 }
 
 
 class TestJournalGoldenState:
     @pytest.mark.parametrize("case", sorted(GOLDEN_JOURNALS))
     def test_journal_matches_golden(self, tmp_path, case):
-        trace, broker, planning = case.split(":")
+        trace, broker, planning, *floor = case.split(":")
+        admission_floor = float(floor[0].split("@")[1]) if floor else 0.0
         assert (
-            _journal_digest(tmp_path, trace, broker, planning)
+            _journal_digest(tmp_path, trace, broker, planning, admission_floor)
             == GOLDEN_JOURNALS[case]
         )
 
     def test_every_combination_is_pinned(self):
         assert sorted(GOLDEN_JOURNALS) == sorted(
-            f"{t}:{b}:{p}"
-            for t in REQUESTS
-            for b in ("equal", "proportional", "waterfill")
-            for p in ("incremental", "full")
+            [
+                f"{t}:{b}:{p}"
+                for t in REQUESTS
+                for b in ("equal", "proportional", "waterfill")
+                for p in ("incremental", "full")
+            ]
+            + list(_FLOOR_JOURNALS)
         )
+
+    @pytest.mark.parametrize("case", _FLOOR_JOURNALS)
+    def test_floor_journals_reject_a_start(self, case):
+        trace, broker, planning, floor = case.split(":")
+        fleet = small_fleet(num_sessions=4, seed=5, overlap=0.4)
+        plane = ControlPlane(
+            fleet.platform,
+            broker=broker,
+            admission="reject",
+            admission_floor=float(floor.split("@")[1]),
+            planning=planning,
+        )
+        for batch in make_trace(trace, fleet, seed=5):
+            plane.submit_batch(batch)
+        assert plane.rejected >= 1 and plane.admitted >= 1
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN_FLEETS))
     def test_fleet_matches_golden(self, name):
         assert _fleet_digest(name) == GOLDEN_FLEET[name]
+
+    @pytest.mark.parametrize(
+        "name, statuses",
+        [
+            ("steady-churn:4:2:0.5:waterfill:reject@14",
+             ["admitted", "admitted", "admitted", "rejected"]),
+            ("steady-churn:4:2:0.5:equal:reject@18",
+             ["admitted", "rejected", "admitted", "rejected"]),
+            ("steady-churn:4:2:0.5:proportional:degrade@13",
+             ["admitted", "degraded", "admitted", "degraded"]),
+        ],
+    )
+    def test_floor_fleets_exercise_admission(self, name, statuses):
+        factory, kwargs = _GOLDEN_FLEETS[name]
+        result = FleetEngine.from_fleet(factory(), **kwargs).run()
+        assert [s.status for s in result.sessions] == statuses

@@ -23,6 +23,7 @@ from repro.runtime import (
     scenario_grid,
     summarize_batch,
 )
+from repro.runtime.events import DynamicPlatform, NodeState
 from repro.runtime.scenarios import RackFailure, Scenario, SteadyChurn
 from repro.sessions import (
     ADMISSIONS,
@@ -38,6 +39,7 @@ from repro.sessions import (
     make_broker,
     make_fleet,
 )
+from repro.sessions.arbiter import Arbiter
 from repro.sessions.broker import FRACTION_EPS, Allocation, _waterfill_node
 
 
@@ -164,6 +166,15 @@ class TestSpecs:
             SessionSpec(name="s", source_bw=1.0, demand=0.0)
         with pytest.raises(ValueError):
             SessionSpec(name="s", source_bw=1.0, members=(1, 1))
+
+    def test_origin_rate_must_be_finite(self):
+        with pytest.raises(ValueError, match="source_bw"):
+            SessionSpec(name="s", source_bw=math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            SessionSpec(name="s", source_bw=math.inf)
+        # an infinite origin is fine while demand caps the rate
+        spec = SessionSpec(name="s", source_bw=math.inf, demand=5.0)
+        assert min(spec.source_bw, spec.demand) == 5.0
 
     def test_make_fleet_is_deterministic(self):
         a = make_fleet("steady-churn", 3, seed=4, overlap=0.3)
@@ -895,3 +906,110 @@ class TestGroupedArbitration:
         alloc = make_broker("waterfill").arbitrate(kinds, bandwidths, claims)
         ref = _reference_waterfill(3, kinds, bandwidths, claims)
         assert _bits(alloc) == _bits(ref)
+
+
+def _fraction_bits(alloc):
+    """Per-session fractions (node order kept) and bounds, as hex."""
+    return (
+        {
+            name: [(node, f.hex()) for node, f in fractions.items()]
+            for name, fractions in alloc.fractions.items()
+        },
+        {name: bound.hex() for name, bound in alloc.bounds.items()},
+    )
+
+
+@st.composite
+def shared_platform_rounds(draw):
+    """A shared platform with dead and zero-bandwidth nodes, plus a few
+    rounds of overlapping session specs; between rounds some specs are
+    replaced (new members / priority), the rest keep their object."""
+    num_nodes = draw(st.integers(1, 12))
+    nodes = list(range(1, num_nodes + 1))
+    platform = DynamicPlatform(source_bw=10.0)
+    for n in nodes:
+        platform.nodes[n] = NodeState(
+            node_id=n,
+            kind=draw(st.sampled_from(
+                [NodeKind.OPEN, NodeKind.OPEN, NodeKind.GUARDED]
+            )),
+            bandwidth=draw(st.one_of(
+                st.just(0.0),
+                st.sampled_from([1.0, 2.5, 4.0]),
+                st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+            )),
+            alive=draw(st.booleans().map(lambda b: b or n % 3 != 0)),
+        )
+    member_lists = st.lists(st.sampled_from(nodes), unique=True, max_size=6)
+    specs = [
+        SessionSpec(
+            name=f"s{k}",
+            source_bw=draw(st.floats(0.0, 60.0, allow_nan=False)),
+            demand=draw(st.one_of(
+                st.just(math.inf), st.floats(0.01, 80.0, allow_nan=False)
+            )),
+            priority=draw(st.sampled_from([0.25, 1.0, 3.0])),
+            members=tuple(draw(member_lists)),
+        )
+        for k in range(draw(st.integers(1, 6)))
+    ]
+    rounds = [specs]
+    for _ in range(draw(st.integers(0, 3))):
+        specs = [
+            replace(
+                sp,
+                members=tuple(draw(member_lists)),
+                priority=draw(st.sampled_from([0.25, 1.0, 3.0])),
+            )
+            if draw(st.booleans())
+            else sp
+            for sp in specs
+        ]
+        rounds.append(specs)
+    return platform, rounds
+
+
+class TestArbiterMemo:
+    """The memoized per-component rounds the plane runs when planning
+    incrementally equal one monolithic broker round, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(case=shared_platform_rounds())
+    def test_memoized_rounds_match_monolithic(self, case):
+        platform, rounds = case
+        alive = {n: s for n, s in platform.nodes.items() if s.alive}
+        kinds = {n: s.kind for n, s in alive.items()}
+        bandwidths = {n: s.bandwidth for n, s in alive.items()}
+        for name in ("equal", "proportional", "waterfill"):
+            broker = make_broker(name)
+            arbiter = Arbiter(platform, memoize=True)
+            for specs in rounds:
+                claims = [
+                    SessionClaim(
+                        sp.name, sp.source_bw, sp.demand, sp.priority,
+                        tuple(n for n in sp.members if n in bandwidths),
+                    )
+                    for sp in specs
+                ]
+                mono = broker.arbitrate(kinds, bandwidths, claims)
+                arb = arbiter.arbitrate(broker, specs)
+                assert _fraction_bits(arb.alloc) == _fraction_bits(mono), name
+                assert arb.claims == claims
+            assert arbiter.rearbitrations == len(rounds)
+            assert arbiter.arb_misses >= 1
+
+    def test_unchanged_components_hit_the_memo(self):
+        kinds, bandwidths, _claims = tiny_claims()
+        platform = DynamicPlatform(source_bw=20.0)
+        for n, bw in bandwidths.items():
+            platform.nodes[n] = NodeState(node_id=n, kind=kinds[n], bandwidth=bw)
+        a = SessionSpec("a", 20.0, members=(1, 2))
+        b = SessionSpec("b", 20.0, members=(3,))
+        arbiter = Arbiter(platform, memoize=True)
+        broker = make_broker("waterfill")
+        arbiter.arbitrate(broker, [a, b])
+        arbiter.arbitrate(broker, [a, replace(b, priority=2.0)])
+        assert (arbiter.arb_misses, arbiter.arb_hits) == (3, 1)
+        plain = Arbiter(platform, memoize=False)
+        plain.arbitrate(broker, [a, b])
+        assert (plain.arb_misses, plain.arb_hits) == (1, 0)

@@ -1,7 +1,7 @@
 """Tests for the simulation subsystem: engine, backends, warm state.
 
 Covers the backend-equivalence acceptance criteria (sharded and
-vectorized goodput match the reference within slotting tolerance on
+bitset goodput match the reference within slotting tolerance on
 acyclic schemes, same seed), snapshot/restore determinism
 (``step(a); step(b)`` ≡ ``step(a + b)``), the failure schedule, worker
 sharding, and the ``auto`` fallback on cyclic schemes.  Golden-state
@@ -27,7 +27,7 @@ from repro import (
 )
 from repro.core.exceptions import DecompositionError
 
-BACKENDS = ("reference", "vectorized", "sharded", "bitset")
+BACKENDS = ("reference", "sharded", "bitset")
 
 
 def _fig1():
@@ -60,7 +60,7 @@ ACYCLIC_FIXTURES = {
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("fixture", sorted(ACYCLIC_FIXTURES))
-    @pytest.mark.parametrize("backend", ("vectorized", "sharded", "bitset"))
+    @pytest.mark.parametrize("backend", ("sharded", "bitset"))
     def test_per_node_goodput_matches_reference(self, fixture, backend):
         inst, scheme, rate = ACYCLIC_FIXTURES[fixture]()
         kwargs = dict(slots=400, seed=0, packets_per_unit=2.0 / max(rate, 1))
@@ -94,12 +94,12 @@ class TestBackendEquivalence:
         assert a.received == b.received
         assert a.goodput == b.goodput
 
-    def test_vectorized_handles_cyclic_schemes(self):
+    def test_reference_handles_cyclic_schemes(self):
         inst = Instance.open_only(5.0, (5.0, 4.0, 4.0, 4.0, 3.0))
         scheme = cyclic_open_scheme(inst, 5.0)
         res = simulate_packet_broadcast(
             inst, scheme, 5.0, slots=400, seed=0,
-            packets_per_unit=2.0, backend="vectorized",
+            packets_per_unit=2.0, backend="reference",
         )
         assert res.efficiency() > 0.85
 
@@ -555,5 +555,5 @@ class TestShardedWorkers:
             PacketSimEngine(inst, scheme, rate, backend="reference", workers=2)
         with pytest.raises(ValueError, match="single-threaded"):
             simulate_packet_broadcast(
-                inst, scheme, rate, backend="vectorized", workers=2
+                inst, scheme, rate, backend="bitset", workers=2
             )
