@@ -6,7 +6,10 @@ Three pieces (matching the paper's proof structure):
    ``T*_ac`` with guarded nodes; a dichotomic search over the linear-time
    oracle of Algorithm 2 (:mod:`repro.algorithms.greedy`) computes it to
    relative precision ``1e-13``.  The search is bracketed above by the
-   cyclic optimum (Lemma 5.1): any acyclic scheme is a scheme.
+   cyclic optimum (Lemma 5.1): any acyclic scheme is a scheme.  It runs
+   the plain bisection's arithmetic but probes only midpoints whose
+   verdict monotonicity does not already settle, after pinning the
+   bracket around a parametric estimate of the threshold.
 
 2. :func:`scheme_from_word` — Lemma 4.6's packing: given a valid word, feed
    every node *by the earliest possible nodes with unused upload
@@ -46,7 +49,13 @@ from ..core.runs import (
 )
 from ..core.scheme import BroadcastScheme
 from ..core.words import GUARDED, OPEN, check_word_shape, is_valid_word
-from .greedy import greedy_segments, greedy_test, segments_to_word
+from .greedy import (
+    _greedy_threshold,
+    _greedy_word_fast,
+    greedy_segments,
+    greedy_test,
+    segments_to_word,
+)
 
 __all__ = [
     "optimal_acyclic_throughput",
@@ -64,6 +73,17 @@ __all__ = [
 #: Relative precision of the dichotomic search on T.
 SEARCH_REL_TOL = 1e-13
 SEARCH_MAX_ITER = 200
+
+#: Bisection midpoints probed before the threshold estimate is consulted.
+#: The parametric pass starts from ``feas``; the closer that is to the
+#: threshold, the fewer decision flips it meets.  7 or 8 cost the least
+#: time on the serve-tcp session instances (5 made the passes dominate).
+_PLAIN_PREFIX = 8
+
+#: Relative offset of the two probes around the threshold estimate: the
+#: search's own precision, so a good estimate leaves the last few
+#: midpoints, not the last few dozen, to probe.
+_PIN_REL = 1e-13
 
 
 @dataclass
@@ -93,30 +113,67 @@ def optimal_acyclic_throughput(
     the feasible lower bracket, hence always achievable by the returned
     word.  For open-only instances this converges to the closed form
     ``min(b0, S_{n-1}/n)`` (cross-checked in tests).
+
+    The bisection only *probes* a midpoint whose verdict it does not
+    know yet.  ``feas`` is the largest rate a probe found feasible and
+    ``infeas`` the smallest it found infeasible; by monotonicity every
+    midpoint at or below ``feas`` is feasible and every one at or above
+    ``infeas`` is not.  After :data:`_PLAIN_PREFIX` midpoints, two probes
+    at ``tau (1 -+ _PIN_REL)`` around the parametric threshold estimate
+    ``tau`` of :func:`~repro.algorithms.greedy._greedy_threshold` pin
+    the bracket, and the remaining midpoints are mostly inferred.  Those
+    probes only ever tighten ``feas``/``infeas``, so the midpoints, the
+    stop and the returned ``(T, word)`` are the plain bisection's bit for
+    bit whatever the estimate is; it only decides how many probes run.
     """
     if instance.num_receivers == 0:
         return float("inf"), ""
     hi = cyclic_optimum(instance)
     if hi <= 0.0:
         return 0.0, greedy_test(instance, 0.0).word
-    from .greedy import _greedy_word_fast  # allocation-free hot path
-
     b0 = instance.source_bw
     opens, guardeds = instance.open_bws, instance.guarded_bws
     word_hi = _greedy_word_fast(b0, opens, guardeds, hi)
     if word_hi is not None:
         return hi, word_hi
-    lo = 0.0
-    word = greedy_test(instance, 0.0).word
-    for _ in range(SEARCH_MAX_ITER):
+    lo = feas = 0.0
+    infeas = hi
+    feas_word = ""
+    for step in range(SEARCH_MAX_ITER):
         if hi - lo <= rel_tol * hi:
             break
+        if step == _PLAIN_PREFIX:
+            tau = _greedy_threshold(b0, opens, guardeds, feas)
+            if tau is not None:
+                for rate in (tau * (1.0 - _PIN_REL), tau * (1.0 + _PIN_REL)):
+                    if feas < rate < infeas:
+                        cand = _greedy_word_fast(b0, opens, guardeds, rate)
+                        if cand is not None:
+                            feas, feas_word = rate, cand
+                        else:
+                            infeas = rate
         mid = 0.5 * (lo + hi)
-        cand = _greedy_word_fast(b0, opens, guardeds, mid)
-        if cand is not None:
-            lo, word = mid, cand
-        else:
+        if mid <= feas:
+            lo = mid
+        elif mid >= infeas:
             hi = mid
+        else:
+            cand = _greedy_word_fast(b0, opens, guardeds, mid)
+            if cand is not None:
+                lo = feas = mid
+                feas_word = cand
+            else:
+                hi = infeas = mid
+    if lo == 0.0:
+        return 0.0, greedy_test(instance, 0.0).word
+    if lo == feas:
+        return lo, feas_word
+    # ``lo`` was inferred: one probe for its word.
+    word = _greedy_word_fast(b0, opens, guardeds, lo)
+    if word is None:
+        # Rounding broke monotonicity below a probed-feasible rate (never
+        # observed): that rate and its word are still a valid answer.
+        return feas, feas_word
     return lo, word
 
 

@@ -24,6 +24,7 @@ a trace on the Figure 1 instance (see :mod:`repro.experiments.table1`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -127,6 +128,117 @@ def _greedy_word_fast(
             i += 1
             append(OPEN)
     return "".join(letters)
+
+
+#: Parametric passes :func:`_greedy_threshold` makes before it gives up
+#: (each further pass starts just past a decision flip).
+_THRESHOLD_PASSES = 8
+
+#: Relative step past a decision flip where the next pass starts: wide
+#: enough that the flipped decision evaluates as flipped despite
+#: rounding, narrow enough (~9e-13) that the flip is still a close
+#: estimate of a threshold inside the step.
+_FLIP_STEP = 2.0**-40
+
+
+def _greedy_threshold(
+    b0: float,
+    opens: tuple[float, ...],
+    guardeds: tuple[float, ...],
+    start: float,
+) -> Optional[float]:
+    """Estimate of the rate at which :func:`_greedy_word_fast` turns
+    infeasible, from a rate ``start`` at which it is feasible.
+
+    Algorithm 2 run parametrically in ``T`` — the one-segment case of
+    :mod:`repro.core.exact_words`: the decisions are the ones taken at
+    ``start`` and the pools stay affine, ``O(T) = xa + xb T`` and
+    ``G(T) = ya + yb T``.  Every constraint is affine with a negative
+    slope, so each holds up to one root:
+
+    * a decision or pool branch taken at ``start`` holds up to its
+      *flip* (a guarded letter's ``O >= T`` and look-ahead tests, an
+      open letter's ``G >= T`` branch; the other outcomes stay put as
+      ``T`` grows);
+    * a feasibility constraint (``O + G >= T`` before a letter,
+      ``O >= T`` before a forced guarded one) holds up to its *root*.
+
+    When the smallest root comes before the smallest flip, it is where
+    the oracle fails, up to rounding.  Otherwise the next pass starts
+    just past the flip, resuming at the letter that flipped (the letters
+    before it keep their decisions), at most :data:`_THRESHOLD_PASSES`
+    passes in all; if the rate just past a flip is already infeasible,
+    the flip is the estimate.  Returns ``None`` when no pass settles, or
+    when ``start`` already looks infeasible on the first pass.
+
+    Only an estimate: the search in
+    :func:`~repro.algorithms.acyclic_guarded.optimal_acyclic_throughput`
+    spends two real probes on it, so a poor estimate costs probes,
+    never bits.
+    """
+    n, m = len(opens), len(guardeds)
+    t = start
+    settled: Optional[float] = None
+    # Every time the smallest flip drops, the state before that letter
+    # is pushed: a pass past a flip resumes at the flipped letter, and
+    # the letters before it keep their decisions, flips and roots.
+    resume = [(0, 0, b0, 0.0, 0.0, 0.0, math.inf, math.inf)]
+    push = resume.append
+    for _ in range(_THRESHOLD_PASSES):
+        i, j, xa, xb, ya, yb, flip, root = resume.pop()
+        while i + j < n + m:
+            a = xa + ya
+            s = 1.0 - xb - yb  # O + G - T = a - s T, s >= 1
+            take_guarded = True
+            if i != n:
+                if j == m:
+                    take_guarded = False
+                else:
+                    sx = 1.0 - xb  # O - T = xa - sx T
+                    if xa < sx * t:
+                        take_guarded = False
+                    elif j == m - 1:
+                        if guardeds[j] < opens[i]:
+                            take_guarded = False
+                        elif xa < flip * sx:
+                            push((i, j, xa, xb, ya, yb, flip, root))
+                            flip = xa / sx
+                    else:
+                        ahead = a + guardeds[j]  # O + G - T + g - T
+                        if ahead < (s + 1.0) * t:
+                            take_guarded = False
+                        elif xa < flip * sx or ahead < flip * (s + 1.0):
+                            push((i, j, xa, xb, ya, yb, flip, root))
+                            flip = min(xa / sx, ahead / (s + 1.0))
+            elif xa < root * (1.0 - xb):
+                root = xa / (1.0 - xb)  # forced guarded: O - T >= 0
+            if a < root * s:
+                root = a / s
+            if take_guarded:
+                xb -= 1.0
+                ya += guardeds[j]
+                j += 1
+            else:
+                sy = 1.0 - yb  # G - T = ya - sy T
+                if ya < sy * t:
+                    # G < T: the open pool pays T - G, G drains.
+                    xa += opens[i] + ya
+                    xb += yb - 1.0
+                    ya = yb = 0.0
+                else:
+                    if ya < flip * sy:
+                        push((i, j, xa, xb, ya, yb, flip, root))
+                        flip = ya / sy
+                    xa += opens[i]
+                    yb -= 1.0
+                i += 1
+        if root < t:
+            return settled
+        if root <= flip:
+            return root
+        settled = flip
+        t = flip * (1.0 + _FLIP_STEP)
+    return None
 
 
 #: Minimum remaining same-decision letters before the run-length oracle

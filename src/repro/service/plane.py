@@ -94,6 +94,18 @@ __all__ = ["ControlPlane", "ServiceStats"]
 #: Journal format version (bumped on any record-shape change).
 _LEDGER_VERSION = 1
 
+#: LRU bound of the plan cache a plane creates for itself.  The cache
+#: is a pure memo (grants, journals and plan operations never depend on
+#: it), and what a plane hits is recent: replaying the serve-tcp request
+#: mix (2000 batches, seeds 301 and 302), every hit landed at most 26
+#: lookups after its insert, and repair-snapshot keys never hit.  64
+#: entries (about 110 lookups of lifetime at that mix's insert rate)
+#: keep every one of those hits; the unbounded-in-practice 4096 default
+#: of :class:`~repro.planning.PlanCache` held ~1900 plans (~47 MB) for
+#: 73 hits.  Engines and fleets, which revisit populations across
+#: epochs, keep that default.
+PLANE_CACHE_ENTRIES = 64
+
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -145,7 +157,6 @@ class _SessionEntry:
     plan: Optional[Plan] = None
     builds: int = 0
     repairs: int = 0
-    fallbacks: int = 0
     #: claim component this session's grants were last arbitrated in;
     #: an unchanged component means unchanged grants (see
     #: :class:`~repro.sessions.arbiter.Arbiter`), so the diff is skipped.
@@ -209,7 +220,9 @@ class ControlPlane:
         self.incremental = planning == "incremental"
         self._arbiter = Arbiter(platform, memoize=self.incremental)
         self.repair_tolerance = float(repair_tolerance)
-        self.cache = cache if cache is not None else PlanCache()
+        self.cache = (
+            cache if cache is not None else PlanCache(PLANE_CACHE_ENTRIES)
+        )
         self.seed = int(seed)
         self.sessions: Dict[str, _SessionEntry] = {}
         self.seq = 0  #: batches processed — also the planner clock
@@ -219,6 +232,11 @@ class ControlPlane:
         self.degraded = 0
         self.rejected = 0
         self.stopped = 0
+        #: lifetime plan-operation counters (a stop/restart drops the
+        #: session entry, not what the plane did for it)
+        self.builds = 0
+        self.repairs = 0
+        self.fallbacks = 0
         self.keeps = 0
         #: per-request amortized latency, seconds (batch wall / size)
         self.latencies: List[float] = []
@@ -609,6 +627,7 @@ class ControlPlane:
         if entry.plan is None:
             entry.plan = entry.planner.build(host)
             entry.builds += 1
+            self.builds += 1
             self.plan_ops.append(
                 (entry.spec.name, "build", time.perf_counter() - started)  # repro: noqa REP002 -- latency/plan-op stats; decisions replay from the ledger, not wall time
             )
@@ -617,9 +636,11 @@ class ControlPlane:
         entry.plan = outcome.plan
         if outcome.op == "repair":
             entry.repairs += 1
+            self.repairs += 1
         else:
             entry.builds += 1
-            entry.fallbacks += int(outcome.fallback)
+            self.builds += 1
+            self.fallbacks += int(outcome.fallback)
         self.plan_ops.append(
             (entry.spec.name, outcome.op, time.perf_counter() - started)  # repro: noqa REP002 -- latency/plan-op stats; decisions replay from the ledger, not wall time
         )
@@ -739,18 +760,15 @@ class ControlPlane:
     # Introspection / bridges
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
-        builds = sum(e.builds for e in self.sessions.values())
-        repairs = sum(e.repairs for e in self.sessions.values())
-        fallbacks = sum(e.fallbacks for e in self.sessions.values())
         return ServiceStats(
             requests=self.requests_served,
             batches=self.seq,
             rearbitrations=self._arbiter.rearbitrations,
             arb_hits=self._arbiter.arb_hits,
             arb_misses=self._arbiter.arb_misses,
-            builds=builds,
-            repairs=repairs,
-            fallbacks=fallbacks,
+            builds=self.builds,
+            repairs=self.repairs,
+            fallbacks=self.fallbacks,
             keeps=self.keeps,
             admitted=self.admitted,
             degraded=self.degraded,

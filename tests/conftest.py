@@ -18,6 +18,13 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
+# Larger budget for CI's extended property steps, selected with
+# ``--hypothesis-profile repro-extended``.  Properties that pin their own
+# ``max_examples`` scale it as ``max(own, settings.default.max_examples)``.
+settings.register_profile(
+    "repro-extended", parent=settings.get_profile("repro"), max_examples=20_000
+)
+
 #: A bandwidth value: bounded, non-degenerate floats.
 bandwidths = st.floats(
     min_value=0.0, max_value=1000.0, allow_nan=False, allow_infinity=False

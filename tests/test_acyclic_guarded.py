@@ -1,8 +1,11 @@
 """Tests for Theorem 4.1: dichotomic search, the Lemma 4.6 packing, and
 the per-class degree guarantees."""
 
+import math
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     InfeasibleThroughputError,
@@ -15,7 +18,18 @@ from repro import (
     scheme_from_word,
     scheme_throughput,
 )
+from repro.algorithms import acyclic_guarded, greedy
+from repro.algorithms.acyclic_guarded import SEARCH_MAX_ITER, SEARCH_REL_TOL
+from repro.algorithms.greedy import (
+    _greedy_threshold,
+    _greedy_word_fast,
+    greedy_test,
+)
+from repro.core.exact_words import exact_acyclic_optimum
 from repro.core.numerics import safe_ceil_div
+from repro.runtime.scenarios import SteadyChurn
+from repro.service import ControlPlane, MigrateSession, StartSession
+from repro.sessions import make_fleet
 
 from .conftest import instances, open_instances
 
@@ -243,3 +257,259 @@ class TestConservativeness:
             return
         scheme = scheme_from_word(inst, word, t)
         assert self._is_conservative(inst, scheme, word_to_order(inst, word))
+
+
+# ----------------------------------------------------------------------
+# The verdict-inferring T*_ac search against the plain bisection
+# ----------------------------------------------------------------------
+def _reference_search(instance, *, probe=_greedy_word_fast):
+    """The plain dichotomic search the verdict-inferring one replaced,
+    kept verbatim as the oracle (``probe`` lets a test count calls)."""
+    if instance.num_receivers == 0:
+        return float("inf"), ""
+    hi = cyclic_optimum(instance)
+    if hi <= 0.0:
+        return 0.0, greedy_test(instance, 0.0).word
+    b0 = instance.source_bw
+    opens, guardeds = instance.open_bws, instance.guarded_bws
+    word_hi = probe(b0, opens, guardeds, hi)
+    if word_hi is not None:
+        return hi, word_hi
+    lo = 0.0
+    word = greedy_test(instance, 0.0).word
+    for _ in range(SEARCH_MAX_ITER):
+        if hi - lo <= SEARCH_REL_TOL * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        cand = probe(b0, opens, guardeds, mid)
+        if cand is not None:
+            lo, word = mid, cand
+        else:
+            hi = mid
+    return lo, word
+
+
+def _bits(result):
+    rate, word = result
+    return rate.hex(), word
+
+
+#: Bandwidth magnitudes: ordinary, near the bottom of the normal range,
+#: and large.
+_SCALES = (1.0, 1e-300, 1e12)
+
+
+@st.composite
+def adversarial_instances(draw):
+    """Instances built to break float shortcuts: bandwidth ties, zero
+    bandwidths, a source at the Lemma 5.1 fixed point, extreme
+    magnitudes, and open-only / guarded-only populations."""
+    scale = draw(st.sampled_from(_SCALES))
+    unit = st.one_of(
+        st.just(0.0),
+        st.sampled_from((1.0, 2.0, 3.0, 5.0, 8.0)),
+        st.floats(min_value=0.0, max_value=10.0),
+    )
+    shape = draw(st.sampled_from(("mixed", "open", "guarded")))
+    n = 0 if shape == "guarded" else draw(st.integers(0, 30))
+    m = 0 if shape == "open" else draw(st.integers(0, 30))
+    if n + m == 0:
+        n = 1
+    opens = [draw(unit) * scale for _ in range(n)]
+    guardeds = [draw(unit) * scale for _ in range(m)]
+    if draw(st.booleans()):
+        # Tie every other node of both classes to one drawn bandwidth.
+        tie = draw(st.sampled_from(opens + guardeds))
+        opens[::2] = [tie] * len(opens[::2])
+        guardeds[1::2] = [tie] * len(guardeds[1::2])
+    source = draw(st.sampled_from(("drawn", "fixed-point", "integer")))
+    if source == "fixed-point" and n + m > 1:
+        # b0 = (b0 + S) / (n + m): the source equals the average bound.
+        b0 = math.fsum(opens + guardeds) / (n + m - 1)
+    elif source == "integer":
+        b0 = draw(st.sampled_from((1.0, 2.0, 5.0))) * scale
+    else:
+        b0 = draw(st.floats(min_value=0.01, max_value=20.0)) * scale
+    return Instance(b0, tuple(opens), tuple(guardeds))
+
+
+class TestSearchEquivalence:
+    """The search probes only midpoints whose verdict is unknown, yet
+    returns the plain bisection's ``(T, word)`` bit for bit."""
+
+    @settings(max_examples=max(1000, settings.default.max_examples))
+    @given(adversarial_instances())
+    def test_matches_plain_bisection(self, inst):
+        assert _bits(optimal_acyclic_throughput(inst)) == _bits(
+            _reference_search(inst)
+        )
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance(6.0, (5.0, 5.0), (4.0, 1.0, 1.0)),
+            Instance(4.0, (2.0, 2.0, 2.0), (2.0, 2.0, 2.0)),  # all ties
+            Instance(3.0, (0.0, 0.0, 7.0), (0.0, 1.0)),  # zero bandwidths
+            Instance(5.0, (6.0, 4.0), (3.0, 2.0)),  # b0 = S / (n + m - 1)
+            Instance(6e-300, (5e-300, 5e-300), (4e-300, 1e-300, 1e-300)),
+            Instance(6e12, (5e12, 5e12), (4e12, 1e12, 1e12)),
+            Instance(7.0, (1e12, 3.0, 1e-3), (2.0, 1e-3)),  # mixed scales
+            Instance.open_only(10.0, (6.0, 5.0, 3.0, 1.0)),
+            Instance(9.0, (), (8.0, 4.0, 4.0, 1.0)),
+        ],
+    )
+    def test_matches_on_hand_picked_cases(self, inst):
+        assert _bits(optimal_acyclic_throughput(inst)) == _bits(
+            _reference_search(inst)
+        )
+
+    @pytest.mark.parametrize("estimate", ["none", "low", "high", "zero"])
+    @given(inst=instances(max_open=12, max_guarded=12))
+    def test_any_estimate_gives_the_same_bits(self, estimate, inst):
+        """The estimate only places two probes: a missing or wrong one
+        costs probes, never bits."""
+        exact = _greedy_threshold
+
+        def fake(b0, opens, guardeds, start):
+            tau = exact(b0, opens, guardeds, start)
+            if estimate == "none" or tau is None:
+                return None
+            return {"low": 0.9 * tau, "high": 1.1 * tau, "zero": 0.0}[estimate]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acyclic_guarded, "_greedy_threshold", fake)
+            got = optimal_acyclic_throughput(inst)
+        assert _bits(got) == _bits(_reference_search(inst))
+
+    @staticmethod
+    def _pin_just_above(monkeypatch, inst):
+        """Aim the estimate so its lower pin lands one ulp above the plain
+        result ``t``: the search then infers ``lo = t`` and must probe
+        ``t`` for its word.  Returns ``t`` and the probe log."""
+        t, _ = _reference_search(inst)
+        aim = math.nextafter(t, math.inf) / (1.0 - acyclic_guarded._PIN_REL)
+        monkeypatch.setattr(
+            acyclic_guarded, "_greedy_threshold", lambda *args: aim
+        )
+        rates = []
+        monkeypatch.setattr(
+            acyclic_guarded,
+            "_greedy_word_fast",
+            lambda *args: rates.append(args[3]) or _greedy_word_fast(*args),
+        )
+        return t, rates
+
+    def test_inferred_lo_is_probed_for_its_word(self, monkeypatch, fig1):
+        t, rates = self._pin_just_above(monkeypatch, fig1)
+        assert _bits(optimal_acyclic_throughput(fig1)) == _bits(
+            _reference_search(fig1)
+        )
+        assert rates[-1] == t and rates.count(t) == 1
+        assert any(r > t for r in rates[:-1] if r < t * (1 + 1e-13))
+
+    def test_non_monotone_oracle_still_returns_a_probed_pair(
+        self, monkeypatch, fig1
+    ):
+        """Should rounding ever make the oracle fail at an inferred-
+        feasible rate, the search returns the probed rate above it."""
+        t, _ = self._pin_just_above(monkeypatch, fig1)
+        args = (fig1.source_bw, fig1.open_bws, fig1.guarded_bws)
+        monkeypatch.setattr(
+            acyclic_guarded,
+            "_greedy_word_fast",
+            lambda *a: None if a[3] == t else _greedy_word_fast(*a),
+        )
+        rate, word = optimal_acyclic_throughput(fig1)
+        assert t < rate < t * (1.0 + 1e-12)
+        assert word == _greedy_word_fast(*args, rate)
+
+
+def _serve_session_instances():
+    """The session instances of the serve-tcp fleet after a few seeded
+    paired migrations."""
+    fleet = make_fleet(SteadyChurn(size=160), 4, 1, overlap=0.1)
+    plane = ControlPlane(fleet.platform)
+    for sp in fleet.sessions:
+        plane.submit(
+            StartSession(
+                name=sp.name,
+                source_bw=sp.source_bw,
+                demand=sp.demand,
+                priority=sp.priority,
+                members=sp.members,
+            )
+        )
+    rng = random.Random(7)
+    members = {sp.name: list(sp.members) for sp in fleet.sessions}
+    names = sorted(members)
+    seen = {}
+    for _ in range(6):
+        src, dst = rng.sample(names, 2)
+        pool = [n for n in members[src] if n not in set(members[dst])]
+        moved = tuple(sorted(rng.sample(pool, 3)))
+        members[src] = [n for n in members[src] if n not in moved]
+        members[dst].extend(moved)
+        plane.submit_batch(
+            (
+                MigrateSession(name=src, remove=moved),
+                MigrateSession(name=dst, add=moved),
+            )
+        )
+        for entry in plane.sessions.values():
+            seen[entry.plan.instance] = None
+    return list(seen)
+
+
+class TestProbeCount:
+    def test_mean_probes_per_solve_pinned(self, monkeypatch):
+        """Deterministic probe counts guard the gain without timing: the
+        plain bisection spends ~38 Algorithm 2 probes per solve here."""
+        insts = _serve_session_instances()
+        assert len(insts) >= 10
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return _greedy_word_fast(*args)
+
+        for inst in insts:
+            _reference_search(inst, probe=counting)
+        plain = calls[0] / len(insts)
+        calls[0] = 0
+        monkeypatch.setattr(acyclic_guarded, "_greedy_word_fast", counting)
+        for inst in insts:
+            optimal_acyclic_throughput(inst)
+        inferred = calls[0] / len(insts)
+        assert plain > 30
+        assert inferred <= 20
+
+
+class TestThresholdEstimate:
+    """The parametric pass, when it settles, is Algorithm 2's threshold,
+    which Lemma 4.5 makes ``T*_ac``: checked against the exhaustive
+    rational oracle."""
+
+    @settings(max_examples=30)
+    @given(instances(max_open=6, max_guarded=6))
+    def test_estimate_matches_exact_optimum(self, inst):
+        if inst.num_receivers == 0:
+            return
+        exact, _ = exact_acyclic_optimum(
+            inst.source_bw, inst.open_bws, inst.guarded_bws
+        )
+        t, _ = optimal_acyclic_throughput(inst)
+        for start in (0.0, t * (1.0 - 2.0**-8)):
+            est = _greedy_threshold(
+                inst.source_bw, inst.open_bws, inst.guarded_bws, start
+            )
+            if est is not None:
+                assert est == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+    def test_infeasible_start_gives_no_estimate(self, fig1):
+        assert _greedy_threshold(6.0, (5.0, 5.0), (4.0, 1.0, 1.0), 4.5) is None
+
+    def test_no_estimate_when_the_passes_run_out(self, monkeypatch, fig1):
+        args = (fig1.source_bw, fig1.open_bws, fig1.guarded_bws, 0.0)
+        assert _greedy_threshold(*args) == pytest.approx(4.0, rel=1e-15)
+        monkeypatch.setattr(greedy, "_THRESHOLD_PASSES", 1)
+        assert _greedy_threshold(*args) is None

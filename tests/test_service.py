@@ -7,6 +7,7 @@ warm-start seam, and the FleetEngine reject-all allocation fix.
 
 import asyncio
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -47,6 +48,7 @@ from repro.service import (
     trace_names,
 )
 from repro.service.ledger import FrozenPayload
+from repro.service.plane import PLANE_CACHE_ENTRIES
 from repro.sessions import FleetEngine, make_fleet
 
 
@@ -934,6 +936,9 @@ class TestAnalysisService:
     #: (preemption_disruption, migration_goodput, (requests, batches,
     #: builds, repairs, fallbacks, keeps, arb_hits, arb_misses)),
     #: recorded before the ledger began sharing unchanged grant payloads.
+    #: The plan counters are lifetime plane counters: the ``mixed``
+    #: trace stops and restarts sessions, whose plan operations count
+    #: too (18/16 and 23 builds when stops dropped them).
     PINNED = {
         ("priority-storm", False): [
             ("0x1.2c35f2a34255fp-2", "nan", (13, 13, 23, 4, 20, 6, 5, 10)),
@@ -941,9 +946,9 @@ class TestAnalysisService:
         ],
         ("mixed", True): [
             ("0x1.f2377b5e03e07p-4", "0x1.102a359377873p-2",
-             (18, 16, 18, 3, 16, 4, 4, 11)),
+             (18, 16, 25, 3, 22, 4, 4, 11)),
             ("0x1.f2377b5e03e07p-4", "0x1.102a359377873p-2",
-             (18, 16, 23, 0, 0, 0, 0, 15)),
+             (18, 16, 32, 0, 0, 0, 0, 15)),
         ],
     }
 
@@ -1374,3 +1379,124 @@ class TestJournalGoldenState:
         factory, kwargs = _GOLDEN_FLEETS[name]
         result = FleetEngine.from_fleet(factory(), **kwargs).run()
         assert [s.status for s in result.sessions] == statuses
+
+
+# ----------------------------------------------------------------------
+# Lifetime plan counters and the plane's bounded plan cache
+# ----------------------------------------------------------------------
+def _serve_mix(fleet, seed, count):
+    """``count`` batches of the serve-tcp shape: ~50% paired migrations,
+    20% priority changes, 25% queries, 5% stop/restart.  Membership is
+    tracked so every request is valid when it arrives."""
+    rng = random.Random(seed)
+    spec = {sp.name: sp for sp in fleet.sessions}
+    members = {sp.name: list(sp.members) for sp in fleet.sessions}
+    priority = {sp.name: sp.priority for sp in fleet.sessions}
+    names = sorted(spec)
+    batches = [
+        (
+            StartSession(
+                name=sp.name,
+                source_bw=sp.source_bw,
+                demand=sp.demand,
+                priority=sp.priority,
+                members=sp.members,
+            ),
+        )
+        for sp in fleet.sessions
+    ]
+    while len(batches) < count:
+        u = rng.random()
+        if u < 0.50:
+            src, dst = rng.sample(names, 2)
+            held = set(members[dst])
+            pool = [n for n in members[src] if n not in held]
+            if len(pool) < 8:
+                continue
+            moved = tuple(sorted(rng.sample(pool, rng.randint(1, 3))))
+            members[src] = [n for n in members[src] if n not in moved]
+            members[dst].extend(moved)
+            batches.append(
+                (
+                    MigrateSession(name=src, remove=moved),
+                    MigrateSession(name=dst, add=moved),
+                )
+            )
+        elif u < 0.70:
+            name = rng.choice(names)
+            priority[name] = rng.choice((0.5, 1.0, 2.0, 4.0))
+            batches.append(
+                (PriorityChange(name=name, priority=priority[name]),)
+            )
+        elif u < 0.95:
+            batches.append((Query(name=rng.choice(names)),))
+        else:
+            name = rng.choice(names)
+            batches.append(
+                (
+                    StopSession(name=name),
+                    StartSession(
+                        name=name,
+                        source_bw=spec[name].source_bw,
+                        demand=spec[name].demand,
+                        priority=priority[name],
+                        members=tuple(members[name]),
+                    ),
+                )
+            )
+    return batches
+
+
+def _serve_fleet():
+    return make_fleet(SteadyChurn(size=160), 4, 1, overlap=0.1)
+
+
+class TestPlaneCounters:
+    def test_counters_survive_stop_restart_and_recovery(self, tmp_path):
+        """``builds``/``repairs``/``fallbacks`` are lifetime plane
+        counters: a stopped session's plan operations still count."""
+        fleet = small_fleet(num_sessions=3, seed=4)
+        batches = _serve_mix(fleet, 4, 120)
+        assert sum(isinstance(b[0], StopSession) for b in batches) >= 3
+        path = str(tmp_path / "plane.jsonl")
+        plane = ControlPlane(fleet.platform, ledger=ReservationLedger(path))
+        for batch in batches:
+            plane.submit_batch(batch)
+        plane.ledger.close()
+        ops = [op for _, op, _ in plane.plan_ops]
+        stats = plane.stats()
+        assert stats.builds == ops.count("build")
+        assert stats.repairs == ops.count("repair")
+        assert 0 < stats.fallbacks <= stats.builds
+        # The live entries alone undercount: stops dropped some.
+        assert stats.builds > sum(e.builds for e in plane.sessions.values())
+        again = ControlPlane.recover(path, verify=True, resume_appending=False)
+        assert (again.stats().builds, again.stats().repairs,
+                again.stats().fallbacks) == (
+            stats.builds, stats.repairs, stats.fallbacks
+        )
+
+
+class TestPlaneCacheBound:
+    def test_default_cache_is_bounded_and_loses_no_hits(self):
+        """The plane's own cache is a small LRU: it stays within its
+        bound on a serve-style stream and hits exactly as often as a
+        4096-entry cache."""
+        batches = _serve_mix(_serve_fleet(), 301, 300)
+        bounded = ControlPlane(_serve_fleet().platform)
+        wide = ControlPlane(_serve_fleet().platform, cache=PlanCache())
+        peak = 0
+        for batch in batches:
+            bounded.submit_batch(batch)
+            wide.submit_batch(batch)
+            peak = max(peak, len(bounded.cache))
+        assert bounded.cache.max_entries == PLANE_CACHE_ENTRIES
+        assert peak <= PLANE_CACHE_ENTRIES < len(wide.cache)
+        assert bounded.cache.hits == wide.cache.hits > 0
+        assert bounded.stats() == dataclasses.replace(
+            wide.stats(),
+            latency_p50_ms=bounded.stats().latency_p50_ms,
+            latency_p99_ms=bounded.stats().latency_p99_ms,
+            requests_per_sec=bounded.stats().requests_per_sec,
+        )
+        assert bounded._grants_payload() == wide._grants_payload()
