@@ -167,8 +167,7 @@ class ShardFleet:
         """Per-node distinct packets held (index 0 = source, always 0)."""
         total = np.zeros(self.num, dtype=np.int64)
         for shard in self.shards:
-            total += shard.recv.reshape(shard.K, shard.num).sum(axis=0)
-        total[0] = 0
+            total += shard.delivered()
         return total
 
     def close(self) -> None:

@@ -73,9 +73,11 @@ def _normalize_runs(values: Iterable[Run]) -> tuple[Run, ...]:
 
 
 def _expand_values(runs: Sequence[Run]) -> Iterator[float]:
-    for bw, count in runs:
-        for _ in range(count):
-            yield bw
+    # ``repeat``/``chain`` iterate at C speed; ``fsum`` sees the same
+    # value sequence as a per-node loop would feed it.
+    return itertools.chain.from_iterable(
+        itertools.repeat(bw, count) for bw, count in runs
+    )
 
 
 def _runs_to_array(runs: Sequence[Run]) -> np.ndarray:

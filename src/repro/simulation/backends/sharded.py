@@ -17,6 +17,21 @@ recombines per-node goodput, which buys two things:
   can advance on ``concurrent.futures`` workers (``workers=N``); results
   are bit-identical regardless of worker count or scheduling.
 
+A shard stores its (tree, receiver) pairs **level-contiguous**: the K
+sources first, then every pair in BFS order (depth, then parent
+position, then receiver id), with the edge state (capacity, credit,
+liveness) indexed like the receivers.  Depth level ``d`` is then one
+slice ``[a_d, b_d)`` of the counters and of the floors, updated in place
+with a single gather of the parents' counts (whose positions never
+decrease inside a level).  This is exact, not an approximation: the
+update of level ``d`` reads only level ``d - 1`` (already final for the
+slot) and its own pairs, so any storage order that keeps parents ahead
+of children applies the same integer operations to the same values —
+only the memory walk changes.  The order comes from one stable argsort
+of the flat parent ids (CSR children) and a frontier expansion, O(K·n)
+for K trees over n nodes; a receiver the frontier never reaches (a
+cycle, a ``-1`` parent) is rejected.
+
 Node failures dark every tree edge incident to the dead node, so its
 subtrees stall in every substream — the same collateral-damage model the
 reference implements.  Cyclic or unequal-in-rate schemes raise
@@ -105,6 +120,14 @@ class _TreeShard:
     ``v``, the count of substream packets received plus the credit of
     the unique in-edge ``(parent_k(v), v)``.  Packets arrive in order,
     so counts are the entire transport state.
+
+    The layout is private: ``recv`` holds tree ``k``'s source at
+    position ``k < K``, then every (tree, receiver) pair in BFS order —
+    depth, then parent position, then receiver id.  ``cap``, ``credit``
+    and ``alive`` are indexed like that receiver block (position minus
+    ``K`` is the pair's in-edge), so each depth level is one contiguous
+    slice of both.  ``_perm`` maps the flat pair id ``k * num + v`` to
+    its position; :meth:`delivered` and :meth:`kill` translate through it.
     """
 
     def __init__(
@@ -159,27 +182,32 @@ class _TreeShard:
         K = len(weights)
         self.num = num
         self.K = K
-        self.parents = parents
         #: Substream injection rate (packets/slot): the tree's share of
         #: the requested stream rate.
         self.inj = weights * rate_fraction * packets_per_unit
-        #: Per-edge credit gained per slot: the tree's *capacity* share.
-        cap = np.repeat(weights * packets_per_unit, num - 1)
-        self.cap = cap  # flat over (tree, receiver) pairs
+        self._perm, self._par, self._levels = self._build_levels(parents, num)
+        #: Per-edge credit gained per slot: the tree's *capacity* share,
+        #: scattered from tree-major pair order into the layout.
+        self.cap = np.empty(K * (num - 1))
+        self.cap[self._edges()] = np.repeat(weights * packets_per_unit, num - 1)
         self.burst_cap = burst_cap
         self.injected = np.zeros(K)
-        self.recv = np.zeros(K * num, dtype=np.int64)  # flat (tree, node)
+        self.recv = np.zeros(K * num, dtype=np.int64)  # by position
         self.credit = np.zeros(K * (num - 1))
         self.alive = np.ones(K * (num - 1), dtype=bool)
-        self._src_idx = np.arange(K) * num
-        self._levels = self._build_levels()
+
+    def _edges(self) -> np.ndarray:
+        """Edge-state index of every pair, in tree-major ``(k, v >= 1)``
+        order: entry ``k * (num - 1) + v - 1`` is where the in-edge of
+        ``v`` in tree ``k`` lives in ``cap`` / ``credit`` / ``alive``."""
+        return (self._perm.reshape(self.K, self.num)[:, 1:] - self.K).ravel()
 
     def to_shared(self) -> list:
         """Move the mutable state into ``multiprocessing.shared_memory``.
 
         Returns the (parent-owned) segments; the arrays become views
         into them, so after the worker pool forks, both sides mutate the
-        same physical pages.  Static arrays (parents, levels, rates)
+        same physical pages.  Static arrays (layout, levels, rates)
         stay ordinary — fork shares them copy-on-write.
         """
         from multiprocessing import shared_memory
@@ -196,36 +224,67 @@ class _TreeShard:
             shms.append(shm)
         return shms
 
-    def _build_levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Group tree edges by receiver depth (parents before children)."""
-        K, num, parents = self.K, self.num, self.parents
-        depth = np.full((K, num), -1, dtype=np.int64)
-        depth[:, 0] = 0
-        parents_c = np.maximum(parents, 0)
-        levels = []
-        d = 0
-        while (depth < 0).any():
-            d += 1
-            parent_depth = np.take_along_axis(depth, parents_c, axis=1)
-            newly = (depth < 0) & (parents >= 0) & (parent_depth == d - 1)
-            if not newly.any():
-                raise ValueError(
-                    "arborescence contains a node unreachable from the source"
-                )
-            depth[newly] = d
-            k_idx, v_idx = np.nonzero(newly)
-            levels.append(
-                (
-                    k_idx * num + v_idx,  # flat child index into recv
-                    k_idx * num + parents[k_idx, v_idx],  # flat parent index
-                    k_idx * (num - 1) + (v_idx - 1),  # flat edge index
-                )
+    @staticmethod
+    def _build_levels(
+        parents: np.ndarray, num: int
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, np.ndarray]]]:
+        """BFS over all trees at once in O(K·n).
+
+        Returns ``(perm, par, levels)``: ``perm`` maps the flat pair id
+        ``k * num + v`` to its position, ``par`` holds every receiver
+        position's parent position, and ``levels`` lists one
+        ``(a, b, par[a:b])`` per depth — receiver block ``[a, b)``, whose
+        parents all sit at positions before ``K + a``.
+        """
+        K = len(parents)
+        total = K * num
+        idx = np.int32 if total < np.iinfo(np.int32).max else np.int64
+        # Flat parent id of every (tree, receiver) pair.  A -1 (or out
+        # of range) parent goes to a sentinel bucket no frontier reads.
+        kid = parents[:, 1:]
+        flat_parent = np.where(
+            (kid >= 0) & (kid < num),
+            kid + np.arange(0, total, num, dtype=idx)[:, None],
+            total,
+        ).astype(idx).ravel()
+        # CSR children: the stable sort keeps siblings in receiver order;
+        # pair e = k * (num - 1) + v - 1 has flat id e + k + 1.
+        order = np.argsort(flat_parent, kind="stable")
+        child = (order + order // max(num - 1, 1) + 1).astype(idx)
+        del order
+        start = np.zeros(total + 2, dtype=idx)
+        np.cumsum(np.bincount(flat_parent, minlength=total + 1), out=start[1:])
+        del flat_parent
+        perm = np.empty(total, dtype=np.intp)
+        frontier = np.arange(0, total, num, dtype=idx)  # the sources
+        frontier_pos = np.arange(K, dtype=np.intp)
+        perm[frontier] = frontier_pos
+        bounds, pars = [], []
+        filled = K
+        while True:
+            lo = start[frontier]
+            counts = start[frontier + 1] - lo
+            size = int(counts.sum())
+            if size == 0:
+                break
+            # The frontier's child ranges [lo, lo + count), concatenated.
+            offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            frontier = child[offsets + np.arange(size, dtype=idx)]
+            pars.append(np.repeat(frontier_pos, counts))
+            frontier_pos = np.arange(filled, filled + size, dtype=np.intp)
+            perm[frontier] = frontier_pos
+            bounds.append((filled - K, filled - K + size))
+            filled += size
+        if filled != total:
+            raise ValueError(
+                "arborescence contains a node unreachable from the source"
             )
-        return levels
+        par = np.concatenate(pars) if pars else np.empty(0, dtype=np.intp)
+        return perm, par, [(a, b, par[a:b]) for a, b in bounds]
 
     def run(self, num_slots: int) -> None:
         recv, credit, alive = self.recv, self.credit, self.alive
-        cap, K, num = self.cap, self.K, self.num
+        cap, K = self.cap, self.K
         # Whole-slot flat passes + a tiny per-level propagation step.
         # ``recv[v] <= recv[parent(v)]`` is invariant inside a tree (both
         # start at 0, a child only ever catches up to its parent, and the
@@ -236,50 +295,51 @@ class _TreeShard:
         # depth loop.  Credit arithmetic moves to one vectorized pass per
         # slot over all edges, bit-identical to the per-level original.
         capb = cap + self.burst_cap
-        recv2 = recv.reshape(K, num)
-        tail = recv2[:, 1:]  # rows align with the flat edge index
+        sources, block = recv[:K], recv[K:]  # block aligns with edges
         gained = np.empty_like(credit)
         floor = np.empty(credit.shape, dtype=np.int64)
-        old = np.empty((K, num - 1), dtype=np.int64)
-        moved = np.empty(credit.shape, dtype=np.int64)
-        moved2 = moved.reshape(K, num - 1)
+        moved = np.empty_like(block)  # holds the old counts until swept
+        # Level d is one contiguous slice of the counters and the floors.
+        levels = [(block[a:b], floor[a:b], par) for a, b, par in self._levels]
         any_dead = not alive.all()  # kills only land between run() calls
         for _ in range(num_slots):
             self.injected += self.inj
-            recv[self._src_idx] = self.injected.astype(np.int64)
+            # C-cast truncation == floor: the injection is always >= 0.
+            np.copyto(sources, self.injected, casting="unsafe")
             np.add(credit, cap, out=gained)
             np.minimum(gained, capb, out=gained)
-            # C-cast truncation == floor: gained is always >= 0.
             np.copyto(floor, gained, casting="unsafe")
             if any_dead:
                 floor[~alive] = 0
-            np.copyto(old, tail)
+            np.copyto(moved, block)
             # Levels run parents-first, so a packet can traverse the
             # whole tree in one slot if credit allows (the reference's
             # random edge order achieves the same pipeline rate in
             # expectation).
-            for child, parent, edge in self._levels:
-                t = recv[child] + floor[edge]
-                np.minimum(t, recv[parent], out=t)
-                recv[child] = t
-            np.subtract(tail, old, out=moved2)
+            for seg, fl, par in levels:
+                np.add(seg, fl, out=seg)
+                np.minimum(seg, recv[par], out=seg)
+            np.subtract(block, moved, out=moved)
             if any_dead:
                 np.copyto(credit, gained - moved, where=alive)
             else:
                 np.subtract(gained, moved, out=credit, casting="unsafe")
 
     def kill(self, node: int) -> None:
-        num = self.num
-        # In-edges of the dead node...
-        dark = np.zeros((self.K, num - 1), dtype=bool)
-        dark[:, node - 1] = True
-        # ... and every edge it parents, in every tree.
-        dark |= self.parents[:, 1:] == node
-        self.alive &= ~dark.ravel()
+        if not 0 < node < self.num:
+            raise ValueError(f"cannot kill node {node} (source or oob)")
+        K = self.K
+        # The dead node's position in every tree: its in-edges...
+        mine = self._perm[np.arange(K) * self.num + node]
+        # ... and every edge it parents (a parent position is always in
+        # the child's own tree, so membership is exact).
+        dark = np.isin(self._par, mine)
+        dark[mine - K] = True
+        self.alive &= ~dark
 
     def delivered(self) -> np.ndarray:
         """Per-node arrival counts, substreams recombined (source = 0)."""
-        counts = self.recv.reshape(self.K, self.num).sum(axis=0)
+        counts = self.recv[self._perm].reshape(self.K, self.num).sum(axis=0)
         counts[0] = 0
         return counts
 

@@ -10,8 +10,11 @@ the class-aware generators, the lazily expanded scheme, and the
 ``FullRebuildPlanner``, and O(changes) class-preserving swap repairs.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.acyclic_guarded import (
     collapsed_scheme,
@@ -43,6 +46,13 @@ from repro.runtime import (
 )
 
 FAMILIES = sorted(DISTRIBUTIONS)
+
+#: One ``(bandwidth, multiplicity)`` run; zero counts are dropped by
+#: normalization, so they exercise the empty-run path.
+_run_specs = st.tuples(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    st.integers(min_value=0, max_value=40),
+)
 SEEDS = (0, 1, 7)
 
 
@@ -165,6 +175,30 @@ class TestClassRuns:
         assert runs.scaled(0.5).to_instance() == Instance(
             40.0, (45.0,) * 6, (35.0,) * 2
         )
+
+    @settings(max_examples=300)
+    @given(
+        opens=st.lists(_run_specs, max_size=6),
+        guardeds=st.lists(_run_specs, max_size=6),
+    )
+    def test_sums_match_the_per_value_generator(self, opens, guardeds):
+        """``open_sum``/``guarded_sum`` expand runs at C speed; the sums
+        stay bit-identical to a per-value Python generator and to the
+        per-node :class:`Instance` (empty and zero-count runs included)."""
+
+        def per_value(runs):
+            for bw, count in runs:
+                for _ in range(count):
+                    yield bw
+
+        runs = ClassRuns(7.0, tuple(opens), tuple(guardeds))
+        inst = runs.to_instance()
+        for got, run_list, per_node in (
+            (runs.open_sum, runs.open_runs, inst.open_sum),
+            (runs.guarded_sum, runs.guarded_runs, inst.guarded_sum),
+        ):
+            expected = math.fsum(per_value(run_list))
+            assert got.hex() == expected.hex() == per_node.hex()
 
     def test_counts(self):
         runs = class_runs(10.0, [("open", 5.0, 7), ("guarded", 3.0, 2)])
