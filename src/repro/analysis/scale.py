@@ -10,45 +10,36 @@ flat-array form instead:
                                                      + word alternations))
                --RunScheme.edge_arrays-->            flat (src, dst, rate)
                --decompose_broadcast_arrays-->       (weights, parents[K, n])
-               --_TreeShard.from_arrays-->           packed integer shards
+               --ShardFleet-->                       packed integer shards
 
 so the only O(n)-sized objects are numpy arrays, and the per-slot cost
-is the sharded backend's vectorized level sweep.  :func:`measure_scale`
+is the sharded transport's vectorized level sweep.  :func:`measure_scale`
 runs the whole chain once and reports per-phase wall times plus peak
 RSS — the numbers behind ``benchmarks/test_bench_scale.py``.
 
-:class:`ShardFleet` is the thin runner used in place of the full
-:class:`~repro.simulation.backends.sharded.ShardedBackend` (which wants
-a dict-based scheme in its config): it drives ``_TreeShard`` objects
-serially, across threads, or across forked processes over
-``multiprocessing.shared_memory`` — the same worker machinery, minus
-the dict detour.  It also supports O(K) diurnal rescaling
-(:meth:`ShardFleet.rescale`), the transport-side twin of
-:meth:`repro.core.runs.ClassRuns.scaled`.
+:class:`~repro.simulation.backends.sharded.ShardFleet` is the sharded
+transport's one runner (re-exported here): the runtime
+:class:`~repro.simulation.backends.sharded.ShardedBackend` wraps one
+built from a dict-based scheme, while :func:`build_fleet` builds one
+straight from the edge arrays, minus the dict detour.  Serial, thread
+and forked-process workers share its code path.  It also supports O(K)
+diurnal rescaling (:meth:`ShardFleet.rescale`), the transport-side twin
+of :meth:`repro.core.runs.ClassRuns.scaled`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import resource
 import time
-import uuid
-import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..algorithms.acyclic_guarded import collapsed_scheme
 from ..core.runs import ClassRuns
 from ..flows.arborescence import decompose_broadcast_arrays
-from ..simulation.backends.sharded import (
-    _PROCESS_SHARDS,
-    _TreeShard,
-    _release_process_state,
-    _run_process_shard,
-)
+from ..simulation.backends.sharded import ShardFleet
 
 __all__ = ["ScaleReport", "ShardFleet", "build_fleet", "measure_scale", "peak_rss_kb"]
 
@@ -64,117 +55,6 @@ def peak_rss_kb() -> int:
     benchmarks fork one child per tier and read this inside the child.
     """
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-class ShardFleet:
-    """A set of ``_TreeShard`` substreams plus a worker strategy.
-
-    ``worker_mode="process"`` mirrors the sharded backend: mutable shard
-    state moves into ``multiprocessing.shared_memory`` up front, the
-    fork pool is created lazily at first :meth:`run` (children inherit
-    the registry and the static arrays copy-on-write), and results are
-    bit-identical to the serial path.  Degrades to threads when there is
-    a single shard or worker, or no ``fork`` start method.
-    """
-
-    def __init__(
-        self,
-        shards: Sequence[_TreeShard],
-        *,
-        workers: int = 1,
-        worker_mode: Optional[str] = None,
-    ) -> None:
-        if worker_mode not in (None, "thread", "process"):
-            raise ValueError(f"unknown worker_mode {worker_mode!r}")
-        self.shards = list(shards)
-        self.workers = max(1, workers)
-        self.worker_mode = worker_mode or "thread"
-        self._token: Optional[str] = None
-        self._box: dict = {"executor": None}
-        if (
-            self.worker_mode == "process"
-            and self.workers > 1
-            and len(self.shards) > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        ):
-            shms: list = []
-            for shard in self.shards:
-                shms.extend(shard.to_shared())
-            token = uuid.uuid4().hex
-            _PROCESS_SHARDS[token] = self.shards
-            self._token = token
-            self._finalizer = weakref.finalize(
-                self, _release_process_state, token, shms, self._box
-            )
-        else:
-            self.worker_mode = "thread"
-
-    @property
-    def num(self) -> int:
-        return self.shards[0].num if self.shards else 0
-
-    def run(self, num_slots: int) -> None:
-        if self._token is not None:
-            pool = self._box["executor"]
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(self.shards)),
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-                self._box["executor"] = pool
-            list(
-                pool.map(
-                    _run_process_shard,
-                    [
-                        (self._token, i, num_slots)
-                        for i in range(len(self.shards))
-                    ],
-                )
-            )
-        elif self.workers > 1 and len(self.shards) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                list(pool.map(lambda s: s.run(num_slots), self.shards))
-        else:
-            for shard in self.shards:
-                shard.run(num_slots)
-
-    def rescale(self, factor: float) -> None:
-        """Diurnal drift at class granularity: every injection and
-        capacity rate scaled by ``factor`` in O(K) — no rebuild, no
-        O(n) pass.  The credit/packet state carries over, which is the
-        point: a bandwidth dip mid-broadcast slows delivery, it does
-        not reset it.
-
-        Under process mode the rate arrays are fork-inherited (static,
-        not shared), so the worker pool is retired and re-forked lazily
-        at the next :meth:`run` — O(workers), not O(n).
-        """
-        if factor <= 0.0 or not np.isfinite(factor):
-            raise ValueError(f"scale factor must be finite > 0: {factor}")
-        pool = self._box["executor"]
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._box["executor"] = None
-        for shard in self.shards:
-            shard.inj *= factor
-            shard.cap *= factor
-
-    def kill(self, node: int) -> None:
-        for shard in self.shards:
-            shard.kill(node)
-
-    def delivered(self) -> np.ndarray:
-        """Per-node distinct packets held (index 0 = source, always 0)."""
-        total = np.zeros(self.num, dtype=np.int64)
-        for shard in self.shards:
-            total += shard.delivered()
-        return total
-
-    def close(self) -> None:
-        """Tear down the fork pool and shared segments eagerly."""
-        if self._token is not None:
-            self._finalizer()
-            self._token = None
 
 
 @dataclass(frozen=True)
@@ -275,23 +155,16 @@ def build_fleet(
         dropped = float(weights[~keep].sum())
         weights, parents = weights[keep], parents[keep]
     t2 = time.perf_counter()
-    rate_sim = rate * RATE_BACKOFF
-    ppu = packets_per_slot / rate_sim
-    fraction = RATE_BACKOFF
-    groups = max(1, min(workers, len(weights)))
-    shards = [
-        _TreeShard.from_arrays(
-            weights[g::groups],
-            parents[g::groups],
-            num,
-            fraction,
-            ppu,
-            burst_cap,
-        )
-        for g in range(groups)
-        if len(weights[g::groups])
-    ]
-    fleet = ShardFleet(shards, workers=workers, worker_mode=worker_mode)
+    fleet = ShardFleet(
+        weights,
+        parents,
+        num,
+        RATE_BACKOFF,
+        packets_per_slot / (rate * RATE_BACKOFF),
+        burst_cap,
+        workers=workers,
+        worker_mode=worker_mode,
+    )
     t3 = time.perf_counter()
     timings = {
         "plan": t1 - t0,

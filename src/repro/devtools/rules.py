@@ -578,12 +578,12 @@ class UnfinalizedSharedMemory(Rule):
     """REP006 — ``SharedMemory`` without visible teardown.
 
     A created segment outlives the process unless someone calls
-    ``close()``/``unlink()``; the discipline (sharded backend,
-    ``ShardFleet``) pairs creation with a ``weakref.finalize`` that
-    closes *and* unlinks.  The check is module-scoped: creation in one
-    helper (``to_shared``) with the finalizer installed by its caller
-    is fine, a module that creates segments and never tears any down is
-    not.
+    ``close()``/``unlink()``; the discipline (``ShardFleet``, the one
+    runner behind the sharded backend and the scale pipeline) pairs
+    creation with a ``weakref.finalize`` that closes *and* unlinks.
+    The check is module-scoped: creation in one helper (``to_shared``)
+    with the finalizer installed by its caller is fine, a module that
+    creates segments and never tears any down is not.
     """
 
     code = "REP006"

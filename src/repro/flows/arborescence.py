@@ -22,6 +22,11 @@ class a greedy extraction is provably correct:
 * each round zeroes at least one edge, so at most ``E`` rounds happen and
   the extracted weights sum exactly to ``T``.
 
+The greedy exists once, over flat edge arrays
+(:func:`decompose_broadcast_arrays`, which the scale path feeds straight
+from a packed scheme); :func:`decompose_broadcast_trees` is its wrapper
+for dict-based schemes.
+
 Cyclic schemes (Theorem 5.2's output) are out of scope here and raise
 :class:`~repro.core.exceptions.DecompositionError`; the randomized
 simulator (:mod:`repro.simulation.packet_sim`) covers those.
@@ -30,7 +35,6 @@ simulator (:mod:`repro.simulation.packet_sim`) covers those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -89,90 +93,37 @@ class BroadcastTree:
         ]
 
 
-def decompose_broadcast_trees(
-    scheme: BroadcastScheme,
-    *,
-    source: int = 0,
-    max_rounds: Optional[int] = None,
-) -> list[BroadcastTree]:
+def decompose_broadcast_trees(scheme: BroadcastScheme) -> list[BroadcastTree]:
     """Decompose an acyclic equal-in-rate scheme into weighted trees.
 
     Preconditions (checked): the scheme is a DAG and every non-source node
-    has the same in-rate ``T`` up to relative tolerance.  Returns trees
-    whose weights sum to ``T`` (up to stranded sub-tolerance residuals on
-    large schemes — a vanishing fraction of the rate) and whose per-edge
-    usage never exceeds the scheme's rates.
+    has the same in-rate ``T`` up to :func:`decompose_broadcast_arrays`'s
+    ``eq_tol`` (the rate-relative ``1e-9`` for ``num <= ~1,100``, widened
+    by an eps per receiver beyond that).  Returns trees whose weights sum
+    to ``T`` (up to stranded sub-tolerance residuals on large schemes — a
+    vanishing fraction of the rate) and whose per-edge usage never
+    exceeds the scheme's rates; a scheme with no edges yields ``[]``.
+
+    This is :func:`decompose_broadcast_arrays` on the scheme's edge list
+    (in :meth:`~repro.core.scheme.BroadcastScheme.edges` order, which
+    fixes the greedy's tie-breaking), rewrapped as
+    :class:`BroadcastTree` objects.
     """
-    num = scheme.num_nodes
-    if num == 1:
-        return []
     if not scheme.is_acyclic():
         raise DecompositionError(
             "greedy tree decomposition requires an acyclic scheme"
         )
-    in_rates = scheme.in_rates()
-    receivers = [v for v in range(num) if v != source]
-    total = in_rates[receivers[0]] if receivers else 0.0
-    tol = _REL_EPS * max(1.0, total)
-    for v in receivers:
-        if abs(in_rates[v] - total) > tol:
-            raise DecompositionError(
-                f"receiver {v} has in-rate {in_rates[v]:g} != scheme rate "
-                f"{total:g}; the greedy decomposition only handles "
-                f"equal-in-rate schemes"
-            )
-    if total <= tol:
+    edges = list(scheme.edges())
+    if not edges:
         return []
-
-    # Residual in-edge lists: for each receiver, [sender, residual] pairs.
-    residual: dict[int, list[list]] = {v: [] for v in receivers}
-    for i, j, rate in scheme.edges():
-        residual[j].append([i, rate])
-
-    trees: list[BroadcastTree] = []
-    remaining = total
-    cap = max_rounds if max_rounds is not None else scheme.num_edges + 1
-    for _ in range(cap):
-        if remaining <= tol:
-            break
-        parent = [-1] * num
-        weight = remaining
-        chosen: list[list] = []
-        stranded = False
-        for v in receivers:
-            best = None
-            for entry in residual[v]:
-                if entry[1] > tol and (best is None or entry[1] > best[1]):
-                    best = entry
-            if best is None:
-                # Every in-edge of ``v`` carries only numerical dust: the
-                # ``> tol`` filter above strands up to ``tol`` per zeroed
-                # edge, and the greedy keeps per-receiver in-capacity
-                # equal to ``remaining``, so a receiver can only run dry
-                # while ``remaining`` is itself of stranded-dust size.
-                # That is a clean termination, not a degenerate scheme.
-                if remaining <= _stranded_slack(
-                    total, len(residual[v]) + len(trees)
-                ):
-                    stranded = True
-                    break
-                raise DecompositionError(
-                    f"receiver {v} ran out of in-capacity with {remaining:g} "
-                    f"of rate left (numerically degenerate scheme?)"
-                )
-            parent[v] = best[0]
-            chosen.append(best)
-            if best[1] < weight:
-                weight = best[1]
-        if stranded:
-            break
-        for entry in chosen:
-            entry[1] -= weight
-        trees.append(BroadcastTree(weight, tuple(parent)))
-        remaining -= weight
-    else:
-        raise DecompositionError("round cap exceeded without converging")
-    return trees
+    src, dst, rate = zip(*edges)
+    weights, parents = decompose_broadcast_arrays(
+        scheme.num_nodes, np.array(src), np.array(dst), np.array(rate)
+    )
+    return [
+        BroadcastTree(w, tuple(p))
+        for w, p in zip(weights.tolist(), parents.tolist())
+    ]
 
 
 def decompose_broadcast_arrays(
@@ -187,12 +138,14 @@ def decompose_broadcast_arrays(
     straight from a packed :class:`~repro.core.runs.RunScheme`;
     materializing a :class:`BroadcastScheme` (one dict per node) just to
     tear it back into arrays dominates end-to-end time at n >= 10^5.
-    This runs the exact same greedy as :func:`decompose_broadcast_trees`
-    — per round, each receiver picks its *first largest* live in-edge
-    residual, the round weight is the minimum pick — with each round
-    vectorized over all edges via ``reduceat``, and returns ``weights``
+    This is the library's one greedy extraction loop
+    (:func:`decompose_broadcast_trees` wraps it for dict-based schemes):
+    per round, each receiver picks its *first largest* live in-edge
+    residual and the round weight is the minimum pick, each round
+    vectorized over all edges via ``reduceat``.  Returns ``weights``
     (shape ``[K]``) plus ``parents`` (shape ``[K, num]``, ``parents[k, 0]
-    == -1``) ready for ``_TreeShard.from_arrays``.
+    == -1``), ready for
+    :class:`~repro.simulation.backends.sharded.ShardFleet`.
 
     Preconditions: the source is node 0, every ``dst`` lies in
     ``1..num-1``, every receiver has at least one in-edge, in-rates are
@@ -221,7 +174,11 @@ def decompose_broadcast_arrays(
             f"receiver {missing} has no in-edge; the greedy decomposition "
             f"requires every receiver fed at the scheme rate"
         )
-    in_rates = np.add.reduceat(res, starts)
+    # Sequential per-receiver sums in edge order (``bincount``), as
+    # ``BroadcastScheme.in_rates`` adds them: ``add.reduceat`` sums a
+    # segment of 8+ edges pairwise, and ``total`` (the first round's
+    # ``remaining``) would then drift from the scheme's rate by ulps.
+    in_rates = np.bincount(dst - 1, weights=res, minlength=num - 1)
     total = float(in_rates[0])
     tol = _REL_EPS * max(1.0, total)
     # Packed-scheme edge rates come from differences of cumulative cut
@@ -253,11 +210,14 @@ def decompose_broadcast_arrays(
         masked = np.where(res > tol, res, -np.inf)
         seg_max = np.maximum.reduceat(masked, starts)
         if not np.isfinite(seg_max.min()):
-            # A receiver's in-edges all carry only numerical dust — the
-            # same clean-termination bound the scalar extractor uses,
-            # widened by ``eq_tol``: a receiver whose in-rate legitimately
-            # sat ``eq_tol`` below the scheme rate strands exactly that
-            # much on top of the per-round dust.
+            # A receiver's in-edges all carry only numerical dust.  The
+            # ``> tol`` filter strands up to ``tol`` per zeroed edge and
+            # every round keeps per-receiver in-capacity equal to
+            # ``remaining``, so a receiver only runs dry while
+            # ``remaining`` is itself dust-sized — widened by ``eq_tol``:
+            # a receiver whose in-rate legitimately sat ``eq_tol`` below
+            # the scheme rate strands exactly that much on top.  That is
+            # a clean termination, not a degenerate scheme.
             if remaining <= eq_tol + _stranded_slack(
                 total, max_indeg + len(weights)
             ):
@@ -290,18 +250,17 @@ def verify_decomposition(
     trees: list[BroadcastTree],
     throughput: float,
     *,
-    source: int = 0,
     rel_tol: float = 1e-6,
 ) -> None:
     """Assert the decomposition is a valid schedule (used by tests).
 
     Checks: weights sum to ``throughput``; every tree is a spanning
-    arborescence rooted at the source; aggregated per-edge usage stays
-    within the scheme's rates.
+    arborescence rooted at the source (node 0); aggregated per-edge usage
+    stays within the scheme's rates.
     """
     tol = rel_tol * max(1.0, throughput)
     # The greedy extractor may legitimately strand numerical dust (see
-    # decompose_broadcast_trees); ``num_edges`` bounds any receiver's
+    # decompose_broadcast_arrays); ``num_edges`` bounds any receiver's
     # in-degree and ``len(trees)`` the extractor's round count, so this
     # slack dominates every clean-termination bound the extractor uses.
     sum_tol = max(
@@ -316,14 +275,12 @@ def verify_decomposition(
     for tree in trees:
         if tree.weight <= 0:
             raise DecompositionError("non-positive tree weight")
-        if tree.parent[source] != -1:
+        if tree.parent[0] != -1:
             raise DecompositionError("source must be the root")
-        for v in range(scheme.num_nodes):
-            if v == source:
-                continue
+        for v in range(1, scheme.num_nodes):
             # Walk to the root; a cycle would loop more than num_nodes times.
             node, hops = v, 0
-            while node != source:
+            while node != 0:
                 node = tree.parent[node]
                 hops += 1
                 if node < 0 or hops > scheme.num_nodes:

@@ -2,7 +2,7 @@
 
 Section II-C of the paper: an acyclic scheme whose receivers all ingest
 at the scheme rate ``T`` decomposes into weighted spanning arborescences
-(:func:`repro.flows.arborescence.decompose_broadcast_trees`) — tree
+(:func:`repro.flows.arborescence.decompose_broadcast_arrays`) — tree
 ``k`` carries an independent substream at rate ``w_k`` with
 ``sum_k w_k = T``.  This backend simulates each substream separately and
 recombines per-node goodput, which buys two things:
@@ -16,6 +16,12 @@ recombines per-node goodput, which buys two things:
 * **sharding** — trees are independent, so they split into groups that
   can advance on ``concurrent.futures`` workers (``workers=N``); results
   are bit-identical regardless of worker count or scheduling.
+
+:class:`ShardFleet` is the one runner, used by both paths: the scale
+pipeline (:func:`repro.analysis.scale.build_fleet`) builds one straight
+from edge arrays, and :class:`ShardedBackend` is a thin adapter that
+decomposes its config's scheme, holds a fleet and forwards ``run`` /
+``kill`` / ``delivered`` to it.
 
 A shard stores its (tree, receiver) pairs **level-contiguous**: the K
 sources first, then every pair in BFS order (depth, then parent
@@ -47,17 +53,17 @@ import threading
 import uuid
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ...flows.arborescence import BroadcastTree, decompose_broadcast_trees
+from ...flows.arborescence import decompose_broadcast_trees
 from . import SimBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import SimConfig
 
-__all__ = ["ShardedBackend"]
+__all__ = ["ShardFleet", "ShardedBackend"]
 
 #: Fork-inherited shard registry for ``worker_mode="process"``.  The
 #: parent registers its shards *before* the pool forks; children inherit
@@ -92,24 +98,30 @@ def _release_process_state(token: str, shms: list, box: dict) -> None:
 #: correct if a caller mutates a scheme between runs.  The lock keeps
 #: eviction safe under ``run_batch(mode="thread")``, which constructs
 #: backends concurrently.
-_DECOMPOSITION_MEMO: dict = {}  # edge-list key -> trees
+_DECOMPOSITION_MEMO: dict = {}  # edge-list key -> (weights, parents)
 _MEMO_SIZE = 8
 _MEMO_LOCK = threading.Lock()
 
 
-def _decompose_cached(scheme):
-    key = (scheme.num_nodes, tuple(sorted(scheme.edges())))
+def _decompose_cached(scheme) -> tuple[np.ndarray, np.ndarray]:
+    num = scheme.num_nodes
+    key = (num, tuple(sorted(scheme.edges())))
     with _MEMO_LOCK:
-        trees = _DECOMPOSITION_MEMO.get(key)
-    if trees is None:
+        arrays = _DECOMPOSITION_MEMO.get(key)
+    if arrays is None:
         trees = decompose_broadcast_trees(scheme)
+        parents = [t.parent for t in trees]
+        arrays = (
+            np.array([t.weight for t in trees], dtype=float),
+            np.array(parents, dtype=np.int64).reshape(-1, num),
+        )
         with _MEMO_LOCK:
             if len(_DECOMPOSITION_MEMO) >= _MEMO_SIZE:
                 _DECOMPOSITION_MEMO.pop(
                     next(iter(_DECOMPOSITION_MEMO)), None
                 )
-            _DECOMPOSITION_MEMO[key] = trees
-    return trees
+            _DECOMPOSITION_MEMO[key] = arrays
+    return arrays
 
 
 class _TreeShard:
@@ -132,46 +144,6 @@ class _TreeShard:
 
     def __init__(
         self,
-        trees: list[BroadcastTree],
-        num: int,
-        rate_fraction: float,
-        packets_per_unit: float,
-        burst_cap: float,
-    ) -> None:
-        K = len(trees)
-        weights = np.array([t.weight for t in trees], dtype=float)
-        parents = np.array(
-            [t.parent for t in trees], dtype=np.int64
-        ).reshape(K, num)
-        self._init_arrays(
-            weights, parents, num, rate_fraction, packets_per_unit, burst_cap
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        weights: np.ndarray,
-        parents: np.ndarray,
-        num: int,
-        rate_fraction: float,
-        packets_per_unit: float,
-        burst_cap: float,
-    ) -> "_TreeShard":
-        """Build straight from ``decompose_broadcast_arrays`` output —
-        the scale path never materializes :class:`BroadcastTree`s."""
-        self = object.__new__(cls)
-        self._init_arrays(
-            np.asarray(weights, dtype=float),
-            np.asarray(parents, dtype=np.int64).reshape(len(weights), num),
-            num,
-            rate_fraction,
-            packets_per_unit,
-            burst_cap,
-        )
-        return self
-
-    def _init_arrays(
-        self,
         weights: np.ndarray,
         parents: np.ndarray,
         num: int,
@@ -179,7 +151,9 @@ class _TreeShard:
         packets_per_unit: float,
         burst_cap: float,
     ) -> None:
+        weights = np.asarray(weights, dtype=float)
         K = len(weights)
+        parents = np.asarray(parents, dtype=np.int64).reshape(K, num)
         self.num = num
         self.K = K
         #: Substream injection rate (packets/slot): the tree's share of
@@ -363,43 +337,50 @@ class _TreeShard:
         np.copyto(self.alive, payload["alive"])
 
 
-@register_backend
-class ShardedBackend(SimBackend):
-    """Weighted-tree decomposition simulated shard by shard."""
+class ShardFleet:
+    """The sharded transport's one runner: K weighted arborescences
+    (``decompose_broadcast_arrays`` output) split into ``g::groups``
+    shards, advanced serially, across threads, or across forked
+    processes.  ``num`` is explicit so an empty fleet (a zero-rate
+    scheme) still reports one count per node.
 
-    name = "sharded"
-    supports_workers = True
+    ``worker_mode="process"`` moves the mutable shard state into
+    ``multiprocessing.shared_memory`` up front and forks the pool lazily
+    at the first :meth:`run` (children inherit the registry and the
+    static arrays copy-on-write).  It degrades to threads when there is
+    a single shard or worker, or no ``fork`` start method; every mode is
+    bit-identical to the serial path.
+    """
 
-    def __init__(self, config: "SimConfig", rng: random.Random) -> None:
-        self.config = config
-        scheme = config.scheme
-        num = config.num
-        # Raises DecompositionError for cyclic / unequal-in-rate schemes.
-        trees = _decompose_cached(scheme)
-        in_rates = scheme.in_rates()
-        scheme_rate = in_rates[1] if num > 1 else 0.0
-        fraction = config.rate / scheme_rate if scheme_rate > 0 else 0.0
-        workers = config.workers or 1
-        groups = min(workers, len(trees)) or 1
+    def __init__(
+        self,
+        weights: np.ndarray,
+        parents: np.ndarray,
+        num: int,
+        rate_fraction: float,
+        packets_per_unit: float,
+        burst_cap: float,
+        *,
+        workers: int = 1,
+        worker_mode: Optional[str] = None,
+    ) -> None:
+        if worker_mode not in (None, "thread", "process"):
+            raise ValueError(f"unknown worker_mode {worker_mode!r}")
+        self.num = num
+        self.workers = max(1, workers)
+        groups = max(1, min(self.workers, len(weights)))
+        shared = (num, rate_fraction, packets_per_unit, burst_cap)
         self.shards = [
-            _TreeShard(
-                trees[g::groups],
-                num,
-                fraction,
-                config.packets_per_unit,
-                config.burst_cap,
-            )
+            _TreeShard(weights[g::groups], parents[g::groups], *shared)
             for g in range(groups)
-            if trees[g::groups]
+            if len(weights[g::groups])
         ]
-        self.workers = workers
-        self.dead: set[int] = set()
-        self.worker_mode = config.worker_mode or "thread"
-        self._token: str | None = None
+        self.worker_mode = worker_mode or "thread"
+        self._token: Optional[str] = None
         self._box: dict = {"executor": None}
         if (
             self.worker_mode == "process"
-            and workers > 1
+            and self.workers > 1
             and len(self.shards) > 1
             and "fork" in multiprocessing.get_all_start_methods()
         ):
@@ -412,13 +393,13 @@ class ShardedBackend(SimBackend):
             self._finalizer = weakref.finalize(
                 self, _release_process_state, token, shms, self._box
             )
-        elif self.worker_mode == "process":
+        else:
             # Single shard / single worker / no fork: nothing to gain
-            # from (or no way to run) a process pool — degrade to the
-            # in-thread path, results are bit-identical anyway.
+            # from (or no way to run) a process pool — results are
+            # bit-identical on the in-thread path anyway.
             self.worker_mode = "thread"
 
-    def run(self, start_slot: int, num_slots: int) -> None:
+    def run(self, num_slots: int) -> None:
         if self._token is not None:
             # Lazy pool: forking *after* the shard registry and shared
             # state exist is what lets children inherit everything.
@@ -429,15 +410,9 @@ class ShardedBackend(SimBackend):
                     mp_context=multiprocessing.get_context("fork"),
                 )
                 self._box["executor"] = pool
-            list(
-                pool.map(
-                    _run_process_shard,
-                    [
-                        (self._token, i, num_slots)
-                        for i in range(len(self.shards))
-                    ],
-                )
-            )
+            token = self._token
+            jobs = [(token, i, num_slots) for i in range(len(self.shards))]
+            list(pool.map(_run_process_shard, jobs))
         elif self.workers > 1 and len(self.shards) > 1:
             # A scoped pool per run(): spawn cost is negligible next to
             # a chunk of slots, and nothing leaks across engine
@@ -451,16 +426,78 @@ class ShardedBackend(SimBackend):
             for shard in self.shards:
                 shard.run(num_slots)
 
+    def rescale(self, factor: float) -> None:
+        """Diurnal drift at class granularity: every injection and
+        capacity rate scaled by ``factor`` in O(K) — no rebuild, no
+        O(n) pass.  The credit/packet state carries over, which is the
+        point: a bandwidth dip mid-broadcast slows delivery, it does
+        not reset it.
+
+        Under process mode the rate arrays are fork-inherited (static,
+        not shared), so the worker pool is retired and re-forked lazily
+        at the next :meth:`run` — O(workers), not O(n).
+        """
+        if factor <= 0.0 or not np.isfinite(factor):
+            raise ValueError(f"scale factor must be finite > 0: {factor}")
+        pool = self._box["executor"]
+        if pool is not None:
+            pool.shutdown(wait=True)
+            self._box["executor"] = None
+        for shard in self.shards:
+            shard.inj *= factor
+            shard.cap *= factor
+
     def kill(self, node: int) -> None:
-        self.dead.add(node)
         for shard in self.shards:
             shard.kill(node)
 
-    def delivered(self) -> list[int]:
-        total = np.zeros(self.config.num, dtype=np.int64)
+    def delivered(self) -> np.ndarray:
+        """Per-node distinct packets held (index 0 = source, always 0)."""
+        total = np.zeros(self.num, dtype=np.int64)
         for shard in self.shards:
             total += shard.delivered()
-        return total.tolist()
+        return total
+
+    def close(self) -> None:
+        """Tear down the fork pool and shared segments eagerly."""
+        if self._token is not None:
+            self._finalizer()
+            self._token = None
+
+
+@register_backend
+class ShardedBackend(SimBackend):
+    """Weighted-tree decomposition simulated by a :class:`ShardFleet`."""
+
+    name = "sharded"
+    supports_workers = True
+
+    def __init__(self, config: "SimConfig", rng: random.Random) -> None:
+        self.config = config
+        scheme = config.scheme
+        # Raises DecompositionError for cyclic / unequal-in-rate schemes.
+        weights, parents = _decompose_cached(scheme)
+        scheme_rate = scheme.in_rates()[1] if config.num > 1 else 0.0
+        fraction = config.rate / scheme_rate if scheme_rate > 0 else 0.0
+        self.fleet = ShardFleet(
+            weights,
+            parents,
+            config.num,
+            fraction,
+            config.packets_per_unit,
+            config.burst_cap,
+            workers=config.workers or 1,
+            worker_mode=config.worker_mode,
+        )
+
+    def run(self, start_slot: int, num_slots: int) -> None:
+        self.fleet.run(num_slots)
+
+    def kill(self, node: int) -> None:
+        self.fleet.kill(node)
+
+    def delivered(self) -> list[int]:
+        return self.fleet.delivered().tolist()
 
     def received(self) -> list[int]:
         # Substreams are disjoint slices of the stream, so distinct
@@ -468,24 +505,23 @@ class ShardedBackend(SimBackend):
         return self.delivered()
 
     def state(self) -> dict:
-        return {
-            "shards": [s.state() for s in self.shards],
-            "dead": set(self.dead),
-        }
+        # Kills live in each shard's ``alive`` mask: the counters are
+        # the whole state.
+        return {"shards": [s.state() for s in self.fleet.shards]}
 
     def load(self, payload: dict) -> None:
+        shards = self.fleet.shards
         shard_states = payload["shards"]
-        if len(shard_states) != len(self.shards) or any(
+        if len(shard_states) != len(shards) or any(
             shard.recv.shape != state["recv"].shape
-            for shard, state in zip(self.shards, shard_states)
+            for shard, state in zip(shards, shard_states)
         ):
             raise ValueError(
                 "snapshot shard layout does not match this engine "
                 f"({len(shard_states)} shard(s) saved vs "
-                f"{len(self.shards)} here): sharded snapshots only "
+                f"{len(shards)} here): sharded snapshots only "
                 "restore into an engine built with the same scheme and "
                 "workers setting"
             )
-        for shard, state in zip(self.shards, shard_states):
+        for shard, state in zip(shards, shard_states):
             shard.load(state)
-        self.dead = set(payload["dead"])

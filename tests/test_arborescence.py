@@ -1,19 +1,98 @@
-"""Tests for the broadcast-tree decomposition substrate."""
+"""Tests for the broadcast-tree decomposition substrate.
 
+:func:`decompose_broadcast_trees` wraps the array greedy
+(:func:`decompose_broadcast_arrays`); :func:`_reference_decompose` keeps
+the scalar dict-based greedy it replaced as an oracle, and
+:class:`TestReferenceOracle` pins the wrapper to it bit for bit — same
+weights and parents, or both raising :class:`DecompositionError` — on
+per-node schemes, zero-rate and dust-rate schemes, and cyclic,
+unequal-in-rate and orphaned-receiver variants of them.
+"""
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     BroadcastScheme,
     DecompositionError,
+    InfeasibleThroughputError,
     Instance,
     acyclic_guarded_scheme,
     acyclic_open_scheme,
     decompose_broadcast_trees,
+    is_valid_word,
+    scheme_from_word,
     verify_decomposition,
+)
+from repro.flows.arborescence import (
+    _REL_EPS,
+    BroadcastTree,
+    _stranded_slack,
 )
 
 from .conftest import instances, open_instances
+
+
+def _reference_decompose(scheme):
+    """The scalar greedy extraction, one dict of residual in-edge lists
+    per receiver: per round each receiver picks its first largest
+    residual above ``tol``, the round weight is the minimum pick."""
+    num = scheme.num_nodes
+    if num == 1:
+        return []
+    if not scheme.is_acyclic():
+        raise DecompositionError(
+            "greedy tree decomposition requires an acyclic scheme"
+        )
+    in_rates = scheme.in_rates()
+    receivers = list(range(1, num))
+    total = in_rates[receivers[0]]
+    tol = _REL_EPS * max(1.0, total)
+    for v in receivers:
+        if abs(in_rates[v] - total) > tol:
+            raise DecompositionError(f"receiver {v} in-rate != scheme rate")
+    if total <= tol:
+        return []
+
+    residual = {v: [] for v in receivers}
+    for i, j, rate in scheme.edges():
+        residual[j].append([i, rate])
+
+    trees = []
+    remaining = total
+    for _ in range(scheme.num_edges + 1):
+        if remaining <= tol:
+            break
+        parent = [-1] * num
+        weight = remaining
+        chosen = []
+        stranded = False
+        for v in receivers:
+            best = None
+            for entry in residual[v]:
+                if entry[1] > tol and (best is None or entry[1] > best[1]):
+                    best = entry
+            if best is None:
+                if remaining <= _stranded_slack(
+                    total, len(residual[v]) + len(trees)
+                ):
+                    stranded = True
+                    break
+                raise DecompositionError(f"receiver {v} ran out")
+            parent[v] = best[0]
+            chosen.append(best)
+            if best[1] < weight:
+                weight = best[1]
+        if stranded:
+            break
+        for entry in chosen:
+            entry[1] -= weight
+        trees.append(BroadcastTree(weight, tuple(parent)))
+        remaining -= weight
+    else:
+        raise DecompositionError("round cap exceeded without converging")
+    return trees
 
 
 class TestBasics:
@@ -119,3 +198,117 @@ class TestOnConstructedSchemes:
         scheme = acyclic_open_scheme(inst)
         trees = decompose_broadcast_trees(scheme)
         assert len(trees) <= scheme.num_edges
+
+
+def _word_rate(inst, word):
+    """The largest rate (to bisection precision) ``word`` is valid for."""
+    lo, hi = 0.0, inst.source_bw
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if is_valid_word(inst, word, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _fan_in_scheme(rates):
+    """Node 1 fed by one relay per rate, each relay fed by the source at
+    the (edge-order) sum of the rates."""
+    total = 0.0
+    for r in rates:
+        total += r
+    relays = range(2, len(rates) + 2)
+    return BroadcastScheme.from_edges(
+        len(rates) + 2,
+        [(0, v, total) for v in relays]
+        + [(v, 1, r) for v, r in zip(relays, rates)],
+    )
+
+
+def _packed_scheme(draw):
+    """A Lemma 4.6 packing at full, zero or dust rate (n = 2..81)."""
+    inst = draw(instances(max_open=40, max_guarded=40, min_receivers=1))
+    if draw(st.booleans()):
+        sol = acyclic_guarded_scheme(inst)
+        word, rate = sol.word, sol.throughput
+    else:
+        word = "".join(draw(st.permutations("o" * inst.n + "g" * inst.m)))
+        rate = _word_rate(inst, word) * draw(st.floats(0.05, 1.0))
+    scale = draw(st.sampled_from(("full", "zero", "dust")))
+    if scale == "zero":
+        rate = 0.0
+    elif scale == "dust":
+        rate = draw(st.floats(min_value=1e-10, max_value=1e-6))
+    try:
+        return scheme_from_word(inst, word, rate)
+    except InfeasibleThroughputError:
+        return BroadcastScheme(inst.num_nodes)
+
+
+@st.composite
+def decomposition_inputs(draw):
+    """A per-node scheme, possibly broken on purpose."""
+    if draw(st.integers(0, 7)) == 0:
+        rates = st.floats(min_value=0.01, max_value=10.0)
+        packed = _fan_in_scheme(draw(st.lists(rates, min_size=1, max_size=20)))
+    else:
+        packed = _packed_scheme(draw)
+    num = packed.num_nodes
+    # Relabel the receivers so any node (node 1 sets the scheme rate)
+    # can carry any in-degree, and edge order varies.
+    label = [0] + list(range(1, num))
+    if draw(st.booleans()):
+        label[1:] = draw(st.permutations(label[1:]))
+    scheme = BroadcastScheme.from_edges(
+        num, [(label[i], label[j], r) for i, j, r in packed.edges()]
+    )
+    edges = list(scheme.edges())
+    mutation = draw(
+        st.sampled_from((None, None, "cyclic", "unequal", "orphan"))
+    )
+    if mutation == "cyclic" and num >= 3:
+        relays = [(i, j, r) for i, j, r in edges if i != 0]
+        if relays:
+            i, j, r = draw(st.sampled_from(relays))
+            scheme.add_rate(j, i, r * draw(st.floats(0.01, 1.0)))
+        else:
+            scheme.add_rate(1, 2, 1.0)
+            scheme.add_rate(2, 1, 1.0)
+    elif mutation == "unequal" and edges:
+        i, j, r = draw(st.sampled_from(edges))
+        scheme.add_rate(i, j, r * draw(st.floats(-0.9, 1.0)))
+    elif mutation == "orphan":
+        v = draw(st.integers(1, num - 1))
+        for i, j, _ in edges:
+            if j == v:
+                scheme.set_rate(i, j, 0.0)
+    return scheme
+
+
+def _outcome(decompose, scheme):
+    try:
+        trees = decompose(scheme)
+    except DecompositionError:
+        return "raises"
+    return [(float(t.weight).hex(), tuple(t.parent)) for t in trees]
+
+
+class TestReferenceOracle:
+    @settings(max_examples=max(500, settings.default.max_examples))
+    @given(decomposition_inputs())
+    def test_matches_reference_decomposition(self, scheme):
+        assert _outcome(decompose_broadcast_trees, scheme) == _outcome(
+            _reference_decompose, scheme
+        )
+
+    @pytest.mark.parametrize("fan_in", (8, 18, 19, 24))
+    def test_wide_receivers_sum_in_edge_order(self, fan_in):
+        """Node 1 (whose in-rate is the scheme rate) fed by 8+ relays:
+        the array path must add its in-edges in edge order, as
+        ``in_rates()`` does, not pairwise."""
+        rng = np.random.default_rng(fan_in)
+        scheme = _fan_in_scheme((rng.random(fan_in) * 10).tolist())
+        trees = _outcome(decompose_broadcast_trees, scheme)
+        assert trees != "raises"
+        assert trees == _outcome(_reference_decompose, scheme)

@@ -1,9 +1,9 @@
 """Tests for the scale pipeline and repair-aware packing slack.
 
 Covers the array-native greedy tree extraction (bit-identical to the
-dict-based :func:`decompose_broadcast_trees`), the :class:`ShardFleet`
+scalar dict-based greedy kept as a test oracle), the :class:`ShardFleet`
 transport (serial == process-pool bit-identity, diurnal ``rescale``,
-dust truncation accounting), :func:`measure_scale` reports, the
+dust truncation accounting, an empty fleet's per-node zeros), :func:`measure_scale` reports, the
 ``Planner(slack=...)`` satellite (derated builds, the incremental
 slack-below-tolerance guard, and the saturated-swarm regression: a
 slackless optimal plan has zero spare so repair must fall back, a
@@ -31,10 +31,7 @@ from repro.algorithms.acyclic_guarded import (
 from repro.analysis import ScaleReport, build_fleet, measure_scale, peak_rss_kb
 from repro.analysis.scale import RATE_BACKOFF
 from repro.core.runs import ClassRuns
-from repro.flows.arborescence import (
-    decompose_broadcast_arrays,
-    decompose_broadcast_trees,
-)
+from repro.flows.arborescence import decompose_broadcast_arrays
 from repro.instances import class_runs, random_instance
 from repro.planning import FullRebuildPlanner, IncrementalRepairPlanner
 from repro.runtime import (
@@ -43,7 +40,9 @@ from repro.runtime import (
     NodeLeave,
     RuntimeEngine,
 )
-from repro.simulation.backends.sharded import _TreeShard
+from repro.simulation.backends.sharded import ShardFleet, _TreeShard
+
+from .test_arborescence import _reference_decompose
 
 SCALE_CLASSES = [("open", 150.0, 12), ("open", 50.0, 12), ("guarded", 100.0, 2)]
 
@@ -63,7 +62,7 @@ class TestDecomposeArrays:
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, 40, 0.5, "Unif100")
         sol = acyclic_guarded_scheme(inst)
-        trees = decompose_broadcast_trees(sol.scheme)
+        trees = _reference_decompose(sol.scheme)
         weights, parents = decompose_broadcast_arrays(
             sol.scheme.num_nodes, *_edge_arrays(sol.scheme)
         )
@@ -174,6 +173,26 @@ class TestShardFleet:
         finally:
             fleet.close()
             reference.close()
+
+    def test_one_runner_behind_both_paths(self):
+        from repro import analysis
+
+        assert analysis.ShardFleet is ShardFleet
+
+    def test_empty_fleet_reports_every_node(self):
+        """A zero-rate scheme decomposes into no trees; the fleet still
+        reports one (zero) count per node."""
+        fleet = ShardFleet(
+            np.zeros(0), np.zeros((0, 5), dtype=np.int64), 5, 1.0, 1.0, 4.0,
+            workers=3, worker_mode="process",
+        )
+        try:
+            assert fleet.shards == [] and fleet.worker_mode == "thread"
+            fleet.run(10)
+            fleet.kill(2)
+            assert fleet.delivered().tolist() == [0] * 5
+        finally:
+            fleet.close()
 
     def test_kill_starves_a_subtree(self):
         fleet, _, _ = self._fleet()
@@ -450,7 +469,7 @@ class TestShardLayout:
     @given(shard_cases())
     def test_matches_reference_layout(self, case):
         weights, parents, num, params, chunks = case
-        shard = _TreeShard.from_arrays(weights, parents, num, *params)
+        shard = _TreeShard(weights, parents, num, *params)
         oracle = _ReferenceShard(weights, parents, num, *params)
         for slots, victim in chunks:
             shard.run(slots)
@@ -496,7 +515,7 @@ class TestShardLayout:
     @given(shard_cases())
     def test_schedule_invariants(self, case):
         weights, parents, num, params, _ = case
-        shard = _TreeShard.from_arrays(weights, parents, num, *params)
+        shard = _TreeShard(weights, parents, num, *params)
         K = shard.K
         # ``_perm`` is a permutation with the sources first.
         assert sorted(shard._perm.tolist()) == list(range(K * num))
@@ -533,4 +552,4 @@ class TestShardLayout:
         good = [-1, 0, 0, 1]
         parents = np.array([good, parent_row], dtype=np.int64)
         with pytest.raises(ValueError, match="unreachable"):
-            _TreeShard.from_arrays([1.0, 1.0], parents, 4, 1.0, 1.0, 4.0)
+            _TreeShard([1.0, 1.0], parents, 4, 1.0, 1.0, 4.0)

@@ -549,6 +549,36 @@ class TestShardedWorkers:
         with pytest.raises(ValueError, match="shard layout"):
             parallel.restore(snap)
 
+    def test_edgeless_scheme_reports_every_node(self):
+        inst = Instance.open_only(1.0, (1.0, 1.0))
+        sim = PacketSimEngine(inst, BroadcastScheme(3), 1.0, backend="sharded")
+        sim.step(20)
+        assert sim.delivered() == [0, 0, 0]
+
+    #: SHA-256 of ``delivered()`` recorded before the backend became a
+    #: thin adapter over ``ShardFleet``: n = 200, one kill mid-run.
+    GOLDEN_DIGEST = (
+        "06a47aeba692682fcdb6036751e9ecab48a7e74469fe60ab6a3c340d8e5fa9ed"
+    )
+
+    @pytest.mark.parametrize("mode", ("thread", "process"))
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_delivery_matches_golden_digest(self, workers, mode):
+        import numpy as np
+
+        inst = random_instance(np.random.default_rng(2024), 200, 0.5, "Unif100")
+        sol = acyclic_guarded_scheme(inst)
+        sim = PacketSimEngine(
+            inst, sol.scheme, sol.throughput * (1 - 1e-9), backend="sharded",
+            workers=workers, worker_mode=mode, packets_per_unit=2.0, seed=5,
+        )
+        sim.step(60)
+        sim.fail_node(17)
+        sim.step(60)
+        delivered = np.asarray(sim.delivered(), dtype=np.int64)
+        digest = hashlib.sha256(delivered.tobytes()).hexdigest()
+        assert digest == self.GOLDEN_DIGEST
+
     def test_workers_rejected_for_serial_backends(self):
         inst, scheme, rate = _fig1()
         with pytest.raises(ValueError, match="single-threaded"):
