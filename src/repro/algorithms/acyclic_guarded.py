@@ -100,7 +100,7 @@ class AcyclicSolution:
     scheme: BroadcastScheme
     throughput: float
     word: str
-    packing: Optional["PackingState"] = field(default=None, repr=False)
+    packing: "PackingState" = field(repr=False)
 
 
 def optimal_acyclic_throughput(

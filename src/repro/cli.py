@@ -690,6 +690,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         scenario_names,
         summarize_batch,
     )
+    from .runtime.engine import default_planner, make_engine_planner
 
     if args.list_names:
         print("scenarios  :", ", ".join(scenario_names()))
@@ -734,9 +735,10 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     # The tolerance only reaches the incremental planner.  In --batch
     # mode the sweep always includes the incremental policy, so it is
     # never dead; a single run must actually resolve that planner.
-    if args.repair_tolerance is not None and not args.batch and not (
-        args.planner == "incremental"
-        or (args.planner is None and args.controller == "incremental")
+    if (
+        args.repair_tolerance is not None
+        and not args.batch
+        and (args.planner or default_planner(args.controller)) != "incremental"
     ):
         print(
             "error: --repair-tolerance applies to the 'incremental' planner "
@@ -812,6 +814,17 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             "error: --profile applies to a single run, not --batch sweeps",
             file=sys.stderr,
         )
+        return 2
+    # Build every planner the run or sweep resolves, so a planner's own
+    # argument checks (slack must stay below tolerance) fail here as an
+    # error line, not mid-run or inside a pool worker.
+    swept = controller_names() if args.batch else [args.controller]
+    names = {args.planner or default_planner(c) for c in swept}
+    try:
+        for name in sorted(names):
+            make_engine_planner(name, args.repair_tolerance, args.plan_slack)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.batch:

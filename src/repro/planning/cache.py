@@ -8,8 +8,10 @@ frozen/hashable, so solved overlays are memoized by value.  Keys are
 previously seen population (same canonical instance) hits the same
 entry, whichever event sequence produced it.  Arbitrary hashable keys
 are accepted too via :meth:`PlanCache.get` / :meth:`PlanCache.put`, so
-planners can memoize derived artifacts (e.g. repair outcomes keyed by
-``(instance, delta signature)``).
+planners can memoize derived solves (derated ``("slack-build", ...)``
+and run-length ``("collapsed", ...)`` builds).  Incremental repairs are
+not memoized: they resume live packing state, and replaying the same
+repair twice in one process is too rare to pay for a snapshot.
 
 The cache replaced the runtime engine's ``OverlayCache``, whose
 "eviction" cleared the *entire* memo once ``max_entries`` was reached —

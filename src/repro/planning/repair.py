@@ -2,9 +2,10 @@
 
 Theorem 4.1 overlays have bounded out-degrees, so a departure orphans
 only a handful of receivers — yet a full re-optimization pays a
-dichotomic search (~200 Algorithm 2 passes) plus a complete Lemma 4.6
-re-packing for every change.  :class:`IncrementalRepairPlanner` reacts
-*locally* instead, resuming the two-pool FIFO packing state
+dichotomic search (about a dozen Algorithm 2 probes per solve, at most
+``SEARCH_MAX_ITER``) plus a complete Lemma 4.6 re-packing for every
+change.  :class:`IncrementalRepairPlanner` reacts *locally* instead,
+resuming the two-pool FIFO packing state
 (:class:`~repro.algorithms.acyclic_guarded.PackingState`) the full build
 left behind:
 
@@ -31,25 +32,11 @@ reactive baseline by more than the tolerance.
 
 Every repaired scheme is validated (bandwidth, firewall, acyclicity)
 before it is handed to the engine.
-
-Successful repairs of *freshly built* plans are additionally memoized in
-the engine's :class:`~repro.planning.cache.PlanCache` under a
-``(instance, node ids, delta signature)`` key: scenario sweeps replay
-the same failure on the same population constantly (the same trace under
-every transport seed, the same post-departure swarm across controller
-cells), and the repair outcome is a pure function of that key — the
-model a full build leaves behind derives deterministically from the
-memoized :class:`~repro.algorithms.acyclic_guarded.AcyclicSolution`.
-Repairs stacked on already-repaired plans are *not* memoized: their
-packing-pool history is not recoverable from the instance alone, so a
-shared key could alias two different states.  Delta signatures drop the
-event timestamps (a slot-50 departure repairs identically at slot 70).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from ..algorithms.acyclic_guarded import PackingState
 from ..core.bounds import cyclic_optimum
@@ -136,27 +123,6 @@ class _OverlayModel:
         if rate:
             self.edges_removed += 1
         return rate
-
-    def clone(self) -> "_OverlayModel":
-        """Independent working copy (for the delta-keyed repair memo).
-
-        Hand-rolled instead of ``copy.deepcopy``: the dict-of-dict
-        adjacency and the packing pools copy in O(n + edges) with small
-        constants, and nothing immutable is duplicated — a deepcopy here
-        costs as much as the repair it memoizes.
-        """
-        dup = _OverlayModel(
-            rate=self.rate,
-            source_bw=self.source_bw,
-            packing=self.packing.remap(None),
-        )
-        dup.kinds = dict(self.kinds)
-        dup.bandwidths = dict(self.bandwidths)
-        dup.out = {i: dict(row) for i, row in self.out.items()}
-        dup.inc = {i: dict(row) for i, row in self.inc.items()}
-        dup.edges_added = self.edges_added
-        dup.edges_removed = self.edges_removed
-        return dup
 
     def _refeed(self, deficits: Dict[int, float]) -> list[int]:
         """Re-feed orphaned receivers from spare credit, earliest first.
@@ -314,18 +280,6 @@ class _OverlayModel:
         )
 
 
-def _clone_plan(plan: Plan) -> Plan:
-    """Independent :class:`Plan` copy sharing the immutable instance."""
-    return Plan(
-        instance=plan.instance,
-        scheme=plan.scheme.copy(),
-        rate=plan.rate,
-        word=plan.word,
-        node_ids=list(plan.node_ids),
-        built_at=plan.built_at,
-    )
-
-
 class IncrementalRepairPlanner(FullRebuildPlanner):
     """Patch the live overlay on churn; rebuild only when it stops paying.
 
@@ -333,8 +287,12 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
     Lemma 5.1 upper bound of the current membership before a full
     rebuild is forced; since ``T* >= T*_ac``, every surviving repair
     provisions at least ``(1 - tolerance)`` of what a rebuild would.
-    ``validate`` re-checks every repaired scheme (bandwidth, firewall,
-    acyclicity) and treats a violation as a repair failure.
+    Every repaired scheme is re-checked (bandwidth, firewall,
+    acyclicity); a violation is a repair failure.
+
+    The planner keeps only what the next repair reads: the live overlay
+    model and the plan it mirrors.  Repair and fallback counts come
+    from the :class:`~repro.planning.plan.PlanOutcome` each call returns.
     """
 
     name = "incremental"
@@ -343,7 +301,6 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
         self,
         tolerance: float = 0.1,
         *,
-        validate: bool = True,
         slack: float = 0.0,
     ) -> None:
         super().__init__(slack=slack)
@@ -359,24 +316,14 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
                 "every repair"
             )
         self.tolerance = float(tolerance)
-        self.validate = validate
-        self.repairs = 0  #: incremental deltas applied
-        self.fallbacks = 0  #: replanning requests that fell back to build
-        self.swaps = 0  #: class-preserving swap repairs (subset of repairs)
-        self.last_delta: Optional[PlanDelta] = None
-        self.degradation = 0.0  #: ``1 - rate / T*`` after the last repair
         self._model: Optional[_OverlayModel] = None
         self._plan: Optional[Plan] = None
 
     # ------------------------------------------------------------------
     def build(self, engine: "RuntimeEngine") -> Plan:
         plan, sol = self._build_with_solution(engine)
-        if sol.packing is None:  # defensive: solutions always carry one now
-            self._model = None
-        else:
-            self._model = _OverlayModel.from_plan(plan, sol.packing)
+        self._model = _OverlayModel.from_plan(plan, sol.packing)
         self._plan = plan
-        self.degradation = 0.0
         return plan
 
     def replan(
@@ -386,14 +333,9 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
         # load, so the event types can only be resolved lazily here.
         from ..runtime.events import BandwidthDrift, NodeJoin, NodeLeave
 
-        if self._model is None or self._plan is not plan:
+        if self._plan is not plan:
             return self._fallback(engine, "planner has no model for this plan")
         events = tuple(events)
-        key = self._delta_key(plan, events)
-        if key is not None:
-            cached = engine.cache.get(key)
-            if cached is not None:
-                return self._restore_cached(engine, plan, cached)
         model = self._model
         departed: list[int] = []
         joined: list[int] = []
@@ -410,7 +352,6 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
                     model.apply_swap(old, new, kind, bandwidth)
                     departed.append(old)
                     joined.append(new)
-                self.swaps += 1
             else:
                 for ev in events:
                     if isinstance(ev, NodeLeave):
@@ -446,15 +387,12 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
                 f"degradation {degradation:.3f} exceeds tolerance "
                 f"{self.tolerance:g}",
             )
-        if self.validate:
-            try:
-                new_plan.scheme.validate(new_plan.instance, require_acyclic=True)
-            except InvalidSchemeError as exc:
-                return self._fallback(engine, f"repaired scheme invalid: {exc}")
-        self.repairs += 1
-        self.degradation = degradation
+        try:
+            new_plan.scheme.validate(new_plan.instance, require_acyclic=True)
+        except InvalidSchemeError as exc:
+            return self._fallback(engine, f"repaired scheme invalid: {exc}")
         self._plan = new_plan
-        self.last_delta = PlanDelta(
+        delta = PlanDelta(
             base_built_at=plan.built_at,
             departed=tuple(departed),
             joined=tuple(joined),
@@ -466,15 +404,7 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
             optimal_bound=bound,
             degradation=degradation,
         )
-        if key is not None:
-            # Snapshot the whole post-repair state: a later hit must
-            # resume exactly as if the repair had just been computed.
-            # The model keeps mutating on later deltas, so the stored
-            # copy has to be independent (and so does every hit's).
-            engine.cache.put(
-                key, (_clone_plan(new_plan), self.last_delta, model.clone())
-            )
-        return PlanOutcome(new_plan, op="repair", delta=self.last_delta)
+        return PlanOutcome(new_plan, op="repair", delta=delta)
 
     # ------------------------------------------------------------------
     # Class-preserving swap detection
@@ -520,60 +450,7 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
             swaps.append((stack.pop(), ev.node_id, ev.kind, ev.bandwidth))
         return swaps
 
-    # ------------------------------------------------------------------
-    # Delta-keyed memoization
-    # ------------------------------------------------------------------
-    def _delta_key(
-        self, plan: Plan, events: tuple
-    ) -> Optional[Hashable]:
-        """Cache key for a repair of a *fresh build*; None when unkeyable.
-
-        Only full-build plans qualify (``word`` is emptied by repairs):
-        their packing state is a pure function of the instance, so
-        ``(instance, node ids, delta)`` pins the outcome exactly.
-        """
-        from ..runtime.events import BandwidthDrift, NodeJoin, NodeLeave
-
-        if not plan.word:
-            return None
-        signature = []
-        for ev in events:
-            if isinstance(ev, NodeLeave):
-                signature.append(("leave", ev.node_id))
-            elif isinstance(ev, NodeJoin):
-                signature.append(("join", ev.node_id, ev.kind, ev.bandwidth))
-            elif isinstance(ev, BandwidthDrift):
-                signature.append(("drift", ev.node_id, ev.bandwidth))
-            else:
-                return None
-        return (
-            "repair",
-            plan.instance,
-            tuple(plan.node_ids),
-            tuple(signature),
-            self.tolerance,
-            self.validate,
-        )
-
-    def _restore_cached(
-        self, engine: "RuntimeEngine", plan: Plan, cached: tuple
-    ) -> PlanOutcome:
-        """Re-adopt a memoized repair: same plan, delta and *model* as a
-        fresh computation, with only the timestamps re-anchored."""
-        stored_plan, delta, stored_model = cached
-        new_plan = _clone_plan(stored_plan)
-        model = stored_model.clone()
-        new_plan.built_at = engine.now
-        delta = dataclasses.replace(delta, base_built_at=plan.built_at)
-        self.repairs += 1
-        self.degradation = delta.degradation
-        self.last_delta = delta
-        self._model = model
-        self._plan = new_plan
-        return PlanOutcome(new_plan, op="repair", delta=delta)
-
     def _fallback(self, engine: "RuntimeEngine", reason: str) -> PlanOutcome:
-        self.fallbacks += 1
         return PlanOutcome(
             self.build(engine), op="build", fallback=True, reason=reason
         )

@@ -264,8 +264,8 @@ def _run_fleet_job(job: BatchJob, started: float) -> RunSummary:
 
     The sessions run serially inside the job against the worker's
     shared :class:`PlanCache` — so a seed sweep replaying the same
-    fleet failure hits both the Theorem 4.1 memo and the delta-keyed
-    repair memo across jobs, exactly like single-tenant sweeps do.
+    fleet population hits the Theorem 4.1 memo across jobs, exactly
+    like single-tenant sweeps do.
     Deferred imports keep :mod:`repro.runtime` loadable without the
     sessions subsystem being imported eagerly everywhere.
     """

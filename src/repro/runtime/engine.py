@@ -7,9 +7,9 @@ overlay -> packet simulation) into a *control loop* over a
 1. drain all events up to the current slot and apply them;
 2. let the controller policy react: keep the current overlay, or ask the
    injected :class:`~repro.planning.Planner` for a new plan — a full
-   rebuild (:meth:`RuntimeEngine.build_plan`) or an incremental repair
-   of the live overlay (:meth:`RuntimeEngine.replan`), both memoized
-   through the planning-owned :class:`~repro.planning.PlanCache`;
+   rebuild (:meth:`RuntimeEngine.build_plan`, memoized through the
+   planning-owned :class:`~repro.planning.PlanCache`) or an incremental
+   repair of the live overlay (:meth:`RuntimeEngine.replan`);
 3. simulate the epoch — the interval until the next event or controller
    wake-up — through the :mod:`repro.simulation` facade (backend
    selectable per engine via ``sim_backend``), marking departed overlay
@@ -225,6 +225,28 @@ class _EpochSimParams:
     burst_cap: float = 4.0
 
 
+def default_planner(controller: str) -> str:
+    """Registry name ``planner=None`` resolves to for a controller name:
+    the ``incremental`` policy gets the incremental planner, every other
+    policy the full-rebuild one."""
+    return "incremental" if controller == "incremental" else "full"
+
+
+def make_engine_planner(
+    name: str, repair_tolerance: Optional[float], plan_slack: float
+) -> Planner:
+    """Instantiate planner ``name`` from the knobs the engine and the
+    control plane share.  ``repair_tolerance`` only reaches the
+    incremental planner; the planner's own constructor checks the knobs
+    it receives."""
+    kwargs = {}
+    if name == "incremental" and repair_tolerance is not None:
+        kwargs["tolerance"] = repair_tolerance
+    if plan_slack > 0.0:
+        kwargs["slack"] = plan_slack
+    return make_planner(name, **kwargs)
+
+
 class RuntimeEngine:
     """Drives one platform through one event list under one controller."""
 
@@ -346,7 +368,6 @@ class RuntimeEngine:
         self.sim_worker_mode = sim_worker_mode
         self._rng = random.Random(seed)
         self.now = 0
-        self._planner_spec = planner
         self.repair_tolerance = repair_tolerance
         self.plan_slack = float(plan_slack)
         #: Run-loop wall-time breakdown, reset per :meth:`run`.
@@ -357,7 +378,9 @@ class RuntimeEngine:
         if isinstance(planner, Planner):
             self.planner = planner
         elif isinstance(planner, str):
-            self.planner = self._make_planner(planner)
+            self.planner = make_engine_planner(
+                planner, repair_tolerance, plan_slack
+            )
         #: The plan the run loop currently simulates (planner input).
         self.active_plan: Optional[Plan] = None
         #: Outcomes of planner calls not yet consumed by the run loop,
@@ -486,26 +509,9 @@ class RuntimeEngine:
     # ------------------------------------------------------------------
     # Planner seam
     # ------------------------------------------------------------------
-    def _make_planner(self, name: str) -> Planner:
-        kwargs = {}
-        if name == "incremental" and self.repair_tolerance is not None:
-            kwargs["tolerance"] = self.repair_tolerance
-        if self.plan_slack > 0.0:
-            kwargs["slack"] = self.plan_slack
-        return make_planner(name, **kwargs)
-
-    def _resolve_planner(self, controller: "Controller") -> Planner:
-        """Default pairing for ``planner=None``, chosen per controller:
-        the ``incremental`` policy gets the incremental planner (honoring
-        ``repair_tolerance``), every other policy the full-rebuild one.
-        """
-        return self._make_planner(
-            "incremental" if controller.name == "incremental" else "full"
-        )
-
     def _ensure_planner(self) -> Planner:
         if self.planner is None:
-            self.planner = self._make_planner("full")
+            self.planner = make_engine_planner("full", None, self.plan_slack)
         return self.planner
 
     # ------------------------------------------------------------------
@@ -567,7 +573,11 @@ class RuntimeEngine:
         pending_departures: list[int] = []  # departure times awaiting a plan
 
         if self.planner is None:
-            self.planner = self._resolve_planner(controller)
+            self.planner = make_engine_planner(
+                default_planner(controller.name),
+                self.repair_tolerance,
+                self.plan_slack,
+            )
 
         # Wall-time breakdown for --profile: ``plan`` is time inside the
         # planner, ``arbitrate`` the controller's decision logic around

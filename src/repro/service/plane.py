@@ -55,9 +55,9 @@ from ..planning import (
     PlanCache,
     Planner,
     coalesce_events,
-    make_planner,
     planner_names,
 )
+from ..runtime.engine import make_engine_planner
 from ..runtime.events import (
     BandwidthDrift,
     DynamicPlatform,
@@ -98,9 +98,10 @@ _LEDGER_VERSION = 1
 #: is a pure memo (grants, journals and plan operations never depend on
 #: it), and what a plane hits is recent: replaying the serve-tcp request
 #: mix (2000 batches, seeds 301 and 302), every hit landed at most 26
-#: lookups after its insert, and repair-snapshot keys never hit.  64
-#: entries (about 110 lookups of lifetime at that mix's insert rate)
-#: keep every one of those hits; the unbounded-in-practice 4096 default
+#: lookups after its insert.  64 entries (about 110 lookups of lifetime
+#: at that mix's insert rate) keep every one of those hits.  Only
+#: solves are cached: repairs resume live packing state and are never
+#: memoized, so no snapshot competes for a slot.  The 4096 default
 #: of :class:`~repro.planning.PlanCache` held ~1900 plans (~47 MB) for
 #: 73 hits.  Engines and fleets, which revisit populations across
 #: epochs, keep that default.
@@ -290,11 +291,6 @@ class ControlPlane:
         platform._next_id = spec["next_id"]
         return platform
 
-    def _make_planner(self) -> Planner:
-        if self.planning == "incremental":
-            return make_planner("incremental", tolerance=self.repair_tolerance)
-        return make_planner(self.planning)
-
     # ------------------------------------------------------------------
     # Request entry points
     # ------------------------------------------------------------------
@@ -446,7 +442,9 @@ class ControlPlane:
             platform=DynamicPlatform(
                 source_bw=min(spec.source_bw, spec.demand)
             ),
-            planner=self._make_planner(),
+            planner=make_engine_planner(
+                self.planning, self.repair_tolerance, 0.0
+            ),
         )
         return Response(
             op=req.op, name=req.name, status=status, bound=bound, seq=self.seq

@@ -19,7 +19,9 @@ from repro.algorithms.acyclic_guarded import (
     scheme_from_word,
 )
 from repro.cli import main
+from repro.core.exceptions import InvalidSchemeError
 from repro.core.instance import Instance
+from repro.core.scheme import BroadcastScheme
 from repro.planning import (
     PLANNERS,
     FullRebuildPlanner,
@@ -42,6 +44,9 @@ from repro.runtime import (
     make_controller,
     run_batch,
 )
+from repro.service import ControlPlane, MigrateSession, StartSession
+
+from .test_service import _serve_fleet, _serve_mix
 
 
 class TestPlanCache:
@@ -306,6 +311,40 @@ class TestIncrementalRepair:
                 repaired.rate, abs=1e-6
             )
 
+    def test_invalid_repaired_scheme_falls_back(self, monkeypatch):
+        """A repaired scheme that fails validation is never installed:
+        the planner rebuilds, and the engine and the plane each count
+        one fallback."""
+        def reject(self, instance, **kwargs):
+            raise InvalidSchemeError("injected violation")
+
+        monkeypatch.setattr(BroadcastScheme, "validate", reject)
+        inst = Instance(5.0, (9.0, 8.0, 7.0, 6.0), (5.0, 4.0))
+        platform = DynamicPlatform.from_instance(inst)
+        engine = RuntimeEngine(platform, [], 100, seed=0,
+                               planner="incremental")
+        plan = engine.build_plan()
+        engine.active_plan = plan
+        leave = NodeLeave(time=10, node_id=2)
+        platform.apply(leave)
+        engine.now = 10
+        outcome = engine.planner.replan(engine, plan, (leave,))
+        assert outcome.op == "build" and outcome.fallback is True
+        assert outcome.reason.startswith("repaired scheme invalid")
+
+        run = RuntimeEngine(
+            DynamicPlatform.from_instance(inst),
+            [NodeLeave(time=30, node_id=2)], 60, seed=0,
+        ).run(IncrementalController())
+        assert (run.repairs, run.repair_fallbacks) == (0, 1)
+
+        plane = ControlPlane(DynamicPlatform.from_instance(inst))
+        plane.submit(StartSession(name="s", source_bw=2.0,
+                                  members=(1, 2, 3, 4, 5, 6)))
+        plane.submit(MigrateSession(name="s", remove=(2,)))
+        stats = plane.stats()
+        assert (stats.repairs, stats.fallbacks) == (0, 1)
+
     def test_tight_instance_falls_back_to_rebuild(self, fig1):
         """Figure 1 is saturated: no spare credit, repair must fall back."""
         engine = RuntimeEngine(
@@ -454,6 +493,17 @@ class TestPlanningCli:
         assert rc == 2
         assert "incremental" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--batch", "--seeds", "1"]], ids=["single", "batch"]
+    )
+    def test_slack_above_tolerance_fails_cleanly(self, capsys, extra):
+        """The planner's own slack < tolerance check surfaces as an error
+        line before the run (or the sweep's pool) starts."""
+        rc = main(["runtime", "--controller", "incremental",
+                   "--plan-slack", "0.2", "--seed", "1", *extra])
+        assert rc == 2
+        assert "tolerance" in capsys.readouterr().err
+
     def test_list_includes_planners(self, capsys):
         assert main(["runtime", "--list"]) == 0
         out = capsys.readouterr().out
@@ -473,10 +523,10 @@ class TestPlanningCli:
             assert name in text
 
 
-class TestDeltaKeyedRepairMemo:
-    """Repair outcomes of fresh builds are memoized under (instance,
-    node ids, delta) keys, so sweeps replaying the same failure across
-    transport seeds hit the cache instead of re-deriving the repair."""
+class TestSharedPlanCache:
+    """The plan cache holds solves only: a repair resumes the planner's
+    live overlay model and is never memoized, so sharing a cache across
+    runs cannot change what a run computes."""
 
     SPEC = SteadyChurn(size=20, join_rate=0.03, leave_rate=0.03, horizon=240)
 
@@ -492,60 +542,25 @@ class TestDeltaKeyedRepairMemo:
         )
         return engine.run(make_controller("incremental"))
 
-    def test_replayed_failures_hit_the_cache(self):
-        cache = PlanCache()
-        first = self._run(cache, engine_seed=0)
-        hits_after_first, _ = cache.stats()
-        second = self._run(cache, engine_seed=99)
-        hits_after_second, _ = cache.stats()
-        assert first.repairs > 0
-        # The replay re-solves nothing: every repair (and every build)
-        # of the identical planning trace is served from the memo.
-        assert hits_after_second - hits_after_first >= first.repairs
-        assert second.repairs == first.repairs
-        assert second.repair_fallbacks == first.repair_fallbacks
-
-    def test_cached_repairs_replay_bit_identically(self):
+    def test_shared_cache_runs_equal_a_cold_run(self):
         shared = PlanCache()
         self._run(shared, engine_seed=0)
-        warm = self._run(shared, engine_seed=0)  # every repair is a hit
+        warm = self._run(shared, engine_seed=0)  # every solve is a hit
         cold = self._run(PlanCache(), engine_seed=0)
         assert warm.epochs == cold.epochs
         assert warm.repairs == cold.repairs
         assert warm.rebuilds == cold.rebuilds
 
-    def test_chained_repairs_are_not_memoized(self):
-        """Only fresh-build plans qualify: a repaired plan's packing
-        pools depend on its history, which the instance alone cannot
-        pin, so keying it could alias two different states.  Repaired
-        plans are recognizable by their emptied coding word."""
-        fig1 = figure1_instance()
-        planner = IncrementalRepairPlanner()
-        built = type("P", (), {"word": "gogog", "instance": fig1,
-                               "node_ids": [0, 1]})()
-        repaired = type("P", (), {"word": "", "instance": fig1,
-                                  "node_ids": [0, 1]})()
-        events = (NodeLeave(time=1, node_id=1),)
-        assert planner._delta_key(built, events) is not None
-        assert planner._delta_key(repaired, events) is None
-
-    def test_key_includes_tolerance(self):
-        fig1 = figure1_instance()
-        plan_like = type("P", (), {"word": "g", "instance": fig1,
-                                   "node_ids": [0, 1]})()
-        loose = IncrementalRepairPlanner(tolerance=0.4)
-        tight = IncrementalRepairPlanner(tolerance=0.05)
-        events = (NodeLeave(time=1, node_id=1),)
-        assert (
-            loose._delta_key(plan_like, events)
-            != tight._delta_key(plan_like, events)
-        )
-
-    def test_delta_signature_ignores_event_times(self):
-        fig1 = figure1_instance()
-        plan_like = type("P", (), {"word": "g", "instance": fig1,
-                                   "node_ids": [0, 1]})()
-        planner = IncrementalRepairPlanner()
-        early = planner._delta_key(plan_like, (NodeLeave(time=5, node_id=1),))
-        late = planner._delta_key(plan_like, (NodeLeave(time=80, node_id=1),))
-        assert early == late
+    def test_cache_holds_only_solves(self):
+        engine_cache = PlanCache()
+        assert self._run(engine_cache, engine_seed=0).repairs > 0
+        # A 4096-entry cache, so nothing a repair stored can be evicted.
+        plane = ControlPlane(_serve_fleet().platform, cache=PlanCache())
+        for batch in _serve_mix(_serve_fleet(), 301, 300):
+            plane.submit_batch(batch)
+        assert plane.stats().repairs > 0
+        for cache in (engine_cache, plane.cache):
+            assert not [
+                key for key in cache._store
+                if isinstance(key, tuple) and key[0] == "repair"
+            ]
