@@ -33,6 +33,7 @@ Three pieces (matching the paper's proof structure):
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -465,13 +466,16 @@ def acyclic_guarded_scheme(
 
     ``throughput`` defaults to ``T*_ac`` (dichotomic search).  A caller
     supplying ``word`` skips Algorithm 2 (the word is validity-checked
-    first); degree bounds are then only guaranteed for greedy words.
+    first); degree bounds are then only guaranteed for greedy words.  A
+    NaN ``throughput`` raises :class:`InfeasibleThroughputError`.
     """
     if throughput is None:
         target, greedy = optimal_acyclic_throughput(instance)
         chosen = word if word is not None else greedy
     else:
         target = float(throughput)
+        if math.isnan(target):
+            raise InfeasibleThroughputError("rate nan is not feasible")
         if word is not None:
             chosen = word
         else:

@@ -485,10 +485,15 @@ def greedy_test(
 
     Comparisons are exact (no tolerance): the dichotomic search calling
     this oracle relies on monotone exact feasibility, and the returned
-    optimum is always the *feasible* bracket endpoint.
+    optimum is always the *feasible* bracket endpoint.  A NaN rate is
+    infeasible (Algorithm 2's comparisons would all pass it).
     """
     n, m = instance.n, instance.m
     result = GreedyResult(feasible=True, throughput=throughput)
+    if math.isnan(throughput):
+        result.feasible = False
+        result.failure = "rate is NaN"
+        return result
     if throughput <= 0.0:
         # Any order works at rate 0; emit the guarded-first greedy word.
         result.word = GUARDED * m + OPEN * n

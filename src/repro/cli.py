@@ -645,28 +645,41 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         scheme_throughput,
     )
     from .analysis import scheme_stats
+    from .core.exceptions import ReproError
 
-    inst = Instance(args.source, tuple(args.open_bws), tuple(args.guarded_bws))
-    print("Instance:", inst)
-    print("T* (Lemma 5.1):", cyclic_optimum(inst))
-    if args.cyclic:
-        if inst.m != 0:
-            print(
-                "error: --cyclic requires an open-only instance "
-                "(Theorem 5.2)",
-                file=sys.stderr,
-            )
-            return 2
-        scheme = cyclic_open_scheme(inst, args.rate)
-        rate = scheme_throughput(scheme, inst, method="maxflow")
-        print(f"Theorem 5.2 cyclic scheme at rate {rate:.6g}:")
-    else:
-        sol = acyclic_guarded_scheme(inst, args.rate)
-        scheme = sol.scheme
+    if args.rate is not None and not 0.0 <= args.rate < math.inf:
         print(
-            f"Theorem 4.1 acyclic scheme at rate {sol.throughput:.6g} "
-            f"(word {sol.word!r}):"
+            f"error: --rate must be finite and >= 0, got {args.rate}",
+            file=sys.stderr,
         )
+        return 2
+    try:
+        inst = Instance(
+            args.source, tuple(args.open_bws), tuple(args.guarded_bws)
+        )
+        print("Instance:", inst)
+        print("T* (Lemma 5.1):", cyclic_optimum(inst))
+        if args.cyclic:
+            if inst.m != 0:
+                print(
+                    "error: --cyclic requires an open-only instance "
+                    "(Theorem 5.2)",
+                    file=sys.stderr,
+                )
+                return 2
+            scheme = cyclic_open_scheme(inst, args.rate)
+            rate = scheme_throughput(scheme, inst, method="maxflow")
+            print(f"Theorem 5.2 cyclic scheme at rate {rate:.6g}:")
+        else:
+            sol = acyclic_guarded_scheme(inst, args.rate)
+            scheme = sol.scheme
+            print(
+                f"Theorem 4.1 acyclic scheme at rate {sol.throughput:.6g} "
+                f"(word {sol.word!r}):"
+            )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(scheme.format_edges(inst))
     stats = scheme_stats(inst, scheme)
     print(
@@ -690,7 +703,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         scenario_names,
         summarize_batch,
     )
-    from .runtime.engine import default_planner, make_engine_planner
+    from .runtime.engine import make_engine_planner
 
     if args.list_names:
         print("scenarios  :", ", ".join(scenario_names()))
@@ -709,20 +722,6 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
         return 2
-    if args.controller not in controller_names():
-        print(
-            f"error: unknown controller {args.controller!r} "
-            f"(known: {', '.join(controller_names())})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.planner is not None and args.planner not in planner_names():
-        print(
-            f"error: unknown planner {args.planner!r} "
-            f"(known: {', '.join(planner_names())})",
-            file=sys.stderr,
-        )
-        return 2
     if args.repair_tolerance is not None and not (
         0.0 <= args.repair_tolerance < 1.0
     ):
@@ -732,28 +731,14 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # The tolerance only reaches the incremental planner.  In --batch
-    # mode the sweep always includes the incremental policy, so it is
-    # never dead; a single run must actually resolve that planner.
-    if (
-        args.repair_tolerance is not None
-        and not args.batch
-        and (args.planner or default_planner(args.controller)) != "incremental"
-    ):
-        print(
-            "error: --repair-tolerance applies to the 'incremental' planner "
-            "(pass --planner incremental or --controller incremental)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.probes_per_node < 0:
+    if not args.probes_per_node >= 0:
         print(
             f"error: --probes-per-node must be >= 0, "
             f"got {args.probes_per_node}",
             file=sys.stderr,
         )
         return 2
-    if args.noise_sigma < 0:
+    if not args.noise_sigma >= 0:
         print(
             f"error: --noise-sigma must be >= 0, got {args.noise_sigma}",
             file=sys.stderr,
@@ -815,16 +800,41 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Build every planner the run or sweep resolves, so a planner's own
-    # argument checks (slack must stay below tolerance) fail here as an
+    # Build every controller and planner the run or sweep resolves, so
+    # the registries' name checks and the constructors' own argument
+    # checks (a positive period, slack below tolerance) fail here as an
     # error line, not mid-run or inside a pool worker.
     swept = controller_names() if args.batch else [args.controller]
-    names = {args.planner or default_planner(c) for c in swept}
     try:
+        controllers = {
+            c: make_controller(
+                c, **({"period": args.period} if c == "periodic" else {})
+            )
+            for c in swept
+        }
+        names = {args.planner or controllers[c].planner for c in swept}
         for name in sorted(names):
             make_engine_planner(name, args.repair_tolerance, args.plan_slack)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # The tolerance only reaches the incremental planner.  In --batch
+    # mode the sweep always includes the incremental policy, so it is
+    # never dead; a single run must actually resolve that planner.
+    if (
+        args.repair_tolerance is not None
+        and not args.batch
+        and (args.planner or controllers[args.controller].planner)
+        != "incremental"
+    ):
+        print(
+            "error: --repair-tolerance applies to the 'incremental' planner "
+            "(pass --planner incremental or --controller incremental)",
+            file=sys.stderr,
+        )
         return 2
 
     if args.batch:
@@ -857,12 +867,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         print(summarize_batch(run_batch(jobs, max_workers=args.workers)))
         return 0
 
-    kwargs = {"period": args.period} if args.controller == "periodic" else {}
-    try:
-        controller = make_controller(args.controller, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    controller = controllers[args.controller]
     run = spec.build(args.seed, name=args.scenario)
     print(
         f"scenario {args.scenario!r}: {run.platform.num_alive} receivers, "
@@ -994,7 +999,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.admission_floor < 0:
+    if not args.admission_floor >= 0:
         print(
             f"error: --admission-floor must be >= 0, "
             f"got {args.admission_floor}",
@@ -1014,7 +1019,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.probes_per_node < 0:
+    if not args.probes_per_node >= 0:
         print(
             f"error: --probes-per-node must be >= 0, "
             f"got {args.probes_per_node}",
@@ -1047,15 +1052,19 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         f"{args.admission!r} (floor {args.admission_floor:g}), "
         f"controller {args.controller!r}, seed {args.seed}"
     )
-    engine = FleetEngine.from_fleet(
-        fleet,
-        broker=args.broker,
-        admission=args.admission,
-        admission_floor=args.admission_floor,
-        controller=args.controller,
-        estimation=args.estimation,
-        probes_per_node=args.probes_per_node,
-    )
+    try:
+        engine = FleetEngine.from_fleet(
+            fleet,
+            broker=args.broker,
+            admission=args.admission,
+            admission_floor=args.admission_floor,
+            controller=args.controller,
+            estimation=args.estimation,
+            probes_per_node=args.probes_per_node,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = engine.run(mode=args.mode, max_workers=args.workers)
     print(
         format_table(

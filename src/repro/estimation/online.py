@@ -93,11 +93,11 @@ class ProbeScheduler:
         noise_sigma: float = 0.1,
         headroom: float = 4.0,
     ) -> None:
-        if probes_per_node < 0:
+        if not probes_per_node >= 0:
             raise ValueError(
                 f"probes_per_node must be >= 0, got {probes_per_node}"
             )
-        if noise_sigma < 0:
+        if not noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
         if not headroom > 0:
             raise ValueError(f"headroom must be > 0, got {headroom}")

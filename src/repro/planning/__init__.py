@@ -11,8 +11,9 @@ of *when* controllers request them:
   :class:`PlanOutcome` (a planner's answer, with cost accounting);
 * :mod:`~repro.planning.cache` — :class:`PlanCache`, the LRU memo of
   Theorem 4.1 solutions (hit/miss/eviction counters);
-* :mod:`~repro.planning.planner` — the :class:`Planner` protocol and
-  :class:`FullRebuildPlanner` (the historical always-reoptimize path);
+* :mod:`~repro.planning.planner` — the :class:`Planner` protocol,
+  :class:`FullRebuildPlanner` (the historical always-reoptimize path)
+  and :func:`plan_step`, the one timed build-or-replan call;
 * :mod:`~repro.planning.repair` — :class:`IncrementalRepairPlanner`,
   which patches the surviving overlay locally (resumable Lemma 4.6
   packing) and falls back to a full rebuild past a degradation
@@ -34,6 +35,7 @@ from .planner import (
     FullRebuildPlanner,
     Planner,
     make_planner,
+    plan_step,
     planner_names,
 )
 from .collapsed import ClassCollapsedPlanner
@@ -55,5 +57,6 @@ __all__ = [
     "PLANNERS",
     "coalesce_events",
     "make_planner",
+    "plan_step",
     "planner_names",
 ]

@@ -1,7 +1,8 @@
 """The plan-lifecycle seam: *how* a plan is produced, behind a protocol.
 
 Controllers (:mod:`repro.runtime.controller`) decide *when* the overlay
-changes; planners decide *how*.  The engine calls exactly two hooks:
+changes; planners decide *how*.  Callers reach two hooks, through one
+timed :func:`plan_step`:
 
 * :meth:`Planner.build` — full optimization of the current alive swarm
   (the Theorem 4.1 pipeline, memoized through the engine's
@@ -22,7 +23,8 @@ spawn them, mirroring the controller registry.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable
+import time
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from .plan import Plan, PlanOutcome
 
@@ -34,6 +36,7 @@ __all__ = [
     "FullRebuildPlanner",
     "PLANNERS",
     "make_planner",
+    "plan_step",
     "planner_names",
 ]
 
@@ -116,6 +119,21 @@ class FullRebuildPlanner(Planner):
             built_at=engine.now,
         )
         return plan, sol
+
+
+def plan_step(
+    planner: Planner, host, plan: Optional[Plan], events: Iterable[object]
+) -> PlanOutcome:
+    """One timed planner call on ``host`` (an engine or a plane session):
+    a build when ``plan is None``, else a replan of ``plan`` against
+    ``events``; the outcome's ``seconds`` is the call's wall time."""
+    started = time.perf_counter()  # repro: noqa REP002 -- plan-op timing telemetry (compare=False); not replayed
+    if plan is None:
+        outcome = PlanOutcome(planner.build(host), op="build")
+    else:
+        outcome = planner.replan(host, plan, events)
+    outcome.seconds = time.perf_counter() - started  # repro: noqa REP002 -- plan-op timing telemetry (compare=False); not replayed
+    return outcome
 
 
 #: Name -> factory registry (picklable job specs carry the name plus

@@ -1,40 +1,37 @@
 """Controller policies: when does the tracker re-run the optimizer?
 
 The engine is deliberately policy-free; everything about *when* to pay
-for a re-optimization lives here.  Three built-in policies span the
+for a re-optimization lives here.  Four built-in policies span the
 design space the paper's conclusion gestures at:
 
 * :class:`StaticController` — the paper's setting: optimize once, never
   repair.  Under churn this starves every peer downstream of a departure
   (the baseline the other policies are measured against).
-* :class:`PeriodicController` — a tracker on a timer: rebuild every
+* :class:`PeriodicController` — a tracker on a timer: re-plan every
   ``period`` slots whether or not anything changed.  Bounded staleness,
   bounded (amortized) optimization cost, no event feed required.
-* :class:`ReactiveController` — event-triggered repair: rebuild as soon
-  as membership changes (departures always; arrivals optionally), go
-  back to sleep otherwise.
-* :class:`IncrementalController` — event-triggered like the reactive
-  policy, but routed through the engine's *replan* seam: the injected
-  planner (:class:`~repro.planning.IncrementalRepairPlanner` by default)
-  patches the surviving overlay locally and only falls back to a full
-  rebuild past its degradation tolerance.
+* :class:`ReactiveController` — event-triggered: re-plan as soon as
+  membership changes (departures always; arrivals optionally), go back
+  to sleep otherwise — a rebuild under the default full planner.
+* :class:`IncrementalController` — the reactive triggers with drift on,
+  paired with the :class:`~repro.planning.IncrementalRepairPlanner`,
+  which patches the surviving overlay and falls back to a rebuild past
+  its degradation tolerance.
 
-Controllers decide *when* the overlay changes; *how* a plan is produced
-lives in :mod:`repro.planning` behind the engine's planner seam.  Custom
-policies subclass :class:`Controller` (three small hooks) and can be
-registered by name in :data:`CONTROLLERS` so the CLI and the batch
-runner can spawn them from picklable specs.
+Controllers decide *when* the overlay changes — every hook answers at
+most yes/no — and the engine's planner (:mod:`repro.planning`) decides
+*how*; a policy's ``planner`` attribute names the planner
+``RuntimeEngine(planner=None)`` pairs with it.  Custom policies
+subclass :class:`Controller` (three small hooks) and can be registered
+by name in :data:`CONTROLLERS` so the CLI and the batch runner can
+spawn them from picklable specs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from .events import BandwidthDrift, Event, NodeJoin, NodeLeave
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..planning import Plan
-    from .engine import RuntimeEngine
 
 __all__ = [
     "Controller",
@@ -49,32 +46,28 @@ __all__ = [
 
 
 class Controller:
-    """Base policy: build the initial overlay, then never touch it.
+    """Base policy: the engine builds the initial overlay, then nothing.
 
-    Subclasses override :meth:`on_change` (react to applied events) and
-    optionally :meth:`wake_after` (request an epoch boundary even when no
-    event is pending — how the periodic policy gets its timer).
+    Subclasses override :meth:`on_change` (do applied events call for a
+    new plan?) and optionally :meth:`wake_after` (request an epoch
+    boundary even when no event is pending — how the periodic policy
+    gets its timer).
     """
 
     name = "base"
+    #: Registry name of the planner ``RuntimeEngine(planner=None)`` uses.
+    planner = "full"
 
-    def start(self, engine: "RuntimeEngine") -> "Plan":
-        """Initial overlay for the starting population."""
-        return engine.build_plan()
+    def start(self, now: int) -> None:
+        """Reset per-run state; the engine builds the first plan at ``now``."""
 
     def wake_after(self, now: int) -> Optional[int]:
         """Next self-scheduled wake-up slot strictly after ``now``."""
         return None
 
-    def on_change(
-        self, engine: "RuntimeEngine", events: tuple[Event, ...]
-    ) -> Optional["Plan"]:
-        """React to events applied at ``engine.now``.
-
-        Return a new :class:`~repro.runtime.engine.Plan` to install it,
-        or ``None`` to keep the current overlay.
-        """
-        return None
+    def on_change(self, now: int, events: tuple[Event, ...]) -> bool:
+        """Whether the events applied at ``now`` call for a new plan."""
+        return False
 
 
 class StaticController(Controller):
@@ -84,7 +77,7 @@ class StaticController(Controller):
 
 
 class PeriodicController(Controller):
-    """Rebuild on a fixed timer, blind to the event feed."""
+    """Re-plan on a fixed timer, blind to the event feed."""
 
     name = "periodic"
 
@@ -94,29 +87,27 @@ class PeriodicController(Controller):
         self.period = int(period)
         self._last_built = 0
 
-    def start(self, engine: "RuntimeEngine") -> "Plan":
-        self._last_built = engine.now
-        return engine.build_plan()
+    def start(self, now: int) -> None:
+        self._last_built = now
 
     def wake_after(self, now: int) -> Optional[int]:
         return self._last_built + self.period
 
-    def on_change(
-        self, engine: "RuntimeEngine", events: tuple[Event, ...]
-    ) -> Optional["Plan"]:
-        if engine.now - self._last_built < self.period:
-            return None
-        self._last_built = engine.now
-        return engine.build_plan()
+    def on_change(self, now: int, events: tuple[Event, ...]) -> bool:
+        if now - self._last_built < self.period:
+            return False
+        self._last_built = now
+        return True
 
 
 class ReactiveController(Controller):
-    """Rebuild the instant membership changes; sleep otherwise.
+    """Re-plan the instant membership changes; sleep otherwise.
 
     ``on_leave``/``on_join``/``on_drift`` select which event classes
-    trigger a repair (departures by default — the catastrophic case —
-    plus arrivals, so flash crowds get served; drift repair is opt-in
-    because a sine wobble would otherwise rebuild every sample).
+    trigger a re-plan (departures by default — the catastrophic case —
+    plus arrivals, so flash crowds get served; drift is opt-in because a
+    sine wobble would otherwise re-plan every sample).  With the default
+    full planner every re-plan is an event-triggered rebuild.
     """
 
     name = "reactive"
@@ -141,26 +132,19 @@ class ReactiveController(Controller):
             return self.on_drift
         return False
 
-    def on_change(
-        self, engine: "RuntimeEngine", events: tuple[Event, ...]
-    ) -> Optional["Plan"]:
-        if any(self._triggers(ev) for ev in events):
-            return engine.build_plan()
-        return None
+    def on_change(self, now: int, events: tuple[Event, ...]) -> bool:
+        return any(self._triggers(ev) for ev in events)
 
 
 class IncrementalController(ReactiveController):
-    """Event-triggered *repair* through the engine's planner seam.
+    """The reactive triggers, paired with the incremental repair planner.
 
-    Same trigger logic as :class:`ReactiveController`, but instead of
-    demanding a fresh full build the policy hands the applied events to
-    :meth:`~repro.runtime.engine.RuntimeEngine.replan`, letting the
-    injected planner patch the live overlay (or fall back to a rebuild).
     Drift triggers default to *on* here — repairs are cheap, and feeding
     drift to the planner keeps its overlay model's bandwidths in sync.
     """
 
     name = "incremental"
+    planner = "incremental"
 
     def __init__(
         self,
@@ -170,13 +154,6 @@ class IncrementalController(ReactiveController):
         on_drift: bool = True,
     ) -> None:
         super().__init__(on_leave=on_leave, on_join=on_join, on_drift=on_drift)
-
-    def on_change(
-        self, engine: "RuntimeEngine", events: tuple[Event, ...]
-    ) -> Optional["Plan"]:
-        if any(self._triggers(ev) for ev in events):
-            return engine.replan(events)
-        return None
 
 
 #: Name -> factory registry (picklable job specs carry the name plus

@@ -5,11 +5,11 @@ overlay -> packet simulation) into a *control loop* over a
 :class:`~repro.runtime.events.DynamicPlatform`:
 
 1. drain all events up to the current slot and apply them;
-2. let the controller policy react: keep the current overlay, or ask the
-   injected :class:`~repro.planning.Planner` for a new plan — a full
-   rebuild (:meth:`RuntimeEngine.build_plan`, memoized through the
-   planning-owned :class:`~repro.planning.PlanCache`) or an incremental
-   repair of the live overlay (:meth:`RuntimeEngine.replan`);
+2. ask the controller policy whether a new plan is due; if so, hand the
+   injected :class:`~repro.planning.Planner` every event applied since
+   the active plan was installed — it answers with a full rebuild
+   (memoized through the planning-owned :class:`~repro.planning.PlanCache`)
+   or an incremental repair of the live overlay;
 3. simulate the epoch — the interval until the next event or controller
    wake-up — through the :mod:`repro.simulation` facade (backend
    selectable per engine via ``sim_backend``), marking departed overlay
@@ -23,8 +23,10 @@ Plan *construction* lives entirely in :mod:`repro.planning`; the engine
 only decides epoch boundaries, keeps the measurement loop honest, and
 accounts for what each planning decision cost (``plan_op`` /
 ``plan_seconds`` per epoch, ``repairs`` / ``repair_fallbacks`` /
-``plan_seconds`` per run).  ``planner=None`` resolves per controller at
-:meth:`RuntimeEngine.run`: the ``incremental`` controller gets an
+``plan_seconds`` per run).  Every plan, the first included, comes from
+one :func:`~repro.planning.plan_step` call.  ``planner=None`` resolves
+at :meth:`RuntimeEngine.run` to the controller's ``planner`` attribute:
+the ``incremental`` controller gets an
 :class:`~repro.planning.IncrementalRepairPlanner`, everything else the
 historical :class:`~repro.planning.FullRebuildPlanner`.
 
@@ -79,9 +81,9 @@ from ..estimation.online import (
 from ..planning import (
     Plan,
     PlanCache,
-    PlanOutcome,
     Planner,
     make_planner,
+    plan_step,
     planner_names,
 )
 from ..simulation.backends import BACKENDS
@@ -225,13 +227,6 @@ class _EpochSimParams:
     burst_cap: float = 4.0
 
 
-def default_planner(controller: str) -> str:
-    """Registry name ``planner=None`` resolves to for a controller name:
-    the ``incremental`` policy gets the incremental planner, every other
-    policy the full-rebuild one."""
-    return "incremental" if controller == "incremental" else "full"
-
-
 def make_engine_planner(
     name: str, repair_tolerance: Optional[float], plan_slack: float
 ) -> Planner:
@@ -338,7 +333,7 @@ class RuntimeEngine:
                 f"estimation must be None, 'oracle' or 'online', "
                 f"got {estimation!r}"
             )
-        if probes_per_node < 0:
+        if not probes_per_node >= 0:
             raise ValueError(
                 f"probes_per_node must be >= 0, got {probes_per_node}"
             )
@@ -346,7 +341,7 @@ class RuntimeEngine:
             raise ValueError(
                 f"estimator_decay must be in (0, 1], got {estimator_decay}"
             )
-        if noise_sigma < 0:
+        if not noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
         if estimator_warmstart and estimation != "online":
             raise ValueError(
@@ -373,7 +368,7 @@ class RuntimeEngine:
         #: Run-loop wall-time breakdown, reset per :meth:`run`.
         self.phase_seconds: dict[str, float] = {}
         # A concrete spec (instance or name) materializes eagerly; only
-        # ``None`` waits for run() to pair a default with the controller.
+        # ``None`` waits for run() to pair it with the controller's.
         self.planner: Optional[Planner] = None
         if isinstance(planner, Planner):
             self.planner = planner
@@ -383,9 +378,6 @@ class RuntimeEngine:
             )
         #: The plan the run loop currently simulates (planner input).
         self.active_plan: Optional[Plan] = None
-        #: Outcomes of planner calls not yet consumed by the run loop,
-        #: keyed by plan identity (controllers return bare plans).
-        self._pending: dict[int, PlanOutcome] = {}
         #: Warm-state carry-over: one live transport run per active plan.
         self._warm_sim: Optional[PacketSimEngine] = None
         self._warm_plan: Optional[Plan] = None
@@ -509,56 +501,11 @@ class RuntimeEngine:
     # ------------------------------------------------------------------
     # Planner seam
     # ------------------------------------------------------------------
-    def _ensure_planner(self) -> Planner:
-        if self.planner is None:
-            self.planner = make_engine_planner("full", None, self.plan_slack)
-        return self.planner
-
-    # ------------------------------------------------------------------
-    # Controller-facing API
-    # ------------------------------------------------------------------
     def build_plan(self) -> Plan:
         """Fully optimize the current alive swarm into a fresh :class:`Plan`."""
-        planner = self._ensure_planner()
-        started = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-        plan = planner.build(self)
-        outcome = PlanOutcome(
-            plan, op="build", seconds=time.perf_counter() - started  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-        )
-        self._pending[id(plan)] = outcome
-        return plan
-
-    def replan(self, events: Iterable[Event]) -> Plan:
-        """Ask the planner to react to ``events`` on the active plan.
-
-        Returns the resulting plan — an incremental repair when the
-        planner managed one, a full rebuild otherwise (including the
-        degenerate case of no active plan yet).
-
-        Under estimation, join/drift events are rewritten to their
-        *observed* bandwidths first: the repair planner's overlay model
-        must stay consistent with the estimated view it was built from,
-        never peek at oracle values through the event feed.
-        """
-        if self.active_plan is None:
-            return self.build_plan()
-        planner = self._ensure_planner()
-        if self._view is not None:
-            events = tuple(self._view.observe_event(ev) for ev in events)
-        started = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-        outcome = planner.replan(self, self.active_plan, tuple(events))
-        outcome.seconds = time.perf_counter() - started  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-        self._pending[id(outcome.plan)] = outcome
-        return outcome.plan
-
-    def _consume_outcome(self, plan: Plan) -> PlanOutcome:
-        """Accounting record for an installed plan (custom controllers may
-        hand the engine plans it never produced: count those as builds)."""
-        outcome = self._pending.pop(id(plan), None)
-        self._pending.clear()
-        if outcome is None:
-            outcome = PlanOutcome(plan, op="build")
-        return outcome
+        if self.planner is None:
+            self.planner = make_engine_planner("full", None, self.plan_slack)
+        return self.planner.build(self)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -570,89 +517,83 @@ class RuntimeEngine:
         repair_fallbacks = 0
         plan_seconds = 0.0
         repair_latencies: list[int] = []
-        pending_departures: list[int] = []  # departure times awaiting a plan
+        since_plan: list[Event] = []  # applied since the active plan's install
 
         if self.planner is None:
             self.planner = make_engine_planner(
-                default_planner(controller.name),
-                self.repair_tolerance,
-                self.plan_slack,
+                controller.planner, self.repair_tolerance, self.plan_slack
             )
+        self.active_plan = None
 
         # Wall-time breakdown for --profile: ``plan`` is time inside the
-        # planner, ``arbitrate`` the controller's decision logic around
-        # it, ``simulate`` the epoch transport, ``epoch_boundary`` the
-        # event application / estimation / bookkeeping between epochs.
+        # planner step, ``arbitrate`` the controller's decisions,
+        # ``simulate`` the epoch transport, ``epoch_boundary`` the event
+        # application / estimation / bookkeeping between epochs.  Each
+        # lap charges the time since the previous one to one phase.
         phases = {
             "plan": 0.0, "arbitrate": 0.0,
             "simulate": 0.0, "epoch_boundary": 0.0,
         }
         self.phase_seconds = phases
+        clock = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
 
-        tick = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-        initial = self.queue.pop_until(0)
-        initial = [self._apply_event(ev) for ev in initial]
-        self._observe(tuple(initial))
-        phases["epoch_boundary"] += time.perf_counter() - tick  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-        tick = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-        plan = controller.start(self)
-        decided = time.perf_counter() - tick  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-        outcome = self._consume_outcome(plan)
-        self.active_plan = plan
-        rebuilds += 1  # the initial build counts as one optimization
-        plan_seconds += outcome.seconds
-        phases["plan"] += outcome.seconds
-        phases["arbitrate"] += max(0.0, decided - outcome.seconds)
-        plan_op, op_seconds = "build", outcome.seconds
+        def lap(phase: str) -> None:
+            nonlocal clock
+            now = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
+            phases[phase] += now - clock
+            clock = now
 
-        fired: tuple[Event, ...] = tuple(initial)
-        while self.now < self.horizon:
-            end = self._epoch_end(controller)
-            tick = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-            report = self._simulate_epoch(
-                plan, self.now, end, fired,
-                rebuilt=(self.now == plan.built_at),
-                plan_op=plan_op if self.now == plan.built_at else "keep",
-                plan_seconds=op_seconds if self.now == plan.built_at else 0.0,
-            )
-            phases["simulate"] += time.perf_counter() - tick  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-            epochs.append(report)
-            self.now = end
-            if self.now >= self.horizon:
-                break
-            tick = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-            popped = self.queue.pop_until(self.now)
-            applied = []
-            for ev in popped:
-                ev = self._apply_event(ev)
-                applied.append(ev)
-                if isinstance(ev, NodeLeave):
-                    pending_departures.append(ev.time)
-            fired = tuple(applied)
-            self._observe(fired)
-            phases["epoch_boundary"] += time.perf_counter() - tick  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-            tick = time.perf_counter()  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-            new_plan = controller.on_change(self, fired)
-            decided = time.perf_counter() - tick  # repro: noqa REP002 -- plan/phase timing telemetry (compare=False); not replayed
-            if new_plan is not None:
-                plan = new_plan
-                outcome = self._consume_outcome(plan)
-                self.active_plan = plan
+        fired = tuple(self._apply_event(ev) for ev in self.queue.pop_until(0))
+        self._observe(fired)
+        lap("epoch_boundary")
+        controller.start(self.now)
+        lap("arbitrate")
+        wake = True  # the initial build
+        while True:
+            if wake:
+                # Under estimation the planner sees join/drift events at
+                # their *observed* bandwidths, never the oracle values.
+                events = tuple(since_plan)
+                if self._view is not None:
+                    events = tuple(map(self._view.observe_event, events))
+                outcome = plan_step(
+                    self.planner, self, self.active_plan, events
+                )
+                lap("plan")
+                self.active_plan = outcome.plan
                 if outcome.op == "repair":
                     repairs += 1
                 else:
                     rebuilds += 1
                     repair_fallbacks += int(outcome.fallback)
                 plan_seconds += outcome.seconds
-                phases["plan"] += outcome.seconds
-                phases["arbitrate"] += max(0.0, decided - outcome.seconds)
-                plan_op, op_seconds = outcome.op, outcome.seconds
                 repair_latencies.extend(
-                    self.now - t for t in pending_departures
+                    self.now - ev.time
+                    for ev in since_plan
+                    if isinstance(ev, NodeLeave)
                 )
-                pending_departures.clear()
-            else:
-                phases["arbitrate"] += decided
+                since_plan.clear()
+            plan = self.active_plan
+            fresh = self.now == plan.built_at
+            end = self._epoch_end(controller)
+            epochs.append(self._simulate_epoch(
+                plan, self.now, end, fired,
+                rebuilt=fresh,
+                plan_op=outcome.op if fresh else "keep",
+                plan_seconds=outcome.seconds if fresh else 0.0,
+            ))
+            lap("simulate")
+            self.now = end
+            if self.now >= self.horizon:
+                break
+            fired = tuple(
+                self._apply_event(ev) for ev in self.queue.pop_until(self.now)
+            )
+            since_plan.extend(fired)
+            self._observe(fired)
+            lap("epoch_boundary")
+            wake = controller.on_change(self.now, fired)
+            lap("arbitrate")
 
         hits, misses = self.cache.stats()
         return RunResult(

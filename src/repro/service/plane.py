@@ -21,8 +21,9 @@ mutating batch:
    moves -> drift);
 3. **one plan delta per affected session** — the events are coalesced
    (:func:`~repro.planning.coalesce_events`) and handed to the
-   session's planner in a single
-   :meth:`~repro.planning.Planner.replan` call against a lightweight
+   session's planner in a single :func:`~repro.planning.plan_step`
+   call (a build for a session without a plan, a
+   :meth:`~repro.planning.Planner.replan` otherwise) against a lightweight
    :class:`_PlanHost` (the planner seam needs only ``view`` / ``cache``
    / ``now``, so no full engine is spun up).  Untouched sessions keep
    their plan — that is the *incremental* in incremental
@@ -55,6 +56,7 @@ from ..planning import (
     PlanCache,
     Planner,
     coalesce_events,
+    plan_step,
     planner_names,
 )
 from ..runtime.engine import make_engine_planner
@@ -621,16 +623,7 @@ class ControlPlane:
 
     def _replan(self, entry: _SessionEntry, events: Tuple[Event, ...]) -> str:
         host = _PlanHost(entry.platform, self.cache, self.seq)
-        started = time.perf_counter()  # repro: noqa REP002 -- latency/plan-op stats; decisions replay from the ledger, not wall time
-        if entry.plan is None:
-            entry.plan = entry.planner.build(host)
-            entry.builds += 1
-            self.builds += 1
-            self.plan_ops.append(
-                (entry.spec.name, "build", time.perf_counter() - started)  # repro: noqa REP002 -- latency/plan-op stats; decisions replay from the ledger, not wall time
-            )
-            return "build"
-        outcome = entry.planner.replan(host, entry.plan, events)
+        outcome = plan_step(entry.planner, host, entry.plan, events)
         entry.plan = outcome.plan
         if outcome.op == "repair":
             entry.repairs += 1
@@ -639,9 +632,7 @@ class ControlPlane:
             entry.builds += 1
             self.builds += 1
             self.fallbacks += int(outcome.fallback)
-        self.plan_ops.append(
-            (entry.spec.name, outcome.op, time.perf_counter() - started)  # repro: noqa REP002 -- latency/plan-op stats; decisions replay from the ledger, not wall time
-        )
+        self.plan_ops.append((entry.spec.name, outcome.op, outcome.seconds))
         return outcome.op
 
     # ------------------------------------------------------------------

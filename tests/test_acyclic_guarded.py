@@ -186,6 +186,16 @@ class TestPipeline:
         with pytest.raises(InfeasibleThroughputError):
             acyclic_guarded_scheme(fig1, 4.2)
 
+    @pytest.mark.parametrize("word", [None, "gogog"])
+    def test_nan_target_raises(self, fig1, word):
+        with pytest.raises(InfeasibleThroughputError):
+            acyclic_guarded_scheme(fig1, float("nan"), word=word)
+
+    def test_negative_target_is_the_zero_word_case(self, fig1):
+        sol = acyclic_guarded_scheme(fig1, -1.0)
+        assert sol.word == "gggoo"
+        assert sol.scheme.num_edges == 0
+
     def test_custom_word(self, fig1):
         sol = acyclic_guarded_scheme(fig1, 4.0, word="googg")
         assert sol.word == "googg"

@@ -52,6 +52,31 @@ class TestCommands:
         assert rc == 0
         assert "Theorem 5.2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--source", "5", "--open", "3", "2", "--rate", "100"],
+             "not acyclically feasible"),
+            (["--source", "5", "--open", "3", "2", "--cyclic",
+              "--rate", "100"], "exceeds the cyclic optimum"),
+            (["--source", "nan", "--open", "3", "2"], "finite"),
+            (["--source", "5", "--open", "-1"], ">= 0"),
+            (["--source", "5", "--open", "3", "2", "--rate", "nan"],
+             "--rate"),
+            (["--source", "5", "--open", "3", "2", "--rate", "-1"],
+             "--rate"),
+            (["--source", "5", "--open", "3", "2", "--rate", "inf"],
+             "--rate"),
+        ],
+    )
+    def test_solve_bad_input_fails_cleanly(self, capsys, argv, message):
+        rc = main(["solve"] + argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Theorem" not in captured.out
+
     def test_solve_cyclic_rejects_guarded(self, capsys):
         rc = main(["solve", "--source", "5", "--open", "5",
                    "--guarded", "1", "--cyclic"])

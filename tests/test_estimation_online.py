@@ -114,6 +114,10 @@ class TestProbeScheduler:
             ProbeScheduler(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             ProbeScheduler(headroom=0.0)
+        with pytest.raises(ValueError):
+            ProbeScheduler(probes_per_node=float("nan"))
+        with pytest.raises(ValueError):
+            ProbeScheduler(noise_sigma=float("nan"))
 
 
 class TestOnlineEstimator:
@@ -354,6 +358,10 @@ class TestEngineIntegration:
             RuntimeEngine(platform, [], 10, estimator_decay=0.0)
         with pytest.raises(ValueError, match="noise_sigma"):
             RuntimeEngine(platform, [], 10, noise_sigma=-0.5)
+        with pytest.raises(ValueError, match="probes_per_node"):
+            RuntimeEngine(platform, [], 10, probes_per_node=float("nan"))
+        with pytest.raises(ValueError, match="noise_sigma"):
+            RuntimeEngine(platform, [], 10, noise_sigma=float("nan"))
 
 
 class TestMonotoneDegradation:
@@ -505,6 +513,11 @@ class TestCli:
             (["--noise-sigma", "-0.1"], "--noise-sigma"),
             (["--estimator-decay", "0"], "--estimator-decay"),
             (["--estimator-decay", "1.5"], "--estimator-decay"),
+            (["--estimation", "online", "--probes-per-node", "nan"],
+             "--probes-per-node"),
+            (["--estimation", "online", "--noise-sigma", "nan"],
+             "--noise-sigma"),
+            (["--batch", "--seeds", "1", "--period", "0"], "period"),
         ],
     )
     def test_invalid_estimation_flags(self, capsys, argv, message):

@@ -66,6 +66,12 @@ class TestFeasibilityBoundary:
         assert res.feasible
         assert res.word == "gggoo"
 
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_nan_rate_infeasible(self, fig1, trace):
+        res = greedy_test(fig1, float("nan"), trace=trace)
+        assert not res.feasible
+        assert res.failure
+
     def test_greedy_word_helper(self, fig1):
         assert greedy_word(fig1, 4.0) == "gogog"
         assert greedy_word(fig1, 4.2) is None

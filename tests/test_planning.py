@@ -3,10 +3,13 @@
 Covers the LRU :class:`PlanCache` (the old ``OverlayCache`` guard wiped
 the whole memo on overflow), the resumable Lemma 4.6 packing state, the
 planner registry/engine injection, the incremental repair planner
-(validity, rate preservation, fallbacks), and the controller-registry
-round trips through pickled batch jobs.
+(validity, rate preservation, fallbacks), the controller-registry
+round trips through pickled batch jobs, and the policy axis: controllers
+say *when*, the engine's planner says *how*.
 """
 
+import dataclasses
+import hashlib
 import pickle
 
 import pytest
@@ -38,6 +41,9 @@ from repro.runtime import (
     NodeJoin,
     NodeLeave,
     BandwidthDrift,
+    DiurnalDrift,
+    FlashCrowd,
+    LiveStreamTrace,
     ReactiveController,
     RuntimeEngine,
     SteadyChurn,
@@ -564,3 +570,122 @@ class TestSharedPlanCache:
                 key for key in cache._store
                 if isinstance(key, tuple) and key[0] == "repair"
             ]
+
+
+#: Small runs of every scenario family under every controller.
+_AXIS_SPECS = {
+    "steady-churn": SteadyChurn(size=20, horizon=240),
+    "live-stream": LiveStreamTrace(size=16, horizon=240),
+    "flash-crowd": FlashCrowd(size=16, horizon=240, arrivals=10, at=80),
+    "diurnal": DiurnalDrift(size=12, horizon=240),
+}
+_AXIS_RUNS = {
+    "static": ("static", {}),
+    "periodic": ("periodic", {}),
+    "reactive": ("reactive", {}),
+    "incremental": ("incremental", {}),
+    "reactive-full": ("reactive", {"planner": "full"}),
+    "incremental-online": ("incremental", {"estimation": "online"}),
+}
+
+
+def _axis_digest(case, seed=3):
+    """SHA-256 of every ``EpochReport`` field but ``plan_seconds``
+    (floats as ``float.hex``) plus the run's plan-op counters."""
+    scenario, run_name = case.split(":")
+    controller, kwargs = _AXIS_RUNS[run_name]
+    run = _AXIS_SPECS[scenario].build(seed)
+    result = RuntimeEngine(
+        run.platform, run.events, run.horizon, seed=seed, **kwargs
+    ).run(make_controller(controller))
+
+    def enc(value):
+        return value.hex() if isinstance(value, float) else repr(value)
+
+    record = [
+        tuple(
+            enc(getattr(ep, f.name))
+            for f in dataclasses.fields(ep)
+            if f.name != "plan_seconds"
+        )
+        for ep in result.epochs
+    ]
+    record.append((result.rebuilds, result.repairs, result.repair_fallbacks))
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+#: Recorded while controllers still built plans themselves (only the
+#: incremental controller reached the planner's ``replan``).
+GOLDEN_AXIS = {
+    "steady-churn:static": "06bf20910cd8d0f1b919bd8cfc361d2ae058d3b4a4bbbc1d33473a3fc052fcf8",
+    "steady-churn:periodic": "216b1d0c834006d96e81c255694897e2b60b98368b8c8f24154c49014f38a1f9",
+    "steady-churn:reactive": "4e3febc5d62ddbd2c4040c098d7a6b5c26c914c78d5636a6f214bc04de7a21fd",
+    "steady-churn:incremental": "f57e614759697d5545dce7a20b032c802ffd75e1901d1e9eb1b7b55db3db4ded",
+    "steady-churn:reactive-full": "4e3febc5d62ddbd2c4040c098d7a6b5c26c914c78d5636a6f214bc04de7a21fd",
+    "steady-churn:incremental-online": "ffecf45cb86ef10d31e089fe7d9bffc50e5d821b5c791d4eb357b9d21ad40bdd",
+    "live-stream:static": "ed8b65835ab8c512b5fd50a1c2e5afd319afd653b7e3e1774467dec2512ce39a",
+    "live-stream:periodic": "90da0b48da9bdc005f886bb80848bad8aee0a781f69cb1c7d4d7e3685b900e84",
+    "live-stream:reactive": "1ed0fe57f4439c67b12798dff6c1cdecd716486af68cdcca77f2dd0fc65dfd15",
+    "live-stream:incremental": "5b3d509f6cfef9a26f38ff877c18dafbc39fcd45d1a98d3c0b742223b2776cc3",
+    "live-stream:reactive-full": "1ed0fe57f4439c67b12798dff6c1cdecd716486af68cdcca77f2dd0fc65dfd15",
+    "live-stream:incremental-online": "2f6368adfbf2010cdbfc9b5d60a7784b59246bbe040a39148daa03c8c2e78ead",
+    "flash-crowd:static": "edf0ea78b482f4d75ba5582f7a5e4f98a4736cf1af8f7bf3a117b8f3d2ba6b66",
+    "flash-crowd:periodic": "65be764002444be5ba8ed02bb27192bd889210826d789a3aa02d8f39ff663f68",
+    "flash-crowd:reactive": "b0a7f9f891eef26a790277d01a9350c2d32f62120de8d7f783a63cf411a0630f",
+    "flash-crowd:incremental": "59f62cff56820a57422aeb6f7b14329c903914a5003d2c7e19d24991197b775a",
+    "flash-crowd:reactive-full": "b0a7f9f891eef26a790277d01a9350c2d32f62120de8d7f783a63cf411a0630f",
+    "flash-crowd:incremental-online": "b1fb99bd3b68d134a88d65186825189350e8160d53b44eaa768de0eb4692d4fe",
+    "diurnal:static": "439ab17481b33b5c5ca506bd10e96171aedf88197ed1d034e70ffd2a4c8a00d4",
+    "diurnal:periodic": "d9118a638c0f7f0aa719d1302eb8022fa3840b18b10ae00ce825e89fc89c77bd",
+    "diurnal:reactive": "439ab17481b33b5c5ca506bd10e96171aedf88197ed1d034e70ffd2a4c8a00d4",
+    "diurnal:incremental": "ff56bfd4fbff74d033b18c2e26fc39483f897c390c5438b153e2b46723d9ef79",
+    "diurnal:reactive-full": "439ab17481b33b5c5ca506bd10e96171aedf88197ed1d034e70ffd2a4c8a00d4",
+    "diurnal:incremental-online": "e8aae692bbf6e9c426660a8776729e59ae1f02c476e85fa1ca61875fd32c5d9c",
+}
+
+
+class _SpyPlanner(FullRebuildPlanner):
+    """Full rebuilds that record the events each ``replan`` receives."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list = []
+
+    def replan(self, engine, plan, events):
+        self.calls.append(tuple(events))
+        return super().replan(engine, plan, events)
+
+
+class TestPolicyAxis:
+    """Controllers say *when*; the engine's planner says *how*."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_AXIS))
+    def test_runs_match_recorded_digests(self, case):
+        assert _axis_digest(case) == GOLDEN_AXIS[case]
+
+    def test_golden_cases_cover_every_controller(self):
+        assert {c for c, _ in _AXIS_RUNS.values()} == set(CONTROLLERS)
+
+    def test_reactive_controller_repairs_with_incremental_planner(self):
+        reactive = _steady_churn_run(
+            ReactiveController(), planner="incremental"
+        )
+        incremental = _steady_churn_run(IncrementalController())
+        assert reactive.repairs > 0
+        # Drift-free churn: both policies wake on exactly the same events.
+        assert reactive.epochs == incremental.epochs
+        assert (reactive.rebuilds, reactive.repairs, reactive.repair_fallbacks) \
+            == (incremental.rebuilds, incremental.repairs,
+                incremental.repair_fallbacks)
+
+    def test_replan_sees_every_event_since_the_last_plan(self, fig1):
+        drift = BandwidthDrift(time=10, node_id=1, bandwidth=3.0)
+        leave = NodeLeave(time=20, node_id=4)
+        spy = _SpyPlanner()
+        engine = RuntimeEngine(
+            DynamicPlatform.from_instance(fig1), [drift, leave], 40,
+            seed=0, planner=spy,
+        )
+        result = engine.run(ReactiveController(on_drift=False))
+        assert spy.calls == [(drift, leave)]
+        assert [e.plan_op for e in result.epochs] == ["build", "keep", "build"]

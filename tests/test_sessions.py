@@ -610,6 +610,20 @@ class TestSessionsCLI:
         assert main(["sessions", "--admission-floor", "-2"]) == 2
         assert main(["sessions", "--demand", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--estimation", "online", "--probes-per-node", "nan"],
+             "--probes-per-node"),
+            (["--admission-floor", "nan"], "--admission-floor"),
+        ],
+    )
+    def test_nan_numbers_fail_cleanly(self, capsys, argv, message):
+        from repro.cli import main
+
+        assert main(["sessions"] + argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEstimationInTheFleet:
     def test_online_estimation_runs_and_pays_probes(self):
