@@ -94,8 +94,7 @@ class AcyclicSolution:
     ``packing`` is the residual :class:`PackingState` after the Lemma 4.6
     packing — the spare-upload pools incremental repair resumes from.  It
     is shared by every consumer of a memoized solution; mutate a
-    :meth:`PackingState.clone` (or :meth:`~PackingState.remap`), never the
-    original.
+    :meth:`PackingState.remap` copy, never the original.
     """
 
     scheme: BroadcastScheme
@@ -372,19 +371,15 @@ class PackingState:
     # ------------------------------------------------------------------
     # Copies
     # ------------------------------------------------------------------
-    def clone(self) -> "PackingState":
-        """Independent deep copy (memoized states are shared — see
-        :class:`AcyclicSolution`)."""
-        return self.remap(None)
-
-    def remap(self, mapping: Optional[dict[int, int]]) -> "PackingState":
-        """Copy with node ids translated through ``mapping`` (None = id).
+    def remap(self, mapping: dict[int, int]) -> "PackingState":
+        """Independent copy with node ids translated through ``mapping``.
 
         Used to carry a packing computed in canonical instance space into
-        the external-id space of a live plan.
+        the external-id space of a live plan (memoized states are shared
+        — see :class:`AcyclicSolution`).
         """
         out = PackingState(self.tol)
-        key = (lambda n: n) if mapping is None else mapping.__getitem__
+        key = mapping.__getitem__
         out.open_entries = deque([key(n), rem] for n, rem in self.open_entries)
         out.guarded_entries = deque(
             [key(n), rem] for n, rem in self.guarded_entries

@@ -719,6 +719,9 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     if args.tick < 1:
         print(f"error: --tick must be >= 1, got {args.tick}", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     if args.seeds < 1:
         print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
         return 2
@@ -731,16 +734,17 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not args.probes_per_node >= 0:
+    if not 0 <= args.probes_per_node < math.inf:
         print(
-            f"error: --probes-per-node must be >= 0, "
+            f"error: --probes-per-node must be finite and >= 0, "
             f"got {args.probes_per_node}",
             file=sys.stderr,
         )
         return 2
-    if not args.noise_sigma >= 0:
+    if not 0 <= args.noise_sigma < math.inf:
         print(
-            f"error: --noise-sigma must be >= 0, got {args.noise_sigma}",
+            f"error: --noise-sigma must be finite and >= 0, "
+            f"got {args.noise_sigma}",
             file=sys.stderr,
         )
         return 2
@@ -973,6 +977,9 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         print("admissions:", ", ".join(admission_names()))
         return 0
 
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     if args.num_sessions < 1:
         print(
             f"error: --num-sessions must be >= 1, got {args.num_sessions}",
@@ -1019,9 +1026,9 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not args.probes_per_node >= 0:
+    if not 0 <= args.probes_per_node < math.inf:
         print(
-            f"error: --probes-per-node must be >= 0, "
+            f"error: --probes-per-node must be finite and >= 0, "
             f"got {args.probes_per_node}",
             file=sys.stderr,
         )
@@ -1133,6 +1140,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("planning  :", ", ".join(planner_names()))
         return 0
 
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     if args.num_sessions < 1:
         print(
             f"error: --num-sessions must be >= 1, got {args.num_sessions}",

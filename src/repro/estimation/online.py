@@ -16,9 +16,11 @@ it?") becomes a knob instead of an assumption:
   exactly like a real sparse deployment) and reports each pair's
   LastMile bandwidth under multiplicative log-normal noise.  Pair values
   come from per-``(seed, slot, source, target)`` counter-based streams
-  (:func:`~repro.estimation.measurements.pair_noise`), so probing is
-  bit-deterministic across batch shards and process-pool dispatch and
-  never perturbs the engine's simulation RNG.
+  (:func:`~repro.estimation.measurements.pair_noise` defines them; one
+  :func:`~repro.estimation.measurements.pair_noises` call draws a whole
+  round, bit for bit the same), so probing is bit-deterministic across
+  batch shards and process-pool dispatch and never perturbs the engine's
+  simulation RNG.
 * :class:`OnlineEstimator` — accumulates probes (last write wins per
   directed pair), exponentially decays stale ones (a measurement aged
   ``a`` probe rounds carries weight ``decay**a`` and is dropped once
@@ -26,9 +28,10 @@ it?") becomes a knob instead of an assumption:
   reacts to churn deltas (departures purge a peer's measurements, a
   bandwidth drift invalidates the drifter's outgoing probes, joins
   simply start unmeasured), and re-fits lazily: the
-  :func:`~repro.estimation.lastmile.estimate_lastmile` quantile fit runs
-  only when new probes or churn dirtied the model, with unmeasured peers
-  imputed from the population median.
+  :func:`~repro.estimation.lastmile.estimate_lastmile` quantile fit
+  (one array pass per iteration over all nodes) runs only when new
+  probes or churn dirtied the model, with unmeasured peers imputed from
+  the population median.
 * :class:`EstimatedPlatformView` — the planner-facing facade.  It
   mirrors the :class:`~repro.runtime.events.DynamicPlatform` *read* API
   (``alive_ids`` / ``is_alive`` / ``num_alive`` / ``snapshot``) with
@@ -55,7 +58,7 @@ import numpy as np
 
 from ..core.instance import Instance, NodeKind
 from .lastmile import _fit_lastmile, guarded_relative_errors
-from .measurements import Measurement, pair_noise
+from .measurements import Measurement, pair_noises
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.events import DynamicPlatform, Event
@@ -93,14 +96,19 @@ class ProbeScheduler:
         noise_sigma: float = 0.1,
         headroom: float = 4.0,
     ) -> None:
-        if not probes_per_node >= 0:
+        if not 0 <= probes_per_node < math.inf:
             raise ValueError(
-                f"probes_per_node must be >= 0, got {probes_per_node}"
+                f"probes_per_node must be finite and >= 0, "
+                f"got {probes_per_node}"
             )
-        if not noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+        if not 0 <= noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {noise_sigma}"
+            )
         if not headroom > 0:
             raise ValueError(f"headroom must be > 0, got {headroom}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.seed = int(seed)
         self.probes_per_node = float(probes_per_node)
         self.noise_sigma = float(noise_sigma)
@@ -124,20 +132,25 @@ class ProbeScheduler:
             return []
         rng = np.random.default_rng((_SCHEDULE_DOMAIN, self.seed, now))
         flat = rng.choice(n * (n - 1), size=k, replace=False)
-        probes: List[Measurement] = []
+        sources: List[int] = []
+        targets: List[int] = []
         for f in sorted(int(x) for x in flat):
             i, r = divmod(f, n - 1)
-            j = r + (r >= i)
-            src, dst = ids[i], ids[j]
-            truth = min(
-                platform.nodes[src].bandwidth,
-                self.headroom * platform.nodes[dst].bandwidth,
+            sources.append(ids[i])
+            targets.append(ids[r + (r >= i)])
+        noises = pair_noises(
+            self.seed, now, sources, targets, self.noise_sigma
+        )
+        nodes = platform.nodes
+        return [
+            Measurement(
+                src,
+                dst,
+                min(nodes[src].bandwidth, self.headroom * nodes[dst].bandwidth)
+                * noise,
             )
-            noise = pair_noise(
-                self.seed, src, dst, self.noise_sigma, round_=now
-            )
-            probes.append(Measurement(src, dst, truth * noise))
-        return probes
+            for src, dst, noise in zip(sources, targets, noises)
+        ]
 
 
 class OnlineEstimator:
@@ -331,8 +344,14 @@ class OnlineEstimator:
         if not rows or len(alive) < 2:
             fit = {ext: self.prior_for(ext) for ext in alive}
         else:
+            sources, targets, values = zip(*rows)
             est = _fit_lastmile(
-                rows, len(alive), quantile=self.quantile, unmeasured="median"
+                sources,
+                targets,
+                values,
+                len(alive),
+                quantile=self.quantile,
+                unmeasured="median",
             )
             fit = {}
             for ext, k in index.items():

@@ -333,16 +333,19 @@ class RuntimeEngine:
                 f"estimation must be None, 'oracle' or 'online', "
                 f"got {estimation!r}"
             )
-        if not probes_per_node >= 0:
+        if not 0 <= probes_per_node < math.inf:
             raise ValueError(
-                f"probes_per_node must be >= 0, got {probes_per_node}"
+                f"probes_per_node must be finite and >= 0, "
+                f"got {probes_per_node}"
             )
         if not 0.0 < estimator_decay <= 1.0:
             raise ValueError(
                 f"estimator_decay must be in (0, 1], got {estimator_decay}"
             )
-        if not noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+        if not 0 <= noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {noise_sigma}"
+            )
         if estimator_warmstart and estimation != "online":
             raise ValueError(
                 "estimator_warmstart requires estimation='online'"

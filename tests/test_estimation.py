@@ -1,5 +1,6 @@
 """Tests for the Bedibe-style LastMile estimation substrate."""
 
+import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -14,7 +15,67 @@ from repro import (
     estimate_lastmile,
     sample_measurements,
 )
-from repro.estimation.lastmile import _quantile
+from repro.estimation.lastmile import _fit_lastmile
+
+
+def _quantile(values, q):
+    """``float(np.quantile(values, q))`` for a short list, bit for bit:
+    the scalar oracle the array fit's per-node quantiles must match.
+
+    numpy's default ``linear`` method: the virtual index ``(n - 1) * q``
+    clamped to the last element, then numpy's two-sided interpolation
+    (``a + d*g`` below the midpoint, ``b - d*(1-g)`` from it).
+    """
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    index = last * q
+    if index >= last:
+        return ordered[-1]
+    lo = int(index)
+    gamma = index - lo
+    a, b = ordered[lo], ordered[lo + 1]
+    diff = b - a
+    if gamma < 0.5:
+        return a + diff * gamma
+    return b - diff * (1 - gamma)
+
+
+def _reference_fit(rows, num_nodes, *, iterations=6, quantile=0.85):
+    """The per-node scalar alternating fit that ``_fit_lastmile`` runs
+    on arrays: ``(b_out, b_in, out_quantile, touched)`` in index space,
+    unmeasured nodes left at 0.0 (imputation is not part of the
+    oracle)."""
+    out_obs = [[] for _ in range(num_nodes)]
+    in_obs = [[] for _ in range(num_nodes)]
+    for source, target, value in rows:
+        out_obs[source].append((target, value))
+        in_obs[target].append((source, value))
+    out_values = [[v for _, v in obs] for obs in out_obs]
+    in_values = [[v for _, v in obs] for obs in in_obs]
+    out_quantile = {
+        i: _quantile(values, quantile)
+        for i, values in enumerate(out_values)
+        if values
+    }
+    b_out = [out_quantile.get(i, 0.0) for i in range(num_nodes)]
+    b_in = [
+        _quantile(values, quantile) if values else math.inf
+        for values in in_values
+    ]
+    for _ in range(iterations):
+        new_out = list(b_out)
+        for i, obs in enumerate(out_obs):
+            if obs:
+                unexplained = [v for j, v in obs if b_in[j] >= b_out[i]]
+                new_out[i] = _quantile(unexplained or out_values[i], quantile)
+        new_in = list(b_in)
+        for j, obs in enumerate(in_obs):
+            if obs:
+                unexplained = [v for i, v in obs if new_out[i] >= b_in[j]]
+                new_in[j] = _quantile(unexplained or in_values[j], quantile)
+        b_out, b_in = new_out, new_in
+    touched = {i for i in range(num_nodes) if out_obs[i] or in_obs[i]}
+    return b_out, b_in, out_quantile, touched
 
 
 @pytest.fixture
@@ -64,6 +125,17 @@ class TestMeasurements:
         t = LastMileGroundTruth((1.0,), (1.0,))
         with pytest.raises(ValueError):
             sample_measurements(np.random.default_rng(0), t)
+
+    @pytest.mark.parametrize("rng", [np.random.default_rng(0), 0])
+    @pytest.mark.parametrize("pairs", [-1, float("nan")])
+    def test_negative_pairs_per_node_rejected(self, truth, rng, pairs):
+        with pytest.raises(ValueError, match="pairs_per_node"):
+            sample_measurements(rng, truth, pairs_per_node=pairs)
+
+    def test_negative_seed_rejected(self, truth):
+        """Same error as a ProbeScheduler's: the seed names itself."""
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sample_measurements(-1, truth, pairs_per_node=2)
 
 
 class TestEstimation:
@@ -176,6 +248,54 @@ class TestQuantileKernel:
         ms = [Measurement(0, 1, 1.0), Measurement(1, 0, 1.0)]
         with pytest.raises(ValueError, match="quantile"):
             estimate_lastmile(ms, 2, quantile=1.5)
+
+
+#: A fit sample: few nodes so that samples are long, ``_sample_values``
+#: for zeros, ties and extreme magnitudes, and no self-pairs (as in
+#: every caller).
+@st.composite
+def _fit_rows(draw):
+    num = draw(st.integers(min_value=2, max_value=9))
+    pair = st.tuples(
+        st.integers(min_value=0, max_value=num - 1),
+        st.integers(min_value=0, max_value=num - 1),
+    ).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, min_size=1, max_size=40, unique=True))
+    values = draw(
+        st.lists(_sample_values, min_size=len(pairs), max_size=len(pairs))
+    )
+    return num, [(s, t, v) for (s, t), v in zip(pairs, values)]
+
+
+class TestArrayFit:
+    """``_fit_lastmile`` runs the alternating fit on arrays; it must
+    return the per-node scalar fit's numbers to the last bit."""
+
+    @settings(max_examples=300)
+    @given(
+        _fit_rows(),
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 0.85, 1.0]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+    )
+    @example((3, [(0, 1, 2.0), (1, 0, 2.0), (1, 2, 0.0)]), 0.0)
+    @example((3, [(0, 1, 2.0), (1, 2, 1.0), (2, 0, 3.0)]), 1.0)
+    def test_matches_scalar_fit(self, sample, q):
+        num, rows = sample
+        b_out, b_in, out_quantile, touched = _reference_fit(
+            rows, num, quantile=q
+        )
+        sources, targets, values = zip(*rows)
+        fit = _fit_lastmile(
+            sources, targets, values, num, quantile=q, unmeasured=0.0
+        )
+        assert [v.hex() for v in fit.b_out] == [v.hex() for v in b_out]
+        assert [v.hex() for v in fit.b_in] == [v.hex() for v in b_in]
+        assert {k: v.hex() for k, v in fit.out_quantile.items()} == {
+            k: v.hex() for k, v in out_quantile.items()
+        }
+        assert fit.touched == touched
 
 
 class TestZeroTruthErrors:

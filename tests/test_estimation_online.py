@@ -12,6 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import (
     EstimatedPlatformView,
@@ -22,7 +23,11 @@ from repro import (
     random_instance,
     sample_measurements,
 )
-from repro.estimation.measurements import Measurement
+from repro.estimation.measurements import (
+    Measurement,
+    pair_noise,
+    pair_noises,
+)
 from repro.runtime import (
     BandwidthDrift,
     DynamicPlatform,
@@ -118,6 +123,72 @@ class TestProbeScheduler:
             ProbeScheduler(probes_per_node=float("nan"))
         with pytest.raises(ValueError):
             ProbeScheduler(noise_sigma=float("nan"))
+        with pytest.raises(ValueError, match="probes_per_node"):
+            ProbeScheduler(probes_per_node=float("inf"))
+        with pytest.raises(ValueError, match="noise_sigma"):
+            ProbeScheduler(noise_sigma=float("inf"))
+        with pytest.raises(ValueError, match="seed"):
+            ProbeScheduler(seed=-1)
+
+
+#: Stream-key parts on both sides of the 32-bit word boundary, so
+#: that the batched hash sees every entropy length a key can have.
+_key_ints = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 10**12]),
+    st.integers(min_value=0, max_value=2**70),
+)
+
+
+class TestPairNoises:
+    """``pair_noises`` is ``pair_noise`` batched: the same floats, bit
+    for bit, for every key the scalar stream definition accepts."""
+
+    @settings(max_examples=max(300, settings.default.max_examples))
+    @given(
+        seed=_key_ints,
+        round_=st.one_of(st.sampled_from([0, 2**40]), _key_ints),
+        pairs=st.lists(st.tuples(_key_ints, _key_ints), max_size=6),
+        sigma=st.one_of(
+            st.sampled_from([0.0, 1e-300, 0.1, 3.0]),
+            st.floats(min_value=0.0, max_value=10.0),
+        ),
+    )
+    @example(seed=2**32, round_=0, pairs=[(0, 2**32), (2**32, 0)], sigma=0.1)
+    @example(seed=1, round_=2, pairs=[(3, 5), (4, 6)], sigma=0.0)
+    def test_pair_noises_match_scalar(self, seed, round_, pairs, sigma):
+        sources = [s for s, _ in pairs]
+        targets = [t for _, t in pairs]
+        batched = pair_noises(seed, round_, sources, targets, sigma)
+        scalar = [pair_noise(seed, s, t, sigma, round_) for s, t in pairs]
+        assert [v.hex() for v in batched] == [v.hex() for v in scalar]
+
+    def test_pair_noises_5000_draws(self):
+        """Enough draws that the ziggurat's rare slow path runs: 73 of
+        these 5000 streams consume more than one 64-bit word."""
+        sources = [i % 97 for i in range(5000)]
+        targets = [i // 97 + 2**32 * (i % 3 == 0) for i in range(5000)]
+        batched = pair_noises(303, 17, sources, targets, 3.0)
+        scalar = [
+            pair_noise(303, s, t, 3.0, 17) for s, t in zip(sources, targets)
+        ]
+        assert [v.hex() for v in batched] == [v.hex() for v in scalar]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "seed, round_, source, target",
+        [(-1, 0, 1, 2), (0, -1, 1, 2), (0, 0, -1, 2), (0, 0, 1, -2)],
+    )
+    def test_pair_noises_negative_keys_rejected(
+        self, seed, round_, source, target, sigma
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            pair_noises(seed, round_, [source], [target], sigma)
+        with pytest.raises(ValueError, match="non-negative"):
+            pair_noise(seed, source, target, sigma, round_)
+
+    def test_pair_noises_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            pair_noises(0, 0, [1, 2], [3], 0.1)
 
 
 class TestOnlineEstimator:
@@ -362,6 +433,12 @@ class TestEngineIntegration:
             RuntimeEngine(platform, [], 10, probes_per_node=float("nan"))
         with pytest.raises(ValueError, match="noise_sigma"):
             RuntimeEngine(platform, [], 10, noise_sigma=float("nan"))
+        with pytest.raises(ValueError, match="probes_per_node"):
+            RuntimeEngine(platform, [], 10, probes_per_node=float("inf"))
+        with pytest.raises(ValueError, match="noise_sigma"):
+            RuntimeEngine(platform, [], 10, noise_sigma=float("inf"))
+        with pytest.raises(ValueError, match="seed"):
+            RuntimeEngine(platform, [], 10, seed=-1, estimation="online")
 
 
 class TestMonotoneDegradation:
@@ -517,6 +594,11 @@ class TestCli:
              "--probes-per-node"),
             (["--estimation", "online", "--noise-sigma", "nan"],
              "--noise-sigma"),
+            (["--estimation", "online", "--probes-per-node", "inf"],
+             "--probes-per-node"),
+            (["--estimation", "online", "--noise-sigma", "inf"],
+             "--noise-sigma"),
+            (["--estimation", "online", "--seed", "-1"], "--seed"),
             (["--batch", "--seeds", "1", "--period", "0"], "period"),
         ],
     )
@@ -526,6 +608,25 @@ class TestCli:
         rc = main(["runtime", "--scenario", "rack-failure"] + argv)
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["runtime", "--seed", "-1"], "--seed"),
+            (["sessions", "--seed", "-1"], "--seed"),
+            (["serve", "--seed", "-1", "--transport", "inproc"], "--seed"),
+            (["sessions", "--estimation", "online", "--probes-per-node",
+              "inf"], "--probes-per-node"),
+        ],
+    )
+    def test_invalid_seed_and_budget_in_every_command(
+        self, capsys, argv, message
+    ):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_unknown_estimation_choice_rejected(self):
         from repro.cli import build_parser

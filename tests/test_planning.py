@@ -148,18 +148,14 @@ class TestPackingState:
         unmet = state.feed_guarded(2, 2.0, lambda *a: None)
         assert unmet == pytest.approx(1.5)
 
-    def test_clone_is_independent(self, fig1):
-        _, state = pack_word(fig1, "gogog", 4.0)
-        dup = state.clone()
-        dup.credit(0, 10.0)
-        assert state.spare(0) != dup.spare(0)
-
     def test_remap_translates_ids(self, fig1):
         _, state = pack_word(fig1, "gogog", 4.0)
         mapping = {k: k + 100 for k in range(fig1.num_nodes)}
         remapped = state.remap(mapping)
         assert set(remapped.position) == {k + 100 for k in range(6)}
         assert remapped.spare(100) == pytest.approx(state.spare(0))
+        remapped.credit(100, 10.0)  # the copy is independent
+        assert state.spare(0) != remapped.spare(100)
 
     def test_zero_rate_packing_keeps_full_bandwidth_spare(self, fig1):
         scheme, state = pack_word(fig1, "gogog", 0.0)
