@@ -132,7 +132,6 @@ def churn_experiment(
             slots,
             seed=seed,
             cache=replay_cache,
-            warmup_fraction=0.3,
             sim_backend=sim_backend,
             warm_epochs=warm_epochs,
         )

@@ -30,16 +30,145 @@ its reservation ledger.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterator, NoReturn, Optional, Sequence
 
 __all__ = ["main", "build_parser"]
 
 
+class _InputError(SystemExit):
+    """Bad command-line input: :func:`main` prints ``error: <message>``
+    as one stderr line and returns 2.  A ``SystemExit`` with code 2, so a
+    bare ``build_parser().parse_args`` still exits on bad input."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(2)
+        self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    """Routes argparse's own errors (unknown choice, missing or
+    unparsable value) into :class:`_InputError`."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _InputError(message)
+
+
+@contextlib.contextmanager
+def _rejecting() -> Iterator[None]:
+    """Report a registry miss (``KeyError``) or a constructor's argument
+    check (``ValueError``) as an input error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise _InputError(exc.args[0]) from None
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
+
+
+#: Range rules of the typed numeric flags, keyed by the text of their
+#: error line (``error: --seed must be >= 0, got -1``).  NaN fails all.
+_RULES: dict[str, Callable[[float], bool]] = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "> 0": lambda v: v > 0,
+    "finite and >= 0": lambda v: 0 <= v < math.inf,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+
+def _typed(
+    parser: argparse.ArgumentParser,
+    flag: str,
+    parse: Callable[[str], float],
+    rule: str,
+    **kwargs,
+) -> None:
+    """Declare numeric ``flag``, checked against ``_RULES[rule]`` as it
+    is parsed."""
+    check = _RULES[rule]
+
+    def convert(text: str) -> float:
+        value = parse(text)
+        if not check(value):
+            raise _InputError(f"{flag} must be {rule}, got {value}")
+        return value
+
+    convert.__name__ = parse.__name__  # argparse's "invalid int value"
+    parser.add_argument(flag, type=convert, **kwargs)
+
+
+def _add_common(
+    parser: argparse.ArgumentParser, *, seed_help: str, list_help: str
+) -> None:
+    """Flags of every platform command: ``runtime``, ``sessions``,
+    ``serve``."""
+    parser.add_argument("--scenario", default="steady-churn",
+                        help="registered scenario name for the "
+                             "(shared) swarm (see --list)")
+    _typed(parser, "--seed", int, ">= 0", default=0, help=seed_help)
+    parser.add_argument("--list", action="store_true", dest="list_names",
+                        help=list_help)
+
+
+def _add_fleet(parser: argparse.ArgumentParser, *, admission: str) -> None:
+    """Multi-tenant flags of ``sessions`` and ``serve``."""
+    from .sessions import admission_names, broker_names
+
+    _typed(parser, "--num-sessions", int, ">= 1", default=3, metavar="K",
+           help="number of concurrent broadcast sessions sharing the "
+                "platform")
+    _typed(parser, "--overlap", float, "in [0, 1]", default=0.25,
+           metavar="P",
+           help="probability that a node subscribes to each extra "
+                "session beyond its primary one (0 = disjoint members, "
+                "no contention)")
+    parser.add_argument("--broker", default="waterfill",
+                        help="capacity-broker policy partitioning each "
+                             "shared node's upload, one of: "
+                             f"{', '.join(broker_names())}")
+    parser.add_argument("--admission", default=admission,
+                        help="what happens to sessions whose allocated "
+                             "Lemma 5.1 bound falls below the floor, "
+                             f"one of: {', '.join(admission_names())}")
+    _typed(parser, "--admission-floor", float, ">= 0", default=0.0,
+           metavar="RATE",
+           help="minimum allocated rate bound a session needs to be "
+                "admitted cleanly")
+
+
+def _add_engine(parser: argparse.ArgumentParser, *, workers_help: str) -> None:
+    """Engine-run flags of ``runtime`` and ``sessions``."""
+    from .runtime.controller import controller_names
+
+    parser.add_argument("--controller", default="reactive",
+                        help="re-optimization policy (of every session), "
+                             f"one of: {', '.join(controller_names())}")
+    parser.add_argument("--estimation", default="oracle",
+                        choices=["oracle", "online"],
+                        help="bandwidth feed for the controllers: "
+                             "'oracle' reads the platform's true "
+                             "bandwidths, 'online' plans on LastMile "
+                             "estimates re-fit every epoch from seeded "
+                             "sparse pairwise probes (repro.estimation."
+                             "online), with planned rates clipped to "
+                             "true capacities in the transport")
+    _typed(parser, "--probes-per-node", float, "finite and >= 0",
+           default=4.0, metavar="K",
+           help="probe budget per node per epoch boundary: round(K * "
+                "num_alive) directed pairs, amortized across the "
+                "sessions of a fleet (--estimation online only)")
+    _typed(parser, "--workers", int, ">= 1", default=None,
+           help=workers_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description=(
             "Reproduction of 'Broadcasting on Large Scale Heterogeneous "
@@ -75,65 +204,59 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--guarded", type=float, nargs="*", default=[],
                        dest="guarded_bws", metavar="BW",
                        help="guarded-node bandwidths")
-    solve.add_argument("--rate", type=float, default=None,
-                       help="target rate (default: the acyclic optimum)")
+    _typed(solve, "--rate", float, "finite and >= 0", default=None,
+           help="target rate (default: the acyclic optimum)")
     solve.add_argument("--cyclic", action="store_true",
                        help="build the Theorem 5.2 cyclic scheme "
                             "(open-only instances)")
 
     # Dynamic choice lists: --help always reflects the live registries
-    # (a plugin registering a controller/planner shows up immediately,
-    # and nothing here can drift from CONTROLLERS / PLANNERS).
+    # (a plugin registering a controller/planner/broker shows up
+    # immediately, and nothing here can drift from the code).
     from .planning import planner_names
-    from .runtime.controller import controller_names
     from .simulation.core import available_backends
 
     runtime = sub.add_parser(
         "runtime",
         help="event-driven dynamic-platform run (repro.runtime)",
     )
-    runtime.add_argument("--scenario", default="steady-churn",
-                         help="registered scenario name (see --list)")
-    runtime.add_argument("--controller", default="reactive",
-                         help="re-optimization policy, one of: "
-                              f"{', '.join(controller_names())}")
+    _add_common(runtime, seed_help="seed for swarm sampling, events, "
+                                   "transport",
+                list_help="list registered scenarios, controllers and "
+                          "planners")
+    _add_engine(runtime, workers_help="worker processes for --batch; in "
+                                      "single-run mode, tree-simulation "
+                                      "workers for --sim-backend sharded")
     runtime.add_argument("--planner", default=None,
                          help="plan-lifecycle implementation, one of: "
                               f"{', '.join(planner_names())} "
                               "(default: 'incremental' for the "
                               "incremental controller, 'full' otherwise)")
-    runtime.add_argument("--repair-tolerance", type=float, default=None,
-                         metavar="FRAC",
-                         help="incremental planner only: maximum fraction "
-                              "below the current optimum a repaired plan "
-                              "may provision before a full rebuild is "
-                              "forced (default 0.1)")
-    runtime.add_argument("--seed", type=int, default=0,
-                         help="seed for swarm sampling, events, transport")
+    _typed(runtime, "--repair-tolerance", float, "in [0, 1)", default=None,
+           metavar="FRAC",
+           help="incremental planner only: maximum fraction below the "
+                "current optimum a repaired plan may provision before a "
+                "full rebuild is forced (default 0.1)")
     runtime.add_argument("--period", type=int, default=120,
                          help="rebuild period of the periodic controller")
-    runtime.add_argument("--tick", type=int, default=1,
-                         help="minimum epoch length in slots "
-                              "(batches event storms)")
+    _typed(runtime, "--tick", int, ">= 1", default=1,
+           help="minimum epoch length in slots (batches event storms)")
     runtime.add_argument("--batch", action="store_true",
                          help="sweep the scenario across every controller "
                               "in parallel instead of one run")
-    runtime.add_argument("--seeds", type=int, default=3,
-                         help="number of seeds per cell in --batch mode "
-                              "(starting at --seed)")
-    runtime.add_argument("--workers", type=int, default=None,
-                         help="worker processes for --batch; in single-run "
-                              "mode, tree-simulation workers for "
-                              "--sim-backend sharded")
+    _typed(runtime, "--seeds", int, ">= 1", default=3,
+           help="number of seeds per cell in --batch mode (starting at "
+                "--seed)")
     runtime.add_argument("--sim-backend", default="reference",
                          choices=list(available_backends()),
                          help="per-epoch transport implementation: "
                               "'reference' (historical per-edge loop, any "
                               "scheme), 'bitset' (packed, RNG-free), "
-                              "'sharded' (arborescence-"
-                              "decomposed, acyclic schemes only), or "
-                              "'auto' (sharded when the overlay "
-                              "decomposes, reference otherwise)")
+                              "'sharded' (arborescence-decomposed, "
+                              "acyclic schemes only, never under "
+                              "--estimation online), or 'auto' (sharded "
+                              "when the overlay decomposes, reference "
+                              "otherwise)")
     runtime.add_argument("--sim-worker-mode", default=None,
                          choices=["thread", "process"],
                          help="sharded-backend worker strategy for "
@@ -141,13 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "default) or 'process' (fork workers over "
                               "multiprocessing.shared_memory; results "
                               "are bit-identical either way)")
-    runtime.add_argument("--plan-slack", type=float, default=0.0,
-                         metavar="EPS",
-                         help="build plans at (1 - EPS) * T*_ac instead "
-                              "of the exact optimum, keeping an EPS "
-                              "fraction of upload credit spare so churn "
-                              "repairs on saturated swarms succeed "
-                              "instead of falling back to full rebuilds")
+    _typed(runtime, "--plan-slack", float, "in [0, 1)", default=0.0,
+           metavar="EPS",
+           help="build plans at (1 - EPS) * T*_ac instead of the exact "
+                "optimum, keeping an EPS fraction of upload credit spare "
+                "so churn repairs on saturated swarms succeed instead of "
+                "falling back to full rebuilds")
     runtime.add_argument("--profile", action="store_true",
                          help="after the run, print the per-phase "
                               "wall-clock breakdown (plan / arbitrate / "
@@ -158,99 +280,38 @@ def build_parser() -> argparse.ArgumentParser:
                               "transport cold each epoch (short epochs "
                               "then measure real transients, not "
                               "ramp-ups)")
-    runtime.add_argument("--estimation", default="oracle",
-                         choices=["oracle", "online"],
-                         help="bandwidth feed for the controllers: "
-                              "'oracle' reads the platform's true "
-                              "bandwidths, 'online' plans on LastMile "
-                              "estimates re-fit every epoch from seeded "
-                              "sparse pairwise probes (repro.estimation."
-                              "online), with planned rates clipped to "
-                              "true capacities in the transport")
-    runtime.add_argument("--probes-per-node", type=float, default=4.0,
-                         metavar="K",
-                         help="probe budget per epoch boundary: "
-                              "round(K * num_alive) directed pairs "
-                              "(--estimation online only)")
-    runtime.add_argument("--noise-sigma", type=float, default=0.1,
-                         metavar="SIGMA",
-                         help="log-normal measurement noise scale of each "
-                              "probe (--estimation online only)")
-    runtime.add_argument("--estimator-decay", type=float, default=0.8,
-                         metavar="D",
-                         help="per-round exponential decay of stale "
-                              "probes; a measurement is dropped once "
-                              "D**age falls below 0.05 "
-                              "(--estimation online only)")
+    _typed(runtime, "--noise-sigma", float, "finite and >= 0", default=0.1,
+           metavar="SIGMA",
+           help="log-normal measurement noise scale of each probe "
+                "(--estimation online only)")
+    _typed(runtime, "--estimator-decay", float, "in (0, 1]", default=0.8,
+           metavar="D",
+           help="per-round exponential decay of stale probes; a "
+                "measurement is dropped once D**age falls below 0.05 "
+                "(--estimation online only)")
     runtime.add_argument("--estimator-warmstart", action="store_true",
                          help="seed the online estimator's priors from "
                               "the plan cache's nearest bandwidth "
                               "profile instead of cold imputation "
                               "(--estimation online only)")
-    runtime.add_argument("--list", action="store_true", dest="list_names",
-                         help="list registered scenarios and controllers")
-
-    # Like the runtime command, every choice list below is read from the
-    # live registries (BROKERS / ADMISSIONS / CONTROLLERS) at parser
-    # build time — a plugin registering a broker shows up in --help and
-    # --list immediately, and nothing here can drift from the code.
-    from .sessions import admission_names, broker_names
 
     sessions = sub.add_parser(
         "sessions",
         help="multi-tenant concurrent broadcast fleet (repro.sessions)",
     )
-    sessions.add_argument("--scenario", default="steady-churn",
-                          help="registered scenario name for the shared "
-                               "swarm (see --list)")
-    sessions.add_argument("--num-sessions", type=int, default=3,
-                          metavar="K",
-                          help="number of concurrent broadcast sessions "
-                               "sharing the platform")
-    sessions.add_argument("--overlap", type=float, default=0.25,
-                          metavar="P",
-                          help="probability that a node subscribes to each "
-                               "extra session beyond its primary one "
-                               "(0 = disjoint members, no contention)")
-    sessions.add_argument("--broker", default="waterfill",
-                          help="capacity-broker policy partitioning each "
-                               "shared node's upload, one of: "
-                               f"{', '.join(broker_names())}")
-    sessions.add_argument("--admission", default="degrade",
-                          help="what happens to sessions whose allocated "
-                               "Lemma 5.1 bound falls below the floor, "
-                               f"one of: {', '.join(admission_names())}")
-    sessions.add_argument("--admission-floor", type=float, default=0.0,
-                          metavar="RATE",
-                          help="minimum allocated rate bound a session "
-                               "needs to be admitted cleanly")
-    sessions.add_argument("--demand", type=float, default=None,
-                          metavar="RATE",
-                          help="per-session demand rate (default: "
-                               "best effort)")
-    sessions.add_argument("--controller", default="reactive",
-                          help="re-optimization policy of every session, "
-                               f"one of: {', '.join(controller_names())}")
-    sessions.add_argument("--seed", type=int, default=0,
-                          help="fleet seed (swarm, membership, transport)")
+    _add_common(sessions, seed_help="fleet seed (swarm, membership, "
+                                    "transport)",
+                list_help="list registered scenarios, controllers, "
+                          "brokers and admission policies")
+    _add_fleet(sessions, admission="degrade")
+    _add_engine(sessions, workers_help="pool size for --mode "
+                                       "thread/process")
+    _typed(sessions, "--demand", float, "> 0", default=None, metavar="RATE",
+           help="per-session demand rate (default: best effort)")
     sessions.add_argument("--mode", default="serial",
                           choices=["serial", "thread", "process"],
                           help="how the per-session engine runs are "
                                "dispatched (results are identical)")
-    sessions.add_argument("--workers", type=int, default=None,
-                          help="pool size for --mode thread/process")
-    sessions.add_argument("--estimation", default="oracle",
-                          choices=["oracle", "online"],
-                          help="bandwidth feed of every session's "
-                               "controller (the probe budget is "
-                               "amortized fleet-wide)")
-    sessions.add_argument("--probes-per-node", type=float, default=4.0,
-                          metavar="N",
-                          help="fleet-level probe budget per node per "
-                               "epoch (--estimation online only)")
-    sessions.add_argument("--list", action="store_true", dest="list_names",
-                          help="list registered scenarios, controllers, "
-                               "brokers and admission policies")
 
     from .service import trace_names
 
@@ -258,41 +319,23 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-running broadcast control plane (repro.service)",
     )
-    serve.add_argument("--scenario", default="steady-churn",
-                       help="registered scenario name for the shared "
-                            "swarm (see --list)")
+    _add_common(serve, seed_help="fleet + trace seed",
+                list_help="list registered scenarios, traces, brokers, "
+                          "admission policies and planning modes")
+    _add_fleet(serve, admission="reject")
     serve.add_argument("--trace", default="mixed",
                        help="registered request trace to drive through "
                             "the plane, one of: "
                             f"{', '.join(trace_names())}")
-    serve.add_argument("--num-sessions", type=int, default=3,
-                       metavar="K",
-                       help="number of concurrent broadcast channels")
-    serve.add_argument("--overlap", type=float, default=0.25,
-                       metavar="P",
-                       help="probability that a node subscribes to each "
-                            "extra session beyond its primary one")
-    serve.add_argument("--broker", default="waterfill",
-                       help="capacity-broker policy, one of: "
-                            f"{', '.join(broker_names())}")
-    serve.add_argument("--admission", default="reject",
-                       help="policy for sessions below the floor, one "
-                            f"of: {', '.join(admission_names())}")
-    serve.add_argument("--admission-floor", type=float, default=0.0,
-                       metavar="RATE",
-                       help="minimum allocated rate bound a session "
-                            "needs to be admitted cleanly")
     serve.add_argument("--planning", default="incremental",
                        help="plan lifecycle per session, one of: "
                             f"{', '.join(planner_names())} "
                             "('full' is the cold-solve control arm)")
-    serve.add_argument("--repair-tolerance", type=float, default=0.1,
-                       metavar="FRAC",
-                       help="incremental planning only: maximum fraction "
-                            "below optimum a repaired plan may provision "
-                            "before a rebuild is forced")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="fleet + trace seed")
+    _typed(serve, "--repair-tolerance", float, "in [0, 1)", default=0.1,
+           metavar="FRAC",
+           help="incremental planning only: maximum fraction below "
+                "optimum a repaired plan may provision before a rebuild "
+                "is forced")
     serve.add_argument("--ledger", default=None, metavar="PATH",
                        help="journal every batch to this reservation "
                             "ledger (JSONL) and verify a bit-identical "
@@ -302,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drive the trace over a real asyncio socket "
                             "server on loopback, or through the "
                             "in-process codec round-trip")
-    serve.add_argument("--list", action="store_true", dest="list_names",
-                       help="list registered scenarios, traces, brokers, "
-                            "admission policies and planning modes")
 
     # The rule list below is read from the live RULES registry at parser
     # build time, matching the CONTROLLERS/PLANNERS/BROKERS convention:
@@ -370,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_table1() -> int:
+def _cmd_table1(_args: argparse.Namespace) -> int:
     from .experiments.table1 import render_table1
 
     print(render_table1())
     return 0
 
 
-def _cmd_figure7() -> int:
+def _cmd_figure7(_args: argparse.Namespace) -> int:
     from .experiments.figure7 import Figure7Config, run_figure7
     from .experiments.report import render_figure7
 
@@ -385,7 +425,7 @@ def _cmd_figure7() -> int:
     return 0
 
 
-def _cmd_figure19() -> int:
+def _cmd_figure19(_args: argparse.Namespace) -> int:
     from .experiments.figure19 import Figure19Config, run_figure19
     from .experiments.report import render_figure19
 
@@ -393,7 +433,7 @@ def _cmd_figure19() -> int:
     return 0
 
 
-def _cmd_worstcase() -> int:
+def _cmd_worstcase(_args: argparse.Namespace) -> int:
     from .experiments.report import (
         render_figure1,
         render_figure6,
@@ -421,7 +461,7 @@ def _cmd_worstcase() -> int:
     return 0
 
 
-def _cmd_ablations() -> int:
+def _cmd_ablations(_args: argparse.Namespace) -> int:
     from .analysis import (
         churn_experiment,
         depth_ablation,
@@ -567,9 +607,7 @@ def _cmd_ablations() -> int:
           "cold solve):")
 
     def _opt(value: float) -> str:
-        import math as _math
-
-        return "-" if _math.isnan(value) else f"{value:.3f}"
+        return "-" if math.isnan(value) else f"{value:.3f}"
 
     print(
         format_table(
@@ -614,7 +652,7 @@ def _cmd_ablations() -> int:
     return 0
 
 
-def _cmd_demo() -> int:
+def _cmd_demo(_args: argparse.Namespace) -> int:
     from . import (
         acyclic_guarded_scheme,
         cyclic_optimum,
@@ -641,18 +679,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         acyclic_guarded_scheme,
         cyclic_open_scheme,
         cyclic_optimum,
-        optimal_acyclic_throughput,
         scheme_throughput,
     )
     from .analysis import scheme_stats
     from .core.exceptions import ReproError
 
-    if args.rate is not None and not 0.0 <= args.rate < math.inf:
-        print(
-            f"error: --rate must be finite and >= 0, got {args.rate}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         inst = Instance(
             args.source, tuple(args.open_bws), tuple(args.guarded_bws)
@@ -661,12 +692,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("T* (Lemma 5.1):", cyclic_optimum(inst))
         if args.cyclic:
             if inst.m != 0:
-                print(
-                    "error: --cyclic requires an open-only instance "
-                    "(Theorem 5.2)",
-                    file=sys.stderr,
+                raise _InputError(
+                    "--cyclic requires an open-only instance (Theorem 5.2)"
                 )
-                return 2
             scheme = cyclic_open_scheme(inst, args.rate)
             rate = scheme_throughput(scheme, inst, method="maxflow")
             print(f"Theorem 5.2 cyclic scheme at rate {rate:.6g}:")
@@ -678,8 +706,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"(word {sol.word!r}):"
             )
     except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(str(exc)) from None
     print(scheme.format_edges(inst))
     stats = scheme_stats(inst, scheme)
     print(
@@ -711,105 +738,51 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         print("planners   :", ", ".join(planner_names()))
         return 0
 
-    try:
-        spec = get_scenario(args.scenario)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.tick < 1:
-        print(f"error: --tick must be >= 1, got {args.tick}", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
-    if args.seeds < 1:
-        print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
-        return 2
-    if args.repair_tolerance is not None and not (
-        0.0 <= args.repair_tolerance < 1.0
-    ):
-        print(
-            f"error: --repair-tolerance must be in [0, 1), "
-            f"got {args.repair_tolerance}",
-            file=sys.stderr,
-        )
-        return 2
-    if not 0 <= args.probes_per_node < math.inf:
-        print(
-            f"error: --probes-per-node must be finite and >= 0, "
-            f"got {args.probes_per_node}",
-            file=sys.stderr,
-        )
-        return 2
-    if not 0 <= args.noise_sigma < math.inf:
-        print(
-            f"error: --noise-sigma must be finite and >= 0, "
-            f"got {args.noise_sigma}",
-            file=sys.stderr,
-        )
-        return 2
-    if not 0.0 < args.estimator_decay <= 1.0:
-        print(
-            f"error: --estimator-decay must be in (0, 1], "
-            f"got {args.estimator_decay}",
-            file=sys.stderr,
-        )
-        return 2
     if args.estimator_warmstart and args.estimation != "online":
-        print(
-            "error: --estimator-warmstart requires --estimation online",
-            file=sys.stderr,
+        raise _InputError(
+            "--estimator-warmstart requires --estimation online"
         )
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print(
-            f"error: --workers must be >= 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        not args.batch
-        and args.workers is not None
-        and args.workers > 1
-        and args.sim_backend not in ("sharded", "auto")
-    ):
-        print(
-            f"error: --workers {args.workers} requires --sim-backend "
+    parallel = args.sim_backend in ("sharded", "auto")
+    if not args.batch and (args.workers or 1) > 1 and not parallel:
+        raise _InputError(
+            f"--workers {args.workers} requires --sim-backend "
             f"sharded (or auto): the {args.sim_backend!r} backend is "
             f"single-threaded (worker parallelism comes from simulating "
-            f"the overlay's arborescences independently)",
-            file=sys.stderr,
+            f"the overlay's arborescences independently)"
         )
-        return 2
-    if not 0.0 <= args.plan_slack < 1.0:
-        print(
-            f"error: --plan-slack must be in [0, 1), got {args.plan_slack}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.sim_worker_mode is not None and args.sim_backend not in (
-        "sharded",
-        "auto",
-    ):
-        print(
-            f"error: --sim-worker-mode applies to the sharded backend "
+    if args.sim_worker_mode is not None and not parallel:
+        raise _InputError(
+            f"--sim-worker-mode applies to the sharded backend "
             f"(pass --sim-backend sharded or auto, not "
-            f"{args.sim_backend!r})",
-            file=sys.stderr,
+            f"{args.sim_backend!r})"
         )
-        return 2
     if args.profile and args.batch:
-        print(
-            "error: --profile applies to a single run, not --batch sweeps",
-            file=sys.stderr,
+        raise _InputError(
+            "--profile applies to a single run, not --batch sweeps"
         )
-        return 2
+    # Every engine knob, declared once: a single run and every job of a
+    # sweep get the same dict (--workers sizes the sweep's pool instead).
+    knobs = dict(
+        min_epoch_slots=args.tick,
+        sim_backend=args.sim_backend,
+        warm_epochs=args.warm_epochs,
+        sim_worker_mode=args.sim_worker_mode,
+        planner=args.planner,
+        repair_tolerance=args.repair_tolerance,
+        plan_slack=args.plan_slack,
+        estimation=args.estimation,
+        probes_per_node=args.probes_per_node,
+        estimator_decay=args.estimator_decay,
+        noise_sigma=args.noise_sigma,
+        estimator_warmstart=args.estimator_warmstart,
+    )
     # Build every controller and planner the run or sweep resolves, so
     # the registries' name checks and the constructors' own argument
     # checks (a positive period, slack below tolerance) fail here as an
     # error line, not mid-run or inside a pool worker.
     swept = controller_names() if args.batch else [args.controller]
-    try:
+    with _rejecting():
+        spec = get_scenario(args.scenario)
         controllers = {
             c: make_controller(
                 c, **({"period": args.period} if c == "periodic" else {})
@@ -819,12 +792,6 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         names = {args.planner or controllers[c].planner for c in swept}
         for name in sorted(names):
             make_engine_planner(name, args.repair_tolerance, args.plan_slack)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     # The tolerance only reaches the incremental planner.  In --batch
     # mode the sweep always includes the incremental policy, so it is
     # never dead; a single run must actually resolve that planner.
@@ -834,12 +801,22 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         and (args.planner or controllers[args.controller].planner)
         != "incremental"
     ):
-        print(
-            "error: --repair-tolerance applies to the 'incremental' planner "
-            "(pass --planner incremental or --controller incremental)",
-            file=sys.stderr,
+        raise _InputError(
+            "--repair-tolerance applies to the 'incremental' planner "
+            "(pass --planner incremental or --controller incremental)"
         )
-        return 2
+    # The engine's own checks run on the first seed's platform before
+    # anything is simulated or a sweep is dispatched.
+    run = spec.build(args.seed, name=args.scenario)
+    with _rejecting():
+        engine = RuntimeEngine(
+            run.platform,
+            run.events,
+            run.horizon,
+            seed=args.seed,
+            sim_workers=None if args.batch else args.workers,
+            **knobs,
+        )
 
     if args.batch:
         seeds = range(args.seed, args.seed + args.seeds)
@@ -848,20 +825,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             controller_names(),
             seeds=seeds,
             controller_kwargs={"periodic": {"period": args.period}},
-            engine_kwargs={
-                "min_epoch_slots": args.tick,
-                "estimator_warmstart": args.estimator_warmstart,
-                "plan_slack": args.plan_slack,
-                "sim_worker_mode": args.sim_worker_mode,
-            },
-            sim_backend=args.sim_backend,
-            warm_epochs=args.warm_epochs,
-            planner=args.planner,
-            repair_tolerance=args.repair_tolerance,
-            estimation=args.estimation,
-            probes_per_node=args.probes_per_node,
-            estimator_decay=args.estimator_decay,
-            noise_sigma=args.noise_sigma,
+            engine_kwargs=knobs,
         )
         print(
             f"sweep: {args.scenario} x {{{', '.join(controller_names())}}} "
@@ -871,37 +835,12 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         print(summarize_batch(run_batch(jobs, max_workers=args.workers)))
         return 0
 
-    controller = controllers[args.controller]
-    run = spec.build(args.seed, name=args.scenario)
     print(
         f"scenario {args.scenario!r}: {run.platform.num_alive} receivers, "
         f"{len(run.events)} events over {run.horizon} slots; "
         f"controller {args.controller!r}, seed {args.seed}"
     )
-    try:
-        engine = RuntimeEngine(
-            run.platform,
-            run.events,
-            run.horizon,
-            seed=args.seed,
-            min_epoch_slots=args.tick,
-            sim_backend=args.sim_backend,
-            warm_epochs=args.warm_epochs,
-            sim_workers=args.workers,
-            sim_worker_mode=args.sim_worker_mode,
-            planner=args.planner,
-            repair_tolerance=args.repair_tolerance,
-            plan_slack=args.plan_slack,
-            estimation=args.estimation,
-            probes_per_node=args.probes_per_node,
-            estimator_decay=args.estimator_decay,
-            noise_sigma=args.noise_sigma,
-            estimator_warmstart=args.estimator_warmstart,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = engine.run(controller)
+    result = engine.run(controllers[args.controller])
     print(
         format_table(
             ["epoch", "slots", "alive", "planned", "T*_ac", "min goodput",
@@ -959,10 +898,8 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
 
 
 def _cmd_sessions(args: argparse.Namespace) -> int:
-    import math
-
     from .experiments.common import format_table
-    from .runtime import controller_names, scenario_names
+    from .runtime import controller_names, make_controller, scenario_names
     from .sessions import (
         FleetEngine,
         admission_names,
@@ -977,70 +914,8 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         print("admissions:", ", ".join(admission_names()))
         return 0
 
-    if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
-    if args.num_sessions < 1:
-        print(
-            f"error: --num-sessions must be >= 1, got {args.num_sessions}",
-            file=sys.stderr,
-        )
-        return 2
-    if not 0.0 <= args.overlap <= 1.0:
-        print(
-            f"error: --overlap must be in [0, 1], got {args.overlap}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.broker not in broker_names():
-        print(
-            f"error: unknown broker {args.broker!r} "
-            f"(known: {', '.join(broker_names())})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.admission not in admission_names():
-        print(
-            f"error: unknown admission policy {args.admission!r} "
-            f"(known: {', '.join(admission_names())})",
-            file=sys.stderr,
-        )
-        return 2
-    if not args.admission_floor >= 0:
-        print(
-            f"error: --admission-floor must be >= 0, "
-            f"got {args.admission_floor}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.demand is not None and not args.demand > 0:
-        print(
-            f"error: --demand must be > 0, got {args.demand}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.controller not in controller_names():
-        print(
-            f"error: unknown controller {args.controller!r} "
-            f"(known: {', '.join(controller_names())})",
-            file=sys.stderr,
-        )
-        return 2
-    if not 0 <= args.probes_per_node < math.inf:
-        print(
-            f"error: --probes-per-node must be finite and >= 0, "
-            f"got {args.probes_per_node}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print(
-            f"error: --workers must be >= 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
-
-    try:
+    with _rejecting():
+        make_controller(args.controller)  # the fleet resolves it mid-run
         fleet = make_fleet(
             args.scenario,
             args.num_sessions,
@@ -1048,18 +923,6 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
             overlap=args.overlap,
             demand=math.inf if args.demand is None else args.demand,
         )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    print(
-        f"fleet {args.scenario!r}: {fleet.platform.num_alive} shared "
-        f"receivers, {args.num_sessions} sessions (overlap "
-        f"{args.overlap:g}), {len(fleet.events)} events over "
-        f"{fleet.horizon} slots; broker {args.broker!r}, admission "
-        f"{args.admission!r} (floor {args.admission_floor:g}), "
-        f"controller {args.controller!r}, seed {args.seed}"
-    )
-    try:
         engine = FleetEngine.from_fleet(
             fleet,
             broker=args.broker,
@@ -1069,9 +932,14 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
             estimation=args.estimation,
             probes_per_node=args.probes_per_node,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(
+        f"fleet {args.scenario!r}: {fleet.platform.num_alive} shared "
+        f"receivers, {args.num_sessions} sessions (overlap "
+        f"{args.overlap:g}), {len(fleet.events)} events over "
+        f"{fleet.horizon} slots; broker {args.broker!r}, admission "
+        f"{args.admission!r} (floor {args.admission_floor:g}), "
+        f"controller {args.controller!r}, seed {args.seed}"
+    )
     result = engine.run(mode=args.mode, max_workers=args.workers)
     print(
         format_table(
@@ -1140,39 +1008,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("planning  :", ", ".join(planner_names()))
         return 0
 
-    if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
-    if args.num_sessions < 1:
-        print(
-            f"error: --num-sessions must be >= 1, got {args.num_sessions}",
-            file=sys.stderr,
-        )
-        return 2
-    if not 0.0 <= args.overlap <= 1.0:
-        print(
-            f"error: --overlap must be in [0, 1], got {args.overlap}",
-            file=sys.stderr,
-        )
-        return 2
-    if not 0.0 <= args.repair_tolerance < 1.0:
-        print(
-            f"error: --repair-tolerance must be in [0, 1), "
-            f"got {args.repair_tolerance}",
-            file=sys.stderr,
-        )
-        return 2
-
-    try:
+    with _rejecting():
         fleet = make_fleet(
             args.scenario, args.num_sessions, args.seed, overlap=args.overlap
         )
         batches = make_trace(args.trace, fleet, seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    ledger = ReservationLedger(args.ledger)
-    try:
+        ledger = ReservationLedger(args.ledger)
         plane = ControlPlane(
             fleet.platform,
             broker=args.broker,
@@ -1183,9 +1024,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             ledger=ledger,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(
         f"plane: {fleet.platform.num_alive} shared receivers, trace "
         f"{args.trace!r} ({len(batches)} batches), broker {args.broker!r}, "
@@ -1273,9 +1111,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     try:
         report = run_lint(args.paths or DEFAULT_PATHS, select=args.select)
     except (FileNotFoundError, KeyError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        raise _InputError(exc.args[0] if exc.args else str(exc)) from None
     if args.lint_format == "json":
         print(render_json(report))
     else:
@@ -1285,7 +1121,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_request(args: argparse.Namespace) -> int:
     import json
-    import math
 
     from .service import (
         ControlPlane,
@@ -1297,15 +1132,10 @@ def _cmd_request(args: argparse.Namespace) -> int:
     )
 
     if args.op != "query" and not args.name:
-        print(f"error: --op {args.op} requires --name", file=sys.stderr)
-        return 2
+        raise _InputError(f"--op {args.op} requires --name")
     if args.op == "start_session":
         if args.source_bw is None:
-            print(
-                "error: --op start_session requires --source-bw",
-                file=sys.stderr,
-            )
-            return 2
+            raise _InputError("--op start_session requires --source-bw")
         req = StartSession(
             name=args.name,
             source_bw=args.source_bw,
@@ -1318,12 +1148,10 @@ def _cmd_request(args: argparse.Namespace) -> int:
     elif args.op == "migrate_session":
         if not (args.add_members or args.remove_members
                 or args.source_bw is not None):
-            print(
-                "error: --op migrate_session requires --add, --remove "
-                "and/or --source-bw",
-                file=sys.stderr,
+            raise _InputError(
+                "--op migrate_session requires --add, --remove "
+                "and/or --source-bw"
             )
-            return 2
         req = MigrateSession(
             name=args.name,
             add=tuple(args.add_members),
@@ -1332,11 +1160,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
         )
     elif args.op == "priority_change":
         if args.priority is None:
-            print(
-                "error: --op priority_change requires --priority",
-                file=sys.stderr,
-            )
-            return 2
+            raise _InputError("--op priority_change requires --priority")
         req = PriorityChange(name=args.name, priority=args.priority)
     else:
         req = Query(name=args.name)
@@ -1344,8 +1168,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
     try:
         plane = ControlPlane.recover(args.ledger, verify=not args.no_verify)
     except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(str(exc)) from None
     resp = plane.submit(req)
     if plane.ledger is not None:
         plane.ledger.close()
@@ -1361,31 +1184,31 @@ def _cmd_request(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "table1": _cmd_table1,
+    "figure7": _cmd_figure7,
+    "figure19": _cmd_figure19,
+    "worstcase": _cmd_worstcase,
+    "ablations": _cmd_ablations,
+    "demo": _cmd_demo,
+    "solve": _cmd_solve,
+    "runtime": _cmd_runtime,
+    "sessions": _cmd_sessions,
+    "serve": _cmd_serve,
+    "lint": _cmd_lint,
+    "request": _cmd_request,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "full", False):
-        os.environ["REPRO_FULL"] = "1"
-    dispatch = {
-        "table1": _cmd_table1,
-        "figure7": _cmd_figure7,
-        "figure19": _cmd_figure19,
-        "worstcase": _cmd_worstcase,
-        "ablations": _cmd_ablations,
-        "demo": _cmd_demo,
-    }
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "runtime":
-        return _cmd_runtime(args)
-    if args.command == "sessions":
-        return _cmd_sessions(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "request":
-        return _cmd_request(args)
-    return dispatch[args.command]()
+    try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "full", False):
+            os.environ["REPRO_FULL"] = "1"
+        return _COMMANDS[args.command](args)
+    except _InputError as exc:
+        print(f"error: {exc.message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

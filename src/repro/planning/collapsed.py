@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from ..core.bounds import cyclic_optimum
 from ..core.runs import ClassRuns, LazyExpandedScheme
-from .plan import Plan, PlanDelta, PlanOutcome
+from .plan import Plan, PlanDelta, PlanOutcome, class_preserving_swaps
 from .planner import FullRebuildPlanner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,7 +120,7 @@ class ClassCollapsedPlanner(FullRebuildPlanner):
         events = tuple(events)
         if self._plan is not plan:
             return PlanOutcome(self.build(engine), op="build")
-        swaps = self._pair_swaps(events)
+        swaps = class_preserving_swaps(events, self._class_of.get)
         if swaps is None:
             return PlanOutcome(self.build(engine), op="build")
         node_ids = list(plan.node_ids)
@@ -163,38 +163,3 @@ class ClassCollapsedPlanner(FullRebuildPlanner):
         self.swaps += 1
         self._plan = new_plan
         return PlanOutcome(new_plan, op="repair", delta=delta)
-
-    # ------------------------------------------------------------------
-    def _pair_swaps(
-        self, events: tuple
-    ) -> Optional[list[tuple[int, int, str, float]]]:
-        """Match departures to same-class joins; ``None`` when the batch
-        is not a pure class-preserving swap."""
-        from ..runtime.events import NodeJoin, NodeLeave
-
-        leaves: list[int] = []
-        joins: list = []
-        for ev in events:
-            if isinstance(ev, NodeLeave):
-                leaves.append(ev.node_id)
-            elif isinstance(ev, NodeJoin):
-                if ev.node_id is None:
-                    return None
-                joins.append(ev)
-            else:
-                return None
-        if not leaves or len(leaves) != len(joins):
-            return None
-        pending: Dict[tuple, list[int]] = {}
-        for node in leaves:
-            cls = self._class_of.get(node)
-            if cls is None:
-                return None
-            pending.setdefault(cls, []).append(node)
-        swaps = []
-        for ev in joins:
-            stack = pending.get((ev.kind, ev.bandwidth))
-            if not stack:
-                return None
-            swaps.append((stack.pop(), ev.node_id, ev.kind, ev.bandwidth))
-        return swaps

@@ -8,17 +8,19 @@ joined / drifted, how many edges moved, how far the kept rate sits from
 the current optimum), and a :class:`PlanOutcome` is the planner's full
 answer to a replanning request — the plan, whether it was repaired or
 rebuilt, and (filled in by the engine) the wall clock the decision cost.
+:func:`class_preserving_swaps` is the churn pattern both delta planners
+answer without touching the overlay's structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from ..core.instance import Instance
 from ..core.scheme import BroadcastScheme
 
-__all__ = ["Plan", "PlanDelta", "PlanOutcome"]
+__all__ = ["Plan", "PlanDelta", "PlanOutcome", "class_preserving_swaps"]
 
 
 @dataclass
@@ -79,3 +81,47 @@ class PlanOutcome:
     reason: str = ""  #: why the fallback happened (empty otherwise)
     delta: Optional[PlanDelta] = None  #: filled for ``op == "repair"``
     seconds: float = field(default=0.0, compare=False)  #: planner wall time
+
+
+def class_preserving_swaps(
+    events: tuple, class_of: Callable[[int], Optional[tuple]]
+) -> Optional[list[tuple[int, int, str, float]]]:
+    """Pair each departure with a same-class join, or ``None``.
+
+    A batch of only leaves and joins whose (kind, bandwidth) multisets
+    match exactly preserves the class counts of the swarm, so each
+    replacement can inherit its predecessor's overlay role.
+    ``class_of(node)`` is the planned (kind, bandwidth) of a departing
+    node, ``None`` when the plan does not hold it.  Returns
+    ``(departed, joined, kind, bandwidth)`` rows in join order.
+    """
+    # Deferred import: repro.runtime imports repro.planning at module
+    # load, so the event types can only be resolved lazily here.
+    from ..runtime.events import NodeJoin, NodeLeave
+
+    leaves: list[int] = []
+    joins: list = []
+    for ev in events:
+        if isinstance(ev, NodeLeave):
+            leaves.append(ev.node_id)
+        elif isinstance(ev, NodeJoin):
+            if ev.node_id is None:
+                return None
+            joins.append(ev)
+        else:
+            return None
+    if not leaves or len(leaves) != len(joins):
+        return None
+    pending: Dict[tuple, list[int]] = {}
+    for node in leaves:
+        cls = class_of(node)
+        if cls is None:
+            return None
+        pending.setdefault(cls, []).append(node)
+    swaps = []
+    for ev in joins:
+        stack = pending.get((ev.kind, ev.bandwidth))
+        if not stack:
+            return None
+        swaps.append((stack.pop(), ev.node_id, ev.kind, ev.bandwidth))
+    return swaps

@@ -43,7 +43,7 @@ from ..core.bounds import cyclic_optimum
 from ..core.exceptions import InvalidSchemeError
 from ..core.instance import Instance, NodeKind, canonicalize_population
 from ..core.scheme import BroadcastScheme
-from .plan import Plan, PlanDelta, PlanOutcome
+from .plan import Plan, PlanDelta, PlanOutcome, class_preserving_swaps
 from .planner import FullRebuildPlanner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -342,7 +342,14 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
         drifted: list[int] = []
         refed: list[int] = []
         model.edges_added = model.edges_removed = 0
-        swaps = self._class_preserving_swaps(model, events)
+        swaps = class_preserving_swaps(
+            events,
+            lambda node: (
+                (model.kinds[node], model.bandwidths[node])
+                if node in model.kinds
+                else None
+            ),
+        )
         try:
             if swaps is not None:
                 # Churn that preserves class counts: every departure is
@@ -405,50 +412,6 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
             degradation=degradation,
         )
         return PlanOutcome(new_plan, op="repair", delta=delta)
-
-    # ------------------------------------------------------------------
-    # Class-preserving swap detection
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _class_preserving_swaps(
-        model: _OverlayModel, events: tuple
-    ) -> Optional[list[tuple[int, int, str, float]]]:
-        """Pair each departure with a same-class join, or ``None``.
-
-        A batch of only leaves and joins whose (kind, bandwidth)
-        multisets match exactly preserves the class counts of the swarm:
-        each replacement can inherit its predecessor's overlay role via
-        :meth:`_OverlayModel.apply_swap` and the repaired plan keeps the
-        identical edge structure and rate.
-        """
-        from ..runtime.events import NodeJoin, NodeLeave
-
-        leaves: list[int] = []
-        joins: list = []
-        for ev in events:
-            if isinstance(ev, NodeLeave):
-                leaves.append(ev.node_id)
-            elif isinstance(ev, NodeJoin):
-                if ev.node_id is None:
-                    return None
-                joins.append(ev)
-            else:
-                return None
-        if not leaves or len(leaves) != len(joins):
-            return None
-        pending: Dict[tuple, list[int]] = {}
-        for node in leaves:
-            if node not in model.kinds:
-                return None
-            key = (model.kinds[node], model.bandwidths[node])
-            pending.setdefault(key, []).append(node)
-        swaps = []
-        for ev in joins:
-            stack = pending.get((ev.kind, ev.bandwidth))
-            if not stack:
-                return None
-            swaps.append((stack.pop(), ev.node_id, ev.kind, ev.bandwidth))
-        return swaps
 
     def _fallback(self, engine: "RuntimeEngine", reason: str) -> PlanOutcome:
         return PlanOutcome(

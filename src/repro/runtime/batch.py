@@ -371,14 +371,6 @@ def scenario_grid(
     *,
     controller_kwargs: Optional[Dict[str, dict]] = None,
     engine_kwargs: Optional[dict] = None,
-    sim_backend: Optional[str] = None,
-    warm_epochs: Optional[bool] = None,
-    planner: Optional[str] = None,
-    repair_tolerance: Optional[float] = None,
-    estimation: Optional[str] = None,
-    probes_per_node: Optional[float] = None,
-    estimator_decay: Optional[float] = None,
-    noise_sigma: Optional[float] = None,
     sessions: Optional[int] = None,
     broker: Optional[str] = None,
     overlap: Optional[float] = None,
@@ -389,20 +381,12 @@ def scenario_grid(
     """The full cross product as a job list (seed-major, stable order).
 
     ``controller_kwargs`` is keyed by controller name; ``engine_kwargs``
-    (e.g. ``{"min_epoch_slots": 10}``) applies to every job's engine.
-    ``sim_backend`` / ``warm_epochs`` / ``planner`` /
-    ``repair_tolerance`` are shorthands for the engine kwargs of the same
-    name — the per-epoch transport implementation (see
-    :mod:`repro.simulation.backends`), warm-state carry-over, and the
-    plan-lifecycle seam (see :mod:`repro.planning`; ``planner=None``
-    keeps the per-controller default: incremental for the
-    ``incremental`` policy, full rebuild otherwise) — all of which
-    travel inside the picklable job specs like any other engine knob.
-    So are the measurement-loop knobs ``estimation`` /
-    ``probes_per_node`` / ``estimator_decay`` / ``noise_sigma`` (see
-    :mod:`repro.estimation.online`): probe values derive from per-pair
-    counter-based streams, so estimated sweeps stay bit-identical across
-    execution modes like everything else.
+    (any :class:`RuntimeEngine` keyword, e.g. ``{"min_epoch_slots": 10,
+    "sim_backend": "auto", "estimation": "online"}``) applies to every
+    job's engine and travels inside the picklable job specs.  Probe
+    values derive from per-pair counter-based streams, so estimated
+    sweeps stay bit-identical across execution modes like everything
+    else.
 
     ``sessions=K`` switches every job into multi-tenant mode: the worker
     builds a K-channel fleet over the scenario's shared swarm
@@ -412,7 +396,6 @@ def scenario_grid(
     the fleet and error out when passed without ``sessions``.
     """
     controller_kwargs = controller_kwargs or {}
-    engine_kwargs = dict(engine_kwargs or {})
     fleet_kwargs: Dict[str, object] = {}
     if sessions is not None:
         fleet_kwargs["sessions"] = sessions
@@ -434,22 +417,6 @@ def scenario_grid(
             "broker/overlap/admission/admission_floor/session_demand "
             "require sessions= (the multi-tenant switch)"
         )
-    if sim_backend is not None:
-        engine_kwargs["sim_backend"] = sim_backend
-    if warm_epochs is not None:
-        engine_kwargs["warm_epochs"] = warm_epochs
-    if planner is not None:
-        engine_kwargs["planner"] = planner
-    if repair_tolerance is not None:
-        engine_kwargs["repair_tolerance"] = repair_tolerance
-    if estimation is not None:
-        engine_kwargs["estimation"] = estimation
-    if probes_per_node is not None:
-        engine_kwargs["probes_per_node"] = probes_per_node
-    if estimator_decay is not None:
-        engine_kwargs["estimator_decay"] = estimator_decay
-    if noise_sigma is not None:
-        engine_kwargs["noise_sigma"] = noise_sigma
     return [
         BatchJob.make(
             scenario,

@@ -30,15 +30,14 @@ the ``incremental`` controller gets an
 :class:`~repro.planning.IncrementalRepairPlanner`, everything else the
 historical :class:`~repro.planning.FullRebuildPlanner`.
 
-Epoch transport state comes in two flavors.  Cold (default,
-``warm_epochs=False``): every epoch restarts
-:func:`~repro.simulation.packet_sim.simulate_packet_broadcast` from
+Every epoch runs on a :class:`~repro.simulation.core.PacketSimEngine`;
+``warm_epochs`` only decides whether it is reused.  Cold (default,
+``warm_epochs=False``): every epoch starts a new transport run from
 empty buffers with departed members failed from slot 0 — reproducible,
 but short epochs then measure ramp-up artifacts.  Warm
-(``warm_epochs=True``): one resumable
-:class:`~repro.simulation.core.PacketSimEngine` per plan carries
-buffers/credits/RNG across epochs, departures are injected mid-stream at
-the slot they happen, and only rebuilds restart the transport.
+(``warm_epochs=True``): the plan's run carries buffers/credits/RNG
+across its epochs, departures are injected mid-stream at the slot they
+happen, and only a new plan starts a new run.
 
 With ``estimation="online"`` the engine closes the paper's Section II-C
 measurement loop: at every epoch boundary a
@@ -88,7 +87,6 @@ from ..planning import (
 )
 from ..simulation.backends import BACKENDS
 from ..simulation.core import PacketSimEngine, available_backends
-from ..simulation.packet_sim import simulate_packet_broadcast
 from .events import DynamicPlatform, Event, EventQueue, NodeJoin, NodeLeave
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -105,6 +103,13 @@ __all__ = [
 #: never asks the overlay for more than it provisions (same back-off the
 #: churn experiment has always used).
 RATE_BACKOFF = 1.0 - 1e-9
+#: Per-epoch transport granularity: packets injected per slot.
+PACKETS_PER_SLOT = 2.0
+#: Share of a new transport run's first epoch spent warming up before
+#: goodput is measured.
+WARMUP_FRACTION = 0.3
+#: Credit burst cap of the per-epoch transport.
+BURST_CAP = 4.0
 
 
 @dataclass
@@ -218,15 +223,6 @@ class RunResult:
         )
 
 
-@dataclass
-class _EpochSimParams:
-    """Knobs of the per-epoch packet simulation."""
-
-    packets_per_slot: float = 2.0  #: target injection granularity
-    warmup_fraction: float = 0.3
-    burst_cap: float = 4.0
-
-
 def make_engine_planner(
     name: str, repair_tolerance: Optional[float], plan_slack: float
 ) -> Planner:
@@ -253,8 +249,6 @@ class RuntimeEngine:
         *,
         seed: Optional[int] = 0,
         cache: Optional[PlanCache] = None,
-        packets_per_slot: float = 2.0,
-        warmup_fraction: float = 0.3,
         min_epoch_slots: int = 1,
         sim_backend: str = "reference",
         warm_epochs: bool = False,
@@ -346,6 +340,13 @@ class RuntimeEngine:
             raise ValueError(
                 f"noise_sigma must be finite and >= 0, got {noise_sigma}"
             )
+        if sim_backend == "sharded" and estimation == "online":
+            raise ValueError(
+                "sim_backend 'sharded' cannot run estimation='online': "
+                "truth-clipped transport schemes have unequal in-rates, "
+                "so they never decompose into broadcast trees (use "
+                "'auto', which falls back to 'reference', or 'reference')"
+            )
         if estimator_warmstart and estimation != "online":
             raise ValueError(
                 "estimator_warmstart requires estimation='online'"
@@ -355,10 +356,6 @@ class RuntimeEngine:
         self.horizon = int(horizon)
         self.seed = seed
         self.cache = cache if cache is not None else PlanCache()
-        self._sim = _EpochSimParams(
-            packets_per_slot=packets_per_slot,
-            warmup_fraction=warmup_fraction,
-        )
         self.min_epoch_slots = int(min_epoch_slots)
         self.sim_backend = sim_backend
         self.warm_epochs = bool(warm_epochs)
@@ -381,7 +378,8 @@ class RuntimeEngine:
             )
         #: The plan the run loop currently simulates (planner input).
         self.active_plan: Optional[Plan] = None
-        #: Warm-state carry-over: one live transport run per active plan.
+        #: Warm-state carry-over: one live transport run per active plan
+        #: (``warm_epochs`` only; cold epochs never store their run).
         self._warm_sim: Optional[PacketSimEngine] = None
         self._warm_plan: Optional[Plan] = None
         self._warm_failed: set[int] = set()
@@ -680,37 +678,12 @@ class RuntimeEngine:
 
         goodput_by_id = dict.fromkeys(alive, 0.0)
         if plan.rate > 0 and plan.size > 1:
-            rate = plan.rate * RATE_BACKOFF
-            ppu = self._sim.packets_per_slot / max(rate, 1e-12)
             failed = {
                 k
                 for k, node_id in enumerate(plan.node_ids)
                 if k > 0 and not self.platform.is_alive(node_id)
             }
-            if self.warm_epochs:
-                goodput = self._warm_epoch_goodput(
-                    plan, rate, ppu, failed, end - start
-                )
-            else:
-                sim_seed = (
-                    self._rng.randrange(2**32)
-                    if self.seed is not None
-                    else None
-                )
-                goodput = simulate_packet_broadcast(
-                    plan.instance,
-                    self._transport_scheme(plan),
-                    rate,
-                    slots=end - start,
-                    packets_per_unit=ppu,
-                    burst_cap=self._sim.burst_cap,
-                    warmup_fraction=self._sim.warmup_fraction,
-                    seed=sim_seed,
-                    failures={k: 0 for k in sorted(failed)},
-                    backend=self.sim_backend,
-                    workers=self.sim_workers,
-                    worker_mode=self.sim_worker_mode,
-                ).goodput
+            goodput = self._epoch_goodput(plan, failed, end - start)
             for k, node_id in enumerate(plan.node_ids):
                 if k > 0 and node_id in goodput_by_id:
                     goodput_by_id[node_id] = goodput[k]
@@ -735,29 +708,24 @@ class RuntimeEngine:
             estimation_error=est_error,
         )
 
-    def _warm_epoch_goodput(
-        self,
-        plan: Plan,
-        rate: float,
-        ppu: float,
-        failed: set[int],
-        slots: int,
+    def _epoch_goodput(
+        self, plan: Plan, failed: set[int], slots: int
     ) -> list[float]:
-        """Advance the plan's *persistent* transport run by one epoch.
+        """Run the epoch's transport; per-member goodput of its window.
 
-        The packet buffers/credits/RNG carry over between epochs of the
-        same plan, so short epochs measure real transients instead of
-        fresh ramp-ups.  A rebuild necessarily starts a new run (new
-        overlay, empty buffers), whose first epoch honors
-        ``warmup_fraction`` exactly like cold mode; every later epoch of
-        the plan is warm and measured over its full span.  Members that
-        departed since the last epoch are failed at the run's *current*
-        slot, mid-stream, which is when the field would see their edges
-        go dark.
+        A new run (always when cold, on a new plan when warm) draws its
+        seed from the engine's RNG, fails departed members from slot 0
+        and spends ``WARMUP_FRACTION`` of the epoch warming up.  A warm
+        run carries its packet buffers/credits/RNG into the plan's later
+        epochs, which are measured over their full span, so short epochs
+        measure real transients instead of fresh ramp-ups; members that
+        departed since the last epoch fail at the run's *current* slot,
+        mid-stream, which is when the field would see their edges go
+        dark.
         """
-        sim = self._warm_sim
-        warmup = 0
-        if sim is None or self._warm_plan is not plan:
+        sim = self._warm_sim if self._warm_plan is plan else None
+        if sim is None:
+            rate = plan.rate * RATE_BACKOFF
             sim_seed = (
                 self._rng.randrange(2**32) if self.seed is not None else None
             )
@@ -765,22 +733,23 @@ class RuntimeEngine:
                 plan.instance,
                 self._transport_scheme(plan),
                 rate,
-                packets_per_unit=ppu,
-                burst_cap=self._sim.burst_cap,
+                packets_per_unit=PACKETS_PER_SLOT / max(rate, 1e-12),
+                burst_cap=BURST_CAP,
                 seed=sim_seed,
                 failures={k: 0 for k in sorted(failed)},
                 backend=self.sim_backend,
                 workers=self.sim_workers,
                 worker_mode=self.sim_worker_mode,
             )
-            self._warm_sim = sim
-            self._warm_plan = plan
-            self._warm_failed = set(failed)
-            warmup = int(slots * self._sim.warmup_fraction)
+            if self.warm_epochs:
+                self._warm_sim, self._warm_plan = sim, plan
+                self._warm_failed = set(failed)
+            warmup = int(slots * WARMUP_FRACTION)
         else:
             for k in sorted(failed - self._warm_failed):
                 sim.fail_node(k)
             self._warm_failed |= failed
+            warmup = 0
         sim.step(warmup)
         sim.begin_window()
         sim.step(slots - warmup)

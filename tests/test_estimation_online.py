@@ -440,6 +440,22 @@ class TestEngineIntegration:
         with pytest.raises(ValueError, match="seed"):
             RuntimeEngine(platform, [], 10, seed=-1, estimation="online")
 
+    def test_sharded_backend_refuses_online_estimation(self):
+        """Truth-clipped transport schemes have unequal in-rates, so the
+        sharded backend could only fail mid-run: the pair is refused at
+        construction, and ``auto`` still runs by falling back."""
+        run = SteadyChurn(size=14, horizon=160).build(1, name="steady-churn")
+        with pytest.raises(ValueError, match="'auto'.*'reference'"):
+            RuntimeEngine(
+                run.platform, run.events, run.horizon, seed=1,
+                sim_backend="sharded", estimation="online",
+            )
+        result = RuntimeEngine(
+            run.platform, run.events, run.horizon, seed=1,
+            sim_backend="auto", estimation="online",
+        ).run(make_controller("reactive"))
+        assert result.estimation == "online" and result.probes > 0
+
 
 class TestMonotoneDegradation:
     """Satellite acceptance: on the seeded scenario grid, less probing or
@@ -452,9 +468,11 @@ class TestMonotoneDegradation:
             [self.SPEC],
             ["reactive"],
             seeds=seeds,
-            estimation=estimation,
-            probes_per_node=budget,
-            noise_sigma=sigma,
+            engine_kwargs={
+                "estimation": estimation,
+                "probes_per_node": budget,
+                "noise_sigma": sigma,
+            },
         )
         results = run_batch(jobs, mode="serial")
         return sum(r.mean_optimality for r in results) / len(results)
@@ -512,8 +530,10 @@ class TestBatchIntegration:
 
     def test_grid_threads_estimation_kwargs(self):
         jobs = scenario_grid(
-            [self.SPEC], ["static"], estimation="online",
-            probes_per_node=2.0, estimator_decay=0.9, noise_sigma=0.2,
+            [self.SPEC], ["static"], engine_kwargs={
+                "estimation": "online", "probes_per_node": 2.0,
+                "estimator_decay": 0.9, "noise_sigma": 0.2,
+            },
         )
         kwargs = dict(jobs[0].engine_kwargs)
         assert kwargs["estimation"] == "online"
@@ -522,13 +542,15 @@ class TestBatchIntegration:
         assert kwargs["noise_sigma"] == 0.2
 
     def test_jobs_pickle(self):
-        jobs = scenario_grid([self.SPEC], ["reactive"], estimation="online")
+        jobs = scenario_grid(
+            [self.SPEC], ["reactive"], engine_kwargs={"estimation": "online"}
+        )
         assert pickle.loads(pickle.dumps(jobs)) == jobs
 
     def test_summary_carries_estimation_columns(self):
         jobs = scenario_grid(
-            [self.SPEC], ["static", "reactive"], estimation="online",
-            probes_per_node=3.0,
+            [self.SPEC], ["static", "reactive"],
+            engine_kwargs={"estimation": "online", "probes_per_node": 3.0},
         )
         results = run_batch(jobs, mode="serial")
         for r in results:
@@ -544,7 +566,7 @@ class TestBatchIntegration:
         the PR 1 guarantee extended to the measurement loop."""
         jobs = scenario_grid(
             [self.SPEC], ["static", "reactive"], seeds=(0, 1),
-            estimation="online", probes_per_node=3.0,
+            engine_kwargs={"estimation": "online", "probes_per_node": 3.0},
         )
         serial = run_batch(jobs, mode="serial")
         threaded = run_batch(jobs, mode="thread", max_workers=2)
@@ -600,6 +622,10 @@ class TestCli:
              "--noise-sigma"),
             (["--estimation", "online", "--seed", "-1"], "--seed"),
             (["--batch", "--seeds", "1", "--period", "0"], "period"),
+            (["--estimation", "online", "--sim-backend", "sharded"],
+             "'sharded'"),
+            (["--estimation", "online", "--sim-backend", "sharded",
+              "--batch", "--seeds", "1"], "'sharded'"),
         ],
     )
     def test_invalid_estimation_flags(self, capsys, argv, message):
@@ -617,6 +643,33 @@ class TestCli:
             (["serve", "--seed", "-1", "--transport", "inproc"], "--seed"),
             (["sessions", "--estimation", "online", "--probes-per-node",
               "inf"], "--probes-per-node"),
+        ] + [
+            # Every typed flag of every command that declares it: NaN,
+            # inf and an out-of-range value, wherever each is invalid.
+            (command + [flag, value], flag)
+            for command, flag, values in [
+                (["solve", "--source", "5", "--open", "3"], "--rate",
+                 ["nan", "inf", "-1"]),
+                (["runtime"], "--tick", ["0"]),
+                (["runtime"], "--seeds", ["0"]),
+                (["runtime"], "--workers", ["0"]),
+                (["runtime"], "--repair-tolerance", ["nan", "inf", "1"]),
+                (["runtime"], "--plan-slack", ["nan", "inf", "1"]),
+                (["runtime"], "--estimator-decay", ["nan", "inf", "0"]),
+                (["runtime"], "--probes-per-node", ["nan", "inf", "-1"]),
+                (["runtime"], "--noise-sigma", ["nan", "inf", "-0.1"]),
+                (["sessions"], "--num-sessions", ["0"]),
+                (["sessions"], "--overlap", ["nan", "inf", "1.5"]),
+                (["sessions"], "--admission-floor", ["nan", "-1"]),
+                (["sessions"], "--demand", ["nan", "0"]),
+                (["sessions"], "--probes-per-node", ["nan", "-1"]),
+                (["sessions"], "--workers", ["0"]),
+                (["serve"], "--num-sessions", ["0"]),
+                (["serve"], "--overlap", ["nan", "inf", "-0.5"]),
+                (["serve"], "--admission-floor", ["nan", "-1"]),
+                (["serve"], "--repair-tolerance", ["nan", "inf", "1"]),
+            ]
+            for value in values
         ],
     )
     def test_invalid_seed_and_budget_in_every_command(

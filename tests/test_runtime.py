@@ -393,7 +393,7 @@ class TestWarmEpochs:
         jobs = scenario_grid(
             [self.SPEC], ["periodic"], seeds=(0,),
             controller_kwargs={"periodic": {"period": 60}},
-            sim_backend="auto", warm_epochs=True,
+            engine_kwargs={"sim_backend": "auto", "warm_epochs": True},
         )
         summary = run_batch(jobs, mode="serial")[0]
         assert summary.num_epochs > 1  # the warm engine kwargs ran end to end
