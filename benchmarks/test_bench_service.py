@@ -22,6 +22,7 @@ bit-identically in both regimes, and writes ``BENCH_service.json`` for
 the CI benchmark job.
 """
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -56,6 +57,9 @@ def _best_of(fleet, batches, planning: str) -> dict:
     """Best-of-N service levels for one regime (after one warm-up)."""
     best = None
     for round_ in range(MEASURE_ROUNDS + 1):
+        # Every replay starts from the same collector state: garbage the
+        # earlier benchmarks left behind is not collected mid-replay.
+        gc.collect()
         started = time.perf_counter()
         plane = _replay(fleet, batches, planning)
         wall = time.perf_counter() - started

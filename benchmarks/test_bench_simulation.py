@@ -1,4 +1,4 @@
-"""Benchmarks: simulation backends (reference vs sharded vs bitset).
+"""Benchmarks: simulation backends (reference vs sharded).
 
 Times every backend on the same Theorem 4.1 overlay at n ∈ {50, 200,
 1000}, asserts the acceptance criteria (equivalent goodput; ≥ 3x

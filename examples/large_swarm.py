@@ -7,7 +7,6 @@ solver is near-instant even at this size), and then validates the
 overlay end to end with every simulation backend:
 
 * ``reference`` — the historical per-edge Python loop (the baseline);
-* ``bitset`` — packed per-node packet sets, word-wide transfers, no RNG;
 * ``sharded`` — the overlay decomposed into weighted arborescences
   (Section II-C), each substream pipelined deterministically with numpy
   counters, optionally across worker threads.
@@ -65,7 +64,6 @@ def main(seed: int = 42) -> None:
     baseline = None
     for backend, workers in (
         ("reference", None),
-        ("bitset", None),
         ("sharded", None),
         ("sharded", 4),
     ):

@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence, TypeVar
 
 from ..core.bounds import cyclic_optimum
 from ..core.exceptions import InfeasibleThroughputError
@@ -74,6 +75,7 @@ __all__ = [
 #: Relative precision of the dichotomic search on T.
 SEARCH_REL_TOL = 1e-13
 SEARCH_MAX_ITER = 200
+W = TypeVar("W")  #: a search witness: greedy word or run-length segments
 
 #: Bisection midpoints probed before the threshold estimate is consulted.
 #: The parametric pass starts from ``feas``; the closer that is to the
@@ -128,28 +130,50 @@ def optimal_acyclic_throughput(
     """
     if instance.num_receivers == 0:
         return float("inf"), ""
-    hi = cyclic_optimum(instance)
-    if hi <= 0.0:
+    oracle = (instance.source_bw, instance.open_bws, instance.guarded_bws)
+    rate, word = _bisect_throughput(
+        cyclic_optimum(instance),
+        partial(_greedy_word_fast, *oracle),
+        partial(_greedy_threshold, *oracle),
+        rel_tol=rel_tol,
+    )
+    if word is None:
         return 0.0, greedy_test(instance, 0.0).word
-    b0 = instance.source_bw
-    opens, guardeds = instance.open_bws, instance.guarded_bws
-    word_hi = _greedy_word_fast(b0, opens, guardeds, hi)
-    if word_hi is not None:
-        return hi, word_hi
+    return rate, word
+
+
+def _bisect_throughput(
+    hi: float,
+    probe: Callable[[float], Optional[W]],
+    threshold: Optional[Callable[[float], Optional[float]]] = None,
+    *,
+    rel_tol: float,
+) -> tuple[float, Optional[W]]:
+    """The ``T*_ac`` bisection both searches share: probe the cyclic
+    upper bracket ``hi`` first, then bisect.  ``probe(rate)`` returns the
+    greedy witness (word or segments), or ``None`` when ``rate`` is
+    infeasible; a ``None`` witness means rate 0 and the caller supplies
+    its zero word.  Without a ``threshold`` estimate no verdict is
+    inferred, so every midpoint is probed, like the plain bisection."""
+    if hi <= 0.0:
+        return 0.0, None
+    top = probe(hi)
+    if top is not None:
+        return hi, top
     lo = feas = 0.0
     infeas = hi
-    feas_word = ""
+    feas_witness = None
     for step in range(SEARCH_MAX_ITER):
         if hi - lo <= rel_tol * hi:
             break
-        if step == _PLAIN_PREFIX:
-            tau = _greedy_threshold(b0, opens, guardeds, feas)
+        if step == _PLAIN_PREFIX and threshold is not None:
+            tau = threshold(feas)
             if tau is not None:
                 for rate in (tau * (1.0 - _PIN_REL), tau * (1.0 + _PIN_REL)):
                     if feas < rate < infeas:
-                        cand = _greedy_word_fast(b0, opens, guardeds, rate)
+                        cand = probe(rate)
                         if cand is not None:
-                            feas, feas_word = rate, cand
+                            feas, feas_witness = rate, cand
                         else:
                             infeas = rate
         mid = 0.5 * (lo + hi)
@@ -158,23 +182,23 @@ def optimal_acyclic_throughput(
         elif mid >= infeas:
             hi = mid
         else:
-            cand = _greedy_word_fast(b0, opens, guardeds, mid)
+            cand = probe(mid)
             if cand is not None:
                 lo = feas = mid
-                feas_word = cand
+                feas_witness = cand
             else:
                 hi = infeas = mid
     if lo == 0.0:
-        return 0.0, greedy_test(instance, 0.0).word
+        return 0.0, None
     if lo == feas:
-        return lo, feas_word
-    # ``lo`` was inferred: one probe for its word.
-    word = _greedy_word_fast(b0, opens, guardeds, lo)
-    if word is None:
+        return lo, feas_witness
+    # ``lo`` was inferred: one probe for its witness.
+    witness = probe(lo)
+    if witness is None:
         # Rounding broke monotonicity below a probed-feasible rate (never
-        # observed): that rate and its word are still a valid answer.
-        return feas, feas_word
-    return lo, word
+        # observed): that rate and its witness are still a valid answer.
+        return feas, feas_witness
+    return lo, witness
 
 
 #: Edge sink: ``(sender, receiver, rate)`` — where drawn transfers land.
@@ -507,30 +531,17 @@ def optimal_acyclic_throughput_runs(
     n, m = runs.n, runs.m
     if n + m == 0:
         return float("inf"), []
-    hi = runs.cyclic_optimum()
-    zero_word: list[tuple[str, int]] = []
-    if m:
-        zero_word.append((GUARDED, m))
-    if n:
-        zero_word.append((OPEN, n))
-    if hi <= 0.0:
-        return 0.0, zero_word
-    b0 = runs.source_bw
-    seg_hi = greedy_segments(b0, runs.open_runs, runs.guarded_runs, hi)
-    if seg_hi is not None:
-        return hi, seg_hi
-    lo = 0.0
-    segments = zero_word
-    for _ in range(SEARCH_MAX_ITER):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        cand = greedy_segments(b0, runs.open_runs, runs.guarded_runs, mid)
-        if cand is not None:
-            lo, segments = mid, cand
-        else:
-            hi = mid
-    return lo, segments
+    rate, segments = _bisect_throughput(
+        runs.cyclic_optimum(),
+        partial(
+            greedy_segments, runs.source_bw, runs.open_runs,
+            runs.guarded_runs,
+        ),
+        rel_tol=rel_tol,
+    )
+    if segments is None:
+        return 0.0, [(c, k) for c, k in ((GUARDED, m), (OPEN, n)) if k]
+    return rate, segments
 
 
 @dataclass

@@ -251,12 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=list(available_backends()),
                          help="per-epoch transport implementation: "
                               "'reference' (historical per-edge loop, any "
-                              "scheme), 'bitset' (packed, RNG-free), "
-                              "'sharded' (arborescence-decomposed, "
-                              "acyclic schemes only, never under "
-                              "--estimation online), or 'auto' (sharded "
-                              "when the overlay decomposes, reference "
-                              "otherwise)")
+                              "scheme), 'sharded' (arborescence-"
+                              "decomposed, acyclic schemes only, never "
+                              "under --estimation online), or 'auto' "
+                              "(sharded when the overlay decomposes, "
+                              "reference otherwise)")
     runtime.add_argument("--sim-worker-mode", default=None,
                          choices=["thread", "process"],
                          help="sharded-backend worker strategy for "

@@ -85,7 +85,7 @@ from ..planning import (
     plan_step,
     planner_names,
 )
-from ..simulation.backends import BACKENDS
+from ..simulation.backends import check_workers
 from ..simulation.core import PacketSimEngine, available_backends
 from .events import DynamicPlatform, Event, EventQueue, NodeJoin, NodeLeave
 
@@ -281,18 +281,7 @@ class RuntimeEngine:
             raise ValueError(
                 f"sim_workers must be >= 1, got {sim_workers}"
             )
-        backend_cls = BACKENDS.get(sim_backend)  # None for "auto"
-        if (
-            sim_workers is not None
-            and sim_workers > 1
-            and backend_cls is not None
-            and not backend_cls.supports_workers
-        ):
-            raise ValueError(
-                f"sim_workers={sim_workers} requires a backend with "
-                f"worker support ('sharded', or 'auto' on decomposable "
-                f"schemes); {sim_backend!r} is single-threaded"
-            )
+        check_workers(sim_backend, sim_workers)
         if sim_worker_mode not in (None, "thread", "process"):
             raise ValueError(
                 f"sim_worker_mode must be None, 'thread' or 'process', "
@@ -343,9 +332,10 @@ class RuntimeEngine:
         if sim_backend == "sharded" and estimation == "online":
             raise ValueError(
                 "sim_backend 'sharded' cannot run estimation='online': "
-                "truth-clipped transport schemes have unequal in-rates, "
-                "so they never decompose into broadcast trees (use "
-                "'auto', which falls back to 'reference', or 'reference')"
+                "truth-clipped transport schemes mostly have unequal "
+                "in-rates, which do not decompose into broadcast trees "
+                "(use 'auto', which falls back to 'reference' on those, "
+                "or 'reference')"
             )
         if estimator_warmstart and estimation != "online":
             raise ValueError(

@@ -3,8 +3,9 @@
 The packet layer is a small subsystem: a resumable engine
 (:class:`PacketSimEngine` — pause/resume, snapshots, failure injection,
 warm state across epochs) over pluggable backends
-(:mod:`repro.simulation.backends` — ``reference``, ``sharded``,
-``bitset``).  :func:`simulate_packet_broadcast` remains the one-shot
+(:mod:`repro.simulation.backends` — ``reference`` and ``sharded``,
+plus the ``auto`` choice between them).
+:func:`simulate_packet_broadcast` remains the one-shot
 entry point, and :mod:`repro.simulation.fluid` the deterministic
 fluid-schedule view.
 """

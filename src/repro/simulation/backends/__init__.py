@@ -38,16 +38,16 @@ Which backend applies where:
   bit-identical results either way).  Raises
   :class:`~repro.core.exceptions.DecompositionError` on cyclic schemes —
   ``backend="auto"`` falls back to the reference there.
-* ``bitset`` — packed-uint64 per-node packet sets with word-wide
-  useful-packet transfers and *no RNG*: fully deterministic, exact
-  sharded agreement on single-tree schemes, statistical equivalence to
-  the reference elsewhere (see :mod:`.bitset`).
+* ``auto`` (resolved per run by :class:`~repro.simulation.core.
+  PacketSimEngine`) — ``sharded`` when the run's scheme decomposes, else
+  ``reference`` with the worker request dropped.  The runtime's
+  truth-clipped schemes (online estimation) mostly do not, but some do.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Type
+from typing import TYPE_CHECKING, Dict, Optional, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import SimConfig
@@ -58,6 +58,7 @@ __all__ = [
     "register_backend",
     "make_backend",
     "backend_names",
+    "check_workers",
 ]
 
 
@@ -116,16 +117,24 @@ def make_backend(
             f"unknown simulation backend {name!r} "
             f"(known: {', '.join(BACKENDS)})"
         ) from None
-    workers = config.workers
-    if workers is not None and workers > 1 and not cls.supports_workers:
+    check_workers(name, config.workers)
+    return cls(config, rng)
+
+
+def check_workers(name: str, workers: Optional[int]) -> None:
+    """Reject ``workers > 1`` for a registered backend without worker
+    support; ``auto`` passes, since its serial fallback drops them."""
+    cls = BACKENDS.get(name)  # None for "auto"
+    if workers is not None and workers > 1 and cls is not None and (
+        not cls.supports_workers
+    ):
         raise ValueError(
             f"backend {name!r} is single-threaded; workers={workers} "
-            f"requires a backend with worker support (e.g. 'sharded')"
+            f"requires a backend with worker support ('sharded', or "
+            f"'auto' on decomposable schemes)"
         )
-    return cls(config, rng)
 
 
 # Populate the registry (imports must come after the decorator exists).
 from . import reference as _reference  # noqa: E402,F401
 from . import sharded as _sharded  # noqa: E402,F401
-from . import bitset as _bitset  # noqa: E402,F401

@@ -9,8 +9,8 @@ fallback, which draws from a *sorted* pool instead of raw set iteration
 order — set order depends on the set's allocation history, which no
 snapshot can reproduce, and ``restore()`` must replay bit for bit.  The
 historical test suite pins behavior through the wrapper, which makes
-this backend the equivalence baseline the sharded and bitset backends
-are tested against.
+this backend the equivalence baseline the sharded backend is tested
+against.
 
 Exact-stream contract.  The useful-packet draw is inlined into the edge
 loop: up to 16 rejection tries ``pool[randrange(len(pool))]``, then a

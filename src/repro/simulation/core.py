@@ -119,7 +119,7 @@ class PacketSimEngine:
     Parameters mirror :func:`~repro.simulation.packet_sim.
     simulate_packet_broadcast` (which is now a thin wrapper over this
     class); the additions are ``backend`` — ``"reference"``,
-    ``"sharded"``, ``"bitset"``, or ``"auto"`` (sharded when the
+    ``"sharded"``, or ``"auto"`` (sharded when the
     scheme decomposes into arborescences, reference otherwise) — and
     ``workers`` for backends that shard work across
     ``concurrent.futures`` pools.

@@ -7,7 +7,7 @@ decentralized broadcast [4], which provably achieves the overlay's
 min-max-flow rate.  This module keeps the historical one-shot entry
 point for that transport layer; the stateful machinery behind it lives
 in :mod:`repro.simulation.core` (resumable engine) and
-:mod:`repro.simulation.backends` (reference / sharded / bitset
+:mod:`repro.simulation.backends` (reference / sharded
 implementations).
 
 :func:`simulate_packet_broadcast` is a thin wrapper over
@@ -73,7 +73,7 @@ def simulate_packet_broadcast(
     to churn") quantified.
 
     ``backend`` selects the simulation implementation (``"reference"``,
-    ``"sharded"``, ``"bitset"``, or ``"auto"``) and ``workers`` the
+    ``"sharded"``, or ``"auto"``) and ``workers`` the
     shard parallelism — see :mod:`repro.simulation.backends` for which
     backend applies where.  For pause/resume, snapshots, or warm-state
     reuse across epochs, use :class:`~repro.simulation.core.

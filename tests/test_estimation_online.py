@@ -7,6 +7,7 @@ estimated view degrades *monotonically* — lower probe budgets or higher
 noise never beat the oracle on the seeded scenario grid.
 """
 
+import dataclasses
 import hashlib
 import pickle
 
@@ -36,6 +37,7 @@ from repro.runtime import (
     NodeLeave,
     RuntimeEngine,
     SteadyChurn,
+    get_scenario,
     make_controller,
     run_batch,
     scenario_grid,
@@ -807,3 +809,100 @@ class TestEstimationGoldenState:
     @pytest.mark.parametrize("name", sorted(GOLDEN_ONLINE))
     def test_online_run_matches_golden(self, name):
         assert _online_digest(name) == GOLDEN_ONLINE[name]
+
+
+def _epoch_digest(result):
+    """Every ``EpochReport`` field except ``plan_seconds``, floats as
+    ``float.hex``."""
+    rows = []
+    for ep in result.epochs:
+        row = []
+        for f in dataclasses.fields(ep):
+            if f.name == "plan_seconds":
+                continue
+            v = getattr(ep, f.name)
+            row.append(v.hex() if isinstance(v, float) else repr(v))
+        rows.append(tuple(row))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _live_online_run(spec, seed, **kwargs):
+    run = spec.build(seed, name="live-stream")
+    engine = RuntimeEngine(
+        run.platform, run.events, run.horizon, seed=seed,
+        estimation="online", **kwargs,
+    )
+    return engine.run(make_controller("incremental"))
+
+
+#: Epoch digests of ``LiveStreamTrace(size=40)`` incremental runs under
+#: online estimation, recorded while a third (packed) transport still
+#: existed.  ``auto`` and ``reference`` share them, warm and cold: no
+#: truth-clipped scheme of these runs decomposes.
+GOLDEN_LIVE40_ONLINE = {
+    1: "049b1e6122b7a15e19151a3fc2665229f46fbfe7a852857409af7ef788d8db17",
+    2: "b5fc0c2330e1f40a904ecdcbb7f82476475363ce56e9055d817747671e9ea3d6",
+    3: "0de5c8375d9edb7bf272d293b56d73594f77368b1bc3930ffebecc09cda68892",
+}
+#: The registered ``live-stream`` scenario (30 peers), seed 2, recorded
+#: likewise: one truth-clipped scheme decomposes, so ``auto`` runs that
+#: epoch on ``sharded`` and its table differs from ``reference``'s.
+GOLDEN_LIVE30_SEED2 = {
+    "auto": "8291f8a4cecd8f86386041ce3bda10831c6d73e91c1ccbdf0ab5ce67117269b3",
+    "reference": "f6785c805cd6c4a12f64ce64c8d352c4e6f529f6f0efda97d0e14051e9ed6e32",
+}
+
+
+class TestOnlineTransportChoice:
+    """``auto`` under online estimation picks its transport per run."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("backend", ["auto", "reference"])
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_LIVE40_ONLINE))
+    def test_epochs_match_golden(self, seed, backend, warm):
+        result = _live_online_run(
+            LiveStreamTrace(size=40), seed,
+            sim_backend=backend, warm_epochs=warm,
+        )
+        assert _epoch_digest(result) == GOLDEN_LIVE40_ONLINE[seed]
+
+    def test_auto_runs_sharded_where_a_clipped_scheme_decomposes(
+        self, monkeypatch
+    ):
+        """Truth-clipping usually breaks equal in-rates, but not always:
+        resolving ``auto`` to ``reference`` once per engine would change
+        this run's epoch table."""
+        import repro.simulation.backends.sharded as sharded
+
+        outcomes = []
+        decompose = sharded.decompose_broadcast_trees
+
+        def spy(scheme):
+            try:
+                trees = decompose(scheme)
+            except Exception:
+                outcomes.append(False)
+                raise
+            outcomes.append(True)
+            return trees
+
+        monkeypatch.setattr(sharded, "decompose_broadcast_trees", spy)
+        spec = get_scenario("live-stream")
+        result = _live_online_run(spec, 2, sim_backend="auto")
+        assert True in outcomes and False in outcomes
+        assert _epoch_digest(result) == GOLDEN_LIVE30_SEED2["auto"]
+        reference = _live_online_run(spec, 2, sim_backend="reference")
+        assert _epoch_digest(reference) == GOLDEN_LIVE30_SEED2["reference"]
+
+    def test_auto_with_process_workers_matches_serial_reference(self):
+        """The serial fallback drops the worker request, so ``auto`` with
+        process workers runs where ``reference`` with workers is
+        refused."""
+        spec = LiveStreamTrace(size=40)
+        pooled = _live_online_run(
+            spec, 1, sim_backend="auto", sim_workers=2,
+            sim_worker_mode="process",
+        )
+        assert _epoch_digest(pooled) == GOLDEN_LIVE40_ONLINE[1]
+        with pytest.raises(ValueError, match="single-threaded"):
+            _live_online_run(spec, 1, sim_backend="reference", sim_workers=2)

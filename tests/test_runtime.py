@@ -437,6 +437,12 @@ class TestRuntimeCli:
         err = capsys.readouterr().err
         assert "--sim-backend sharded" in err and "single-threaded" in err
 
+    def test_deleted_bitset_backend_rejected(self, capsys):
+        assert main(["runtime", "--sim-backend", "bitset", "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'bitset'" in err[0]
+
     def test_nonpositive_workers_rejected(self, capsys):
         rc = main(["runtime", "--scenario", "rack-failure", "--workers", "0"])
         assert rc == 2
