@@ -103,7 +103,7 @@ def _determinism_check() -> bool:
         ]
 
     serial = payload("serial")
-    return serial == payload("thread") == payload("process")
+    return serial == payload("process")
 
 
 @pytest.mark.paper

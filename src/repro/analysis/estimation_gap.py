@@ -106,14 +106,6 @@ class EstimationGapRow:
     gap: float  #: mean ``max(0, 1 - achieved / oracle)``
     median_rel_error: float  #: mean (over trials) median estimation error
 
-    @property
-    def achieved_fraction(self) -> float:
-        return (
-            self.achieved_rate / self.oracle_rate
-            if self.oracle_rate > 0
-            else 1.0
-        )
-
 
 def estimation_gap_experiment(
     budgets: Sequence[float] = (8.0, 4.0, 2.0, 1.0),

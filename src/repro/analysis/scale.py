@@ -22,9 +22,7 @@ transport's one runner (re-exported here): the runtime
 :class:`~repro.simulation.backends.sharded.ShardedBackend` wraps one
 built from a dict-based scheme, while :func:`build_fleet` builds one
 straight from the edge arrays, minus the dict detour.  Serial, thread
-and forked-process workers share its code path.  It also supports O(K)
-diurnal rescaling (:meth:`ShardFleet.rescale`), the transport-side twin
-of :meth:`repro.core.runs.ClassRuns.scaled`.
+and forked-process workers share its code path.
 """
 
 from __future__ import annotations

@@ -224,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "transport",
                 list_help="list registered scenarios, controllers and "
                           "planners")
-    _add_engine(runtime, workers_help="worker processes for --batch; in "
-                                      "single-run mode, tree-simulation "
-                                      "workers for --sim-backend sharded")
+    _add_engine(runtime, workers_help="worker processes for --batch")
     runtime.add_argument("--planner", default=None,
                          help="plan-lifecycle implementation, one of: "
                               f"{', '.join(planner_names())} "
@@ -256,13 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "under --estimation online), or 'auto' "
                               "(sharded when the overlay decomposes, "
                               "reference otherwise)")
-    runtime.add_argument("--sim-worker-mode", default=None,
-                         choices=["thread", "process"],
-                         help="sharded-backend worker strategy for "
-                              "--workers > 1: 'thread' (GIL-shared, "
-                              "default) or 'process' (fork workers over "
-                              "multiprocessing.shared_memory; results "
-                              "are bit-identical either way)")
     _typed(runtime, "--plan-slack", float, "in [0, 1)", default=0.0,
            metavar="EPS",
            help="build plans at (1 - EPS) * T*_ac instead of the exact "
@@ -303,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
                 list_help="list registered scenarios, controllers, "
                           "brokers and admission policies")
     _add_fleet(sessions, admission="degrade")
-    _add_engine(sessions, workers_help="pool size for --mode "
-                                       "thread/process")
+    _add_engine(sessions, workers_help="worker processes for --mode "
+                                       "process")
     _typed(sessions, "--demand", float, "> 0", default=None, metavar="RATE",
            help="per-session demand rate (default: best effort)")
     sessions.add_argument("--mode", default="serial",
-                          choices=["serial", "thread", "process"],
+                          choices=["serial", "process"],
                           help="how the per-session engine runs are "
                                "dispatched (results are identical)")
 
@@ -531,7 +522,7 @@ def _cmd_ablations(_args: argparse.Namespace) -> int:
     )
     print()
     print("Simulation backends (same overlay, same seed, per-edge loop "
-          "vs numpy vs arborescence-sharded):")
+          "vs arborescence-sharded):")
     print(
         format_table(
             ["backend", "efficiency", "wall s", "speedup"],
@@ -741,31 +732,21 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         raise _InputError(
             "--estimator-warmstart requires --estimation online"
         )
-    parallel = args.sim_backend in ("sharded", "auto")
-    if not args.batch and (args.workers or 1) > 1 and not parallel:
+    if args.workers is not None and not args.batch:
         raise _InputError(
-            f"--workers {args.workers} requires --sim-backend "
-            f"sharded (or auto): the {args.sim_backend!r} backend is "
-            f"single-threaded (worker parallelism comes from simulating "
-            f"the overlay's arborescences independently)"
-        )
-    if args.sim_worker_mode is not None and not parallel:
-        raise _InputError(
-            f"--sim-worker-mode applies to the sharded backend "
-            f"(pass --sim-backend sharded or auto, not "
-            f"{args.sim_backend!r})"
+            "--workers sizes the --batch pool; a single run has none "
+            "(pass --batch)"
         )
     if args.profile and args.batch:
         raise _InputError(
             "--profile applies to a single run, not --batch sweeps"
         )
     # Every engine knob, declared once: a single run and every job of a
-    # sweep get the same dict (--workers sizes the sweep's pool instead).
+    # sweep get the same dict.
     knobs = dict(
         min_epoch_slots=args.tick,
         sim_backend=args.sim_backend,
         warm_epochs=args.warm_epochs,
-        sim_worker_mode=args.sim_worker_mode,
         planner=args.planner,
         repair_tolerance=args.repair_tolerance,
         plan_slack=args.plan_slack,
@@ -813,7 +794,6 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             run.events,
             run.horizon,
             seed=args.seed,
-            sim_workers=None if args.batch else args.workers,
             **knobs,
         )
 
@@ -913,6 +893,11 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         print("admissions:", ", ".join(admission_names()))
         return 0
 
+    if args.workers is not None and args.mode != "process":
+        raise _InputError(
+            "--workers sizes the --mode process pool; a serial fleet has "
+            "none (pass --mode process)"
+        )
     with _rejecting():
         make_controller(args.controller)  # the fleet resolves it mid-run
         fleet = make_fleet(

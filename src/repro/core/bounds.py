@@ -23,6 +23,7 @@ from .instance import Instance
 
 __all__ = [
     "acyclic_open_optimum",
+    "cyclic_bound",
     "cyclic_optimum",
     "cyclic_open_optimum",
     "open_only_ratio_bound",
@@ -67,27 +68,36 @@ def acyclic_open_optimum(instance: Instance) -> float:
     return min(instance.source_bw, instance.prefix_sum(n - 1) / n)
 
 
-def cyclic_optimum(instance: Instance) -> float:
-    """Optimal cyclic throughput ``T*`` (Lemma 5.1 closed form).
+def cyclic_bound(
+    b0: float, n: int, m: int, open_sum: float, guarded_sum: float
+) -> float:
+    """Lemma 5.1 closed form from its aggregates.
 
     ``T* = min(b0, (b0 + O) / m, (b0 + O + G) / (n + m))`` where the second
     term is present only when ``m > 0``.  The three terms are: the source
     must inject the whole message; the ``m`` guarded nodes can only be fed
     by open bandwidth; all ``n + m`` receivers must be fed by somebody.
+    Callers sum ``O`` and ``G`` themselves, so each keeps its own rounding.
 
     Returns ``inf`` for the degenerate instance with no receivers.
     """
-    n, m = instance.n, instance.m
     if n + m == 0:
         return float("inf")
-    bound = min(
-        instance.source_bw,
-        (instance.source_bw + instance.open_sum + instance.guarded_sum)
-        / (n + m),
-    )
+    bound = min(b0, (b0 + open_sum + guarded_sum) / (n + m))
     if m > 0:
-        bound = min(bound, (instance.source_bw + instance.open_sum) / m)
+        bound = min(bound, (b0 + open_sum) / m)
     return bound
+
+
+def cyclic_optimum(instance: Instance) -> float:
+    """Optimal cyclic throughput ``T*`` of ``instance`` (Lemma 5.1)."""
+    return cyclic_bound(
+        instance.source_bw,
+        instance.n,
+        instance.m,
+        instance.open_sum,
+        instance.guarded_sum,
+    )
 
 
 def cyclic_open_optimum(instance: Instance) -> float:

@@ -94,23 +94,6 @@ def safe_ceil_div(b: float, t: float) -> int:
     return int(math.ceil(q))
 
 
-def kahan_sum(values: Iterable[float]) -> float:
-    """Compensated (Kahan) summation.
-
-    Used where the library accumulates thousands of bandwidths and the
-    result is then compared against a threshold (prefix sums ``S_k``,
-    feasibility pools in Algorithm 2's vectorized variants).
-    """
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def assert_finite_nonneg(values: Iterable[float], what: str) -> None:
     """Raise ``ValueError`` if any value is negative, NaN or infinite."""
     for v in values:

@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bounds import cyclic_bound
 from .instance import Instance
 from .numerics import ABS_TOL
 from .scheme import BroadcastScheme
@@ -185,16 +186,9 @@ class ClassRuns:
     def cyclic_optimum(self) -> float:
         """Lemma 5.1 closed form, bit-identical to
         :func:`repro.core.bounds.cyclic_optimum` on the expanded instance."""
-        n, m = self.n, self.m
-        if n + m == 0:
-            return float("inf")
-        bound = min(
-            self.source_bw,
-            (self.source_bw + self.open_sum + self.guarded_sum) / (n + m),
+        return cyclic_bound(
+            self.source_bw, self.n, self.m, self.open_sum, self.guarded_sum
         )
-        if m > 0:
-            bound = min(bound, (self.source_bw + self.open_sum) / m)
-        return bound
 
     # ------------------------------------------------------------------
     def open_array(self) -> np.ndarray:
@@ -360,16 +354,6 @@ class RunScheme:
             np.concatenate(dsts),
             np.concatenate(rates),
         )
-
-    @property
-    def num_edges_estimate(self) -> int:
-        """Upper bound on the expanded edge count (cheap, no expansion)."""
-        total = 0
-        for feed in self.feeds:
-            total += feed.count
-            for portion in feed.portions:
-                total += sum(b.count for b in portion.blocks) + 1
-        return total
 
     def expand(self) -> BroadcastScheme:
         """Materialize the full per-node :class:`BroadcastScheme`."""

@@ -23,7 +23,6 @@ __all__ = [
     "Stats",
     "summarize",
     "format_table",
-    "geometric_span",
 ]
 
 
@@ -101,18 +100,3 @@ def format_table(
     for row in str_rows:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
     return "\n".join(lines)
-
-
-def geometric_span(start: int, stop: int, points: int) -> list[int]:
-    """Roughly geometric integer grid from ``start`` to ``stop`` inclusive."""
-    if points < 2 or start >= stop:
-        return [start]
-    out = []
-    for k in range(points):
-        val = start * (stop / start) ** (k / (points - 1))
-        out.append(int(round(val)))
-    dedup: list[int] = []
-    for v in out:
-        if not dedup or v > dedup[-1]:
-            dedup.append(v)
-    return dedup

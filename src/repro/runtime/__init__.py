@@ -18,8 +18,8 @@ Layout:
 * :mod:`~repro.runtime.scenarios` — declarative named workloads
   (steady churn, flash crowd, diurnal drift, rack failure, Mathieu-style
   live streaming) and the user-extensible registry;
-* :mod:`~repro.runtime.batch` — ``concurrent.futures`` sweep runner
-  with per-worker overlay memoization.
+* :mod:`~repro.runtime.batch` — serial or process-pool sweep runner
+  with per-process overlay memoization.
 
 Plan construction itself (the Theorem 4.1 pipeline, the LRU
 :class:`~repro.planning.PlanCache`, incremental repair) lives in

@@ -1,11 +1,12 @@
-"""Parallel batch runner: fan a scenario grid across workers.
+"""Parallel batch runner: fan a scenario grid across worker processes.
 
 Large sweeps (every scenario x every controller x many seeds) are
 embarrassingly parallel: each job is a self-contained, seeded engine run.
-:func:`run_batch` fans a job list across ``concurrent.futures`` workers —
-processes by default (the optimizer is pure Python, so real sweeps want
-real cores), threads or in-process serial execution on request — and
-returns condensed :class:`RunSummary` rows in job order.
+:func:`run_batch` fans a job list across a process pool by default (the
+optimizer is pure Python, so real sweeps want real cores; threads would
+share one GIL and never beat a serial sweep), or runs it serially in
+process on request, and returns condensed :class:`RunSummary` rows in
+job order.
 
 Jobs are plain picklable dataclasses: the scenario travels as its frozen
 spec, the controller (and planner) as registry names plus keyword
@@ -16,7 +17,7 @@ instances constantly (the same base swarm under every controller, the
 same post-departure population at different seeds), and the LRU cache
 turns those repeats into lookups.
 
-Results are bit-identical across execution modes — parallelism changes
+Results are bit-identical across both modes — parallelism changes
 completion order, never the per-job RNG streams — which the test suite
 asserts.
 """
@@ -24,11 +25,10 @@ asserts.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Union
 
 from ..planning import PlanCache
 from .controller import make_controller
@@ -244,19 +244,10 @@ class RunSummary:
         )
 
 
-#: One overlay memo per worker, shared across the jobs that worker runs.
-#: Thread-local so concurrent jobs in ``mode="thread"`` never race on the
-#: counters (and per-job hit/miss deltas stay attributable): a pool
-#: thread — like a pool process — runs its jobs sequentially against its
-#: own cache.
-_WORKER_STATE = threading.local()
-
-
-def _worker_cache() -> PlanCache:
-    cache = getattr(_WORKER_STATE, "cache", None)
-    if cache is None:
-        cache = _WORKER_STATE.cache = PlanCache()
-    return cache
+#: One overlay memo per process, shared across the jobs it runs: a pool
+#: worker, like a serial sweep, runs its jobs one after another, so the
+#: per-job hit/miss deltas stay attributable.
+_WORKER_CACHE = PlanCache()
 
 
 def _run_fleet_job(job: BatchJob, started: float) -> RunSummary:
@@ -271,7 +262,7 @@ def _run_fleet_job(job: BatchJob, started: float) -> RunSummary:
     """
     from ..sessions import FleetEngine, make_fleet
 
-    cache = _worker_cache()
+    cache = _WORKER_CACHE
     hits0, misses0 = cache.stats()
     fleet_kwargs = dict(job.fleet_kwargs)
     fleet = make_fleet(
@@ -306,7 +297,7 @@ def run_job(job: BatchJob) -> RunSummary:
     started = time.perf_counter()  # repro: noqa REP002 -- wall_time telemetry in RunSummary; never feeds replayed decisions
     if job.fleet_kwargs:
         return _run_fleet_job(job, started)
-    cache = _worker_cache()
+    cache = _WORKER_CACHE
     hits0, misses0 = cache.stats()
     spec = (
         get_scenario(job.scenario)
@@ -337,6 +328,29 @@ def run_job(job: BatchJob) -> RunSummary:
     )
 
 
+def run_ordered(
+    fn: Callable[..., object],
+    jobs: Sequence[object],
+    *,
+    mode: str,
+    max_workers: Optional[int] = None,
+    **in_process,
+) -> list:
+    """``[fn(job) for job in jobs]``, serially or across a process pool.
+
+    ``mode`` is ``"serial"`` or ``"process"``.  ``in_process`` keywords (a
+    shared cache) reach ``fn`` only when the jobs run in this process —
+    ``mode="serial"``, or a single job — since a pool boundary cannot
+    share them.
+    """
+    if mode not in ("serial", "process"):
+        raise ValueError(f"mode must be 'serial' or 'process', got {mode!r}")
+    if mode == "serial" or len(jobs) <= 1:
+        return [fn(job, **in_process) for job in jobs]
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def run_batch(
     jobs: Sequence[BatchJob],
     *,
@@ -345,23 +359,10 @@ def run_batch(
 ) -> list[RunSummary]:
     """Run every job; results come back in job order.
 
-    ``mode`` is ``"process"`` (default — real parallelism),
-    ``"thread"`` (cheaper spawn, GIL-bound), or ``"serial"``
-    (in-process, the debugging fallback).
+    ``mode`` is ``"process"`` (default — real parallelism) or
+    ``"serial"`` (in-process, the debugging fallback).
     """
-    jobs = list(jobs)
-    if mode == "serial" or len(jobs) <= 1:
-        return [run_job(job) for job in jobs]
-    if mode == "process":
-        pool_cls = ProcessPoolExecutor
-    elif mode == "thread":
-        pool_cls = ThreadPoolExecutor
-    else:
-        raise ValueError(
-            f"mode must be 'process', 'thread' or 'serial', got {mode!r}"
-        )
-    with pool_cls(max_workers=max_workers) as pool:
-        return list(pool.map(run_job, jobs))
+    return run_ordered(run_job, list(jobs), mode=mode, max_workers=max_workers)
 
 
 def scenario_grid(
@@ -371,12 +372,7 @@ def scenario_grid(
     *,
     controller_kwargs: Optional[Dict[str, dict]] = None,
     engine_kwargs: Optional[dict] = None,
-    sessions: Optional[int] = None,
-    broker: Optional[str] = None,
-    overlap: Optional[float] = None,
-    admission: Optional[str] = None,
-    admission_floor: Optional[float] = None,
-    session_demand: Optional[float] = None,
+    fleet_kwargs: Optional[dict] = None,
 ) -> list[BatchJob]:
     """The full cross product as a job list (seed-major, stable order).
 
@@ -388,34 +384,18 @@ def scenario_grid(
     sweeps stay bit-identical across execution modes like everything
     else.
 
-    ``sessions=K`` switches every job into multi-tenant mode: the worker
-    builds a K-channel fleet over the scenario's shared swarm
-    (:func:`~repro.sessions.make_fleet`) and sweeps it through a
-    :class:`~repro.sessions.FleetEngine`; ``broker`` / ``overlap`` /
-    ``admission`` / ``admission_floor`` / ``session_demand`` configure
-    the fleet and error out when passed without ``sessions``.
+    ``fleet_kwargs`` with ``sessions=K`` switches every job into
+    multi-tenant mode: the worker builds a K-channel fleet over the
+    scenario's shared swarm (:func:`~repro.sessions.make_fleet`, which
+    also takes ``overlap`` and ``session_demand``) and sweeps it through
+    a :class:`~repro.sessions.FleetEngine`, which takes the remaining
+    keys (``broker``, ``admission``, ``admission_floor``).
     """
     controller_kwargs = controller_kwargs or {}
-    fleet_kwargs: Dict[str, object] = {}
-    if sessions is not None:
-        fleet_kwargs["sessions"] = sessions
-        if broker is not None:
-            fleet_kwargs["broker"] = broker
-        if overlap is not None:
-            fleet_kwargs["overlap"] = overlap
-        if admission is not None:
-            fleet_kwargs["admission"] = admission
-        if admission_floor is not None:
-            fleet_kwargs["admission_floor"] = admission_floor
-        if session_demand is not None:
-            fleet_kwargs["session_demand"] = session_demand
-    elif any(
-        v is not None
-        for v in (broker, overlap, admission, admission_floor, session_demand)
-    ):
+    if fleet_kwargs and "sessions" not in fleet_kwargs:
         raise ValueError(
-            "broker/overlap/admission/admission_floor/session_demand "
-            "require sessions= (the multi-tenant switch)"
+            f"fleet_kwargs {sorted(fleet_kwargs)} require sessions= "
+            f"(the multi-tenant switch)"
         )
     return [
         BatchJob.make(

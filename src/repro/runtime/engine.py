@@ -253,7 +253,6 @@ class RuntimeEngine:
         sim_backend: str = "reference",
         warm_epochs: bool = False,
         sim_workers: Optional[int] = None,
-        sim_worker_mode: Optional[str] = None,
         planner: Union[str, Planner, None] = None,
         repair_tolerance: Optional[float] = None,
         plan_slack: float = 0.0,
@@ -282,11 +281,6 @@ class RuntimeEngine:
                 f"sim_workers must be >= 1, got {sim_workers}"
             )
         check_workers(sim_backend, sim_workers)
-        if sim_worker_mode not in (None, "thread", "process"):
-            raise ValueError(
-                f"sim_worker_mode must be None, 'thread' or 'process', "
-                f"got {sim_worker_mode!r}"
-            )
         if isinstance(planner, str) and planner not in planner_names():
             raise ValueError(
                 f"unknown planner {planner!r} "
@@ -350,7 +344,6 @@ class RuntimeEngine:
         self.sim_backend = sim_backend
         self.warm_epochs = bool(warm_epochs)
         self.sim_workers = sim_workers
-        self.sim_worker_mode = sim_worker_mode
         self._rng = random.Random(seed)
         self.now = 0
         self.repair_tolerance = repair_tolerance
@@ -729,7 +722,6 @@ class RuntimeEngine:
                 failures={k: 0 for k in sorted(failed)},
                 backend=self.sim_backend,
                 workers=self.sim_workers,
-                worker_mode=self.sim_worker_mode,
             )
             if self.warm_epochs:
                 self._warm_sim, self._warm_plan = sim, plan

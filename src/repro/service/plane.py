@@ -777,7 +777,7 @@ class ControlPlane:
         """A :class:`~repro.sessions.fleet.FleetEngine` over the live
         session table — the bridge back to the batch world, used to
         check that a recovered plane reproduces identical fleet
-        summaries (bit-identical across serial/thread/process, like
+        summaries (bit-identical across serial and process, like
         every fleet run)."""
         if not self.sessions:
             raise ValueError("no live sessions to run as a fleet")

@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
+from ..core.bounds import cyclic_bound
 from ..core.instance import NodeKind
 
 __all__ = [
@@ -81,8 +82,10 @@ class SessionClaim:
             raise ValueError(f"source_bw must be >= 0, got {self.source_bw}")
         if not self.demand > 0:
             raise ValueError(f"demand must be > 0, got {self.demand}")
-        if not self.priority > 0:
-            raise ValueError(f"priority must be > 0, got {self.priority}")
+        if not 0 < self.priority < math.inf:
+            raise ValueError(
+                f"priority must be finite and > 0, got {self.priority}"
+            )
 
 
 @dataclass
@@ -134,12 +137,7 @@ def lemma51_bound(
         else:
             n += 1
             open_sum += share
-    if n + m == 0:
-        return math.inf
-    bound = min(b0, (b0 + open_sum + guarded_sum) / (n + m))
-    if m > 0:
-        bound = min(bound, (b0 + open_sum) / m)
-    return bound
+    return cyclic_bound(b0, n, m, open_sum, guarded_sum)
 
 
 class CapacityBroker:
@@ -255,12 +253,27 @@ class ProportionalBroker(CapacityBroker):
     name = "proportional"
 
     def _session_weights(self, kinds, bandwidths, claims):
-        weights = {}
+        factors = {}
         for claim in claims:
             ceiling = _solo_ceiling(claim, kinds, bandwidths)
-            weights[claim.name] = claim.priority * (
-                ceiling if math.isfinite(ceiling) else 1.0
+            factors[claim.name] = (
+                claim.priority, ceiling if math.isfinite(ceiling) else 1.0
             )
+        weights = {name: p * c for name, (p, c) in factors.items()}
+        if math.isinf(sum(weights.values())):
+            # A huge priority overflowed its weight or their sum: scale
+            # every priority by one power of two, so the weights sum to
+            # at most 1 and the split stays finite.  A power-of-two
+            # scale is exact while the scaled values stay normal, so the
+            # ratios are kept.
+            shift = len(claims).bit_length() + max(
+                math.frexp(p)[1] + math.frexp(c)[1]
+                for p, c in factors.values()
+            )
+            weights = {
+                name: math.ldexp(p, -shift) * c
+                for name, (p, c) in factors.items()
+            }
         return weights
 
 

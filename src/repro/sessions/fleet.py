@@ -21,11 +21,12 @@ run has two phases:
    session is an independent :class:`~repro.runtime.engine.RuntimeEngine`
    run — its own controller, planner, plan cache and (optional)
    estimation loop over its own arborescence — so sessions shard across
-   the existing ``concurrent.futures`` worker pool like batch jobs.
-   Results are bit-identical across ``serial`` / ``thread`` /
-   ``process`` modes and independent of dispatch order: every job is
-   self-contained and seeded from the fleet seed plus the session
-   *name*, never from scheduling.
+   a process pool like batch jobs
+   (:func:`~repro.runtime.batch.run_ordered`).  Results are
+   bit-identical across ``serial`` and ``process`` modes and
+   independent of dispatch order: every job is self-contained and
+   seeded from the fleet seed plus the session *name*, never from
+   scheduling.
 
 Estimation is amortized fleet-wide: the fleet-level ``probes_per_node``
 budget is scaled by ``initial alive / total subscriptions`` before it
@@ -40,10 +41,10 @@ import copy
 import math
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Union
 
+from ..runtime.batch import run_ordered
 from ..runtime.controller import make_controller
 from ..runtime.engine import RunResult, RuntimeEngine
 from ..runtime.events import (
@@ -124,8 +125,7 @@ def _run_session(job: _SessionJob, cache=None) -> tuple[str, RunResult, int]:
     pristine: ``FleetEngine.run`` can be called repeatedly (and in
     different modes) against the same prepared jobs.  ``cache`` is an
     optional shared :class:`~repro.planning.PlanCache` — only injected
-    on in-process serial execution, where no pool boundary or thread
-    race is in play.
+    on in-process execution, where no pool boundary is in play.
     """
     platform = copy.deepcopy(job.platform)
     engine = RuntimeEngine(
@@ -275,8 +275,8 @@ class FleetEngine:
         self.controller = controller
         self.controller_kwargs = tuple(sorted((controller_kwargs or {}).items()))
         self.scenario = scenario
-        #: Optional shared PlanCache, used only for serial execution
-        #: (a pool boundary cannot share it, a thread pool must not).
+        #: Optional shared PlanCache, used only for in-process execution
+        #: (a pool boundary cannot share it).
         self.cache = cache
         self.engine_kwargs = dict(engine_kwargs)
         self._prepared: Optional[list[_SessionJob]] = None
@@ -520,24 +520,17 @@ class FleetEngine:
     ) -> FleetResult:
         """Execute every admitted session; results in spec order.
 
-        ``mode`` is ``"serial"`` (in-process), ``"thread"`` or
-        ``"process"`` — identical results either way, sessions are
-        independent trees.
+        ``mode`` is ``"serial"`` (in-process) or ``"process"`` —
+        identical results either way, sessions are independent trees.
         """
         started = time.perf_counter()  # repro: noqa REP002 -- wall_time telemetry in fleet result; not replayed
-        jobs = self.prepare()
-        if mode == "serial" or len(jobs) <= 1:
-            outcomes = [_run_session(job, self.cache) for job in jobs]
-        elif mode in ("thread", "process"):
-            pool_cls = (
-                ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
-            )
-            with pool_cls(max_workers=max_workers) as pool:
-                outcomes = list(pool.map(_run_session, jobs))
-        else:
-            raise ValueError(
-                f"mode must be 'process', 'thread' or 'serial', got {mode!r}"
-            )
+        outcomes = run_ordered(
+            _run_session,
+            self.prepare(),
+            mode=mode,
+            max_workers=max_workers,
+            cache=self.cache,
+        )
         by_name = {name: (result, alive) for name, result, alive in outcomes}
 
         session_results = []

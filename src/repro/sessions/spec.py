@@ -55,8 +55,10 @@ class SessionSpec:
                 "origin rate min(source_bw, demand) must be finite, got "
                 f"source_bw={self.source_bw}, demand={self.demand}"
             )
-        if not self.priority > 0:
-            raise ValueError(f"priority must be > 0, got {self.priority}")
+        if not 0 < self.priority < math.inf:
+            raise ValueError(
+                f"priority must be finite and > 0, got {self.priority}"
+            )
         if len(set(self.members)) != len(self.members):
             raise ValueError(f"duplicate members in session {self.name!r}")
 

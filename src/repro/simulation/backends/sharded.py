@@ -426,27 +426,6 @@ class ShardFleet:
             for shard in self.shards:
                 shard.run(num_slots)
 
-    def rescale(self, factor: float) -> None:
-        """Diurnal drift at class granularity: every injection and
-        capacity rate scaled by ``factor`` in O(K) — no rebuild, no
-        O(n) pass.  The credit/packet state carries over, which is the
-        point: a bandwidth dip mid-broadcast slows delivery, it does
-        not reset it.
-
-        Under process mode the rate arrays are fork-inherited (static,
-        not shared), so the worker pool is retired and re-forked lazily
-        at the next :meth:`run` — O(workers), not O(n).
-        """
-        if factor <= 0.0 or not np.isfinite(factor):
-            raise ValueError(f"scale factor must be finite > 0: {factor}")
-        pool = self._box["executor"]
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._box["executor"] = None
-        for shard in self.shards:
-            shard.inj *= factor
-            shard.cap *= factor
-
     def kill(self, node: int) -> None:
         for shard in self.shards:
             shard.kill(node)

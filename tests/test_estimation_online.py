@@ -571,9 +571,8 @@ class TestBatchIntegration:
             engine_kwargs={"estimation": "online", "probes_per_node": 3.0},
         )
         serial = run_batch(jobs, mode="serial")
-        threaded = run_batch(jobs, mode="thread", max_workers=2)
         pooled = run_batch(jobs, mode="process", max_workers=2)
-        assert serial == threaded == pooled
+        assert serial == pooled
 
     def test_oracle_rows_unchanged_shape(self):
         results = run_batch(
@@ -894,15 +893,11 @@ class TestOnlineTransportChoice:
         reference = _live_online_run(spec, 2, sim_backend="reference")
         assert _epoch_digest(reference) == GOLDEN_LIVE30_SEED2["reference"]
 
-    def test_auto_with_process_workers_matches_serial_reference(self):
+    def test_auto_with_workers_matches_serial_reference(self):
         """The serial fallback drops the worker request, so ``auto`` with
-        process workers runs where ``reference`` with workers is
-        refused."""
+        workers runs where ``reference`` with workers is refused."""
         spec = LiveStreamTrace(size=40)
-        pooled = _live_online_run(
-            spec, 1, sim_backend="auto", sim_workers=2,
-            sim_worker_mode="process",
-        )
+        pooled = _live_online_run(spec, 1, sim_backend="auto", sim_workers=2)
         assert _epoch_digest(pooled) == GOLDEN_LIVE40_ONLINE[1]
         with pytest.raises(ValueError, match="single-threaded"):
             _live_online_run(spec, 1, sim_backend="reference", sim_workers=2)

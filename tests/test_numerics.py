@@ -1,7 +1,5 @@
 """Tests for the shared float-comparison helpers."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +13,6 @@ from repro.core.numerics import (
     flt,
     fnonneg,
     fpos,
-    kahan_sum,
     safe_ceil_div,
 )
 
@@ -84,19 +81,6 @@ class TestSafeCeilDiv:
         assert safe_ceil_div(b, t) >= b / t - 1e-6
 
 
-class TestKahan:
-    def test_matches_fsum(self):
-        vals = [0.1] * 1000
-        assert kahan_sum(vals) == pytest.approx(math.fsum(vals), abs=1e-12)
-
-    def test_empty(self):
-        assert kahan_sum([]) == 0.0
-
-    @given(st.lists(floats, max_size=200))
-    def test_close_to_fsum(self, vals):
-        assert kahan_sum(vals) == pytest.approx(
-            math.fsum(vals), rel=1e-12, abs=1e-9
-        )
 
 
 class TestAssertFiniteNonneg:

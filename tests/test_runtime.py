@@ -275,8 +275,17 @@ class TestBatchRunner:
         ]
         serial = run_batch(jobs, mode="serial")
         again = run_batch(jobs, mode="serial")
-        threaded = run_batch(jobs, max_workers=2, mode="thread")
-        assert serial == again == threaded
+        pooled = run_batch(jobs, max_workers=2, mode="process")
+        assert serial == again == pooled
+
+    @pytest.mark.parametrize("jobs", [0, 1, 2])
+    def test_thread_mode_rejected(self, jobs):
+        grid = [
+            BatchJob.make(SMALL_GRID_SPECS[1], "static", seed)
+            for seed in range(jobs)
+        ]
+        with pytest.raises(ValueError, match="'serial' or 'process'"):
+            run_batch(grid, mode="thread", max_workers=2)
 
     def test_process_pool_matches_serial(self):
         jobs = [
@@ -431,12 +440,6 @@ class TestRuntimeCli:
         assert rc == 0
         assert "rebuilds=" in capsys.readouterr().out
 
-    def test_workers_rejected_for_serial_sim_backends(self, capsys):
-        rc = main(["runtime", "--scenario", "rack-failure", "--workers", "4"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--sim-backend sharded" in err and "single-threaded" in err
-
     def test_deleted_bitset_backend_rejected(self, capsys):
         assert main(["runtime", "--sim-backend", "bitset", "--seed", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -448,11 +451,19 @@ class TestRuntimeCli:
         assert rc == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["sharded", "auto"])
-    def test_workers_accepted_for_parallel_backends(self, capsys, backend):
+    @pytest.mark.parametrize("backend", ["reference", "sharded", "auto"])
+    def test_single_run_workers_rejected(self, capsys, backend):
         rc = main(
             ["runtime", "--scenario", "rack-failure", "--seed", "2",
              "--sim-backend", backend, "--workers", "2"]
         )
-        assert rc == 0
-        assert "rebuilds=" in capsys.readouterr().out
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--batch" in err[0]
+
+    def test_deleted_sim_worker_mode_flag_rejected(self, capsys):
+        rc = main(["runtime", "--sim-worker-mode", "process", "--seed", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")

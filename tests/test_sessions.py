@@ -141,6 +141,39 @@ class TestBrokers:
         assert alloc.bounds["a"] > 0
         assert alloc.bounds["b"] > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        priorities=st.lists(
+            st.floats(min_value=5e-324, max_value=1.7e308),
+            min_size=2, max_size=5,
+        ),
+        uploads=st.lists(
+            st.floats(min_value=0.5, max_value=50.0), min_size=4, max_size=4
+        ),
+    )
+    def test_extreme_priorities_keep_every_split_finite(
+        self, priorities, uploads
+    ):
+        """Huge priorities used to overflow the proportional weights
+        (or their sum) and turn fractions into NaN."""
+        kinds = {k: NodeKind.OPEN for k in range(1, 5)}
+        kinds[4] = NodeKind.GUARDED
+        bandwidths = dict(zip(range(1, 5), uploads))
+        claims = [
+            SessionClaim(
+                name=f"s{i}", source_bw=40.0, priority=p,
+                members=(1, 2, 4) if i % 2 else (1, 2, 3, 4),
+            )
+            for i, p in enumerate(priorities)
+        ]
+        for name in broker_names():
+            alloc = make_broker(name).arbitrate(kinds, bandwidths, claims)
+            for node in bandwidths:
+                shares = [alloc.fraction(c.name, node) for c in claims]
+                assert all(math.isfinite(f) and f >= 0 for f in shares)
+                assert sum(shares) <= 1.0 + FRACTION_EPS, (name, node)
+            assert all(math.isfinite(b) for b in alloc.bounds.values())
+
     def test_waterfill_node_respects_level(self):
         grants = _waterfill_node({"a": 0.9, "b": 0.9, "c": 0.1})
         assert sum(grants.values()) == pytest.approx(1.0)
@@ -166,6 +199,13 @@ class TestSpecs:
             SessionSpec(name="s", source_bw=1.0, demand=0.0)
         with pytest.raises(ValueError):
             SessionSpec(name="s", source_bw=1.0, members=(1, 1))
+
+    @pytest.mark.parametrize("priority", [0.0, -1.0, math.nan, math.inf])
+    def test_priority_must_be_finite_and_positive(self, priority):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            SessionSpec(name="s", source_bw=1.0, priority=priority)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            SessionClaim(name="s", source_bw=1.0, priority=priority)
 
     def test_origin_rate_must_be_finite(self):
         with pytest.raises(ValueError, match="source_bw"):
@@ -380,15 +420,20 @@ class TestDeterminism:
             for s in result.sessions
         ]
 
-    def test_serial_thread_process_identical(self):
+    def test_serial_process_identical(self):
         payloads = []
-        for mode in ("serial", "thread", "process"):
+        for mode in ("serial", "process"):
             fleet = make_fleet(self.SPEC, 3, seed=6, overlap=0.4)
             result = FleetEngine.from_fleet(fleet, broker="waterfill").run(
                 mode=mode, max_workers=2
             )
             payloads.append(self._payload(result))
-        assert payloads[0] == payloads[1] == payloads[2]
+        assert payloads[0] == payloads[1]
+
+    def test_thread_mode_rejected(self):
+        fleet = make_fleet(self.SPEC, 2, seed=6, overlap=0.4)
+        with pytest.raises(ValueError, match="'serial' or 'process'"):
+            FleetEngine.from_fleet(fleet).run(mode="thread", max_workers=2)
 
     def test_results_independent_of_session_order(self):
         fleet = make_fleet(self.SPEC, 3, seed=6, overlap=0.4)
@@ -413,19 +458,18 @@ class TestDeterminism:
             ["rack-failure"],
             ["reactive"],
             seeds=(0, 1),
-            sessions=2,
-            broker="waterfill",
-            overlap=0.3,
+            fleet_kwargs={"sessions": 2, "broker": "waterfill", "overlap": 0.3},
         )
         serial = run_batch(jobs, mode="serial")
-        thread = run_batch(jobs, mode="thread", max_workers=2)
         process = run_batch(jobs, mode="process", max_workers=2)
-        assert serial == thread == process
+        assert serial == process
         assert all(r.sessions == 2 for r in serial)
 
     def test_summarize_batch_grows_fleet_columns(self):
         jobs = scenario_grid(
-            ["rack-failure"], ["reactive"], sessions=2, broker="equal"
+            ["rack-failure"],
+            ["reactive"],
+            fleet_kwargs={"sessions": 2, "broker": "equal"},
         )
         table = summarize_batch(run_batch(jobs, mode="serial"))
         assert "broker" in table and "fairness" in table
@@ -433,7 +477,9 @@ class TestDeterminism:
 
     def test_grid_rejects_fleet_opts_without_sessions(self):
         with pytest.raises(ValueError, match="require sessions="):
-            scenario_grid(["rack-failure"], ["reactive"], broker="equal")
+            scenario_grid(
+                ["rack-failure"], ["reactive"], fleet_kwargs={"broker": "equal"}
+            )
 
 
 class TestAnalysis:
@@ -624,6 +670,20 @@ class TestSessionsCLI:
         assert main(["sessions"] + argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mode", "thread"], ["--workers", "2"],
+         ["--mode", "serial", "--workers", "2"]],
+    )
+    def test_deleted_thread_mode_and_serial_workers_rejected(
+        self, capsys, argv
+    ):
+        from repro.cli import main
+
+        assert main(["sessions", "--seed", "1"] + argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestEstimationInTheFleet:
     def test_online_estimation_runs_and_pays_probes(self):
@@ -647,7 +707,7 @@ class TestReviewRegressions:
         engine = FleetEngine.from_fleet(fleet)
         first = engine.run(mode="serial")
         second = engine.run(mode="serial")  # jobs stay pristine
-        third = engine.run(mode="thread", max_workers=2)
+        third = engine.run(mode="process", max_workers=2)
         for a, b in ((first, second), (first, third)):
             assert [s.result.epochs for s in a.sessions] == [
                 s.result.epochs for s in b.sessions
@@ -674,9 +734,9 @@ class TestReviewRegressions:
         jobs = scenario_grid(
             ["rack-failure"],
             ["reactive"],
-            sessions=2,
-            admission="reject",
-            admission_floor=1e9,
+            fleet_kwargs={
+                "sessions": 2, "admission": "reject", "admission_floor": 1e9
+            },
         )
         (summary,) = run_batch(jobs, mode="serial")
         assert summary.admitted == 0
@@ -686,7 +746,8 @@ class TestReviewRegressions:
 
     def test_fleet_batch_jobs_share_the_worker_cache(self):
         jobs = scenario_grid(
-            ["rack-failure"], ["reactive"], seeds=(0, 0), sessions=2
+            ["rack-failure"], ["reactive"], seeds=(0, 0),
+            fleet_kwargs={"sessions": 2},
         )
         first, repeat = run_batch(jobs, mode="serial")
         # The identical second job replays entirely from the worker's
