@@ -85,7 +85,6 @@ from ..planning import (
     plan_step,
     planner_names,
 )
-from ..simulation.backends import check_workers
 from ..simulation.core import PacketSimEngine, available_backends
 from .events import DynamicPlatform, Event, EventQueue, NodeJoin, NodeLeave
 
@@ -252,7 +251,6 @@ class RuntimeEngine:
         min_epoch_slots: int = 1,
         sim_backend: str = "reference",
         warm_epochs: bool = False,
-        sim_workers: Optional[int] = None,
         planner: Union[str, Planner, None] = None,
         repair_tolerance: Optional[float] = None,
         plan_slack: float = 0.0,
@@ -268,7 +266,7 @@ class RuntimeEngine:
             raise ValueError(
                 f"min_epoch_slots must be >= 1, got {min_epoch_slots}"
             )
-        # Fail fast: a bad backend/workers combination would otherwise
+        # Fail fast: an unknown backend or a bad combination would otherwise
         # only surface mid-run, at the first simulated epoch (or, via
         # the batch runner, after a whole sweep has been dispatched).
         if sim_backend not in available_backends():
@@ -276,11 +274,6 @@ class RuntimeEngine:
                 f"unknown simulation backend {sim_backend!r} "
                 f"(known: {', '.join(available_backends())})"
             )
-        if sim_workers is not None and sim_workers < 1:
-            raise ValueError(
-                f"sim_workers must be >= 1, got {sim_workers}"
-            )
-        check_workers(sim_backend, sim_workers)
         if isinstance(planner, str) and planner not in planner_names():
             raise ValueError(
                 f"unknown planner {planner!r} "
@@ -343,7 +336,6 @@ class RuntimeEngine:
         self.min_epoch_slots = int(min_epoch_slots)
         self.sim_backend = sim_backend
         self.warm_epochs = bool(warm_epochs)
-        self.sim_workers = sim_workers
         self._rng = random.Random(seed)
         self.now = 0
         self.repair_tolerance = repair_tolerance
@@ -721,7 +713,6 @@ class RuntimeEngine:
                 seed=sim_seed,
                 failures={k: 0 for k in sorted(failed)},
                 backend=self.sim_backend,
-                workers=self.sim_workers,
             )
             if self.warm_epochs:
                 self._warm_sim, self._warm_plan = sim, plan

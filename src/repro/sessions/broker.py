@@ -149,7 +149,9 @@ class CapacityBroker:
     implementation computes one weight per session
     (:meth:`_session_weights`) and splits every shared node
     proportionally among its subscribers; :class:`WaterfillBroker`
-    overrides the whole round instead.
+    overrides the whole round instead.  :class:`ProportionalBroker`
+    gives its weights as factor pairs (:meth:`_session_factors`), so a
+    subscriber group whose total overflows is rescaled on its own.
     """
 
     name = "base"
@@ -160,15 +162,11 @@ class CapacityBroker:
         bandwidths: Mapping[int, float],
         claims: Sequence[SessionClaim],
     ) -> Allocation:
-        weights = self._session_weights(kinds, bandwidths, claims)
+        factors = self._session_factors(kinds, bandwidths, claims)
         subscribers = _subscriber_sets(claims)
         splits: Dict[Tuple[str, ...], list[float]] = {}
         for names in dict.fromkeys(subscribers.values()):
-            total = sum(weights[name] for name in names)
-            splits[names] = [
-                weights[name] / total if total > 0 else 1.0 / len(names)
-                for name in names
-            ]
+            splits[names] = _weighted_split([factors[n] for n in names])
         alloc = Allocation(
             fractions={claim.name: {} for claim in claims}
         )
@@ -186,6 +184,37 @@ class CapacityBroker:
         claims: Sequence[SessionClaim],
     ) -> Dict[str, float]:
         raise NotImplementedError
+
+    def _session_factors(
+        self,
+        kinds: Mapping[int, str],
+        bandwidths: Mapping[int, float],
+        claims: Sequence[SessionClaim],
+    ) -> Dict[str, Tuple[float, float]]:
+        """Each session's weight as a ``(priority, ceiling)`` product;
+        by default ``(weight, 1.0)``."""
+        weights = self._session_weights(kinds, bandwidths, claims)
+        return {name: (weight, 1.0) for name, weight in weights.items()}
+
+
+def _weighted_split(factors: Sequence[Tuple[float, float]]) -> list[float]:
+    """One subscriber group's fractions, proportional to ``p * c`` per
+    ``(p, c)`` pair (even when every weight is 0).  A group whose total
+    overflows scales its priorities by one power of two, exact while they
+    stay normal, so its weights sum below 1; other groups are untouched.
+    """
+    weights = [p * c for p, c in factors]
+    total = sum(weights)
+    if math.isinf(total):
+        shift = len(factors).bit_length() + max(
+            math.frexp(p)[1] + math.frexp(c)[1] for p, c in factors
+        )
+        weights = [math.ldexp(p, -shift) * c for p, c in factors]
+        total = sum(weights)
+    return [
+        weight / total if total > 0 else 1.0 / len(weights)
+        for weight in weights
+    ]
 
 
 def _subscriber_sets(
@@ -252,29 +281,18 @@ class ProportionalBroker(CapacityBroker):
 
     name = "proportional"
 
-    def _session_weights(self, kinds, bandwidths, claims):
+    def _session_factors(self, kinds, bandwidths, claims):
         factors = {}
         for claim in claims:
             ceiling = _solo_ceiling(claim, kinds, bandwidths)
             factors[claim.name] = (
                 claim.priority, ceiling if math.isfinite(ceiling) else 1.0
             )
-        weights = {name: p * c for name, (p, c) in factors.items()}
-        if math.isinf(sum(weights.values())):
-            # A huge priority overflowed its weight or their sum: scale
-            # every priority by one power of two, so the weights sum to
-            # at most 1 and the split stays finite.  A power-of-two
-            # scale is exact while the scaled values stay normal, so the
-            # ratios are kept.
-            shift = len(claims).bit_length() + max(
-                math.frexp(p)[1] + math.frexp(c)[1]
-                for p, c in factors.values()
-            )
-            weights = {
-                name: math.ldexp(p, -shift) * c
-                for name, (p, c) in factors.items()
-            }
-        return weights
+        return factors
+
+    def _session_weights(self, kinds, bandwidths, claims):
+        factors = self._session_factors(kinds, bandwidths, claims)
+        return {name: p * c for name, (p, c) in factors.items()}
 
 
 class WaterfillBroker(CapacityBroker):

@@ -47,7 +47,7 @@ Which backend applies where:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Optional, Type
+from typing import TYPE_CHECKING, Dict, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import SimConfig
@@ -58,7 +58,6 @@ __all__ = [
     "register_backend",
     "make_backend",
     "backend_names",
-    "check_workers",
 ]
 
 
@@ -117,22 +116,14 @@ def make_backend(
             f"unknown simulation backend {name!r} "
             f"(known: {', '.join(BACKENDS)})"
         ) from None
-    check_workers(name, config.workers)
-    return cls(config, rng)
-
-
-def check_workers(name: str, workers: Optional[int]) -> None:
-    """Reject ``workers > 1`` for a registered backend without worker
-    support; ``auto`` passes, since its serial fallback drops them."""
-    cls = BACKENDS.get(name)  # None for "auto"
-    if workers is not None and workers > 1 and cls is not None and (
-        not cls.supports_workers
-    ):
+    workers = config.workers
+    if workers is not None and workers > 1 and not cls.supports_workers:
         raise ValueError(
             f"backend {name!r} is single-threaded; workers={workers} "
             f"requires a backend with worker support ('sharded', or "
             f"'auto' on decomposable schemes)"
         )
+    return cls(config, rng)
 
 
 # Populate the registry (imports must come after the decorator exists).

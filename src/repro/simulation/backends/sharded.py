@@ -96,8 +96,8 @@ def _release_process_state(token: str, shms: list, box: dict) -> None:
 #: of a plan; hashing the edge list costs O(E log E) versus the greedy
 #: extraction's many passes, and keying by value (not identity) stays
 #: correct if a caller mutates a scheme between runs.  The lock keeps
-#: eviction safe under ``run_batch(mode="thread")``, which constructs
-#: backends concurrently.
+#: eviction safe for library callers that construct backends from
+#: several threads at once.
 _DECOMPOSITION_MEMO: dict = {}  # edge-list key -> (weights, parents)
 _MEMO_SIZE = 8
 _MEMO_LOCK = threading.Lock()

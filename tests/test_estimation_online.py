@@ -892,12 +892,3 @@ class TestOnlineTransportChoice:
         assert _epoch_digest(result) == GOLDEN_LIVE30_SEED2["auto"]
         reference = _live_online_run(spec, 2, sim_backend="reference")
         assert _epoch_digest(reference) == GOLDEN_LIVE30_SEED2["reference"]
-
-    def test_auto_with_workers_matches_serial_reference(self):
-        """The serial fallback drops the worker request, so ``auto`` with
-        workers runs where ``reference`` with workers is refused."""
-        spec = LiveStreamTrace(size=40)
-        pooled = _live_online_run(spec, 1, sim_backend="auto", sim_workers=2)
-        assert _epoch_digest(pooled) == GOLDEN_LIVE40_ONLINE[1]
-        with pytest.raises(ValueError, match="single-threaded"):
-            _live_online_run(spec, 1, sim_backend="reference", sim_workers=2)

@@ -81,8 +81,6 @@ class TestSafeCeilDiv:
         assert safe_ceil_div(b, t) >= b / t - 1e-6
 
 
-
-
 class TestAssertFiniteNonneg:
     def test_accepts_good_values(self):
         assert_finite_nonneg([0.0, 1.5, 2.0], "test")

@@ -392,11 +392,6 @@ class TestWarmEpochs:
         platform = DynamicPlatform.from_instance(fig1)
         with pytest.raises(ValueError, match="unknown simulation backend"):
             RuntimeEngine(platform, [], 100, sim_backend="typo")
-        with pytest.raises(ValueError, match="single-threaded"):
-            RuntimeEngine(platform, [], 100, sim_workers=2)
-        with pytest.raises(ValueError, match="sim_workers must be >= 1"):
-            RuntimeEngine(platform, [], 100, sim_workers=0)
-        RuntimeEngine(platform, [], 100, sim_backend="auto", sim_workers=2)
 
     def test_warm_epochs_travel_through_batch_jobs(self):
         jobs = scenario_grid(

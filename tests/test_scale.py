@@ -8,7 +8,7 @@ accounting, an empty fleet's per-node zeros), :func:`measure_scale` reports, the
 slack-below-tolerance guard, and the saturated-swarm regression: a
 slackless optimal plan has zero spare so repair must fall back, a
 derated plan absorbs the same departure in place), and the engine-level
-``plan_slack`` / ``sim_workers`` / ``phase_seconds`` wiring.
+``plan_slack`` / ``phase_seconds`` wiring.
 
 The shard's level-contiguous layout is pinned against
 :class:`_ReferenceShard`, the tree-major gather/scatter shard it
@@ -271,12 +271,15 @@ class TestEngineScaleKnobs:
                 planner=FullRebuildPlanner(),
             )
 
-    def test_sim_worker_mode_is_not_a_knob(self, fig1):
-        """Per-epoch fleets are rebuilt every transport run, so the
-        engine's shard workers are always threads."""
+    @pytest.mark.parametrize(
+        "knob", [{"sim_worker_mode": "process"}, {"sim_workers": 2}]
+    )
+    def test_engine_transport_has_no_worker_knobs(self, fig1, knob):
+        """Per-epoch fleets are rebuilt every transport run, where
+        neither threads nor forked workers beat the serial shards."""
         platform = DynamicPlatform.from_instance(fig1)
-        with pytest.raises(TypeError, match="sim_worker_mode"):
-            RuntimeEngine(platform, [], 60, sim_worker_mode="process")
+        with pytest.raises(TypeError, match=next(iter(knob))):
+            RuntimeEngine(platform, [], 60, **knob)
 
     def test_phase_seconds_cover_the_run(self, fig1):
         result = RuntimeEngine(
@@ -288,19 +291,6 @@ class TestEngineScaleKnobs:
         }
         assert all(v >= 0.0 for v in phases.values())
         assert phases["simulate"] > 0.0
-
-    def test_threaded_workers_match_serial_epochs(self, fig1):
-        def run(**kwargs):
-            return RuntimeEngine(
-                DynamicPlatform.from_instance(fig1), [], 120, seed=3,
-                sim_backend="sharded", **kwargs,
-            ).run(IncrementalController())
-
-        serial = run()
-        pooled = run(sim_workers=2)
-        assert [e.min_goodput for e in serial.epochs] == [
-            e.min_goodput for e in pooled.epochs
-        ]
 
 
 class _ReferenceShard:

@@ -775,6 +775,11 @@ class TestTransports:
         assert b"Infinity" not in raw[-1]
         assert plane.sessions["a"].spec.priority == 1.0
         assert plane.sessions["b"].spec.priority == 2.0
+        # The rejected request is journaled verbatim, so replay reproduces
+        # its error; no later record carries the infinite priority.
+        with open(path, encoding="utf-8") as fh:
+            journal = fh.read()
+        assert journal.count('"priority":Infinity') == 1
         recovered = ControlPlane.recover(path, verify=True)
         assert recovered._grants_payload() == plane._grants_payload()
         assert recovered.stats().errors == 1

@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import (
     fleet_experiment,
@@ -173,6 +173,51 @@ class TestBrokers:
                 assert all(math.isfinite(f) and f >= 0 for f in shares)
                 assert sum(shares) <= 1.0 + FRACTION_EPS, (name, node)
             assert all(math.isfinite(b) for b in alloc.bounds.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        left=st.lists(
+            st.floats(min_value=5e-324, max_value=1.7e308),
+            min_size=1, max_size=3,
+        ),
+        right=st.lists(
+            st.floats(min_value=5e-324, max_value=1.7e308),
+            min_size=1, max_size=3,
+        ),
+    )
+    @example(left=[1e308], right=[1e-20, 2e-20])
+    def test_overflow_rescale_stays_inside_its_group(self, left, right):
+        """Claims on disjoint nodes never see each other: a group whose
+        weights overflow is rescaled on its own, so a huge priority on
+        nodes 1-2 leaves the splits of nodes 3-4 bit-identical."""
+        kinds = {k: NodeKind.OPEN for k in range(1, 5)}
+        bandwidths = {1: 30.0, 2: 20.0, 3: 10.0, 4: 5.0}
+        groups = [
+            [
+                SessionClaim(
+                    name=f"{side}{i}", source_bw=40.0, priority=p,
+                    members=members,
+                )
+                for i, p in enumerate(priorities)
+            ]
+            for side, priorities, members in (
+                ("a", left, (1, 2)), ("b", right, (3, 4))
+            )
+        ]
+        for name in broker_names():
+            broker = make_broker(name)
+            together = broker.arbitrate(kinds, bandwidths, sum(groups, []))
+            for group in groups:
+                alone = broker.arbitrate(kinds, bandwidths, group)
+                for claim in group:
+                    assert (
+                        together.fractions[claim.name]
+                        == alone.fractions[claim.name]
+                    ), (name, claim.name)
+                    assert (
+                        together.bounds[claim.name]
+                        == alone.bounds[claim.name]
+                    )
 
     def test_waterfill_node_respects_level(self):
         grants = _waterfill_node({"a": 0.9, "b": 0.9, "c": 0.1})
