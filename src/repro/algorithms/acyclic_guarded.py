@@ -11,13 +11,17 @@ Three pieces (matching the paper's proof structure):
    verdict monotonicity does not already settle, after pinning the
    bracket around a parametric estimate of the threshold.
 
-2. :func:`scheme_from_word` — Lemma 4.6's packing: given a valid word, feed
+2. :func:`pack_word` — Lemma 4.6's packing: given a valid word, feed
    every node *by the earliest possible nodes with unused upload
    bandwidth*, drawing guarded bandwidth first for open receivers
    (conservativeness, Lemma 4.3) and open bandwidth only for guarded
    receivers (firewall).  Implemented with two FIFO pools, so every
    sender's clients form a consecutive interval per pool, which is what
-   yields the degree bounds.
+   yields the degree bounds.  The packer draws into a caller's edge
+   sink: :func:`scheme_from_word` packs into a fresh
+   :class:`~repro.core.scheme.BroadcastScheme`, and the incremental
+   repair planner packs straight into its overlay model, keeping the
+   returned pools to resume from.
 
 3. :func:`acyclic_guarded_scheme` — the full pipeline.  On the word
    produced by Algorithm 2 the scheme satisfies Theorem 4.1's bounds:
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -91,18 +95,11 @@ _PIN_REL = 1e-13
 
 @dataclass
 class AcyclicSolution:
-    """Bundle returned by :func:`acyclic_guarded_scheme`.
-
-    ``packing`` is the residual :class:`PackingState` after the Lemma 4.6
-    packing — the spare-upload pools incremental repair resumes from.  It
-    is shared by every consumer of a memoized solution; mutate a
-    :meth:`PackingState.remap` copy, never the original.
-    """
+    """Bundle returned by :func:`acyclic_guarded_scheme`."""
 
     scheme: BroadcastScheme
     throughput: float
     word: str
-    packing: "PackingState" = field(repr=False)
 
 
 def optimal_acyclic_throughput(
@@ -251,9 +248,6 @@ class PackingState:
         if amount > 0.0:
             self._pool_of(node).append([node, amount])
 
-    def is_open_node(self, node: int) -> bool:
-        return self._node_open[node]
-
     def _pool_of(self, node: int) -> deque:
         return self.open_entries if self._node_open[node] else self.guarded_entries
 
@@ -392,74 +386,16 @@ class PackingState:
             return self.feed_guarded(receiver, need, sink, before=before)
         return self.feed_open(receiver, need, sink, before=before)
 
-    # ------------------------------------------------------------------
-    # Copies
-    # ------------------------------------------------------------------
-    def remap(self, mapping: dict[int, int]) -> "PackingState":
-        """Independent copy with node ids translated through ``mapping``.
-
-        Used to carry a packing computed in canonical instance space into
-        the external-id space of a live plan (memoized states are shared
-        — see :class:`AcyclicSolution`).
-        """
-        out = PackingState(self.tol)
-        key = mapping.__getitem__
-        out.open_entries = deque([key(n), rem] for n, rem in self.open_entries)
-        out.guarded_entries = deque(
-            [key(n), rem] for n, rem in self.guarded_entries
-        )
-        out.position = {key(n): p for n, p in self.position.items()}
-        out.next_position = self.next_position
-        out._node_open = {key(n): o for n, o in self._node_open.items()}
-        return out
-
 
 def pack_word(
-    instance: Instance, word: str, throughput: float
-) -> tuple[BroadcastScheme, PackingState]:
-    """Lemma 4.6 packing, returning the scheme *and* the residual pools.
-
-    Same construction as :func:`scheme_from_word`; the returned
-    :class:`PackingState` is what incremental repair resumes from.  For a
-    non-positive ``throughput`` the scheme is empty and every node keeps
-    its full bandwidth as spare credit.
-    """
-    check_word_shape(instance, word, complete=True)
-    scheme = BroadcastScheme.for_instance(instance)
-    state = PackingState(tol=1e-9 * max(1.0, throughput))
-    state.push(0, instance.source_bw, open_=True)
-    # A non-positive throughput needs no special case: every draw below
-    # is a no-op, leaving an empty scheme and full-bandwidth pools.
-    next_open, next_guarded = 1, instance.n + 1
-    for pos, letter in enumerate(word):
-        if letter == GUARDED:
-            node = next_guarded
-            next_guarded += 1
-            unmet = state.feed_guarded(node, throughput, scheme.add_rate)
-            if unmet > state.tol:
-                raise InfeasibleThroughputError(
-                    f"word invalid at rate {throughput:g}: guarded node "
-                    f"{node} (position {pos}) short of {unmet:g} open "
-                    f"bandwidth"
-                )
-            state.push(node, instance.bandwidth(node), open_=False)
-        else:
-            node = next_open
-            next_open += 1
-            unmet = state.feed_open(node, throughput, scheme.add_rate)
-            if unmet > state.tol:
-                raise InfeasibleThroughputError(
-                    f"word invalid at rate {throughput:g}: open node {node} "
-                    f"(position {pos}) short of {unmet:g} bandwidth"
-                )
-            state.push(node, instance.bandwidth(node), open_=True)
-    return scheme, state
-
-
-def scheme_from_word(
-    instance: Instance, word: str, throughput: float
-) -> BroadcastScheme:
-    """Lemma 4.6 packing: earliest-feeder conservative scheme for ``word``.
+    instance: Instance,
+    word: str,
+    throughput: float,
+    sink: EdgeSink,
+    ids: Optional[Sequence[int]] = None,
+) -> PackingState:
+    """Lemma 4.6 packing: draw every transfer into ``sink``, return the
+    residual pools.
 
     Nodes are introduced in word order; each must receive exactly
     ``throughput``:
@@ -468,11 +404,57 @@ def scheme_from_word(
     * an open node draws from the *guarded* pool first (conservativeness)
       and tops up from the open pool.
 
+    Canonical node ``k`` is labelled ``ids[k]`` (default ``k``) in both the
+    sink calls and the returned :class:`PackingState` — the pools an
+    incremental repair resumes from, already in its id space.  Each
+    ``(sender, receiver)`` pair is drawn at most once, in draw order per
+    sender.  For a non-positive ``throughput`` nothing is drawn and every
+    node keeps its full bandwidth as spare credit.
+
     Raises :class:`InfeasibleThroughputError` when the word is not valid
-    for ``throughput`` (some node cannot be fully fed).  Callers that also
-    need the residual spare-upload pools use :func:`pack_word`.
+    for ``throughput`` (some node cannot be fully fed).
     """
-    return pack_word(instance, word, throughput)[0]
+    check_word_shape(instance, word, complete=True)
+    if ids is None:
+        ids = range(instance.num_nodes)
+    state = PackingState(tol=1e-9 * max(1.0, throughput))
+    state.push(ids[0], instance.source_bw, open_=True)
+    # A non-positive throughput needs no special case: every draw below
+    # is a no-op, leaving no edges and full-bandwidth pools.
+    next_open, next_guarded = 1, instance.n + 1
+    for pos, letter in enumerate(word):
+        if letter == GUARDED:
+            node = next_guarded
+            next_guarded += 1
+            unmet = state.feed_guarded(ids[node], throughput, sink)
+            if unmet > state.tol:
+                raise InfeasibleThroughputError(
+                    f"word invalid at rate {throughput:g}: guarded node "
+                    f"{node} (position {pos}) short of {unmet:g} open "
+                    f"bandwidth"
+                )
+            state.push(ids[node], instance.bandwidth(node), open_=False)
+        else:
+            node = next_open
+            next_open += 1
+            unmet = state.feed_open(ids[node], throughput, sink)
+            if unmet > state.tol:
+                raise InfeasibleThroughputError(
+                    f"word invalid at rate {throughput:g}: open node {node} "
+                    f"(position {pos}) short of {unmet:g} bandwidth"
+                )
+            state.push(ids[node], instance.bandwidth(node), open_=True)
+    return state
+
+
+def scheme_from_word(
+    instance: Instance, word: str, throughput: float
+) -> BroadcastScheme:
+    """Lemma 4.6 packing into a fresh scheme: the earliest-feeder
+    conservative scheme for ``word`` (see :func:`pack_word`)."""
+    scheme = BroadcastScheme.for_instance(instance)
+    pack_word(instance, word, throughput, scheme.add_rate)
+    return scheme
 
 
 def acyclic_guarded_scheme(
@@ -510,8 +492,9 @@ def acyclic_guarded_scheme(
             raise InfeasibleThroughputError(
                 f"supplied word {chosen!r} is not valid at rate {target:g}"
             )
-    scheme, packing = pack_word(instance, chosen, target)
-    return AcyclicSolution(scheme, target, chosen, packing)
+    return AcyclicSolution(
+        scheme_from_word(instance, chosen, target), target, chosen
+    )
 
 
 # ======================================================================

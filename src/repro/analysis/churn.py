@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..algorithms.acyclic_guarded import scheme_from_word
 from ..instances.generators import random_instance
 from ..planning import PlanCache
 from ..runtime.controller import (
@@ -119,10 +120,11 @@ def churn_experiment(
     inst = random_instance(rng, size, open_prob, distribution)
 
     cache = PlanCache()
-    sol = cache.solve(inst)
+    rate, word = cache.solve(inst)
+    scheme = scheme_from_word(inst, word, rate)
 
     # The busiest relay: the non-source node forwarding the most rate.
-    forwarding = [(sol.scheme.out_rate(v), v) for v in inst.receivers()]
+    forwarding = [(scheme.out_rate(v), v) for v in inst.receivers()]
     failed_forwarding, failed = max(forwarding)
 
     def replay(controller, replay_cache):
@@ -148,7 +150,7 @@ def churn_experiment(
     repaired = replay(IncrementalController(), PlanCache())
     return ChurnReport(
         size=size,
-        planned_rate=sol.throughput,
+        planned_rate=rate,
         failed_node=failed,
         failed_forwarding=failed_forwarding,
         healthy_min_goodput=healthy.min_goodput,

@@ -206,17 +206,6 @@ class ClassRuns:
             tuple(float(v) for v in self.guarded_array()),
         )
 
-    def scaled(self, factor: float) -> "ClassRuns":
-        """All bandwidths multiplied by ``factor`` (diurnal epoch drift
-        at class granularity: O(classes), not O(n))."""
-        if not math.isfinite(factor) or factor < 0.0:
-            raise ValueError(f"scale factor must be finite >= 0: {factor}")
-        return ClassRuns(
-            self.source_bw * factor,
-            tuple((bw * factor, c) for bw, c in self.open_runs),
-            tuple((bw * factor, c) for bw, c in self.guarded_runs),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ClassRuns(b0={self.source_bw:g}, n={self.n} in "

@@ -10,14 +10,15 @@ of *when* controllers request them:
   :class:`PlanDelta` (what an incremental repair changed),
   :class:`PlanOutcome` (a planner's answer, with cost accounting);
 * :mod:`~repro.planning.cache` — :class:`PlanCache`, the LRU memo of
-  Theorem 4.1 solutions (hit/miss/eviction counters);
+  Theorem 4.1 search results, ``(T*_ac, word)`` pairs that each planner
+  packs itself (hit/miss/eviction counters);
 * :mod:`~repro.planning.planner` — the :class:`Planner` protocol,
   :class:`FullRebuildPlanner` (the historical always-reoptimize path)
   and :func:`plan_step`, the one timed build-or-replan call;
 * :mod:`~repro.planning.repair` — :class:`IncrementalRepairPlanner`,
-  which patches the surviving overlay locally (resumable Lemma 4.6
-  packing) and falls back to a full rebuild past a degradation
-  tolerance;
+  which packs each build straight into its own overlay model, patches
+  that overlay locally (resumable Lemma 4.6 packing) and falls back to
+  a full rebuild past a degradation tolerance;
 * :mod:`~repro.planning.collapsed` — :class:`ClassCollapsedPlanner`,
   which plans in run-length (class, multiplicity) space and expands
   per-node structure lazily — the n = 10^5..10^6 scale path, with

@@ -1,17 +1,21 @@
-"""Planning-owned memo for Theorem 4.1 solutions — a real LRU.
+"""Planning-owned memo for Theorem 4.1 searches — a real LRU.
 
 Churn revisits populations constantly (a peer leaves and an identical
 one joins; a batch sweep re-runs the same scenario under every
 controller), and :class:`~repro.core.instance.Instance` is
-frozen/hashable, so solved overlays are memoized by value.  Keys are
+frozen/hashable, so search results are memoized by value: what the
+dichotomic search found, the immutable ``(T*_ac, word)`` pair.  Each
+planner runs the Lemma 4.6 packing itself, once per build, into the
+form it keeps, so no entry holds mutable packing state.  Keys are
 *delta-aware for free*: an incremental repair that lands back on a
 previously seen population (same canonical instance) hits the same
 entry, whichever event sequence produced it.  Arbitrary hashable keys
 are accepted too via :meth:`PlanCache.get` / :meth:`PlanCache.put`, so
 planners can memoize derived solves (derated ``("slack-build", ...)``
-and run-length ``("collapsed", ...)`` builds).  Incremental repairs are
-not memoized: they resume live packing state, and replaying the same
-repair twice in one process is too rare to pay for a snapshot.
+``(rate, word)`` pairs and run-length ``("collapsed", ...)``
+solutions).  Incremental repairs are not memoized: they resume live
+packing state, and replaying the same repair twice in one process is
+too rare to pay for a snapshot.
 
 The cache replaced the runtime engine's ``OverlayCache``, whose
 "eviction" cleared the *entire* memo once ``max_entries`` was reached —
@@ -28,7 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
-from ..algorithms.acyclic_guarded import AcyclicSolution, acyclic_guarded_scheme
+from ..algorithms.acyclic_guarded import optimal_acyclic_throughput
 from ..core.instance import Instance
 
 __all__ = ["CacheStats", "PlanCache"]
@@ -59,7 +63,7 @@ class PlanCache:
     """LRU memo from hashable keys to planning artifacts.
 
     The primary entry point is :meth:`solve` — the memoized Theorem 4.1
-    pipeline keyed on the canonical instance.  :meth:`stats` keeps the
+    search keyed on the canonical instance.  :meth:`stats` keeps the
     historical ``(hits, misses)`` tuple shape; :meth:`counters` adds
     evictions.
     """
@@ -111,17 +115,17 @@ class PlanCache:
     # ------------------------------------------------------------------
     # Theorem 4.1 memo
     # ------------------------------------------------------------------
-    def solve(self, instance: Instance) -> AcyclicSolution:
-        """Memoized full pipeline: dichotomic search + Lemma 4.6 packing."""
-        sol = self.get(instance)
-        if sol is None:
-            sol = acyclic_guarded_scheme(instance)
-            self.put(instance, sol)
-        return sol
+    def solve(self, instance: Instance) -> tuple[float, str]:
+        """Memoized dichotomic search: ``(T*_ac, greedy word at T*_ac)``."""
+        found = self.get(instance)
+        if found is None:
+            found = optimal_acyclic_throughput(instance)
+            self.put(instance, found)
+        return found
 
     def optimal_rate(self, instance: Instance) -> float:
         """``T*_ac`` of ``instance`` (through the same memo)."""
-        return self.solve(instance).throughput
+        return self.solve(instance)[0]
 
     def nearest_profile(
         self, n: int, m: int

@@ -98,7 +98,6 @@ class ClassCollapsedPlanner(FullRebuildPlanner):
             instance=instance,
             scheme=LazyExpandedScheme(sol.scheme),
             rate=sol.throughput,
-            word=sol.word,
             node_ids=node_ids,
             built_at=engine.now,
         )
@@ -145,7 +144,6 @@ class ClassCollapsedPlanner(FullRebuildPlanner):
             instance=plan.instance,
             scheme=plan.scheme,  # class structure unchanged: share it
             rate=plan.rate,
-            word=plan.word,
             node_ids=node_ids,
             built_at=engine.now,
         )

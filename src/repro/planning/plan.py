@@ -30,15 +30,12 @@ class Plan:
     The scheme lives in the *canonical space* of ``instance``;
     ``node_ids[k]`` maps canonical position ``k`` back to the external id
     it was built for.  Peers that join later are simply absent — the
-    whole point of the runtime is measuring what that costs.  ``word`` is
-    the greedy coding word for full builds and ``""`` for incrementally
-    repaired plans (whose edge sets no longer follow a single word).
+    whole point of the runtime is measuring what that costs.
     """
 
     instance: Instance
     scheme: BroadcastScheme
     rate: float
-    word: str
     node_ids: list[int]
     built_at: int
 

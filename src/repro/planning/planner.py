@@ -5,8 +5,8 @@ changes; planners decide *how*.  Callers reach two hooks, through one
 timed :func:`plan_step`:
 
 * :meth:`Planner.build` — full optimization of the current alive swarm
-  (the Theorem 4.1 pipeline, memoized through the engine's
-  :class:`~repro.planning.cache.PlanCache`);
+  (the Theorem 4.1 search, memoized through the engine's
+  :class:`~repro.planning.cache.PlanCache`, then one Lemma 4.6 packing);
 * :meth:`Planner.replan` — react to applied platform events with a
   :class:`~repro.planning.plan.PlanOutcome`: either an incremental
   repair of the live plan or a fallback full build.
@@ -26,6 +26,8 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
+from ..algorithms.acyclic_guarded import scheme_from_word
+from ..algorithms.greedy import greedy_test
 from .plan import Plan, PlanOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,31 +79,7 @@ class FullRebuildPlanner(Planner):
         self.slack = float(slack)
 
     def build(self, engine: "RuntimeEngine") -> Plan:
-        return self._build_with_solution(engine)[0]
-
-    def _solve(self, cache, instance):
-        """Memoized Theorem 4.1 solve, derated by ``slack`` when set.
-
-        The derated build is keyed separately (same LRU) on
-        ``("slack-build", instance, slack)``: the target rate
-        ``(1 - slack) * T*_ac`` is below the optimum, hence feasible by
-        monotonicity of word validity.
-        """
-        if self.slack == 0.0:
-            return cache.solve(instance)
-        key = ("slack-build", instance, self.slack)
-        sol = cache.get(key)
-        if sol is None:
-            target = (1.0 - self.slack) * cache.solve(instance).throughput
-            from ..algorithms.acyclic_guarded import acyclic_guarded_scheme
-
-            sol = acyclic_guarded_scheme(instance, target)
-            cache.put(key, sol)
-        return sol
-
-    def _build_with_solution(self, engine: "RuntimeEngine"):
-        """``(plan, AcyclicSolution)`` — subclasses also need the
-        solution's residual packing state, without a second memo hit.
+        """Snapshot, solve (memoized) and pack a fresh scheme.
 
         Planners read ``engine.view``, not the platform directly: in
         oracle mode that *is* the platform, under ``estimation="online"``
@@ -109,16 +87,34 @@ class FullRebuildPlanner(Planner):
         contract, so the whole planning stack is estimation-agnostic.
         """
         instance, node_ids = engine.view.snapshot()
-        sol = self._solve(engine.cache, instance)
-        plan = Plan(
+        rate, word = self._solve(engine.cache, instance)
+        return Plan(
             instance=instance,
-            scheme=sol.scheme,
-            rate=sol.throughput,
-            word=sol.word,
+            scheme=scheme_from_word(instance, word, rate),
+            rate=rate,
             node_ids=node_ids,
             built_at=engine.now,
         )
-        return plan, sol
+
+    def _solve(self, cache, instance) -> tuple[float, str]:
+        """Memoized Theorem 4.1 search ``(rate, word)``, derated by
+        ``slack`` when set.
+
+        The derated search is keyed separately (same LRU) on
+        ``("slack-build", instance, slack)``: the target rate
+        ``(1 - slack) * T*_ac`` is below the optimum, hence feasible by
+        monotonicity of word validity, and the greedy word at the target
+        is what the packing follows.
+        """
+        if self.slack == 0.0:
+            return cache.solve(instance)
+        key = ("slack-build", instance, self.slack)
+        found = cache.get(key)
+        if found is None:
+            target = (1.0 - self.slack) * cache.solve(instance)[0]
+            found = (target, greedy_test(instance, target).word)
+            cache.put(key, found)
+        return found
 
 
 def plan_step(

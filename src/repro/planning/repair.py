@@ -4,10 +4,11 @@ Theorem 4.1 overlays have bounded out-degrees, so a departure orphans
 only a handful of receivers — yet a full re-optimization pays a
 dichotomic search (about a dozen Algorithm 2 probes per solve, at most
 ``SEARCH_MAX_ITER``) plus a complete Lemma 4.6 re-packing for every
-change.  :class:`IncrementalRepairPlanner` reacts *locally* instead,
-resuming the two-pool FIFO packing state
-(:class:`~repro.algorithms.acyclic_guarded.PackingState`) the full build
-left behind:
+change.  :class:`IncrementalRepairPlanner` reacts *locally* instead.
+Its build runs the one Lemma 4.6 packer
+(:func:`~repro.algorithms.acyclic_guarded.pack_word`) straight into the
+planner's external-id overlay model, and each repair resumes the
+two-pool FIFO packing state that build left behind:
 
 * **leave** — the departed peer's feeders get their credit back, its
   direct clients (the orphaned subtree roots) are re-fed from pool
@@ -28,7 +29,8 @@ conservative: a surviving repaired plan is guaranteed within
 ``tolerance`` of what a full rebuild could provision.  Any structural
 failure (no spare credit reachable, model out of sync, validation
 error) also falls back, so repaired epochs are never *worse* than the
-reactive baseline by more than the tolerance.
+reactive baseline by more than the tolerance.  A plan that serves no
+receiver (rate ``inf``, the solver's convention) is never repaired.
 
 Every repaired scheme is validated (bandwidth, firewall, acyclicity)
 before it is handed to the engine.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-from ..algorithms.acyclic_guarded import PackingState
+from ..algorithms.acyclic_guarded import pack_word
 from ..core.bounds import cyclic_optimum
 from ..core.exceptions import InvalidSchemeError
 from ..core.instance import Instance, NodeKind, canonicalize_population
@@ -72,40 +74,23 @@ class _OverlayModel:
     )
 
     def __init__(
-        self,
-        rate: float,
-        source_bw: float,
-        packing: PackingState,
+        self, instance: Instance, node_ids: list[int], rate: float, word: str
     ) -> None:
+        """Pack ``word`` at ``rate`` straight into the model: canonical
+        node ``k`` of ``instance`` is external id ``node_ids[k]``."""
         self.rate = rate
-        self.source_bw = source_bw
+        self.source_bw = instance.source_bw
         self.kinds: Dict[int, str] = {}  #: receiver ext id -> node kind
         self.bandwidths: Dict[int, float] = {}
-        self.out: Dict[int, Dict[int, float]] = {}
-        self.inc: Dict[int, Dict[int, float]] = {}
-        self.packing = packing
-        self.tol = packing.tol
+        for k in instance.receivers():
+            self.kinds[node_ids[k]] = instance.kind(k)
+            self.bandwidths[node_ids[k]] = instance.bandwidth(k)
+        self.out: Dict[int, Dict[int, float]] = {i: {} for i in node_ids}
+        self.inc: Dict[int, Dict[int, float]] = {i: {} for i in node_ids}
         self.edges_added = 0
         self.edges_removed = 0
-
-    @classmethod
-    def from_plan(cls, plan: Plan, packing: PackingState) -> "_OverlayModel":
-        ext = plan.node_ids
-        model = cls(
-            rate=plan.rate,
-            source_bw=plan.instance.source_bw,
-            packing=packing.remap({k: ext[k] for k in range(len(ext))}),
-        )
-        inst = plan.instance
-        for k in inst.receivers():
-            model.kinds[ext[k]] = inst.kind(k)
-            model.bandwidths[ext[k]] = inst.bandwidth(k)
-        model.out = {i: {} for i in [0, *model.kinds]}
-        model.inc = {i: {} for i in [0, *model.kinds]}
-        for i, j, rate in plan.scheme.edges():
-            model.out[ext[i]][ext[j]] = rate
-            model.inc[ext[j]][ext[i]] = rate
-        return model
+        self.packing = pack_word(instance, word, rate, self._sink, node_ids)
+        self.tol = self.packing.tol
 
     # ------------------------------------------------------------------
     # Edge bookkeeping (the sink the packing draws into)
@@ -266,15 +251,15 @@ class _OverlayModel:
         inst, node_ids = self._instance()
         canonical = {ext: k for k, ext in enumerate(node_ids)}
         scheme = BroadcastScheme(inst.num_nodes)
+        # ``set_rate`` drops rates within ``ABS_TOL`` of zero, as the
+        # full planner's ``add_rate`` does, so a fresh build equals it.
         for sender, row in self.out.items():
             for receiver, rate in row.items():
-                if rate > self.tol:
-                    scheme.set_rate(canonical[sender], canonical[receiver], rate)
+                scheme.set_rate(canonical[sender], canonical[receiver], rate)
         return Plan(
             instance=inst,
             scheme=scheme,
             rate=self.rate,
-            word="",
             node_ids=node_ids,
             built_at=now,
         )
@@ -321,10 +306,11 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
 
     # ------------------------------------------------------------------
     def build(self, engine: "RuntimeEngine") -> Plan:
-        plan, sol = self._build_with_solution(engine)
-        self._model = _OverlayModel.from_plan(plan, sol.packing)
-        self._plan = plan
-        return plan
+        instance, node_ids = engine.view.snapshot()
+        rate, word = self._solve(engine.cache, instance)
+        self._model = _OverlayModel(instance, node_ids, rate, word)
+        self._plan = self._model.materialize(engine.now)
+        return self._plan
 
     def replan(
         self, engine: "RuntimeEngine", plan: Plan, events: Iterable[object]
@@ -335,6 +321,10 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
 
         if self._plan is not plan:
             return self._fallback(engine, "planner has no model for this plan")
+        if plan.instance.num_receivers == 0:
+            # Its rate is the solver's ``inf`` for no receivers (and so is
+            # the packing tolerance): nothing about it carries over.
+            return self._fallback(engine, "plan serves no receiver")
         events = tuple(events)
         model = self._model
         departed: list[int] = []

@@ -170,12 +170,6 @@ class TestClassRuns:
         runs = _family_runs("LN1", seed)
         assert runs.cyclic_optimum() == cyclic_optimum(runs.to_instance())
 
-    def test_scaled_matches_instance_scaling(self):
-        runs = class_runs(80.0, [("open", 90.0, 6), ("guarded", 70.0, 2)])
-        assert runs.scaled(0.5).to_instance() == Instance(
-            40.0, (45.0,) * 6, (35.0,) * 2
-        )
-
     @settings(max_examples=300)
     @given(
         opens=st.lists(_run_specs, max_size=6),

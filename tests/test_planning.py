@@ -10,20 +10,22 @@ say *when*, the engine's planner says *how*.
 
 import dataclasses
 import hashlib
+import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import figure1_instance
 from repro.algorithms.acyclic_guarded import (
     PackingState,
-    acyclic_guarded_scheme,
+    optimal_acyclic_throughput,
     pack_word,
     scheme_from_word,
 )
 from repro.cli import main
 from repro.core.exceptions import InvalidSchemeError
-from repro.core.instance import Instance
+from repro.core.instance import Instance, NodeKind
 from repro.core.scheme import BroadcastScheme
 from repro.planning import (
     PLANNERS,
@@ -52,6 +54,7 @@ from repro.runtime import (
 )
 from repro.service import ControlPlane, MigrateSession, StartSession
 
+from .conftest import bandwidths, positive_bandwidths
 from .test_service import _serve_fleet, _serve_mix
 
 
@@ -90,12 +93,13 @@ class TestPlanCache:
         assert cache.get("refused-delta", default="miss") is None
         assert cache.counters().hits == 1
 
-    def test_solve_returns_memoized_solution_with_packing(self, fig1):
+    def test_solve_returns_memoized_search_result(self, fig1):
         cache = PlanCache()
-        sol = cache.solve(fig1)
-        assert sol is cache.solve(fig1)
-        assert sol.packing is not None
-        assert cache.stats() == (1, 1)
+        found = cache.solve(fig1)
+        assert found is cache.solve(fig1)
+        assert found == optimal_acyclic_throughput(fig1)
+        assert cache.optimal_rate(fig1) == found[0]
+        assert cache.stats() == (2, 1)
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -105,16 +109,19 @@ class TestPlanCache:
 class TestPackingState:
     def test_pack_word_matches_scheme_from_word(self, fig1):
         rate, word = 4.0, "gogog"
-        packed, state = pack_word(fig1, word, rate)
-        assert packed.isomorphic_rates(scheme_from_word(fig1, word, rate))
+        edges = []
+        state = pack_word(fig1, word, rate, lambda *edge: edges.append(edge))
+        scheme = scheme_from_word(fig1, word, rate)
+        # Each pair is drawn once, so the sink sees exactly the edges.
+        assert sorted(edges) == sorted(scheme.edges())
         # Residual pools equal per-node spare upload: b_i - out_rate.
         for node in range(fig1.num_nodes):
             assert state.spare(node) == pytest.approx(
-                fig1.bandwidth(node) - packed.out_rate(node), abs=1e-9
+                fig1.bandwidth(node) - scheme.out_rate(node), abs=1e-9
             )
 
     def test_positions_follow_word_order(self, fig1):
-        _, state = pack_word(fig1, "gogog", 4.0)
+        state = pack_word(fig1, "gogog", 4.0, lambda *edge: None)
         # word "gogog" introduces: source, g3, o1, g4, o2, g5
         assert [n for n, _ in sorted(state.position.items(), key=lambda kv: kv[1])] \
             == [0, 3, 1, 4, 2, 5]
@@ -148,18 +155,29 @@ class TestPackingState:
         unmet = state.feed_guarded(2, 2.0, lambda *a: None)
         assert unmet == pytest.approx(1.5)
 
-    def test_remap_translates_ids(self, fig1):
-        _, state = pack_word(fig1, "gogog", 4.0)
-        mapping = {k: k + 100 for k in range(fig1.num_nodes)}
-        remapped = state.remap(mapping)
-        assert set(remapped.position) == {k + 100 for k in range(6)}
-        assert remapped.spare(100) == pytest.approx(state.spare(0))
-        remapped.credit(100, 10.0)  # the copy is independent
-        assert state.spare(0) != remapped.spare(100)
+    def test_labelled_packing_keys_pools_by_label(self, fig1):
+        plain_edges, edges = [], []
+        plain = pack_word(
+            fig1, "gogog", 4.0, lambda *edge: plain_edges.append(edge)
+        )
+        ids = [k + 100 for k in range(fig1.num_nodes)]
+        state = pack_word(
+            fig1, "gogog", 4.0, lambda *edge: edges.append(edge), ids
+        )
+        assert edges == [(ids[i], ids[j], r) for i, j, r in plain_edges]
+        assert state.position == {
+            ids[k]: pos for k, pos in plain.position.items()
+        }
+        for k in range(fig1.num_nodes):
+            assert state.spare(ids[k]) == plain.spare(k)
+        assert [n for n, _ in state.open_entries] == [
+            ids[n] for n, _ in plain.open_entries
+        ]
 
     def test_zero_rate_packing_keeps_full_bandwidth_spare(self, fig1):
-        scheme, state = pack_word(fig1, "gogog", 0.0)
-        assert scheme.num_edges == 0
+        edges = []
+        state = pack_word(fig1, "gogog", 0.0, lambda *edge: edges.append(edge))
+        assert edges == []
         for node in range(fig1.num_nodes):
             assert state.spare(node) == pytest.approx(fig1.bandwidth(node))
 
@@ -261,6 +279,36 @@ class TestIncrementalRepair:
             assert repaired.scheme.in_rate(k) == pytest.approx(
                 repaired.rate, abs=1e-6
             )
+
+    @pytest.mark.parametrize("kind", ["open", "guarded"])
+    @pytest.mark.parametrize(
+        "controller, engine_kwargs",
+        [("incremental", {}), ("reactive", {"planner": "incremental"})],
+    )
+    def test_rejoin_after_the_swarm_empties_rebuilds(
+        self, controller, engine_kwargs, kind
+    ):
+        """An empty swarm's plan has rate ``inf``; a rejoin must rebuild
+        it, never repair it into an ``inf``-rate plan for a live peer."""
+
+        def run(controller, **kwargs):
+            platform = DynamicPlatform.from_instance(
+                Instance(10.0, (5.0, 4.0), ())
+            )
+            events = [
+                NodeLeave(10, 1), NodeLeave(10, 2), NodeJoin(20, kind, 3.0)
+            ]
+            engine = RuntimeEngine(platform, events, 40, seed=0, **kwargs)
+            epochs = engine.run(make_controller(controller)).epochs
+            return [e for e in epochs if e.start >= 20]
+
+        after = run(controller, **engine_kwargs)
+        baseline = run("reactive", planner="full")
+        assert len(after) == len(baseline) > 0
+        assert after[0].plan_op == "build"
+        for got, want in zip(after, baseline):
+            assert math.isfinite(got.planned_rate)
+            assert got.planned_rate == want.planned_rate
 
     def test_join_attaches_new_leaf(self):
         inst = Instance(5.0, (9.0, 8.0, 7.0), (5.0,))
@@ -532,7 +580,7 @@ class TestSharedPlanCache:
 
     SPEC = SteadyChurn(size=20, join_rate=0.03, leave_rate=0.03, horizon=240)
 
-    def _run(self, cache, engine_seed):
+    def _run(self, cache, engine_seed, **engine_kwargs):
         run = self.SPEC.build(3, name="steady-churn")
         engine = RuntimeEngine(
             run.platform,
@@ -541,6 +589,7 @@ class TestSharedPlanCache:
             seed=engine_seed,
             cache=cache,
             planner="incremental",
+            **engine_kwargs,
         )
         return engine.run(make_controller("incremental"))
 
@@ -556,16 +605,112 @@ class TestSharedPlanCache:
     def test_cache_holds_only_solves(self):
         engine_cache = PlanCache()
         assert self._run(engine_cache, engine_seed=0).repairs > 0
+        assert self._run(
+            engine_cache, engine_seed=0, plan_slack=0.05
+        ).repairs > 0
         # A 4096-entry cache, so nothing a repair stored can be evicted.
         plane = ControlPlane(_serve_fleet().platform, cache=PlanCache())
         for batch in _serve_mix(_serve_fleet(), 301, 300):
             plane.submit_batch(batch)
         assert plane.stats().repairs > 0
+        assert any(isinstance(key, tuple) for key in engine_cache._store)
         for cache in (engine_cache, plane.cache):
             assert not [
                 key for key in cache._store
                 if isinstance(key, tuple) and key[0] == "repair"
             ]
+            # Search results only: immutable (rate, word) pairs.
+            for key, value in cache._store.items():
+                if isinstance(key, Instance) or key[0] == "slack-build":
+                    assert type(value) is tuple
+                    assert [type(v) for v in value] == [float, str]
+
+    def test_memo_entries_hold_no_mutable_state(self):
+        """A repair by one planner leaves another planner on the same
+        cache exactly where a planner on a fresh cache stands."""
+        inst = Instance(5.0, (9.0, 8.0, 7.0, 6.0), (5.0, 4.0))
+
+        def start(cache):
+            engine = RuntimeEngine(
+                DynamicPlatform.from_instance(inst), [], 100, seed=0,
+                cache=cache,
+            )
+            planner = IncrementalRepairPlanner()
+            return engine, planner, planner.build(engine)
+
+        def pools(planner):
+            packing = planner._model.packing
+            return (
+                [tuple(entry) for entry in packing.open_entries],
+                [tuple(entry) for entry in packing.guarded_entries],
+                packing.position,
+            )
+
+        def repair(engine, planner, plan):
+            ev = NodeLeave(time=10, node_id=2)
+            engine.platform.apply(ev)
+            engine.now = 10
+            outcome = planner.replan(engine, plan, (ev,))
+            assert outcome.op == "repair", outcome.reason
+            return outcome.plan
+
+        shared = PlanCache()
+        first = start(shared)
+        second = start(shared)
+        fresh = start(PlanCache())
+        assert shared.stats() == (1, 1)  # the second build hit the memo
+        repair(*first)
+        assert pools(first[1]) != pools(second[1])
+        assert pools(second[1]) == pools(fresh[1])
+        ours, theirs = repair(*second), repair(*fresh)
+        assert pools(second[1]) == pools(fresh[1])
+        assert list(ours.scheme.edges()) == list(theirs.scheme.edges())
+
+
+@st.composite
+def _platforms(draw):
+    """1-40 open and guarded peers joined in random order (so external
+    ids do not follow the canonical order), with tied, zero and
+    sub-tolerance bandwidths mixed in."""
+    platform = DynamicPlatform(source_bw=draw(positive_bandwidths))
+    bandwidth = st.one_of(
+        bandwidths, st.sampled_from([0.0, 1e-12, 3e-9, 1.0, 5.0])
+    )
+    kind = st.sampled_from([NodeKind.OPEN, NodeKind.GUARDED])
+    peers = draw(st.lists(st.tuples(kind, bandwidth), min_size=1, max_size=40))
+    for kind, bw in peers:
+        platform.apply(NodeJoin(time=0, kind=kind, bandwidth=bw))
+    return platform
+
+
+def _edges(plan):
+    return [(i, j, rate.hex()) for i, j, rate in plan.scheme.edges()]
+
+
+class TestBuildEquivalence:
+    """The incremental planner packs straight into its overlay model; a
+    fresh build materialized from that model is the full planner's plan
+    bit for bit."""
+
+    @settings(max_examples=max(300, settings.default.max_examples))
+    @given(
+        platform=_platforms(),
+        slack=st.sampled_from([0.0, 0.05]),
+        estimation=st.sampled_from([None, "online"]),
+    )
+    def test_incremental_build_equals_full_build(
+        self, platform, slack, estimation
+    ):
+        engine = RuntimeEngine(
+            platform, [], 100, seed=0, cache=PlanCache(),
+            estimation=estimation,
+        )
+        full = FullRebuildPlanner(slack=slack).build(engine)
+        incremental = IncrementalRepairPlanner(slack=slack).build(engine)
+        assert incremental.instance == full.instance
+        assert incremental.node_ids == full.node_ids
+        assert incremental.rate.hex() == full.rate.hex()
+        assert _edges(incremental) == _edges(full)
 
 
 #: Small runs of every scenario family under every controller.

@@ -569,11 +569,12 @@ class TestAnalysis:
 
 class TestWarmSnapshotAB:
     def _setup(self):
+        from repro.algorithms.acyclic_guarded import scheme_from_word
         from repro.instances.families import figure1_instance
 
         inst = figure1_instance()
-        sol = PlanCache().solve(inst)
-        return inst, sol.scheme, sol.throughput * (1 - 1e-9)
+        rate, word = PlanCache().solve(inst)
+        return inst, scheme_from_word(inst, word, rate), rate * (1 - 1e-9)
 
     def test_identical_pre_fork_state(self):
         inst, scheme, rate = self._setup()
