@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..core.exceptions import ReproError
 from ..core.instance import Instance
@@ -50,6 +49,11 @@ __all__ = [
 
 
 def _lp(c, A_ub, b_ub, A_eq=None, b_eq=None, bounds=None):
+    # Deferred import: only the LP oracles need scipy, and loading it
+    # would more than double the start-up time and memory of every
+    # ``import repro``.
+    from scipy.optimize import linprog
+
     res = linprog(
         c,
         A_ub=A_ub,

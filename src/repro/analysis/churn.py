@@ -69,13 +69,6 @@ class ChurnReport:
     incremental_repairs: int = 0  #: deltas applied (0 = the repair fell back)
 
     @property
-    def collapse_factor(self) -> float:
-        """Survivor goodput relative to the healthy control run."""
-        if self.healthy_min_goodput <= 0:
-            return 1.0
-        return self.churn_min_goodput / self.healthy_min_goodput
-
-    @property
     def repair_ratio(self) -> float:
         """Repaired rate relative to the original planned rate."""
         if self.planned_rate <= 0:

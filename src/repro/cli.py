@@ -254,12 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "under --estimation online), or 'auto' "
                               "(sharded when the overlay decomposes, "
                               "reference otherwise)")
-    _typed(runtime, "--plan-slack", float, "in [0, 1)", default=0.0,
-           metavar="EPS",
-           help="build plans at (1 - EPS) * T*_ac instead of the exact "
-                "optimum, keeping an EPS fraction of upload credit spare "
-                "so churn repairs on saturated swarms succeed instead of "
-                "falling back to full rebuilds")
     runtime.add_argument("--profile", action="store_true",
                          help="after the run, print the per-phase "
                               "wall-clock breakdown (plan / arbitrate / "
@@ -279,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
            help="per-round exponential decay of stale probes; a "
                 "measurement is dropped once D**age falls below 0.05 "
                 "(--estimation online only)")
-    runtime.add_argument("--estimator-warmstart", action="store_true",
-                         help="seed the online estimator's priors from "
-                              "the plan cache's nearest bandwidth "
-                              "profile instead of cold imputation "
-                              "(--estimation online only)")
 
     sessions = sub.add_parser(
         "sessions",
@@ -720,7 +709,6 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         scenario_names,
         summarize_batch,
     )
-    from .runtime.engine import make_engine_planner
 
     if args.list_names:
         print("scenarios  :", ", ".join(scenario_names()))
@@ -728,10 +716,6 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         print("planners   :", ", ".join(planner_names()))
         return 0
 
-    if args.estimator_warmstart and args.estimation != "online":
-        raise _InputError(
-            "--estimator-warmstart requires --estimation online"
-        )
     if args.workers is not None and not args.batch:
         raise _InputError(
             "--workers sizes the --batch pool; a single run has none "
@@ -749,17 +733,15 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         warm_epochs=args.warm_epochs,
         planner=args.planner,
         repair_tolerance=args.repair_tolerance,
-        plan_slack=args.plan_slack,
         estimation=args.estimation,
         probes_per_node=args.probes_per_node,
         estimator_decay=args.estimator_decay,
         noise_sigma=args.noise_sigma,
-        estimator_warmstart=args.estimator_warmstart,
     )
-    # Build every controller and planner the run or sweep resolves, so
-    # the registries' name checks and the constructors' own argument
-    # checks (a positive period, slack below tolerance) fail here as an
-    # error line, not mid-run or inside a pool worker.
+    # Build every controller the run or sweep resolves, so the registry's
+    # name check and the constructors' own argument checks (a positive
+    # period) fail here as an error line, not mid-run or inside a pool
+    # worker.  The engine built below checks the planner name.
     swept = controller_names() if args.batch else [args.controller]
     with _rejecting():
         spec = get_scenario(args.scenario)
@@ -769,9 +751,6 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             )
             for c in swept
         }
-        names = {args.planner or controllers[c].planner for c in swept}
-        for name in sorted(names):
-            make_engine_planner(name, args.repair_tolerance, args.plan_slack)
     # The tolerance only reaches the incremental planner.  In --batch
     # mode the sweep always includes the incremental policy, so it is
     # never dead; a single run must actually resolve that planner.

@@ -17,7 +17,6 @@ the bisection searches, which stop at relative width ``1e-12``.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 #: Absolute tolerance floor used by all comparisons.
 ABS_TOL: float = 1e-9
@@ -56,22 +55,6 @@ def fpos(x: float, *, abs_: float = ABS_TOL) -> bool:
     return x > abs_
 
 
-def fnonneg(x: float, *, abs_: float = ABS_TOL) -> bool:
-    """Tolerant ``x >= 0``."""
-    return x >= -abs_
-
-
-def clamp_nonneg(x: float) -> float:
-    """Snap tiny negative float noise to exactly 0.0.
-
-    Values more negative than ``-ABS_TOL`` are returned unchanged so that
-    genuine constraint violations stay visible to validators.
-    """
-    if -ABS_TOL <= x < 0.0:
-        return 0.0
-    return x
-
-
 def safe_ceil_div(b: float, t: float) -> int:
     """``ceil(b / t)`` robust to float noise, as used for degree bounds.
 
@@ -93,11 +76,3 @@ def safe_ceil_div(b: float, t: float) -> int:
         return int(nearest)
     return int(math.ceil(q))
 
-
-def assert_finite_nonneg(values: Iterable[float], what: str) -> None:
-    """Raise ``ValueError`` if any value is negative, NaN or infinite."""
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{what} must be finite, got {v!r}")
-        if v < 0:
-            raise ValueError(f"{what} must be non-negative, got {v!r}")

@@ -144,7 +144,6 @@ class _LastMileFit(NamedTuple):
     #: node -> quantile of its own outgoing values (the fit's initial
     #: ``b_out``), for every node that sent at least one probe
     out_quantile: dict[int, float]
-    touched: set[int]  #: nodes that are the source or target of a row
 
 
 def _fit_lastmile(
@@ -215,12 +214,10 @@ def _fit_lastmile(
                 )
         b_out[unmeasured_nodes] = fill
 
-    touched = (out.counts + inc.counts).nonzero()[0]
     return _LastMileFit(
         b_out.tolist(),
         b_in.tolist(),
         dict(zip(out.nodes.tolist(), out_quantile.tolist())),
-        set(touched.tolist()),
     )
 
 

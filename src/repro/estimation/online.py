@@ -183,6 +183,11 @@ class OnlineEstimator:
     the transport and starves its whole subtree.  The cap (and the
     median default, rather than the offline 0.85) keeps the estimator on
     the cheap side of that asymmetry.
+
+    Before the first fit every peer reads the flat ``prior_bw``; after
+    it, peers no probe has measured read the fit's median imputation.
+    Nothing carries over from an earlier run, so the estimates depend
+    only on this run's probes and churn.
     """
 
     def __init__(
@@ -212,37 +217,6 @@ class OnlineEstimator:
         self._fit: Dict[int, float] = {}
         self._fit_alive: Tuple[int, ...] = ()
         self.fits = 0  #: alternating fits actually run (vs memo returns)
-        #: per-node warm prior (external ids), consulted before
-        #: ``prior_bw`` while a node is still unmeasured.
-        self._warm: Dict[int, float] = {}
-
-    # ------------------------------------------------------------------
-    # Warm start
-    # ------------------------------------------------------------------
-    def warm_start(self, values: Dict[int, float]) -> None:
-        """Seed per-node priors from a previously fitted/solved profile.
-
-        ``values`` maps external node ids to bandwidth priors (e.g. the
-        nearest cached plan's class profile, assigned to the current
-        roster by the engine).  Warm values replace the flat
-        ``prior_bw`` for the nodes they cover — both in the pre-probe
-        estimates and as the fallback for peers the fit has not seen —
-        but never override an actual measurement-backed fit.  Calling
-        it again merges (last write wins per node).
-        """
-        for node_id, value in values.items():
-            if value < 0:
-                raise ValueError(
-                    f"warm-start bandwidth must be >= 0, got {value} "
-                    f"for node {node_id}"
-                )
-            self._warm[node_id] = float(value)
-        self._dirty = True
-
-    def prior_for(self, node_id: int) -> float:
-        """The pre-measurement prior for one node: warm value if seeded,
-        the flat ``prior_bw`` otherwise."""
-        return self._warm.get(node_id, self.prior_bw)
 
     @property
     def window(self) -> Optional[int]:
@@ -342,7 +316,7 @@ class OnlineEstimator:
             if s in index and t in index
         ]
         if not rows or len(alive) < 2:
-            fit = {ext: self.prior_for(ext) for ext in alive}
+            fit = {ext: self.prior_bw for ext in alive}
         else:
             sources, targets, values = zip(*rows)
             est = _fit_lastmile(
@@ -362,11 +336,6 @@ class OnlineEstimator:
                     # fit may never exceed the node's own observation
                     # quantile — which is exactly the fit's initial b_out.
                     value = min(value, cap)
-                elif k not in est.touched and ext in self._warm:
-                    # A peer no probe has touched carries no information
-                    # for the fit — its warm prior beats the population
-                    # median imputation.
-                    value = self._warm[ext]
                 fit[ext] = value
             self.fits += 1
         self._fit = fit
@@ -449,7 +418,7 @@ class EstimatedPlatformView:
         est = self._estimates.get(node_id)
         if est is not None:
             return est
-        return self.estimator.prior_for(node_id)
+        return self.estimator.prior_bw
 
     def snapshot(self) -> Tuple[Instance, List[int]]:
         """Canonical instance of the alive swarm at *estimated* bandwidths.

@@ -11,8 +11,7 @@ form it keeps, so no entry holds mutable packing state.  Keys are
 previously seen population (same canonical instance) hits the same
 entry, whichever event sequence produced it.  Arbitrary hashable keys
 are accepted too via :meth:`PlanCache.get` / :meth:`PlanCache.put`, so
-planners can memoize derived solves (derated ``("slack-build", ...)``
-``(rate, word)`` pairs and run-length ``("collapsed", ...)``
+planners can memoize derived solves (run-length ``("collapsed", runs)``
 solutions).  Incremental repairs are not memoized: they resume live
 packing state, and replaying the same repair twice in one process is
 too rare to pay for a snapshot.
@@ -27,7 +26,6 @@ surfaced so sweeps can report how much recomputation the cache absorbed.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional
@@ -126,35 +124,6 @@ class PlanCache:
     def optimal_rate(self, instance: Instance) -> float:
         """``T*_ac`` of ``instance`` (through the same memo)."""
         return self.solve(instance)[0]
-
-    def nearest_profile(
-        self, n: int, m: int
-    ) -> Optional[Instance]:
-        """The solved instance whose population is closest to ``(n, m)``.
-
-        Scans the :class:`~repro.core.instance.Instance` keys the memo
-        currently holds (recent solves first) and returns the one
-        minimizing ``|n' - n| + |m' - m|`` — ties go to the most
-        recently used.  ``None`` when no instance has been solved yet.
-
-        This is the estimator warm-start hook: a fresh session on a
-        known scenario family seeds its
-        :class:`~repro.estimation.online.OnlineEstimator` from the
-        nearest cached plan's bandwidth profile instead of a flat
-        prior, skipping the cold-imputation epochs (the lookup never
-        touches hit/miss counters — it is bookkeeping, not a solve).
-        """
-        best: Optional[Instance] = None
-        best_score = math.inf
-        for key in reversed(self._store):
-            if not isinstance(key, Instance):
-                continue
-            score = abs(key.n - n) + abs(key.m - m)
-            if score < best_score:
-                best, best_score = key, score
-                if score == 0:
-                    break
-        return best
 
     # ------------------------------------------------------------------
     # Counters

@@ -44,17 +44,11 @@ __all__ = ["ClassCollapsedPlanner"]
 
 
 class ClassCollapsedPlanner(FullRebuildPlanner):
-    """Plan in run-length space; expand per-node structure lazily.
-
-    ``slack`` derates the packed rate exactly like
-    :class:`FullRebuildPlanner` (the collapsed pack runs at
-    ``(1 - slack) * T*_ac``), leaving spare upload in every class block.
-    """
+    """Plan in run-length space; expand per-node structure lazily."""
 
     name = "collapsed"
 
-    def __init__(self, slack: float = 0.0) -> None:
-        super().__init__(slack=slack)
+    def __init__(self) -> None:
         self.builds = 0  #: full collapsed optimizations performed
         self.swaps = 0  #: class-preserving relabel repairs
         self._plan: Optional[Plan] = None
@@ -64,7 +58,7 @@ class ClassCollapsedPlanner(FullRebuildPlanner):
 
     # ------------------------------------------------------------------
     def _solve_runs(self, cache, runs: ClassRuns):
-        """Memoized collapsed solve, honoring ``slack``.
+        """Memoized collapsed solve.
 
         Keyed on the *runs* (not the expanded instance): two epochs with
         the same class multiset hit the same entry regardless of which
@@ -72,22 +66,11 @@ class ClassCollapsedPlanner(FullRebuildPlanner):
         """
         from ..algorithms.acyclic_guarded import collapsed_scheme
 
-        key = ("collapsed", runs, self.slack)
+        key = ("collapsed", runs)
         sol = cache.get(key)
-        if sol is not None:
-            return sol
-        if self.slack == 0.0:
+        if sol is None:
             sol = collapsed_scheme(runs)
-        else:
-            base_key = ("collapsed", runs, 0.0)
-            base = cache.get(base_key)
-            if base is None:
-                base = collapsed_scheme(runs)
-                cache.put(base_key, base)
-            sol = collapsed_scheme(
-                runs, (1.0 - self.slack) * base.throughput
-            )
-        cache.put(key, sol)
+            cache.put(key, sol)
         return sol
 
     def build(self, engine: "RuntimeEngine") -> Plan:

@@ -27,7 +27,6 @@ import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from ..algorithms.acyclic_guarded import scheme_from_word
-from ..algorithms.greedy import greedy_test
 from .plan import Plan, PlanOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,23 +59,10 @@ class Planner:
 
 
 class FullRebuildPlanner(Planner):
-    """Today's behavior: every plan is a from-scratch optimization.
-
-    ``slack`` reserves a fraction of the optimal rate as spare upload
-    credit at build time: the plan provisions ``(1 - slack) * T*_ac``
-    instead of the exact optimum, so every feeder keeps headroom and
-    later incremental repairs on a saturated swarm can draw credit
-    instead of falling back to a full rebuild.  Keep ``slack`` below the
-    repair planner's degradation ``tolerance`` or every repair will
-    immediately trip the fallback check.
-    """
+    """Today's behavior: every plan is a from-scratch optimization at
+    the exact ``T*_ac`` of the snapshot it reads."""
 
     name = "full"
-
-    def __init__(self, slack: float = 0.0) -> None:
-        if not 0.0 <= slack < 1.0:
-            raise ValueError(f"slack must be in [0, 1), got {slack}")
-        self.slack = float(slack)
 
     def build(self, engine: "RuntimeEngine") -> Plan:
         """Snapshot, solve (memoized) and pack a fresh scheme.
@@ -87,7 +73,7 @@ class FullRebuildPlanner(Planner):
         contract, so the whole planning stack is estimation-agnostic.
         """
         instance, node_ids = engine.view.snapshot()
-        rate, word = self._solve(engine.cache, instance)
+        rate, word = engine.cache.solve(instance)
         return Plan(
             instance=instance,
             scheme=scheme_from_word(instance, word, rate),
@@ -95,26 +81,6 @@ class FullRebuildPlanner(Planner):
             node_ids=node_ids,
             built_at=engine.now,
         )
-
-    def _solve(self, cache, instance) -> tuple[float, str]:
-        """Memoized Theorem 4.1 search ``(rate, word)``, derated by
-        ``slack`` when set.
-
-        The derated search is keyed separately (same LRU) on
-        ``("slack-build", instance, slack)``: the target rate
-        ``(1 - slack) * T*_ac`` is below the optimum, hence feasible by
-        monotonicity of word validity, and the greedy word at the target
-        is what the packing follows.
-        """
-        if self.slack == 0.0:
-            return cache.solve(instance)
-        key = ("slack-build", instance, self.slack)
-        found = cache.get(key)
-        if found is None:
-            target = (1.0 - self.slack) * cache.solve(instance)[0]
-            found = (target, greedy_test(instance, target).word)
-            cache.put(key, found)
-        return found
 
 
 def plan_step(

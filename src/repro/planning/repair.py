@@ -282,23 +282,10 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
 
     name = "incremental"
 
-    def __init__(
-        self,
-        tolerance: float = 0.1,
-        *,
-        slack: float = 0.0,
-    ) -> None:
-        super().__init__(slack=slack)
+    def __init__(self, tolerance: float = 0.1) -> None:
         if not 0.0 <= tolerance < 1.0:
             raise ValueError(
                 f"tolerance must be in [0, 1), got {tolerance}"
-            )
-        if slack > 0.0 and slack >= tolerance:
-            raise ValueError(
-                f"slack ({slack}) must stay below tolerance ({tolerance}): "
-                "a derated build already sits `slack` under the optimum, so "
-                "slack >= tolerance would trip the degradation fallback on "
-                "every repair"
             )
         self.tolerance = float(tolerance)
         self._model: Optional[_OverlayModel] = None
@@ -307,7 +294,7 @@ class IncrementalRepairPlanner(FullRebuildPlanner):
     # ------------------------------------------------------------------
     def build(self, engine: "RuntimeEngine") -> Plan:
         instance, node_ids = engine.view.snapshot()
-        rate, word = self._solve(engine.cache, instance)
+        rate, word = engine.cache.solve(instance)
         self._model = _OverlayModel(instance, node_ids, rate, word)
         self._plan = self._model.materialize(engine.now)
         return self._plan

@@ -223,17 +223,14 @@ class RunResult:
 
 
 def make_engine_planner(
-    name: str, repair_tolerance: Optional[float], plan_slack: float
+    name: str, repair_tolerance: Optional[float]
 ) -> Planner:
-    """Instantiate planner ``name`` from the knobs the engine and the
+    """Instantiate planner ``name`` from the knob the engine and the
     control plane share.  ``repair_tolerance`` only reaches the
-    incremental planner; the planner's own constructor checks the knobs
-    it receives."""
+    incremental planner, whose constructor checks it."""
     kwargs = {}
     if name == "incremental" and repair_tolerance is not None:
         kwargs["tolerance"] = repair_tolerance
-    if plan_slack > 0.0:
-        kwargs["slack"] = plan_slack
     return make_planner(name, **kwargs)
 
 
@@ -253,12 +250,10 @@ class RuntimeEngine:
         warm_epochs: bool = False,
         planner: Union[str, Planner, None] = None,
         repair_tolerance: Optional[float] = None,
-        plan_slack: float = 0.0,
         estimation: Optional[str] = None,
         probes_per_node: float = 4.0,
         estimator_decay: float = 0.8,
         noise_sigma: float = 0.1,
-        estimator_warmstart: bool = False,
     ) -> None:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
@@ -278,15 +273,6 @@ class RuntimeEngine:
             raise ValueError(
                 f"unknown planner {planner!r} "
                 f"(known: {', '.join(planner_names())})"
-            )
-        if not 0.0 <= plan_slack < 1.0:
-            raise ValueError(
-                f"plan_slack must be in [0, 1), got {plan_slack}"
-            )
-        if plan_slack > 0.0 and isinstance(planner, Planner):
-            raise ValueError(
-                "plan_slack applies to planners built by name; configure "
-                "an explicit planner instance with slack=... directly"
             )
         if repair_tolerance is not None:
             if not 0.0 <= repair_tolerance < 1.0:
@@ -324,10 +310,6 @@ class RuntimeEngine:
                 "(use 'auto', which falls back to 'reference' on those, "
                 "or 'reference')"
             )
-        if estimator_warmstart and estimation != "online":
-            raise ValueError(
-                "estimator_warmstart requires estimation='online'"
-            )
         self.platform = platform
         self.queue = EventQueue(events)
         self.horizon = int(horizon)
@@ -339,7 +321,6 @@ class RuntimeEngine:
         self._rng = random.Random(seed)
         self.now = 0
         self.repair_tolerance = repair_tolerance
-        self.plan_slack = float(plan_slack)
         #: Run-loop wall-time breakdown, reset per :meth:`run`.
         self.phase_seconds: dict[str, float] = {}
         # A concrete spec (instance or name) materializes eagerly; only
@@ -348,9 +329,7 @@ class RuntimeEngine:
         if isinstance(planner, Planner):
             self.planner = planner
         elif isinstance(planner, str):
-            self.planner = make_engine_planner(
-                planner, repair_tolerance, plan_slack
-            )
+            self.planner = make_engine_planner(planner, repair_tolerance)
         #: The plan the run loop currently simulates (planner input).
         self.active_plan: Optional[Plan] = None
         #: Warm-state carry-over: one live transport run per active plan
@@ -373,9 +352,6 @@ class RuntimeEngine:
                 ),
                 OnlineEstimator(decay=estimator_decay),
             )
-        self.estimator_warmstart = bool(estimator_warmstart)
-        if self.estimator_warmstart and self._view is not None:
-            self._seed_estimator_from_cache()
         self._pending_probes = 0
         self._pending_est_error: Optional[float] = None
         #: Truth-clipped transport scheme, memoized per installed plan.
@@ -385,43 +361,6 @@ class RuntimeEngine:
     # ------------------------------------------------------------------
     # Estimation seam
     # ------------------------------------------------------------------
-    def _seed_estimator_from_cache(self) -> None:
-        """Estimator warm-start: seed priors from the nearest cached plan.
-
-        ``start_session`` on a known scenario family re-solves
-        populations the shared :class:`~repro.planning.PlanCache` has
-        already seen; their class-sorted bandwidth profiles are the
-        tracker's institutional memory.  The profile closest in
-        ``(n, m)`` to the current roster is assigned to the alive peers
-        class-by-class (profile values in canonical non-increasing
-        order, peers in id order, cyclically when sizes differ), so the
-        estimator's pre-probe view carries the family's bandwidth
-        *distribution* instead of a flat ``prior_bw`` — cold imputation
-        is skipped without leaking any oracle per-peer value.  A cold
-        cache leaves the estimator untouched.
-        """
-        from ..core.instance import NodeKind
-
-        opens = []
-        guardeds = []
-        for node_id, state in sorted(self.platform.nodes.items()):
-            if not state.alive:
-                continue
-            (opens if state.kind == NodeKind.OPEN else guardeds).append(node_id)
-        profile = self.cache.nearest_profile(len(opens), len(guardeds))
-        if profile is None:
-            return
-        warm: dict[int, float] = {}
-        if profile.open_bws:
-            for k, ext in enumerate(opens):
-                warm[ext] = profile.open_bws[k % len(profile.open_bws)]
-        if profile.guarded_bws:
-            for k, ext in enumerate(guardeds):
-                warm[ext] = profile.guarded_bws[k % len(profile.guarded_bws)]
-        if warm:
-            assert self._view is not None
-            self._view.estimator.warm_start(warm)
-
     @property
     def view(self) -> Union[DynamicPlatform, EstimatedPlatformView]:
         """The platform *as planners see it*: the oracle
@@ -480,7 +419,7 @@ class RuntimeEngine:
     def build_plan(self) -> Plan:
         """Fully optimize the current alive swarm into a fresh :class:`Plan`."""
         if self.planner is None:
-            self.planner = make_engine_planner("full", None, self.plan_slack)
+            self.planner = make_engine_planner("full", None)
         return self.planner.build(self)
 
     # ------------------------------------------------------------------
@@ -497,7 +436,7 @@ class RuntimeEngine:
 
         if self.planner is None:
             self.planner = make_engine_planner(
-                controller.planner, self.repair_tolerance, self.plan_slack
+                controller.planner, self.repair_tolerance
             )
         self.active_plan = None
 

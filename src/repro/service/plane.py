@@ -445,7 +445,7 @@ class ControlPlane:
                 source_bw=min(spec.source_bw, spec.demand)
             ),
             planner=make_engine_planner(
-                self.planning, self.repair_tolerance, 0.0
+                self.planning, self.repair_tolerance
             ),
         )
         return Response(

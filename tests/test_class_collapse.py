@@ -312,15 +312,3 @@ class TestClassCollapsedPlanner:
         outcome = planner.replan(engine, plan, (leave, join))
         assert outcome.op == "build"
         assert planner.swaps == 0 and planner.builds == 2
-
-    def test_slack_travels_through_plan_slack(self):
-        engine = RuntimeEngine(
-            _class_platform(), [], 60, seed=0,
-            planner="collapsed", plan_slack=0.1,
-        )
-        derated = engine.build_plan()
-        baseline = RuntimeEngine(
-            _class_platform(), [], 60, seed=0, planner="collapsed"
-        ).build_plan()
-        assert derated.rate == pytest.approx(0.9 * baseline.rate, rel=1e-12)
-        derated.scheme.validate(derated.instance, require_acyclic=True)

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -91,9 +94,6 @@ class TestCommands:
         assert "Theorem 6.3" in out
 
     def test_module_invocation(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "demo"],
             capture_output=True,
@@ -102,3 +102,15 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert "gogog" in proc.stdout
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """scipy backs only the LP oracles, so importing the CLI must not
+        pay its start-up time and memory."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; assert 'scipy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -42,7 +42,7 @@ def _quantile(values, q):
 
 def _reference_fit(rows, num_nodes, *, iterations=6, quantile=0.85):
     """The per-node scalar alternating fit that ``_fit_lastmile`` runs
-    on arrays: ``(b_out, b_in, out_quantile, touched)`` in index space,
+    on arrays: ``(b_out, b_in, out_quantile)`` in index space,
     unmeasured nodes left at 0.0 (imputation is not part of the
     oracle)."""
     out_obs = [[] for _ in range(num_nodes)]
@@ -74,8 +74,7 @@ def _reference_fit(rows, num_nodes, *, iterations=6, quantile=0.85):
                 unexplained = [v for i, v in obs if new_out[i] >= b_in[j]]
                 new_in[j] = _quantile(unexplained or in_values[j], quantile)
         b_out, b_in = new_out, new_in
-    touched = {i for i in range(num_nodes) if out_obs[i] or in_obs[i]}
-    return b_out, b_in, out_quantile, touched
+    return b_out, b_in, out_quantile
 
 
 @pytest.fixture
@@ -283,7 +282,7 @@ class TestArrayFit:
     @example((3, [(0, 1, 2.0), (1, 2, 1.0), (2, 0, 3.0)]), 1.0)
     def test_matches_scalar_fit(self, sample, q):
         num, rows = sample
-        b_out, b_in, out_quantile, touched = _reference_fit(
+        b_out, b_in, out_quantile = _reference_fit(
             rows, num, quantile=q
         )
         sources, targets, values = zip(*rows)
@@ -295,7 +294,6 @@ class TestArrayFit:
         assert {k: v.hex() for k, v in fit.out_quantile.items()} == {
             k: v.hex() for k, v in out_quantile.items()
         }
-        assert fit.touched == touched
 
 
 class TestZeroTruthErrors:

@@ -655,7 +655,6 @@ class TestCli:
                 (["runtime"], "--seeds", ["0"]),
                 (["runtime"], "--workers", ["0"]),
                 (["runtime"], "--repair-tolerance", ["nan", "inf", "1"]),
-                (["runtime"], "--plan-slack", ["nan", "inf", "1"]),
                 (["runtime"], "--estimator-decay", ["nan", "inf", "0"]),
                 (["runtime"], "--probes-per-node", ["nan", "inf", "-1"]),
                 (["runtime"], "--noise-sigma", ["nan", "inf", "-0.1"]),

@@ -1,17 +1,13 @@
 """Tests for the shared float-comparison helpers."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.numerics import (
-    assert_finite_nonneg,
-    clamp_nonneg,
     feq,
     fge,
     fgt,
     fle,
     flt,
-    fnonneg,
     fpos,
     safe_ceil_div,
 )
@@ -40,22 +36,9 @@ class TestComparisons:
         if flt(x, y):
             assert not fgt(x, y) and not feq(x, y)
 
-    def test_fpos_and_fnonneg(self):
+    def test_fpos(self):
         assert fpos(1e-3)
         assert not fpos(1e-12)
-        assert fnonneg(-1e-12)
-        assert not fnonneg(-1e-3)
-
-
-class TestClamp:
-    def test_clamps_tiny_negatives(self):
-        assert clamp_nonneg(-1e-12) == 0.0
-
-    def test_preserves_real_negatives(self):
-        assert clamp_nonneg(-1.0) == -1.0
-
-    def test_preserves_positives(self):
-        assert clamp_nonneg(2.5) == 2.5
 
 
 class TestSafeCeilDiv:
@@ -79,16 +62,3 @@ class TestSafeCeilDiv:
     )
     def test_never_below_true_ratio(self, b, t):
         assert safe_ceil_div(b, t) >= b / t - 1e-6
-
-
-class TestAssertFiniteNonneg:
-    def test_accepts_good_values(self):
-        assert_finite_nonneg([0.0, 1.5, 2.0], "test")
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            assert_finite_nonneg([1.0, -0.1], "test")
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            assert_finite_nonneg([float("nan")], "test")

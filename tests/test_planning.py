@@ -544,15 +544,19 @@ class TestPlanningCli:
         assert "incremental" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra", [[], ["--batch", "--seeds", "1"]], ids=["single", "batch"]
+        "extra, deleted",
+        [([], ["--plan-slack", "0.05"]),
+         (["--estimation", "online"], ["--estimator-warmstart"])],
+        ids=["plan-slack", "estimator-warmstart"],
     )
-    def test_slack_above_tolerance_fails_cleanly(self, capsys, extra):
-        """The planner's own slack < tolerance check surfaces as an error
-        line before the run (or the sweep's pool) starts."""
-        rc = main(["runtime", "--controller", "incremental",
-                   "--plan-slack", "0.2", "--seed", "1", *extra])
-        assert rc == 2
-        assert "tolerance" in capsys.readouterr().err
+    def test_deleted_flags_rejected(self, capsys, extra, deleted):
+        """Plans are built at the exact ``T*_ac`` of the measured swarm
+        and the estimator starts from its flat prior: neither deleted
+        flag parses."""
+        assert main(["runtime", "--seed", "1", *extra, *deleted]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert deleted[0] in err[0]
 
     def test_list_includes_planners(self, capsys):
         assert main(["runtime", "--list"]) == 0
@@ -605,15 +609,12 @@ class TestSharedPlanCache:
     def test_cache_holds_only_solves(self):
         engine_cache = PlanCache()
         assert self._run(engine_cache, engine_seed=0).repairs > 0
-        assert self._run(
-            engine_cache, engine_seed=0, plan_slack=0.05
-        ).repairs > 0
         # A 4096-entry cache, so nothing a repair stored can be evicted.
         plane = ControlPlane(_serve_fleet().platform, cache=PlanCache())
         for batch in _serve_mix(_serve_fleet(), 301, 300):
             plane.submit_batch(batch)
         assert plane.stats().repairs > 0
-        assert any(isinstance(key, tuple) for key in engine_cache._store)
+        assert all(isinstance(key, Instance) for key in engine_cache._store)
         for cache in (engine_cache, plane.cache):
             assert not [
                 key for key in cache._store
@@ -621,7 +622,7 @@ class TestSharedPlanCache:
             ]
             # Search results only: immutable (rate, word) pairs.
             for key, value in cache._store.items():
-                if isinstance(key, Instance) or key[0] == "slack-build":
+                if isinstance(key, Instance):
                     assert type(value) is tuple
                     assert [type(v) for v in value] == [float, str]
 
@@ -695,18 +696,15 @@ class TestBuildEquivalence:
     @settings(max_examples=max(300, settings.default.max_examples))
     @given(
         platform=_platforms(),
-        slack=st.sampled_from([0.0, 0.05]),
         estimation=st.sampled_from([None, "online"]),
     )
-    def test_incremental_build_equals_full_build(
-        self, platform, slack, estimation
-    ):
+    def test_incremental_build_equals_full_build(self, platform, estimation):
         engine = RuntimeEngine(
             platform, [], 100, seed=0, cache=PlanCache(),
             estimation=estimation,
         )
-        full = FullRebuildPlanner(slack=slack).build(engine)
-        incremental = IncrementalRepairPlanner(slack=slack).build(engine)
+        full = FullRebuildPlanner().build(engine)
+        incremental = IncrementalRepairPlanner().build(engine)
         assert incremental.instance == full.instance
         assert incremental.node_ids == full.node_ids
         assert incremental.rate.hex() == full.rate.hex()

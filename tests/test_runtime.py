@@ -296,6 +296,20 @@ class TestBatchRunner:
             jobs, max_workers=2, mode="process"
         )
 
+    def test_results_do_not_depend_on_job_order(self):
+        """A worker's shared plan cache carries solves from one job to
+        the next; nothing it holds may change what a later job measures
+        (summary equality already ignores wall times and cache counters)."""
+        jobs = scenario_grid(
+            ["steady-churn", "live-stream"],
+            ["reactive", "incremental"],
+            seeds=(0, 1),
+            engine_kwargs={"estimation": "online", "probes_per_node": 0.5},
+        )
+        forward = run_batch(jobs, mode="serial")
+        reversed_ = run_batch(jobs[::-1], mode="serial")[::-1]
+        assert forward == reversed_
+
     def test_periodic_kwargs_travel_through_jobs(self):
         job = BatchJob.make(
             SMALL_GRID_SPECS[1], "periodic", 0, period=20

@@ -1,14 +1,12 @@
-"""Tests for the scale pipeline and repair-aware packing slack.
+"""Tests for the scale pipeline and the engine's scale knobs.
 
 Covers the array-native greedy tree extraction (bit-identical to the
 scalar dict-based greedy kept as a test oracle), the :class:`ShardFleet`
 transport (serial == process-pool bit-identity, dust truncation
 accounting, an empty fleet's per-node zeros), :func:`measure_scale` reports, the
-``Planner(slack=...)`` satellite (derated builds, the incremental
-slack-below-tolerance guard, and the saturated-swarm regression: a
-slackless optimal plan has zero spare so repair must fall back, a
-derated plan absorbs the same departure in place), and the engine-level
-``plan_slack`` / ``phase_seconds`` wiring.
+saturated-swarm repair (an optimal plan has zero spare upload, so a
+departure must fall back to a rebuild), and the engine-level
+``phase_seconds`` wiring.
 
 The shard's level-contiguous layout is pinned against
 :class:`_ReferenceShard`, the tree-major gather/scatter shard it
@@ -33,7 +31,11 @@ from repro.analysis.scale import RATE_BACKOFF
 from repro.core.runs import ClassRuns
 from repro.flows.arborescence import decompose_broadcast_arrays
 from repro.instances import class_runs, random_instance
-from repro.planning import FullRebuildPlanner, IncrementalRepairPlanner
+from repro.planning import (
+    ClassCollapsedPlanner,
+    FullRebuildPlanner,
+    IncrementalRepairPlanner,
+)
 from repro.runtime import (
     DynamicPlatform,
     IncrementalController,
@@ -212,74 +214,40 @@ class TestMeasureScale:
         assert peak_rss_kb() > 0
 
 
-class TestPackingSlack:
-    def test_slack_derates_the_planned_rate(self, fig1):
-        engine = RuntimeEngine(
-            DynamicPlatform.from_instance(fig1), [], 60, seed=0,
-            plan_slack=0.125,
-        )
-        derated = engine.build_plan()
-        baseline = RuntimeEngine(
-            DynamicPlatform.from_instance(fig1), [], 60, seed=0
-        ).build_plan()
-        assert derated.rate == pytest.approx(
-            0.875 * baseline.rate, rel=1e-12
-        )
-        derated.scheme.validate(derated.instance, require_acyclic=True)
-
-    def test_slack_validation(self):
-        with pytest.raises(ValueError):
-            FullRebuildPlanner(slack=1.0)
-        with pytest.raises(ValueError):
-            FullRebuildPlanner(slack=-0.1)
-        with pytest.raises(ValueError, match="tolerance"):
-            IncrementalRepairPlanner(slack=0.2, tolerance=0.1)
-
-    def test_saturated_swarm_repairs_in_place_with_slack(self, fig1):
-        """The satellite regression: figure 1 is saturated (zero spare
-        upload), so the slackless incremental planner must fall back to
-        a rebuild on a departure — while the same departure lands as an
-        in-place repair once the build reserves 9% slack."""
-
-        def run(**engine_kwargs):
-            return RuntimeEngine(
-                DynamicPlatform.from_instance(fig1),
-                [NodeLeave(time=30, node_id=2)], 60, seed=5,
-                **engine_kwargs,
-            ).run(IncrementalController())
-
-        tight = run()
-        assert (tight.repairs, tight.repair_fallbacks) == (0, 1)
-
-        slack = run(plan_slack=0.09)
-        assert slack.repairs == 1
-        assert slack.repair_fallbacks == 0
-        assert slack.rebuilds == 1  # the initial build only
-        after = slack.epochs[-1]
-        # The kept rate still clears the repair degradation gate.
-        assert after.planned_rate >= 0.9 * after.optimal_rate - 1e-9
+class TestSaturatedRepair:
+    def test_departure_from_saturated_swarm_falls_back(self, fig1):
+        """Figure 1 is saturated (zero spare upload), so the incremental
+        planner cannot absorb a departure in place and falls back to a
+        rebuild."""
+        result = RuntimeEngine(
+            DynamicPlatform.from_instance(fig1),
+            [NodeLeave(time=30, node_id=2)], 60, seed=5,
+        ).run(IncrementalController())
+        assert (result.repairs, result.repair_fallbacks) == (0, 1)
 
 
 class TestEngineScaleKnobs:
-    def test_plan_slack_validation(self, fig1):
-        platform = DynamicPlatform.from_instance(fig1)
-        with pytest.raises(ValueError, match="plan_slack"):
-            RuntimeEngine(platform, [], 60, plan_slack=1.0)
-        with pytest.raises(ValueError, match="by name"):
-            RuntimeEngine(
-                platform, [], 60, plan_slack=0.1,
-                planner=FullRebuildPlanner(),
-            )
-
     @pytest.mark.parametrize(
-        "knob", [{"sim_worker_mode": "process"}, {"sim_workers": 2}]
+        "knob",
+        [{"sim_worker_mode": "process"}, {"sim_workers": 2},
+         {"plan_slack": 0.05}, {"estimator_warmstart": True}],
     )
-    def test_engine_transport_has_no_worker_knobs(self, fig1, knob):
+    def test_deleted_engine_knobs_rejected(self, fig1, knob):
         """Per-epoch fleets are rebuilt every transport run, where
-        neither threads nor forked workers beat the serial shards."""
+        neither threads nor forked workers beat the serial shards; plans
+        are built at the exact ``T*_ac`` of the measured swarm, and every
+        estimator starts from its flat prior."""
         platform = DynamicPlatform.from_instance(fig1)
         with pytest.raises(TypeError, match=next(iter(knob))):
             RuntimeEngine(platform, [], 60, **knob)
+
+    @pytest.mark.parametrize(
+        "planner",
+        [FullRebuildPlanner, IncrementalRepairPlanner, ClassCollapsedPlanner],
+    )
+    def test_planners_take_no_slack(self, planner):
+        with pytest.raises(TypeError):
+            planner(slack=0.05)
 
     def test_phase_seconds_cover_the_run(self, fig1):
         result = RuntimeEngine(

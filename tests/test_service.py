@@ -1,8 +1,8 @@
 """Tests for repro.service: codec, control plane, ledger, transports.
 
 Also covers the satellite pieces the service consumes: multi-event
-coalescing (:func:`repro.planning.coalesce_events`), the estimator
-warm-start seam, and the FleetEngine reject-all allocation fix.
+coalescing (:func:`repro.planning.coalesce_events`) and the FleetEngine
+reject-all allocation fix.
 """
 
 import asyncio
@@ -18,13 +18,11 @@ import pytest
 
 from repro.analysis import migration_fork_check, service_experiment
 from repro.core.instance import Instance, NodeKind
-from repro.estimation.online import OnlineEstimator
 from repro.planning import PlanCache, coalesce_events
 from repro.runtime import (
     BandwidthDrift,
     NodeJoin,
     NodeLeave,
-    RuntimeEngine,
 )
 from repro.runtime.events import DynamicPlatform
 from repro.runtime.scenarios import SteadyChurn
@@ -913,71 +911,6 @@ class TestFleetRejectAll:
         assert all(s.status == "rejected" for s in result.sessions)
         assert all(s.bound == 0.0 for s in result.sessions)
         assert result.aggregate_goodput == 0.0
-
-
-class TestEstimatorWarmstart:
-    def test_warm_values_override_flat_prior(self):
-        est = OnlineEstimator()
-        est.warm_start({1: 5.0, 2: 0.5})
-        assert est.prior_for(1) == 5.0
-        assert est.prior_for(2) == 0.5
-        assert est.prior_for(3) == est.prior_bw
-
-    def test_negative_warm_value_rejected(self):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            OnlineEstimator().warm_start({1: -1.0})
-
-    def test_nearest_profile_cold_cache(self):
-        assert PlanCache().nearest_profile(4, 0) is None
-
-    def test_nearest_profile_picks_closest_population(self):
-        cache = PlanCache()
-        near = Instance(10.0, (5.0, 4.0, 3.0), ())
-        far = Instance(10.0, tuple([2.0] * 9), (1.0,))
-        cache.solve(far)
-        cache.solve(near)
-        assert cache.nearest_profile(3, 0) is near
-        assert cache.nearest_profile(9, 1) is far
-
-    def test_engine_requires_online_estimation(self):
-        fleet = small_fleet()
-        with pytest.raises(ValueError, match="estimation='online'"):
-            RuntimeEngine(
-                fleet.platform, (), 10, estimator_warmstart=True
-            )
-
-    def test_engine_seeds_estimator_from_cache(self):
-        spec = SteadyChurn(size=8, horizon=20)
-        run = spec.build(0, name="steady-churn")
-        cache = PlanCache()
-        cache.solve(run.platform.snapshot()[0])
-        engine = RuntimeEngine(
-            run.platform,
-            run.events,
-            run.horizon,
-            seed=0,
-            cache=cache,
-            estimation="online",
-            estimator_warmstart=True,
-        )
-        warm = engine.view.estimator._warm
-        assert warm
-        # seeded nodes now answer their warm prior pre-probe
-        node = next(iter(warm))
-        assert engine.view.bandwidth(node) == warm[node]
-
-    def test_cold_cache_leaves_estimator_flat(self):
-        spec = SteadyChurn(size=8, horizon=20)
-        run = spec.build(0, name="steady-churn")
-        engine = RuntimeEngine(
-            run.platform,
-            run.events,
-            run.horizon,
-            seed=0,
-            estimation="online",
-            estimator_warmstart=True,
-        )
-        assert engine.view.estimator._warm == {}
 
 
 class TestAnalysisService:
