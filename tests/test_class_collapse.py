@@ -248,6 +248,21 @@ class TestClassCollapsedPlanner:
         assert "collapsed" in planner_names()
         assert isinstance(make_planner("collapsed"), ClassCollapsedPlanner)
 
+    def test_collapsed_solve_memoized_by_runs(self):
+        """The collapsed memo is keyed on the class runs alone, so a
+        rebuild of an unchanged swarm is a cache hit."""
+        engine = RuntimeEngine(
+            _class_platform(seed=3), [], 100, seed=0, planner="collapsed"
+        )
+        first = engine.build_plan()
+        runs = ClassRuns.from_instance(first.instance)
+        assert ("collapsed", runs) in engine.cache
+        hits = engine.cache.hits
+        second = engine.build_plan()
+        assert engine.cache.hits == hits + 1
+        assert engine.planner.builds == 2
+        assert second.rate.hex() == first.rate.hex()
+
     @pytest.mark.parametrize("seed", (0, 4))
     def test_engine_rates_bit_identical_to_full_rebuild(self, seed):
         """Same platform, same churn: every epoch's planned rate must be

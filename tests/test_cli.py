@@ -114,3 +114,33 @@ class TestCommands:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("module", ["repro", "repro.algorithms.exact"])
+    def test_library_import_leaves_scipy_unloaded(self, module):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; assert 'scipy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_lp_oracle_loads_scipy_on_first_solve(self):
+        """The LP helper imports ``linprog`` when it is first called."""
+        script = (
+            "import sys\n"
+            "from repro import Instance\n"
+            "from repro.algorithms.exact import optimal_cyclic_lp\n"
+            "rate = optimal_cyclic_lp(Instance(10.0, (5.0, 4.0, 3.0), ()))\n"
+            "assert 'scipy' in sys.modules\n"
+            "print(rate)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) > 0.0

@@ -29,6 +29,7 @@ from repro.estimation.measurements import (
     pair_noise,
     pair_noises,
 )
+from repro.planning import PlanCache
 from repro.runtime import (
     BandwidthDrift,
     DynamicPlatform,
@@ -286,6 +287,16 @@ class TestOnlineEstimator:
             est.ingest([Measurement(c, a, 5.0), Measurement(a, c, bad)])
         assert (len(est), est._round, est.estimates(platform)) == before
 
+    @pytest.mark.parametrize(
+        "owner, name",
+        [(OnlineEstimator, "warm_start"), (OnlineEstimator, "prior_for"),
+         (PlanCache, "nearest_profile")],
+    )
+    def test_no_warm_start_seam(self, owner, name):
+        """Estimates depend only on this run's probes and churn: there is
+        no seam to seed per-node priors from an earlier run's solves."""
+        assert not hasattr(owner, name)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             OnlineEstimator(decay=0.0)
@@ -403,6 +414,33 @@ class TestEngineIntegration:
         plan = engine.build_plan()
         assert plan.instance != platform.snapshot()[0]
         assert sorted(plan.node_ids) == sorted(platform.snapshot()[1])
+
+    def _engine(self, cache):
+        run = SteadyChurn(size=14, horizon=160).build(0, name="steady-churn")
+        return RuntimeEngine(
+            run.platform, run.events, run.horizon, seed=0, cache=cache,
+            estimation="online", probes_per_node=0.5,
+        )
+
+    def test_warm_cache_leaves_the_prior_flat(self):
+        """A cache that already solved this swarm seeds nothing: before
+        the first probe every peer reads the estimator's flat prior."""
+        warm = PlanCache()
+        warm.solve(self._engine(PlanCache()).platform.snapshot()[0])
+        view = self._engine(warm).view
+        prior = view.estimator.prior_bw
+        assert [view.bandwidth(n) for n in view.alive_ids()] == [
+            prior for _ in view.alive_ids()
+        ]
+
+    def test_warm_cache_run_equals_cold_run(self):
+        warm = PlanCache()
+        self._engine(warm).run(make_controller("reactive"))
+        assert len(warm) > 0
+        again = self._engine(warm).run(make_controller("reactive"))
+        cold = self._engine(PlanCache()).run(make_controller("reactive"))
+        assert again.epochs == cold.epochs
+        assert again.probes == cold.probes
 
     def test_incremental_controller_runs_under_estimation(self):
         result = self._run("online", controller="incremental")

@@ -40,6 +40,24 @@ class TestComparisons:
         assert fpos(1e-3)
         assert not fpos(1e-12)
 
+    def test_tolerance_overrides(self):
+        assert not feq(1.0, 1.0 + 1e-6)
+        assert feq(1.0, 1.0 + 1e-6, rel=1e-5)
+        assert feq(0.0, 1e-6, abs_=1e-5)
+        assert fle(1.0 + 1e-6, 1.0, rel=1e-5)
+        assert not fle(1.0 + 1e-6, 1.0)
+        assert fpos(1e-6, abs_=1e-7)
+        assert not fpos(1e-6, abs_=1e-5)
+
+    @given(floats)
+    def test_feq_reflexive(self, x):
+        assert feq(x, x) and fle(x, x) and fge(x, x)
+        assert not flt(x, x) and not fgt(x, x)
+
+    @given(floats, floats)
+    def test_feq_symmetric(self, x, y):
+        assert feq(x, y) == feq(y, x)
+
 
 class TestSafeCeilDiv:
     def test_exact_quotients_not_bumped(self):
@@ -62,3 +80,10 @@ class TestSafeCeilDiv:
     )
     def test_never_below_true_ratio(self, b, t):
         assert safe_ceil_div(b, t) >= b / t - 1e-6
+
+    @given(
+        st.floats(min_value=0.0, max_value=1e4),
+        st.floats(min_value=1e-3, max_value=1e4),
+    )
+    def test_less_than_one_above_true_ratio(self, b, t):
+        assert safe_ceil_div(b, t) < b / t + 1

@@ -544,16 +544,19 @@ class TestPlanningCli:
         assert "incremental" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "mode", [[], ["--batch", "--seeds", "1"]], ids=["single", "batch"]
+    )
+    @pytest.mark.parametrize(
         "extra, deleted",
         [([], ["--plan-slack", "0.05"]),
          (["--estimation", "online"], ["--estimator-warmstart"])],
         ids=["plan-slack", "estimator-warmstart"],
     )
-    def test_deleted_flags_rejected(self, capsys, extra, deleted):
+    def test_deleted_flags_rejected(self, capsys, extra, deleted, mode):
         """Plans are built at the exact ``T*_ac`` of the measured swarm
         and the estimator starts from its flat prior: neither deleted
-        flag parses."""
-        assert main(["runtime", "--seed", "1", *extra, *deleted]) == 2
+        flag parses, before a run or a sweep's pool starts."""
+        assert main(["runtime", "--seed", "1", *mode, *extra, *deleted]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert deleted[0] in err[0]
@@ -625,6 +628,22 @@ class TestSharedPlanCache:
                 if isinstance(key, Instance):
                     assert type(value) is tuple
                     assert [type(v) for v in value] == [float, str]
+
+    def test_full_build_reads_the_memoized_solve(self):
+        """A full rebuild of an unchanged swarm is one cache hit keyed on
+        the snapshot itself, and packs the same plan."""
+        engine = RuntimeEngine(
+            DynamicPlatform.from_instance(figure1_instance()), [], 60,
+            seed=0, cache=PlanCache(),
+        )
+        planner = FullRebuildPlanner()
+        first = planner.build(engine)
+        hits, misses = engine.cache.stats()
+        second = planner.build(engine)
+        assert engine.cache.stats() == (hits + 1, misses)
+        assert list(engine.cache._store) == [first.instance]
+        assert second.rate.hex() == first.rate.hex()
+        assert list(second.scheme.edges()) == list(first.scheme.edges())
 
     def test_memo_entries_hold_no_mutable_state(self):
         """A repair by one planner leaves another planner on the same

@@ -296,6 +296,19 @@ class TestBatchRunner:
             jobs, max_workers=2, mode="process"
         )
 
+    def test_process_pool_matches_serial_under_online_estimation(self):
+        """Each pool worker holds its own plan cache; an estimated run
+        must not see which jobs that worker ran before."""
+        jobs = scenario_grid(
+            ["steady-churn"],
+            ["reactive", "incremental"],
+            seeds=(2, 3),
+            engine_kwargs={"estimation": "online", "probes_per_node": 0.5},
+        )
+        assert run_batch(jobs, mode="serial") == run_batch(
+            jobs, max_workers=2, mode="process"
+        )
+
     def test_results_do_not_depend_on_job_order(self):
         """A worker's shared plan cache carries solves from one job to
         the next; nothing it holds may change what a later job measures
