@@ -778,27 +778,13 @@ def pack_segments(
     )
 
 
-def collapsed_scheme(
-    runs: ClassRuns, throughput: Optional[float] = None
-) -> CollapsedSolution:
+def collapsed_scheme(runs: ClassRuns) -> CollapsedSolution:
     """Full collapsed Theorem 4.1 pipeline: rate -> segments -> RunScheme.
 
-    ``throughput`` defaults to ``T*_ac`` via the run-length dichotomic
-    search (bit-identical in rate to the per-node pipeline).
+    The rate is ``T*_ac`` via the run-length dichotomic search
+    (bit-identical in rate to the per-node pipeline).
     """
-    if throughput is None:
-        target, segments = optimal_acyclic_throughput_runs(runs)
-        if target == float("inf"):
-            return CollapsedSolution(
-                RunScheme(runs.num_nodes, 0.0, ()), target, []
-            )
-    else:
-        target = float(throughput)
-        segments = greedy_segments(
-            runs.source_bw, runs.open_runs, runs.guarded_runs, target
-        )
-        if segments is None:
-            raise InfeasibleThroughputError(
-                f"rate {target:g} is not acyclically feasible"
-            )
+    target, segments = optimal_acyclic_throughput_runs(runs)
+    if target == float("inf"):
+        return CollapsedSolution(RunScheme(runs.num_nodes, 0.0, ()), target, [])
     return pack_segments(runs, segments, target)

@@ -23,9 +23,33 @@ per-draw call frames.  That path is taken only when the RNG's class
 still uses the stdlib ``_randbelow_with_getrandbits`` and ``randrange``;
 any other subclass (one that overrides only ``random()`` gets
 ``_randbelow_without_getrandbits``, a different integer stream) draws
-through its own ``randrange``.  Golden-state digests in
-``tests/test_simulation_backends.py`` pin the stream, the buffers, the
-credits and the RNG state against the original implementation.
+through its own ``randrange``.
+
+Two more shortcuts skip work whose result is already known:
+
+* *Empty useful set.*  When the relay holds no packet the receiver
+  lacks (``items.isdisjoint(holder)``), all 16 tries must miss and the
+  exact scan must find nothing, so the loop only consumes the tries'
+  draws and stops: 16 accepted ``getrandbits(k)`` words below ``n`` on
+  the stock path (rejected words are drawn again, exactly as each try
+  would), 16 ``randrange(n)`` calls otherwise.  No draw is skipped, so
+  the stream is unchanged; skipped are the pool lookups, the membership
+  tests, the intersection and the sort.  The check comes after the
+  pool compaction, which still runs because ``state()`` exposes the
+  pool.
+* *Inlined shuffle.*  The slot's ``rng.shuffle(order)`` runs as the
+  stdlib's Fisher–Yates body (``for i in reversed(range(1, len(x))):
+  j = randbelow(i + 1)``) with the same getrandbits loop inlined for
+  ``randbelow``, so the order and the bits consumed are the stdlib's.
+  It is taken only when the draws are stock *and* the class keeps
+  ``random.Random.shuffle``; a subclass that overrides ``shuffle`` goes
+  through its own.
+
+Golden-state digests in ``tests/test_simulation_backends.py`` pin the
+stream, the buffers, the credits and the RNG state against the original
+implementation, and a property test there checks ``state()`` after
+every step against a frozen copy of the loop from before the two
+shortcuts.
 
 It handles *any* scheme — cyclic ones included — which is why
 ``backend="auto"`` falls back to it whenever the arborescence
@@ -102,6 +126,7 @@ class ReferenceBackend(SimBackend):
         # rng.randrange(n) minus its argument checks, unless a subclass
         # changed how it draws
         draw = rng._randbelow if stock else rng.randrange
+        stock_shuffle = stock and type(rng).shuffle is random.Random.shuffle
         pkt_rate = self.config.pkt_rate
         burst_cap = self.config.burst_cap
         credit, have, missing = self.credit, self.have, self.missing
@@ -116,6 +141,11 @@ class ReferenceBackend(SimBackend):
                   None if u == 0 else have[u])
             for u, v, cap in self.edges
         ]
+        # rng.shuffle(order), inlined: position i swaps with
+        # randbelow(i + 1), which draws (i + 1).bit_length() bits.
+        swaps = [
+            (i, (i + 1).bit_length()) for i in range(len(order) - 1, 0, -1)
+        ]
 
         for _ in range(num_slots):
             self.injected += pkt_rate
@@ -126,7 +156,14 @@ class ReferenceBackend(SimBackend):
                     m.items.update(fresh)
                     m.pool.extend(fresh)
                 self.horizon = new_horizon
-            rng.shuffle(order)
+            if stock_shuffle:
+                for i, k in swaps:
+                    j = getrandbits(k)
+                    while j > i:
+                        j = getrandbits(k)
+                    order[i], order[j] = order[j], order[i]
+            else:
+                rng.shuffle(order)
             for e in order:
                 edge = plan[e]
                 if edge is None:
@@ -146,6 +183,19 @@ class ReferenceBackend(SimBackend):
                     if n > 4 * len(items):
                         pool = m.pool = [p for p in pool if p in items]
                         n = len(pool)
+                    if holder is not None and items.isdisjoint(holder):
+                        # The relay holds nothing the receiver lacks: every
+                        # try misses and the exact scan comes up empty, so
+                        # spend the tries' draws and nothing else.
+                        if stock:
+                            k = n.bit_length()
+                            for _ in repeat(None, _TRIES):
+                                while getrandbits(k) >= n:
+                                    pass
+                        else:
+                            for _ in repeat(None, _TRIES):
+                                draw(n)
+                        break
                     pkt = None
                     if stock:
                         k = n.bit_length()

@@ -118,21 +118,6 @@ class TestCollapsedScheme:
         rate, _ = optimal_acyclic_throughput_runs(runs)
         assert sol.throughput == rate
 
-    def test_derated_pack_leaves_spare_upload(self):
-        runs = class_runs(
-            100.0, [("open", 120.0, 30), ("guarded", 80.0, 10)]
-        )
-        full = collapsed_scheme(runs)
-        derated = collapsed_scheme(runs, 0.9 * full.throughput)
-        assert derated.throughput == 0.9 * full.throughput
-        spare = sum(c * s for _, c, s in derated.open_spare) + sum(
-            c * s for _, c, s in derated.guarded_spare
-        )
-        assert spare > 0.0
-        LazyExpandedScheme(derated.scheme).validate(
-            runs.to_instance(), require_acyclic=True
-        )
-
     def test_edge_arrays_match_the_expanded_adjacency(self):
         runs = _family_runs("Power1", 5, size=40)
         sol = collapsed_scheme(runs)

@@ -6,13 +6,17 @@ same seed), snapshot/restore determinism
 (``step(a); step(b)`` ≡ ``step(a + b)``), the failure schedule, worker
 sharding, and the ``auto`` fallback on cyclic schemes.  Golden-state
 digests pin the ``reference`` backend's exact RNG stream, so its hot loop
-can be optimized without changing a single draw.
+can be optimized without changing a single draw, and a frozen copy of an
+earlier version of that loop checks its full state after every step.
 """
 
+import copy
 import hashlib
 import random
+from itertools import repeat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     BroadcastScheme,
@@ -26,6 +30,8 @@ from repro import (
     simulate_packet_broadcast,
 )
 from repro.core.exceptions import DecompositionError
+from repro.simulation.backends.reference import ReferenceBackend
+from repro.simulation.core import SimConfig
 
 BACKENDS = ("reference", "sharded")
 
@@ -439,6 +445,235 @@ class TestReferenceGoldenState:
         ]
         digest = hashlib.sha256(repr(epochs).encode()).hexdigest()
         assert digest == GOLDEN_RUNTIME[name]
+
+
+class _OwnShuffle(random.Random):
+    """Overrides only ``shuffle`` (with an order the stdlib never gives),
+    keeping the stock integer draws, and counts its calls."""
+
+    calls = 0
+
+    def shuffle(self, x):
+        self.calls += 1
+        super().shuffle(x)
+        x.reverse()
+
+
+RNG_CLASSES = {
+    "stock": random.Random,
+    "random-only": _RandomOnly,
+    "own-shuffle": _OwnShuffle,
+}
+
+
+def _frozen_stock_randbelow(rng):
+    cls = type(rng)
+    return (
+        cls._randbelow is random.Random._randbelow_with_getrandbits
+        and cls.randrange is random.Random.randrange
+    )
+
+
+class _FrozenReference(ReferenceBackend):
+    """Test oracle: the ``reference`` backend's ``run`` frozen as it was
+    before the empty-useful shortcut and the inlined shuffle.  The live
+    loop must leave ``state()`` equal to this one's after every step."""
+
+    def run(self, start_slot, num_slots):
+        rng = self.rng
+        stock = _frozen_stock_randbelow(rng)
+        getrandbits = rng.getrandbits
+        draw = rng._randbelow if stock else rng.randrange
+        pkt_rate = self.config.pkt_rate
+        burst_cap = self.config.burst_cap
+        credit, have, missing = self.credit, self.have, self.missing
+        arrivals, order, dead = self.arrivals, self.order, self.dead
+        receivers = missing[1:]
+        plan = [
+            None
+            if u in dead or v in dead
+            else (v, cap, burst_cap + cap, missing[v], have[v],
+                  None if u == 0 else have[u])
+            for u, v, cap in self.edges
+        ]
+
+        for _ in range(num_slots):
+            self.injected += pkt_rate
+            new_horizon = int(self.injected)
+            if new_horizon > self.horizon:
+                fresh = range(self.horizon, new_horizon)
+                for m in receivers:
+                    m.items.update(fresh)
+                    m.pool.extend(fresh)
+                self.horizon = new_horizon
+            rng.shuffle(order)
+            for e in order:
+                edge = plan[e]
+                if edge is None:
+                    continue
+                v, cap, limit, m, got, holder = edge
+                c = credit[e] + cap
+                if c > limit:
+                    c = limit
+                if c < 1.0:
+                    credit[e] = c
+                    continue
+                items = m.items
+                sent = 0
+                while items:
+                    pool = m.pool
+                    n = len(pool)
+                    if n > 4 * len(items):
+                        pool = m.pool = [p for p in pool if p in items]
+                        n = len(pool)
+                    pkt = None
+                    if stock:
+                        k = n.bit_length()
+                        for _ in repeat(None, 16):
+                            r = getrandbits(k)
+                            while r >= n:
+                                r = getrandbits(k)
+                            p = pool[r]
+                            if p in items and (holder is None or p in holder):
+                                pkt = p
+                                break
+                    else:
+                        for _ in repeat(None, 16):
+                            p = pool[draw(n)]
+                            if p in items and (holder is None or p in holder):
+                                pkt = p
+                                break
+                    if pkt is None:
+                        useful = sorted(
+                            items if holder is None else items & holder
+                        )
+                        if not useful:
+                            break
+                        pkt = useful[draw(len(useful))]
+                    got.add(pkt)
+                    items.remove(pkt)
+                    sent += 1
+                    c -= 1.0
+                    if c < 1.0:
+                        break
+                arrivals[v] += sent
+                credit[e] = c
+
+
+def _slow_relay_config(num=5):
+    """Source -> 1 slowly, 1 -> 2 fast: node 2 soon lacks only packets its
+    relay lacks too, the case the empty-useful shortcut skips."""
+    scheme = BroadcastScheme.from_edges(
+        num,
+        [(0, 1, 0.3), (1, 2, 2.5)] + [(0, v, 1.0) for v in range(3, num)],
+    )
+    return SimConfig(scheme=scheme, rate=1.0, packets_per_unit=2.0)
+
+
+@st.composite
+def _transport_runs(draw):
+    """A random overlay (acyclic, cyclic or a slow relay feeding a fast
+    child), its packet rate, an RNG class and seed, and a sequence of
+    steps, kills, snapshots and restores."""
+    kind = draw(st.sampled_from(("acyclic", "cyclic", "slow-relay")))
+    num = draw(st.integers(3, 9))
+    caps = st.floats(0.1, 2.0)
+    edges = {}
+    if kind == "slow-relay":
+        edges[0, 1] = draw(st.floats(0.1, 0.5))
+        edges[1, 2] = draw(st.floats(1.5, 3.0))
+    for v in range(1, num):
+        if (0, v) in edges or (1, v) in edges:
+            continue
+        feeders = range(v) if kind == "acyclic" else [
+            w for w in range(num) if w not in (v, 2)
+        ]
+        edges[draw(st.sampled_from(feeders)), v] = draw(caps)
+    extra = st.tuples(st.integers(0, num - 1), st.integers(1, num - 1), caps)
+    for u, v, c in draw(st.lists(extra, max_size=2 * num)):
+        if kind == "acyclic" and u > v:
+            u, v = v, u
+        if u != v and not (kind == "slow-relay" and v in (1, 2)):
+            edges[u, v] = c
+    scheme = BroadcastScheme.from_edges(
+        num, [(u, v, c) for (u, v), c in sorted(edges.items())]
+    )
+    config = SimConfig(
+        scheme=scheme,
+        rate=draw(st.floats(0.3, 2.5)),
+        packets_per_unit=draw(st.sampled_from((0.5, 1.0, 2.0, 3.7))),
+    )
+    action = st.one_of(
+        st.tuples(st.just("step"), st.integers(1, 40)),
+        st.tuples(st.just("kill"), st.integers(1, num - 1)),
+        st.just(("snap",)),
+        st.just(("restore",)),
+    )
+    return (
+        config,
+        draw(st.sampled_from(sorted(RNG_CLASSES))),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.lists(action, min_size=1, max_size=8)),
+    )
+
+
+class TestReferenceMatchesFrozenLoop:
+    """The live ``reference`` loop against :class:`_FrozenReference`."""
+
+    @settings(max_examples=max(300, settings.default.max_examples))
+    @given(_transport_runs())
+    def test_state_matches_frozen_loop_after_every_step(self, case):
+        config, rng_name, seed, actions = case
+        rng_cls = RNG_CLASSES[rng_name]
+        live = ReferenceBackend(config, rng_cls(seed))
+        frozen = _FrozenReference(config, rng_cls(seed))
+        snaps = None
+        slot = 0
+        for action in actions:
+            if action[0] == "step":
+                live.run(slot, action[1])
+                frozen.run(slot, action[1])
+                slot += action[1]
+            elif action[0] == "kill":
+                live.kill(action[1])
+                frozen.kill(action[1])
+            elif action[0] == "snap":
+                snaps = copy.deepcopy((live.state(), frozen.state()))
+            elif snaps is not None:
+                live.load(copy.deepcopy(snaps[0]))
+                frozen.load(copy.deepcopy(snaps[1]))
+            assert live.state() == frozen.state()
+
+    def test_slow_relay_reaches_the_empty_useful_case(self):
+        """The shortcut's trigger, seen at slot boundaries."""
+        live = ReferenceBackend(_slow_relay_config(), random.Random(4))
+        frozen = _FrozenReference(_slow_relay_config(), random.Random(4))
+        hits = 0
+        for slot in range(120):
+            live.run(slot, 1)
+            frozen.run(slot, 1)
+            items = live.missing[2].items
+            hits += bool(items) and items.isdisjoint(live.have[1])
+        assert hits > 30
+        assert live.state() == frozen.state()
+
+    def test_shuffle_override_is_honoured(self):
+        """A subclass that overrides only ``shuffle`` keeps the inlined
+        useful-packet draws but goes through its own ``shuffle``."""
+        inst, scheme, rate, kwargs, a, b = _golden_case(3)
+        config = SimConfig(
+            scheme=scheme, rate=rate,
+            packets_per_unit=kwargs["packets_per_unit"],
+        )
+        rng = _OwnShuffle(kwargs["seed"])
+        live = ReferenceBackend(config, rng)
+        frozen = _FrozenReference(config, _OwnShuffle(kwargs["seed"]))
+        stock = ReferenceBackend(config, random.Random(kwargs["seed"]))
+        for backend in (live, frozen, stock):
+            backend.run(0, a + b)
+        assert rng.calls == a + b
+        assert live.state() == frozen.state()
+        assert live.state()["order"] != stock.state()["order"]
 
 
 class TestShardedWorkerModes:
