@@ -531,16 +531,12 @@ def optimal_acyclic_throughput_runs(
 class CollapsedSolution:
     """Run-length counterpart of :class:`AcyclicSolution`.
 
-    ``scheme`` is the packed :class:`~repro.core.runs.RunScheme`;
-    ``open_spare`` / ``guarded_spare`` are the residual pool entries as
-    ``(start_node, count, spare_each)`` blocks in FIFO order.
+    ``scheme`` is the packed :class:`~repro.core.runs.RunScheme`.
     """
 
     scheme: RunScheme
     throughput: float
     segments: list[tuple[str, int]]
-    open_spare: tuple[tuple[int, int, float], ...] = ()
-    guarded_spare: tuple[tuple[int, int, float], ...] = ()
 
     @property
     def word(self) -> str:
@@ -664,10 +660,6 @@ class _RunPools:
     def draw_guarded(self, need: float) -> tuple[list[SupplyBlock], float]:
         return self._draw(self.guarded_entries, need)
 
-    def spare_blocks(self, *, open_: bool) -> tuple[tuple[int, int, float], ...]:
-        pool = self.open_entries if open_ else self.guarded_entries
-        return tuple((s, c, e) for s, c, e in pool)
-
 
 def pack_segments(
     runs: ClassRuns,
@@ -765,17 +757,8 @@ def pack_segments(
             feeds.append(
                 SegmentFeed(first=first, count=count, rate=t, portions=tuple(portions))
             )
-    else:
-        for letter, first, count, bw in units:
-            pools.push(first, count, bw, open_=(letter == OPEN))
     scheme = RunScheme(runs.num_nodes, t, feeds)
-    return CollapsedSolution(
-        scheme,
-        t,
-        [tuple(s) for s in segments],
-        open_spare=pools.spare_blocks(open_=True),
-        guarded_spare=pools.spare_blocks(open_=False),
-    )
+    return CollapsedSolution(scheme, t, [tuple(s) for s in segments])
 
 
 def collapsed_scheme(runs: ClassRuns) -> CollapsedSolution:

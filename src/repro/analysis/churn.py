@@ -90,7 +90,7 @@ def churn_experiment(
     distribution: str = "Unif100",
     slots: int = 300,
     seed: Optional[int] = 23,
-    sim_backend: str = "reference",
+    sim_backend: str = "auto",
     warm_epochs: bool = False,
 ) -> ChurnReport:
     """Fail the busiest relay mid-run and measure collapse + repair.
@@ -101,7 +101,8 @@ def churn_experiment(
     exactly the rate a static re-optimization would restore.
 
     ``sim_backend`` selects the transport implementation for the epoch
-    simulations (see :mod:`repro.simulation.backends`); ``warm_epochs``
+    simulations (see :mod:`repro.simulation.backends`; the default
+    ``"auto"`` is the runtime engine's); ``warm_epochs``
     carries packet buffers across the failure boundary, so the collapse
     epoch measures the mid-stream stall rather than a cold restart.
 

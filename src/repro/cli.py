@@ -245,15 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     _typed(runtime, "--seeds", int, ">= 1", default=3,
            help="number of seeds per cell in --batch mode (starting at "
                 "--seed)")
-    runtime.add_argument("--sim-backend", default="reference",
+    runtime.add_argument("--sim-backend", default="auto",
                          choices=list(available_backends()),
                          help="per-epoch transport implementation: "
-                              "'reference' (historical per-edge loop, any "
-                              "scheme), 'sharded' (arborescence-"
-                              "decomposed, acyclic schemes only, never "
-                              "under --estimation online), or 'auto' "
-                              "(sharded when the overlay decomposes, "
-                              "reference otherwise)")
+                              "'auto' (default: sharded when the overlay "
+                              "decomposes into broadcast trees, "
+                              "reference otherwise), 'reference' "
+                              "(historical per-edge random-useful-packet "
+                              "loop, any scheme) or 'sharded' "
+                              "(arborescence-decomposed, acyclic "
+                              "equal-in-rate schemes only, never under "
+                              "--estimation online)")
     runtime.add_argument("--profile", action="store_true",
                          help="after the run, print the per-phase "
                               "wall-clock breakdown (plan / arbitrate / "

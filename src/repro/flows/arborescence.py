@@ -35,6 +35,7 @@ simulator (:mod:`repro.simulation.packet_sim`) covers those.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,11 +46,17 @@ __all__ = [
     "BroadcastTree",
     "decompose_broadcast_trees",
     "decompose_broadcast_arrays",
+    "check_in_rates",
     "verify_decomposition",
 ]
 
 #: Residuals below this fraction of the total rate are treated as zero.
 _REL_EPS = 1e-9
+
+#: :func:`check_in_rates` refuses only beyond this many equality
+#: tolerances, so rounding in how a caller summed the in-rates can never
+#: make it refuse a scheme the exact check accepts.
+_PRECHECK_MARGIN = 2.0
 
 
 def _stranded_slack(total: float, units: int) -> float:
@@ -64,6 +71,57 @@ def _stranded_slack(total: float, units: int) -> float:
     any the extractor uses).
     """
     return _REL_EPS * max(1.0, total) * max(4, units)
+
+
+def _equal_in_rate_tol(num: int, total: float) -> float:
+    """How far a receiver's in-rate may sit from ``total`` and still
+    count as equal.
+
+    Packed-scheme edge rates come from differences of cumulative cut
+    coordinates as large as ``num * rate``, so their absolute noise
+    floor grows with ``num`` — budget eps per receiver on top of the
+    rate-relative slack before declaring the in-rates unequal.
+    """
+    return max(
+        _REL_EPS * max(1.0, total),
+        4096.0 * np.finfo(np.float64).eps * num * max(1.0, total),
+    )
+
+
+def check_in_rates(in_rates: Sequence[float]) -> None:
+    """Refuse, in O(n), a scheme whose in-rates are clearly unequal.
+
+    ``in_rates`` is :meth:`~repro.core.scheme.BroadcastScheme.in_rates`
+    (index 0, the source, is ignored).  Raises
+    :class:`~repro.core.exceptions.DecompositionError` when some
+    receiver's in-rate differs from receiver 1's by more than
+    ``_PRECHECK_MARGIN`` times :func:`decompose_broadcast_arrays`'
+    equality tolerance, so it refuses only schemes the exact check
+    refuses too; a borderline scheme passes here and is left to that
+    check.  Callers that may see many non-decomposable schemes (``auto``
+    under online estimation, whose truth-clipped schemes rarely keep
+    equal in-rates) run this before sorting, cycle-checking and copying
+    the edge list.
+    """
+    num = len(in_rates)
+    if num <= 2:
+        return
+    total = float(in_rates[1])
+    limit = _PRECHECK_MARGIN * _equal_in_rate_tol(num, total)
+    receivers = in_rates[1:]
+    if max(receivers) - total <= limit and total - min(receivers) <= limit:
+        return
+    # Same comparison as the exact check (a NaN in-rate never refuses).
+    v = next((v for v in range(2, num) if abs(in_rates[v] - total) > limit), 0)
+    if v:
+        raise _unequal_in_rate(v, in_rates[v], total)
+
+
+def _unequal_in_rate(v: int, rate: float, total: float) -> DecompositionError:
+    return DecompositionError(
+        f"receiver {v} has in-rate {rate:g} != scheme rate {total:g}; "
+        f"the greedy decomposition only handles equal-in-rate schemes"
+    )
 
 
 @dataclass(frozen=True)
@@ -181,20 +239,10 @@ def decompose_broadcast_arrays(
     in_rates = np.bincount(dst - 1, weights=res, minlength=num - 1)
     total = float(in_rates[0])
     tol = _REL_EPS * max(1.0, total)
-    # Packed-scheme edge rates come from differences of cumulative cut
-    # coordinates as large as ``num * rate``, so their absolute noise
-    # floor grows with ``num`` — budget eps per receiver on top of the
-    # rate-relative slack before declaring the in-rates unequal.
-    eq_tol = max(
-        tol, 4096.0 * np.finfo(np.float64).eps * num * max(1.0, total)
-    )
+    eq_tol = _equal_in_rate_tol(num, total)
     if (np.abs(in_rates - total) > eq_tol).any():
         v = int(np.argmax(np.abs(in_rates - total) > eq_tol)) + 1
-        raise DecompositionError(
-            f"receiver {v} has in-rate {in_rates[v - 1]:g} != scheme rate "
-            f"{total:g}; the greedy decomposition only handles "
-            f"equal-in-rate schemes"
-        )
+        raise _unequal_in_rate(v, in_rates[v - 1], total)
     if total <= tol:
         return empty
 

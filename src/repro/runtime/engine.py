@@ -14,7 +14,12 @@ overlay -> packet simulation) into a *control loop* over a
    wake-up — through the :mod:`repro.simulation` facade (backend
    selectable per engine via ``sim_backend``), marking departed overlay
    members as failed so stale plans starve exactly the peers they would
-   starve in the field;
+   starve in the field.  The default, ``"auto"``, runs the paper's
+   Section II-C schedule: the plan's weighted broadcast trees on the
+   ``sharded`` transport, falling back per transport run to the
+   ``reference`` random-useful-packet loop for schemes that do not
+   split into trees (cyclic, or unequal in-rates after truth-clipping);
+   ``sim_backend="reference"`` names that loop for every epoch;
 4. record an :class:`EpochReport` (goodput, delivered-vs-planned rate,
    distance to the *recomputed* optimum ``T*_ac``, plan-op and
    planner-cost bookkeeping).
@@ -235,7 +240,12 @@ def make_engine_planner(
 
 
 class RuntimeEngine:
-    """Drives one platform through one event list under one controller."""
+    """Drives one platform through one event list under one controller.
+
+    ``sim_backend`` picks the epoch transport: ``"auto"`` (default; the
+    plan's broadcast trees on ``sharded``, ``reference`` for schemes
+    that do not decompose), ``"reference"`` or ``"sharded"``.
+    """
 
     def __init__(
         self,
@@ -246,7 +256,7 @@ class RuntimeEngine:
         seed: Optional[int] = 0,
         cache: Optional[PlanCache] = None,
         min_epoch_slots: int = 1,
-        sim_backend: str = "reference",
+        sim_backend: str = "auto",
         warm_epochs: bool = False,
         planner: Union[str, Planner, None] = None,
         repair_tolerance: Optional[float] = None,

@@ -41,7 +41,15 @@ Which backend applies where:
 * ``auto`` (resolved per run by :class:`~repro.simulation.core.
   PacketSimEngine`) — ``sharded`` when the run's scheme decomposes, else
   ``reference`` with the worker request dropped.  The runtime's
-  truth-clipped schemes (online estimation) mostly do not, but some do.
+  truth-clipped schemes (online estimation) mostly do not, but some do;
+  ``sharded`` refuses the clearly unequal ones with an O(E) in-rate
+  check before it touches the edge list, so the fallback stays cheap.
+
+``auto`` is the default of :class:`~repro.runtime.engine.RuntimeEngine`
+(and so of ``repro runtime``, ``repro sessions`` and batch sweeps).
+:class:`~repro.simulation.core.PacketSimEngine` and
+``simulate_packet_broadcast`` keep ``backend="reference"`` as their
+default: the historical oracle API.
 """
 
 from __future__ import annotations

@@ -42,7 +42,11 @@ Node failures dark every tree edge incident to the dead node, so its
 subtrees stall in every substream — the same collateral-damage model the
 reference implements.  Cyclic or unequal-in-rate schemes raise
 :class:`~repro.core.exceptions.DecompositionError`; ``backend="auto"``
-falls back to the reference backend for those.
+(the runtime engine's default) falls back to the reference backend for
+those.  Clearly unequal in-rates — most truth-clipped schemes under
+online estimation — are refused by an O(E) in-rate check
+(:func:`~repro.flows.arborescence.check_in_rates`) before the memo sorts
+the edge list, so a refusal costs about as much as the in-rate sum.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ...flows.arborescence import decompose_broadcast_trees
+from ...flows.arborescence import check_in_rates, decompose_broadcast_trees
 from . import SimBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -454,9 +458,13 @@ class ShardedBackend(SimBackend):
     def __init__(self, config: "SimConfig", rng: random.Random) -> None:
         self.config = config
         scheme = config.scheme
-        # Raises DecompositionError for cyclic / unequal-in-rate schemes.
+        # Raises DecompositionError for cyclic / unequal-in-rate schemes;
+        # clearly unequal in-rates are refused in O(E), before the memo
+        # key sorts the edge list.
+        in_rates = scheme.in_rates()
+        check_in_rates(in_rates)
         weights, parents = _decompose_cached(scheme)
-        scheme_rate = scheme.in_rates()[1] if config.num > 1 else 0.0
+        scheme_rate = in_rates[1] if config.num > 1 else 0.0
         fraction = config.rate / scheme_rate if scheme_rate > 0 else 0.0
         self.fleet = ShardFleet(
             weights,

@@ -25,10 +25,13 @@ from repro import (
     scheme_from_word,
     verify_decomposition,
 )
+from repro.analysis import clip_to_capacities
 from repro.flows.arborescence import (
     _REL_EPS,
     BroadcastTree,
+    _equal_in_rate_tol,
     _stranded_slack,
+    check_in_rates,
 )
 
 from .conftest import instances, open_instances
@@ -312,3 +315,53 @@ class TestReferenceOracle:
         trees = _outcome(decompose_broadcast_trees, scheme)
         assert trees != "raises"
         assert trees == _outcome(_reference_decompose, scheme)
+
+
+@st.composite
+def clipped_inputs(draw):
+    """A (possibly broken) scheme with some senders' rates clipped into
+    a capacity below their out-rate, as online estimation's transport
+    does with overestimated uplinks."""
+    scheme = draw(decomposition_inputs())
+    caps = [
+        scheme.out_rate(i) * draw(st.sampled_from((1.0, 1.0, 0.5, 0.9, 0.0)))
+        for i in range(scheme.num_nodes)
+    ]
+    return clip_to_capacities(scheme, caps)
+
+
+def _precheck_refuses(scheme):
+    try:
+        check_in_rates(scheme.in_rates())
+    except DecompositionError:
+        return True
+    return False
+
+
+class TestInRatePrecheck:
+    """``check_in_rates`` refuses only what the exact greedy refuses."""
+
+    @settings(max_examples=max(300, settings.default.max_examples))
+    @given(st.one_of(decomposition_inputs(), clipped_inputs()))
+    def test_never_refuses_a_decomposable_scheme(self, scheme):
+        if _precheck_refuses(scheme):
+            assert _outcome(decompose_broadcast_trees, scheme) == "raises"
+
+    def test_refuses_clearly_unequal_in_rates(self):
+        s = BroadcastScheme.from_edges(
+            3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
+        )
+        assert _precheck_refuses(s)
+        assert _outcome(decompose_broadcast_trees, s) == "raises"
+
+    def test_leaves_borderline_schemes_to_the_exact_check(self):
+        """An in-rate 1.5 equality tolerances off: the exact check
+        refuses it, the pre-check (margin 2) lets it through."""
+        gap = 1.5 * _equal_in_rate_tol(3, 1.0)
+        s = BroadcastScheme.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0 + gap)])
+        assert not _precheck_refuses(s)
+        assert _outcome(decompose_broadcast_trees, s) == "raises"
+
+    def test_source_and_edgeless_schemes_pass(self):
+        assert not _precheck_refuses(BroadcastScheme(1))
+        assert not _precheck_refuses(BroadcastScheme(4))

@@ -911,21 +911,45 @@ class TestOnlineTransportChoice:
         import repro.simulation.backends.sharded as sharded
 
         outcomes = []
-        decompose = sharded.decompose_broadcast_trees
+        init = sharded.ShardedBackend.__init__
 
-        def spy(scheme):
+        def spy(backend, config, rng):
             try:
-                trees = decompose(scheme)
+                init(backend, config, rng)
             except Exception:
                 outcomes.append(False)
                 raise
             outcomes.append(True)
-            return trees
 
-        monkeypatch.setattr(sharded, "decompose_broadcast_trees", spy)
+        monkeypatch.setattr(sharded.ShardedBackend, "__init__", spy)
         spec = get_scenario("live-stream")
         result = _live_online_run(spec, 2, sim_backend="auto")
         assert True in outcomes and False in outcomes
         assert _epoch_digest(result) == GOLDEN_LIVE30_SEED2["auto"]
         reference = _live_online_run(spec, 2, sim_backend="reference")
         assert _epoch_digest(reference) == GOLDEN_LIVE30_SEED2["reference"]
+
+    def test_clipped_refusals_never_reach_the_memo_sort(self, monkeypatch):
+        """``auto`` tries ``sharded`` on every run; the O(E) in-rate
+        check refuses each truth-clipped scheme of this run before the
+        decomposition memo sorts its edge list."""
+        import repro.simulation.backends.sharded as sharded
+
+        attempts, memo_calls = [], []
+        init, memo = sharded.ShardedBackend.__init__, sharded._decompose_cached
+
+        def spy_init(backend, config, rng):
+            attempts.append(config.scheme)
+            init(backend, config, rng)
+
+        def spy_memo(scheme):
+            memo_calls.append(scheme)
+            return memo(scheme)
+
+        monkeypatch.setattr(sharded.ShardedBackend, "__init__", spy_init)
+        monkeypatch.setattr(sharded, "_decompose_cached", spy_memo)
+        result = _live_online_run(
+            LiveStreamTrace(size=40), 1, sim_backend="auto"
+        )
+        assert attempts and not memo_calls
+        assert _epoch_digest(result) == GOLDEN_LIVE40_ONLINE[1]

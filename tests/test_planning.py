@@ -749,12 +749,14 @@ _AXIS_RUNS = {
 
 def _axis_digest(case, seed=3):
     """SHA-256 of every ``EpochReport`` field but ``plan_seconds``
-    (floats as ``float.hex``) plus the run's plan-op counters."""
+    (floats as ``float.hex``) plus the run's plan-op counters, on the
+    ``reference`` transport the digests were recorded on."""
     scenario, run_name = case.split(":")
     controller, kwargs = _AXIS_RUNS[run_name]
     run = _AXIS_SPECS[scenario].build(seed)
     result = RuntimeEngine(
-        run.platform, run.events, run.horizon, seed=seed, **kwargs
+        run.platform, run.events, run.horizon, seed=seed,
+        sim_backend="reference", **kwargs,
     ).run(make_controller(controller))
 
     def enc(value):

@@ -391,10 +391,10 @@ class TestWarmEpochs:
         assert a.epochs == b.epochs
 
     def test_cold_default_unchanged_by_the_new_knobs(self, fig1):
-        """Default engine args must reproduce the pre-refactor numbers."""
+        """Default engine args are cold epochs on the ``auto`` transport."""
         explicit = RuntimeEngine(
             DynamicPlatform.from_instance(fig1), [], 120, seed=9,
-            sim_backend="reference", warm_epochs=False,
+            sim_backend="auto", warm_epochs=False,
         ).run(StaticController())
         default = RuntimeEngine(
             DynamicPlatform.from_instance(fig1), [], 120, seed=9

@@ -1129,31 +1129,40 @@ def _churn_fleet():
     )
 
 
-#: name -> (fleet factory, FleetEngine keywords).  On the churn fleet
+#: name -> (fleet factory, FleetEngine keywords).  Every entry names the
+#: ``reference`` transport the digests were recorded on (the engine's
+#: default is ``auto``).  On the churn fleet
 #: the allocated bounds are ~17.8 / 12.8 / 18.6 / 9.9: a floor of 14
 #: under ``reject`` drops s3, and the re-arbitration lifts s1 over the
 #: floor; 18 drops two sessions in two rounds; 13 under ``degrade``
 #: marks s1 and s3.
 _GOLDEN_FLEETS = {
-    "rack-failure:3:1:0.3": (_rack_fleet, {"broker": "waterfill"}),
-    "steady-churn:4:2:0.5": (_churn_fleet, {"broker": "waterfill"}),
-    "rack-failure:3:1:0.3:equal": (_rack_fleet, {"broker": "equal"}),
+    "rack-failure:3:1:0.3": (
+        _rack_fleet, {"broker": "waterfill", "sim_backend": "reference"}
+    ),
+    "steady-churn:4:2:0.5": (
+        _churn_fleet, {"broker": "waterfill", "sim_backend": "reference"}
+    ),
+    "rack-failure:3:1:0.3:equal": (
+        _rack_fleet, {"broker": "equal", "sim_backend": "reference"}
+    ),
     "steady-churn:4:2:0.5:proportional": (
-        _churn_fleet, {"broker": "proportional"}
+        _churn_fleet, {"broker": "proportional", "sim_backend": "reference"}
     ),
     "steady-churn:4:2:0.5:waterfill:reject@14": (
         _churn_fleet,
         {"broker": "waterfill", "admission": "reject",
-         "admission_floor": 14.0},
+         "admission_floor": 14.0, "sim_backend": "reference"},
     ),
     "steady-churn:4:2:0.5:equal:reject@18": (
         _churn_fleet,
-        {"broker": "equal", "admission": "reject", "admission_floor": 18.0},
+        {"broker": "equal", "admission": "reject", "admission_floor": 18.0,
+         "sim_backend": "reference"},
     ),
     "steady-churn:4:2:0.5:proportional:degrade@13": (
         _churn_fleet,
         {"broker": "proportional", "admission": "degrade",
-         "admission_floor": 13.0},
+         "admission_floor": 13.0, "sim_backend": "reference"},
     ),
 }
 

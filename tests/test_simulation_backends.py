@@ -16,7 +16,7 @@ import random
 from itertools import repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import (
     BroadcastScheme,
@@ -30,8 +30,12 @@ from repro import (
     simulate_packet_broadcast,
 )
 from repro.core.exceptions import DecompositionError
+from repro.core.throughput import maxflow_throughput
+from repro.flows.dinic import maxflow
 from repro.simulation.backends.reference import ReferenceBackend
 from repro.simulation.core import SimConfig
+
+from .conftest import instances, open_instances
 
 BACKENDS = ("reference", "sharded")
 
@@ -66,8 +70,11 @@ ACYCLIC_FIXTURES = {
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("fixture", sorted(ACYCLIC_FIXTURES))
-    @pytest.mark.parametrize("backend", ("sharded",))
+    @pytest.mark.parametrize("backend", ("sharded", "auto"))
     def test_per_node_goodput_matches_reference(self, fixture, backend):
+        """Per-node goodput within 15% of the reference on three
+        fixtures; for ``auto`` this is the gate of making it the
+        runtime's default transport."""
         inst, scheme, rate = ACYCLIC_FIXTURES[fixture]()
         kwargs = dict(slots=400, seed=0, packets_per_unit=2.0 / max(rate, 1))
         ref = simulate_packet_broadcast(inst, scheme, rate, **kwargs)
@@ -141,6 +148,101 @@ class TestBackendEquivalence:
 
     def test_available_backends_lists_auto(self):
         assert available_backends() == [*BACKENDS, "auto"]
+
+
+def _live_maxflows(scheme, dead):
+    """Every receiver's max-flow rate from the source once the ``dead``
+    nodes' edges are gone (index 0, the source, is 0)."""
+    edges = [
+        (i, j, c) for i, j, c in scheme.edges()
+        if i not in dead and j not in dead
+    ]
+    return [0.0] + [
+        maxflow(scheme.num_nodes, edges, 0, v)
+        for v in range(1, scheme.num_nodes)
+    ]
+
+
+@st.composite
+def _yardstick_runs(draw):
+    """``(backend, instance, scheme, rate, packets_per_unit, failures,
+    slots)``: a packed (acyclic, equal-in-rate) overlay on either
+    transport, or a Theorem 5.2 or random (mostly cyclic) overlay on
+    ``reference``; the source may inject above the max-flow rate, and up
+    to two receivers depart at slot 0 or mid-run."""
+    kind = draw(st.sampled_from(("packed", "packed", "cyclic", "random")))
+    if kind == "random":
+        num = draw(st.integers(3, 10))
+        edges = {}
+        for v in range(1, num):
+            u = draw(st.sampled_from([w for w in range(num) if w != v]))
+            edges[u, v] = draw(st.floats(0.1, 2.0))
+        extra = st.tuples(st.integers(0, num - 1), st.integers(1, num - 1))
+        for u, v in draw(st.lists(extra, max_size=2 * num)):
+            if u != v:
+                edges[u, v] = draw(st.floats(0.1, 2.0))
+        scheme = BroadcastScheme.from_edges(
+            num, [(u, v, c) for (u, v), c in sorted(edges.items())]
+        )
+        inst = Instance.open_only(10.0, [10.0] * (num - 1))
+        backend, rate = "reference", draw(st.floats(0.3, 2.5))
+        ppu = draw(st.sampled_from((0.5, 1.0, 2.0, 3.7)))
+    else:
+        if kind == "packed":
+            inst = draw(instances(
+                max_open=6, max_guarded=6, min_receivers=1, positive=True
+            ))
+            sol = acyclic_guarded_scheme(inst)
+            scheme, rate = sol.scheme, sol.throughput
+            backend = draw(st.sampled_from(("reference", "sharded")))
+        else:
+            inst = draw(open_instances(max_open=8))
+            scheme = cyclic_open_scheme(inst)
+            rate, backend = maxflow_throughput(scheme), "reference"
+        assume(0 < rate < float("inf"))
+        rate *= draw(st.sampled_from((0.5, 1.0, 1.5)))
+        ppu = draw(st.sampled_from((1.0, 2.0, 4.0))) / rate
+    slots = draw(st.integers(20, 120))
+    victims = draw(st.lists(
+        st.integers(1, scheme.num_nodes - 1), max_size=2, unique=True
+    ))
+    failures = {v: draw(st.sampled_from((0, slots // 2))) for v in victims}
+    return backend, inst, scheme, rate, ppu, failures, slots
+
+
+class TestMaxFlowYardstick:
+    """No transport delivers more than the overlay's max-flow allows.
+
+    Over any source/receiver cut an edge moves at most the credit it
+    gained, ``rate * packets_per_unit`` per slot, and every distinct
+    packet a receiver holds crossed its min cut, so a receiver's
+    delivered count is bounded by its max-flow rate (in the overlay
+    without the nodes dead from slot 0) × slots × ``packets_per_unit``;
+    the burst buffer is slack on top.  A protocol-free yardstick: it
+    holds for the random useful-packet loop and the tree pipelines alike.
+    """
+
+    BURST_CAP = 4.0
+
+    @settings(max_examples=max(80, settings.default.max_examples))
+    @given(_yardstick_runs())
+    def test_no_receiver_beats_its_max_flow(self, run):
+        backend, inst, scheme, rate, ppu, failures, slots = run
+        sim = PacketSimEngine(
+            inst, scheme, rate, packets_per_unit=ppu,
+            burst_cap=self.BURST_CAP, seed=0, failures=failures,
+            backend=backend,
+        )
+        assert sim.backend_name == backend
+        delivered = sim.step(slots).delivered()
+        dead = {v for v, when in failures.items() if when == 0}
+        flows = _live_maxflows(scheme, dead)
+        for v in range(1, scheme.num_nodes):
+            bound = flows[v] * slots * ppu * (1 + 1e-9) + self.BURST_CAP
+            assert delivered[v] <= bound, (
+                f"node {v} got {delivered[v]} > max-flow bound {bound:g} "
+                f"on {backend}"
+            )
 
 
 class TestEngineStepping:
@@ -374,7 +476,8 @@ GOLDEN_RANDOM_ONLY = (
     "8b89cd5ec4f668f1673fc4476e273b6c75a9b70d457d32f51076ea05fcc66705"
 )
 #: SHA-256 of each run's per-epoch (min_goodput, mean_goodput,
-#: optimal_rate) tuples on the default ``reference`` transport.
+#: optimal_rate) tuples on the ``reference`` transport (the engine's
+#: default when they were recorded).
 GOLDEN_RUNTIME = {
     "steady-churn:1": "0da11626089f4ee05ea467a9a60dc033d8b4f40dcd965e73ef391b326f7a1daa",
     "steady-churn:2": "0f94028a36d2259ae44c482c8df5dad0ff99d4de2e072489887fc09bbce6d095",
@@ -385,6 +488,54 @@ GOLDEN_RUNTIME = {
     "live-stream:3": "bf4fc41a28a2d7e4562c887819461cfbee7785e89b0d0de0776e39b52072c43d",
     "live-stream:4": "117792ccabc934454f1566a4fa2b7f8e56e9dbd3b81b60957130d2e791531b8e",
 }
+
+
+#: The same runs on the engine's default transport (``auto``): sharded
+#: trees wherever the scheme decomposes, which every steady-churn
+#: (oracle) plan does and no truth-clipped live-stream scheme does, so
+#: the live-stream digests equal ``GOLDEN_RUNTIME``'s.
+GOLDEN_RUNTIME_DEFAULT = {
+    "steady-churn:1": "60872964f00183bb9a185187b764b2dbf095d7dc95361567df7042b0b8348b72",
+    "steady-churn:2": "c2ace60c80d77b6b84e7509651927ddd8675acee81c53bf64ea5528a2fc762f2",
+    "steady-churn:3": "a294b5a06ee66ec50a32acb6c9a6983e413575f3f431949a54e213103eaed37e",
+    "steady-churn:4": "de04274be315415903a2ea204d19c039d6af98b19bc12e8085de23cf05cb98dd",
+    "live-stream:1": "6853d43f69b1bc7952cfbd1a1094d2ee9a9abe00bf618c1e1128809d29912b47",
+    "live-stream:2": "6273913d743b12243b50f7e64865dcd22a11673c5823c55c609e7162b4e9d4f8",
+    "live-stream:3": "bf4fc41a28a2d7e4562c887819461cfbee7785e89b0d0de0776e39b52072c43d",
+    "live-stream:4": "117792ccabc934454f1566a4fa2b7f8e56e9dbd3b81b60957130d2e791531b8e",
+}
+
+
+def _runtime_digest(name, **engine_kwargs):
+    """SHA-256 of a ``GOLDEN_RUNTIME`` run's per-epoch
+    ``(min_goodput, mean_goodput, optimal_rate)`` tuples."""
+    from repro.runtime import RuntimeEngine, make_controller
+    from repro.runtime.scenarios import LiveStreamTrace, SteadyChurn
+
+    kind, seed = name.split(":")
+    if kind == "steady-churn":
+        spec, controller, extra = (
+            SteadyChurn(size=25, horizon=160),
+            "reactive",
+            {},
+        )
+    else:
+        spec, controller, extra = (
+            LiveStreamTrace(size=20, horizon=120),
+            "incremental",
+            {"estimation": "online"},
+        )
+    run = spec.build(int(seed))
+    engine = RuntimeEngine(
+        run.platform, run.events, run.horizon, seed=int(seed),
+        **extra, **engine_kwargs,
+    )
+    result = engine.run(make_controller(controller))
+    epochs = [
+        (ep.min_goodput, ep.mean_goodput, ep.optimal_rate)
+        for ep in result.epochs
+    ]
+    return hashlib.sha256(repr(epochs).encode()).hexdigest()
 
 
 class TestReferenceGoldenState:
@@ -418,33 +569,12 @@ class TestReferenceGoldenState:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNTIME))
     def test_runtime_epochs_match_golden(self, name):
-        from repro.runtime import RuntimeEngine, make_controller
-        from repro.runtime.scenarios import LiveStreamTrace, SteadyChurn
-
-        kind, seed = name.split(":")
-        if kind == "steady-churn":
-            spec, controller, extra = (
-                SteadyChurn(size=25, horizon=160),
-                "reactive",
-                {},
-            )
-        else:
-            spec, controller, extra = (
-                LiveStreamTrace(size=20, horizon=120),
-                "incremental",
-                {"estimation": "online"},
-            )
-        run = spec.build(int(seed))
-        engine = RuntimeEngine(
-            run.platform, run.events, run.horizon, seed=int(seed), **extra
-        )
-        result = engine.run(make_controller(controller))
-        epochs = [
-            (ep.min_goodput, ep.mean_goodput, ep.optimal_rate)
-            for ep in result.epochs
-        ]
-        digest = hashlib.sha256(repr(epochs).encode()).hexdigest()
+        digest = _runtime_digest(name, sim_backend="reference")
         assert digest == GOLDEN_RUNTIME[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNTIME_DEFAULT))
+    def test_default_runtime_epochs_match_golden(self, name):
+        assert _runtime_digest(name) == GOLDEN_RUNTIME_DEFAULT[name]
 
 
 class _OwnShuffle(random.Random):
