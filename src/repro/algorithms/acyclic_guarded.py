@@ -417,8 +417,9 @@ def pack_word(
     check_word_shape(instance, word, complete=True)
     if ids is None:
         ids = range(instance.num_nodes)
+    bws = instance.bandwidths()
     state = PackingState(tol=1e-9 * max(1.0, throughput))
-    state.push(ids[0], instance.source_bw, open_=True)
+    state.push(ids[0], bws[0], open_=True)
     # A non-positive throughput needs no special case: every draw below
     # is a no-op, leaving no edges and full-bandwidth pools.
     next_open, next_guarded = 1, instance.n + 1
@@ -433,7 +434,7 @@ def pack_word(
                     f"{node} (position {pos}) short of {unmet:g} open "
                     f"bandwidth"
                 )
-            state.push(ids[node], instance.bandwidth(node), open_=False)
+            state.push(ids[node], bws[node], open_=False)
         else:
             node = next_open
             next_open += 1
@@ -443,7 +444,7 @@ def pack_word(
                     f"word invalid at rate {throughput:g}: open node {node} "
                     f"(position {pos}) short of {unmet:g} bandwidth"
                 )
-            state.push(ids[node], instance.bandwidth(node), open_=True)
+            state.push(ids[node], bws[node], open_=True)
     return state
 
 
@@ -451,9 +452,17 @@ def scheme_from_word(
     instance: Instance, word: str, throughput: float
 ) -> BroadcastScheme:
     """Lemma 4.6 packing into a fresh scheme: the earliest-feeder
-    conservative scheme for ``word`` (see :func:`pack_word`)."""
+    conservative scheme for ``word`` (see :func:`pack_word`).
+
+    The packing draws each in-range ``(sender, receiver)`` pair at most
+    once, so every draw lands through
+    :meth:`~repro.core.scheme.BroadcastScheme.fresh_pair_sink` — the
+    store :meth:`~repro.core.scheme.BroadcastScheme.add_rate` would make
+    on an absent pair, dust ``<= ABS_TOL`` dropped alike — without its
+    range checks and lookups.
+    """
     scheme = BroadcastScheme.for_instance(instance)
-    pack_word(instance, word, throughput, scheme.add_rate)
+    pack_word(instance, word, float(throughput), scheme.fresh_pair_sink())
     return scheme
 
 

@@ -18,7 +18,8 @@ Rates within :data:`~repro.core.numerics.ABS_TOL` of zero are treated as
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Sequence
+from itertools import chain
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -110,6 +111,20 @@ class BroadcastScheme:
         else:
             self._out[i][j] = new
 
+    def fresh_pair_sink(self) -> Callable[[int, int, float], None]:
+        """An ``(i, j, rate)`` edge sink for producers that emit each
+        in-range, loop-free pair at most once, starting from an empty
+        row: on such a pair :meth:`add_rate` with a float ``rate >= 0``
+        is exactly this store (``rate <= ABS_TOL`` is dropped, anything
+        larger becomes ``c_ij``), minus its checks and lookups."""
+        rows = self._out
+
+        def sink(i: int, j: int, rate: float) -> None:
+            if rate > ABS_TOL:
+                rows[i][j] = rate
+
+        return sink
+
     def remove_edge(self, i: int, j: int) -> None:
         self._check_pair(i, j)
         self._out[i].pop(j, None)
@@ -130,6 +145,25 @@ class BroadcastScheme:
         for i, row in enumerate(self._out):
             for j, rate in row.items():
                 yield i, j, rate
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, rate)`` arrays in :meth:`edges` order, in one pass
+        (the dict-scheme counterpart of
+        :meth:`~repro.core.runs.RunScheme.edge_arrays`)."""
+        rows = self._out
+        num_edges = self.num_edges
+        src = np.repeat(
+            np.arange(self.num_nodes, dtype=np.int64), [len(r) for r in rows]
+        )
+        dst = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=num_edges
+        )
+        rate = np.fromiter(
+            chain.from_iterable(r.values() for r in rows),
+            dtype=np.float64,
+            count=num_edges,
+        )
+        return src, dst, rate
 
     @property
     def num_edges(self) -> int:

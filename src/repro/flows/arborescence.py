@@ -24,8 +24,10 @@ class a greedy extraction is provably correct:
 
 The greedy exists once, over flat edge arrays
 (:func:`decompose_broadcast_arrays`, which the scale path feeds straight
-from a packed scheme); :func:`decompose_broadcast_trees` is its wrapper
-for dict-based schemes.
+from a packed scheme and the runtime's sharded transport from
+:meth:`~repro.core.scheme.BroadcastScheme.edge_arrays`);
+:func:`decompose_broadcast_trees` is its wrapper returning
+:class:`BroadcastTree` objects for dict-based schemes.
 
 Cyclic schemes (Theorem 5.2's output) are out of scope here and raise
 :class:`~repro.core.exceptions.DecompositionError`; the randomized
@@ -34,6 +36,7 @@ simulator (:mod:`repro.simulation.packet_sim`) covers those.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -171,12 +174,11 @@ def decompose_broadcast_trees(scheme: BroadcastScheme) -> list[BroadcastTree]:
         raise DecompositionError(
             "greedy tree decomposition requires an acyclic scheme"
         )
-    edges = list(scheme.edges())
-    if not edges:
+    src, dst, rate = scheme.edge_arrays()
+    if not src.size:
         return []
-    src, dst, rate = zip(*edges)
     weights, parents = decompose_broadcast_arrays(
-        scheme.num_nodes, np.array(src), np.array(dst), np.array(rate)
+        scheme.num_nodes, src, dst, rate
     )
     return [
         BroadcastTree(w, tuple(p))
@@ -196,11 +198,19 @@ def decompose_broadcast_arrays(
     straight from a packed :class:`~repro.core.runs.RunScheme`;
     materializing a :class:`BroadcastScheme` (one dict per node) just to
     tear it back into arrays dominates end-to-end time at n >= 10^5.
-    This is the library's one greedy extraction loop
-    (:func:`decompose_broadcast_trees` wraps it for dict-based schemes):
-    per round, each receiver picks its *first largest* live in-edge
-    residual and the round weight is the minimum pick, each round
-    vectorized over all edges via ``reduceat``.  Returns ``weights``
+    The runtime path calls it too: the sharded transport
+    (:class:`~repro.simulation.backends.sharded.ShardedBackend`, behind
+    the engine's default ``auto``) passes the plan's
+    :meth:`~repro.core.scheme.BroadcastScheme.edge_arrays` after its own
+    cycle check, once per new plan.  This is the library's one greedy
+    extraction loop (:func:`decompose_broadcast_trees` wraps it for
+    dict-based schemes): per round, each receiver picks its *first
+    largest* live in-edge residual and the round weight is the minimum
+    pick, each round vectorized over all edges via ``reduceat``.  The
+    edge order matters only as the order of each receiver's in-edges (a
+    stable sort by receiver keeps it); a dict scheme's row-major order
+    lists them by sender, whatever order the edges were inserted in.
+    Returns ``weights``
     (shape ``[K]``) plus ``parents`` (shape ``[K, num]``, ``parents[k, 0]
     == -1``), ready for
     :class:`~repro.simulation.backends.sharded.ShardFleet`.
@@ -213,7 +223,7 @@ def decompose_broadcast_arrays(
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    res = np.asarray(rate, dtype=np.float64).copy()
+    res = np.asarray(rate, dtype=np.float64)
     E = res.size
     empty = (np.zeros(0, dtype=np.float64), np.zeros((0, num), dtype=np.int64))
     if num <= 1:
@@ -247,17 +257,20 @@ def decompose_broadcast_arrays(
         return empty
 
     idx = np.arange(E, dtype=np.int64)
-    rows = np.arange(1, num)
+    seg_id = np.repeat(np.arange(num - 1), seg_counts)  # receiver - 1 per edge
     weights: list[float] = []
-    parent_rows: list[np.ndarray] = []
+    picked_src: list[np.ndarray] = []  # per round, the parent of 1..num-1
     remaining = total
     max_indeg = int(seg_counts.max())
+    # Residuals, with dust masked to -inf: a masked edge is never picked
+    # again, and a round changes only its picks' residuals.
+    masked = np.where(res > tol, res, -np.inf)
     for _ in range(E + 1):
         if remaining <= tol:
             break
-        masked = np.where(res > tol, res, -np.inf)
         seg_max = np.maximum.reduceat(masked, starts)
-        if not np.isfinite(seg_max.min()):
+        low = float(seg_max.min())
+        if not math.isfinite(low):
             # A receiver's in-edges all carry only numerical dust.  The
             # ``> tol`` filter strands up to ``tol`` per zeroed edge and
             # every round keeps per-receiver in-capacity equal to
@@ -275,22 +288,24 @@ def decompose_broadcast_arrays(
                 f"receiver {v} ran out of in-capacity with {remaining:g} "
                 f"of rate left (numerically degenerate scheme?)"
             )
-        w = min(remaining, float(seg_max.min()))
+        w = min(remaining, low)
         # First index achieving each segment's max — matches the scalar
         # greedy's strict-> comparison (first encountered max wins).
-        is_max = masked == np.repeat(seg_max, seg_counts)
+        is_max = masked == seg_max[seg_id]
         pick = np.minimum.reduceat(np.where(is_max, idx, E), starts)
-        res[pick] -= w
-        parent = np.full(num, -1, dtype=np.int64)
-        parent[rows] = src[pick]
+        left = masked[pick] - w
+        masked[pick] = np.where(left > tol, left, -np.inf)
+        picked_src.append(src[pick])
         weights.append(w)
-        parent_rows.append(parent)
         remaining -= w
     else:
         raise DecompositionError("round cap exceeded without converging")
     if not weights:
         return empty
-    return np.array(weights, dtype=np.float64), np.vstack(parent_rows)
+    parents = np.empty((len(weights), num), dtype=np.int64)
+    parents[:, 0] = -1
+    np.stack(picked_src, out=parents[:, 1:])
+    return np.array(weights, dtype=np.float64), parents
 
 
 def verify_decomposition(

@@ -48,7 +48,13 @@ class Planner:
     name = "base"
 
     def build(self, engine: "RuntimeEngine") -> Plan:
-        """Fully optimize the current alive swarm into a fresh plan."""
+        """Fully optimize the current alive swarm into a fresh plan.
+
+        The plan's ``instance`` is the canonical snapshot of
+        ``engine.view`` it read (equal by value): in oracle mode the
+        engine scores the build's first epoch against it instead of
+        snapshotting the unchanged platform again.
+        """
         raise NotImplementedError
 
     def replan(

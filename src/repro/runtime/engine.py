@@ -77,6 +77,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+from ..core.instance import Instance
 from ..estimation.online import (
     EstimatedPlatformView,
     OnlineEstimator,
@@ -501,11 +502,19 @@ class RuntimeEngine:
             plan = self.active_plan
             fresh = self.now == plan.built_at
             end = self._epoch_end(controller)
+            # A build this boundary read the oracle platform as it still
+            # is: its instance is the snapshot the epoch is scored on.
+            snapshot = (
+                plan.instance
+                if fresh and outcome.op == "build" and self._view is None
+                else None
+            )
             epochs.append(self._simulate_epoch(
                 plan, self.now, end, fired,
                 rebuilt=fresh,
                 plan_op=outcome.op if fresh else "keep",
                 plan_seconds=outcome.seconds if fresh else 0.0,
+                snapshot=snapshot,
             ))
             lap("simulate")
             self.now = end
@@ -580,9 +589,14 @@ class RuntimeEngine:
         rebuilt: bool,
         plan_op: str = "keep",
         plan_seconds: float = 0.0,
+        snapshot: Optional[Instance] = None,
     ) -> EpochReport:
+        """Run and score one epoch; ``snapshot`` is the platform's
+        canonical instance when the caller already holds it."""
         alive = self.platform.alive_ids()
-        optimal_rate = self.cache.optimal_rate(self.platform.snapshot()[0])
+        if snapshot is None:
+            snapshot = self.platform.snapshot()[0]
+        optimal_rate = self.cache.optimal_rate(snapshot)
         probes, est_error = self._pending_probes, self._pending_est_error
         self._pending_probes, self._pending_est_error = 0, None
         if not alive:

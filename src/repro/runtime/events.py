@@ -271,14 +271,15 @@ class DynamicPlatform:
         source).  Every solver output computed on ``instance`` can be
         mapped back to live peers through this list.
         """
+        nodes = sorted(self.nodes.items())
         opens = [
             (i, s.bandwidth)
-            for i, s in sorted(self.nodes.items())
+            for i, s in nodes
             if s.alive and s.kind == NodeKind.OPEN
         ]
         guardeds = [
             (i, s.bandwidth)
-            for i, s in sorted(self.nodes.items())
+            for i, s in nodes
             if s.alive and s.kind == NodeKind.GUARDED
         ]
         return canonicalize_population(self.source_bw, opens, guardeds)

@@ -20,8 +20,11 @@ recombines per-node goodput, which buys two things:
 :class:`ShardFleet` is the one runner, used by both paths: the scale
 pipeline (:func:`repro.analysis.scale.build_fleet`) builds one straight
 from edge arrays, and :class:`ShardedBackend` is a thin adapter that
-decomposes its config's scheme, holds a fleet and forwards ``run`` /
-``kill`` / ``delivered`` to it.
+decomposes its config's scheme the same way — the scheme's ``(src, dst,
+rate)`` edge arrays straight into
+:func:`~repro.flows.arborescence.decompose_broadcast_arrays`, memoized on
+their bytes — holds a fleet and forwards ``run`` / ``kill`` /
+``delivered`` to it.
 
 A shard stores its (tree, receiver) pairs **level-contiguous**: the K
 sources first, then every pair in BFS order (depth, then parent
@@ -45,8 +48,9 @@ reference implements.  Cyclic or unequal-in-rate schemes raise
 (the runtime engine's default) falls back to the reference backend for
 those.  Clearly unequal in-rates — most truth-clipped schemes under
 online estimation — are refused by an O(E) in-rate check
-(:func:`~repro.flows.arborescence.check_in_rates`) before the memo sorts
-the edge list, so a refusal costs about as much as the in-rate sum.
+(:func:`~repro.flows.arborescence.check_in_rates`) before the memo
+lookup and the cycle check, so a refusal costs about as much as building
+the edge arrays and summing the in-rates.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ...flows.arborescence import check_in_rates, decompose_broadcast_trees
+from ...core.exceptions import DecompositionError
+from ...flows.arborescence import check_in_rates, decompose_broadcast_arrays
 from . import SimBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,28 +102,38 @@ def _release_process_state(token: str, shms: list, box: dict) -> None:
 
 #: Value-keyed memo of recent decompositions.  The runtime engine's
 #: cold mode builds a fresh backend on an unchanged scheme every epoch
-#: of a plan; hashing the edge list costs O(E log E) versus the greedy
-#: extraction's many passes, and keying by value (not identity) stays
-#: correct if a caller mutates a scheme between runs.  The lock keeps
-#: eviction safe for library callers that construct backends from
-#: several threads at once.
-_DECOMPOSITION_MEMO: dict = {}  # edge-list key -> (weights, parents)
+#: of a plan; the key is the bytes of the scheme's ``(src, dst, rate)``
+#: edge arrays, which the backend builds anyway, so a lookup costs one
+#: O(E) hash against the greedy extraction's many passes.  Keying by
+#: value (not identity) stays correct if a caller mutates a scheme
+#: between runs.  Two schemes with the same edges inserted in another
+#: order get separate entries but equal decompositions: the greedy sorts
+#: each receiver's in-edges by sender.  The lock keeps eviction safe for
+#: library callers that construct backends from several threads at once.
+_DECOMPOSITION_MEMO: dict = {}  # edge-array bytes -> (weights, parents)
 _MEMO_SIZE = 8
 _MEMO_LOCK = threading.Lock()
 
 
-def _decompose_cached(scheme) -> tuple[np.ndarray, np.ndarray]:
+def _decompose_cached(
+    scheme, src: np.ndarray, dst: np.ndarray, rate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(weights, parents)`` of ``scheme``, whose edge arrays are
+    ``src``/``dst``/``rate``; raises DecompositionError for a cyclic
+    scheme, as :func:`decompose_broadcast_trees` does."""
     num = scheme.num_nodes
-    key = (num, tuple(sorted(scheme.edges())))
+    key = (num, src.tobytes(), dst.tobytes(), rate.tobytes())
     with _MEMO_LOCK:
         arrays = _DECOMPOSITION_MEMO.get(key)
     if arrays is None:
-        trees = decompose_broadcast_trees(scheme)
-        parents = [t.parent for t in trees]
-        arrays = (
-            np.array([t.weight for t in trees], dtype=float),
-            np.array(parents, dtype=np.int64).reshape(-1, num),
-        )
+        if not scheme.is_acyclic():
+            raise DecompositionError(
+                "greedy tree decomposition requires an acyclic scheme"
+            )
+        if src.size:
+            arrays = decompose_broadcast_arrays(num, src, dst, rate)
+        else:
+            arrays = (np.zeros(0), np.zeros((0, num), dtype=np.int64))
         with _MEMO_LOCK:
             if len(_DECOMPOSITION_MEMO) >= _MEMO_SIZE:
                 _DECOMPOSITION_MEMO.pop(
@@ -460,10 +475,12 @@ class ShardedBackend(SimBackend):
         scheme = config.scheme
         # Raises DecompositionError for cyclic / unequal-in-rate schemes;
         # clearly unequal in-rates are refused in O(E), before the memo
-        # key sorts the edge list.
-        in_rates = scheme.in_rates()
+        # lookup and the cycle check.  ``bincount`` sums each receiver's
+        # in-edges in edge order, as ``scheme.in_rates()`` does.
+        src, dst, rate = scheme.edge_arrays()
+        in_rates = np.bincount(dst, weights=rate, minlength=config.num).tolist()
         check_in_rates(in_rates)
-        weights, parents = _decompose_cached(scheme)
+        weights, parents = _decompose_cached(scheme, src, dst, rate)
         scheme_rate = in_rates[1] if config.num > 1 else 0.0
         fraction = config.rate / scheme_rate if scheme_rate > 0 else 0.0
         self.fleet = ShardFleet(

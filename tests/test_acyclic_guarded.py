@@ -25,8 +25,11 @@ from repro.algorithms.greedy import (
     _greedy_word_fast,
     greedy_test,
 )
+from repro.algorithms.acyclic_guarded import pack_word
 from repro.core.exact_words import exact_acyclic_optimum
-from repro.core.numerics import safe_ceil_div
+from repro.core.numerics import ABS_TOL, safe_ceil_div
+from repro.core.scheme import BroadcastScheme
+from repro.runtime.events import EventQueue
 from repro.runtime.scenarios import SteadyChurn
 from repro.service import ControlPlane, MigrateSession, StartSession
 from repro.sessions import make_fleet
@@ -135,6 +138,58 @@ class TestSchemeFromWord:
         scheme = scheme_from_word(inst, word, t)
         scheme.validate(inst, require_acyclic=True)
         assert scheme_throughput(scheme, inst) >= t * (1 - 1e-6)
+
+
+def _edge_bits(scheme):
+    """Edges in :meth:`BroadcastScheme.edges` order, rates as ``float.hex``."""
+    return [(i, j, rate.hex()) for i, j, rate in scheme.edges()]
+
+
+def _add_rate_packing(inst, word, rate):
+    """Lemma 4.6 packing through the checked ``add_rate`` sink."""
+    scheme = BroadcastScheme.for_instance(inst)
+    pack_word(inst, word, rate, scheme.add_rate)
+    return scheme
+
+
+class TestPackingSink:
+    """``scheme_from_word`` stores each draw straight into the fresh
+    scheme's rows; that must be exactly what ``add_rate`` builds."""
+
+    @settings(max_examples=max(300, settings.default.max_examples))
+    @given(
+        inst=instances(max_open=8, max_guarded=8),
+        fraction=st.sampled_from((1.0, 0.999, 0.5)),
+    )
+    def test_direct_sink_matches_add_rate_packing(self, inst, fraction):
+        t, word = optimal_acyclic_throughput(inst)
+        if t == float("inf"):
+            return
+        rate = t * fraction
+        if fraction != 1.0:
+            word = greedy_test(inst, rate).word
+        assert _edge_bits(scheme_from_word(inst, word, rate)) == _edge_bits(
+            _add_rate_packing(inst, word, rate)
+        )
+
+    def test_dust_draw_is_dropped_alike(self):
+        """A guarded peer with 1e-12 of upload is pooled and drawn by the
+        next open receiver: a draw ``<= ABS_TOL`` that neither sink keeps."""
+        inst = Instance(3.0, (1.0,), (1e-12,))
+        draws = []
+        pack_word(inst, "go", 1.0, lambda *edge: draws.append(edge))
+        assert (2, 1, 1e-12) in draws and 1e-12 <= ABS_TOL
+        fresh = scheme_from_word(inst, "go", 1.0)
+        assert _edge_bits(fresh) == _edge_bits(
+            _add_rate_packing(inst, "go", 1.0)
+        )
+        assert fresh.rate(2, 1) == 0.0 and fresh.num_edges == 2
+
+    def test_integer_rate_stores_floats(self, fig1):
+        fresh = scheme_from_word(fig1, "googg", 4)
+        assert _edge_bits(fresh) == _edge_bits(
+            _add_rate_packing(fig1, "googg", 4)
+        )
 
 
 class TestDegreeGuarantees:
@@ -492,6 +547,71 @@ class TestProbeCount:
         inferred = calls[0] / len(insts)
         assert plain > 30
         assert inferred <= 20
+
+
+def _churn_snapshots(seeds=(1, 2, 3, 4)):
+    """Distinct snapshots of ``SteadyChurn(size=150)`` populations (the
+    churn-oracle workload's size): each seeded platform before and after
+    every one of its scenario's events."""
+    seen = {}
+    for seed in seeds:
+        run = SteadyChurn(size=150).build(seed)
+        platform = run.platform
+        seen[platform.snapshot()[0]] = None
+        for ev in EventQueue(run.events).drain():
+            platform.apply(ev)
+            seen[platform.snapshot()[0]] = None
+    return list(seen)
+
+
+class TestChurnSizedSearch:
+    """Churn-sized snapshots need more parametric passes than the serve
+    sessions; with enough, every estimate settles and the search stays
+    the plain bisection bit for bit."""
+
+    def test_matches_plain_bisection(self):
+        for inst in _churn_snapshots():
+            assert _bits(optimal_acyclic_throughput(inst)) == _bits(
+                _reference_search(inst)
+            )
+
+    def test_every_estimate_settles(self, monkeypatch):
+        """Each ``_greedy_threshold`` call the search makes (from its
+        step-8 ``feas``) returns an estimate, not ``None``."""
+        estimates = []
+
+        def spy(*args):
+            estimates.append(_greedy_threshold(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(acyclic_guarded, "_greedy_threshold", spy)
+        for inst in _churn_snapshots():
+            optimal_acyclic_throughput(inst)
+        assert len(estimates) >= 20
+        assert None not in estimates
+
+    def test_mean_probes_per_solve_pinned(self, monkeypatch):
+        """The plain bisection spends ~13.7 probes per solve here (most
+        snapshots stop at the cyclic bracket); the search spends ~4.6,
+        and ~8.5 when a pass budget of 8 leaves 11 of 26 estimates
+        unsettled."""
+        insts = _churn_snapshots()
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return _greedy_word_fast(*args)
+
+        for inst in insts:
+            _reference_search(inst, probe=counting)
+        plain = calls[0] / len(insts)
+        calls[0] = 0
+        monkeypatch.setattr(acyclic_guarded, "_greedy_word_fast", counting)
+        for inst in insts:
+            optimal_acyclic_throughput(inst)
+        inferred = calls[0] / len(insts)
+        assert plain > 10
+        assert inferred <= 6
 
 
 class TestThresholdEstimate:

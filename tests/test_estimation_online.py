@@ -932,7 +932,7 @@ class TestOnlineTransportChoice:
     def test_clipped_refusals_never_reach_the_memo_sort(self, monkeypatch):
         """``auto`` tries ``sharded`` on every run; the O(E) in-rate
         check refuses each truth-clipped scheme of this run before the
-        decomposition memo sorts its edge list."""
+        decomposition memo is consulted."""
         import repro.simulation.backends.sharded as sharded
 
         attempts, memo_calls = [], []
@@ -942,9 +942,9 @@ class TestOnlineTransportChoice:
             attempts.append(config.scheme)
             init(backend, config, rng)
 
-        def spy_memo(scheme):
+        def spy_memo(scheme, *arrays):
             memo_calls.append(scheme)
-            return memo(scheme)
+            return memo(scheme, *arrays)
 
         monkeypatch.setattr(sharded.ShardedBackend, "__init__", spy_init)
         monkeypatch.setattr(sharded, "_decompose_cached", spy_memo)

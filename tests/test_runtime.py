@@ -193,6 +193,29 @@ class TestControllerPolicies:
         assert hits > misses
 
 
+class TestEpochScoring:
+    """Oracle mode scores a build's first epoch against the snapshot the
+    planner took, so every epoch canonicalizes the platform once."""
+
+    @pytest.mark.parametrize("planner", ("full", "incremental"))
+    def test_one_snapshot_per_epoch(self, monkeypatch, planner):
+        calls = [0]
+        snapshot = DynamicPlatform.snapshot
+
+        def spy(platform):
+            calls[0] += 1
+            return snapshot(platform)
+
+        monkeypatch.setattr(DynamicPlatform, "snapshot", spy)
+        run = SteadyChurn(size=30, horizon=120).build(2)
+        result = RuntimeEngine(
+            run.platform, run.events, run.horizon, seed=2, planner=planner
+        ).run(ReactiveController())
+        ops = [e.plan_op for e in result.epochs]
+        assert "build" in ops and len(ops) - ops.count("keep") >= 2
+        assert calls[0] == len(result.epochs)
+
+
 class TestScenarioRegistry:
     def test_default_workloads_registered(self):
         assert {

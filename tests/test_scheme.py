@@ -95,6 +95,20 @@ class TestQueries:
         assert s.num_edges == 1
         assert dup.num_edges == 2
 
+    def test_edge_arrays_follow_edges_order(self):
+        s = BroadcastScheme.from_edges(
+            4, [(2, 3, 1.0), (0, 2, 1.0), (0, 1, 2.0), (1, 3, 3.0)]
+        )
+        src, dst, rate = s.edge_arrays()
+        assert (src.dtype, dst.dtype, rate.dtype) == (
+            np.int64, np.int64, np.float64
+        )
+        assert list(zip(src.tolist(), dst.tolist(), rate.tolist())) == list(
+            s.edges()
+        )
+        empty = BroadcastScheme(3).edge_arrays()
+        assert [a.shape for a in empty] == [(0,), (0,), (0,)]
+
     def test_successors_view_is_a_copy(self):
         s = BroadcastScheme.from_edges(3, [(0, 1, 1.0)])
         view = s.successors(0)

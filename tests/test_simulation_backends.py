@@ -845,6 +845,52 @@ class TestShardedWorkerModes:
             )
 
 
+class TestDecompositionMemo:
+    """The sharded backend keys its decomposition memo on the bytes of
+    the scheme's edge arrays, so the same edges inserted in another
+    order miss the memo; the greedy sorts each receiver's in-edges by
+    sender, so both decompose to the same trees and deliver the same."""
+
+    @pytest.mark.parametrize("fixture", ("figure1", "random40"))
+    def test_insertion_order_never_changes_the_trees(self, fixture, monkeypatch):
+        import numpy as np
+
+        import repro.simulation.backends.sharded as sharded
+
+        inst, scheme, rate = ACYCLIC_FIXTURES[fixture]()
+        shuffled = BroadcastScheme.from_edges(
+            scheme.num_nodes, list(scheme.edges())[::-1]
+        )
+        assert list(shuffled.edges()) != list(scheme.edges())
+        assert sorted(shuffled.edges()) == sorted(scheme.edges())
+
+        memo = sharded._decompose_cached
+        trees = []
+
+        def spy(*args):
+            trees.append(memo(*args))
+            return trees[-1]
+
+        monkeypatch.setattr(sharded, "_DECOMPOSITION_MEMO", {})
+        monkeypatch.setattr(sharded, "_decompose_cached", spy)
+        delivered = []
+        for overlay in (scheme, shuffled):
+            sim = PacketSimEngine(
+                inst, overlay, rate, backend="sharded", seed=0,
+                packets_per_unit=2.0 / max(rate, 1),
+            )
+            sim.step(60)
+            sim.fail_node(2)
+            sim.step(60)
+            delivered.append(sim.delivered())
+        assert len(sharded._DECOMPOSITION_MEMO) == 2  # two keys, two misses
+        (w_a, p_a), (w_b, p_b) = trees
+        assert len(w_a) > 1
+        assert w_a.tobytes() == w_b.tobytes()
+        assert np.array_equal(p_a, p_b)
+        assert delivered[0] == delivered[1]
+
+
 class TestShardedWorkers:
     def test_worker_count_never_changes_results(self):
         inst, scheme, rate = _random_acyclic(size=30, seed=4)
