@@ -18,6 +18,7 @@ from .measurements import (
 from .online import (
     EstimatedPlatformView,
     OnlineEstimator,
+    ProbeRound,
     ProbeScheduler,
 )
 
@@ -28,6 +29,7 @@ __all__ = [
     "sample_measurements",
     "estimate_lastmile",
     "LastMileEstimate",
+    "ProbeRound",
     "ProbeScheduler",
     "OnlineEstimator",
     "EstimatedPlatformView",

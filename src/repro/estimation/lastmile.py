@@ -87,13 +87,16 @@ class _Side:
     """The rows of one side of the fit (outgoing or incoming), sorted
     once by (owner, value), so each node's sample is one sorted segment.
 
-    :meth:`quantiles` returns every owner's quantile of the rows a mask
-    keeps — or of all its rows when the mask keeps none — as numpy's
-    default ``linear`` ``np.quantile`` would, to the last bit: the
-    virtual index ``(m - 1) * q`` clamped to the last element, then
+    :meth:`quantiles` returns every owner's ``q``-quantile of the rows a
+    mask keeps — or of all its rows when the mask keeps none — as
+    numpy's default ``linear`` ``np.quantile`` would, to the last bit:
+    the virtual index ``(m - 1) * q`` clamped to the last element, then
     numpy's two-sided interpolation (``a + d*g`` below the midpoint,
-    ``b - d*(1-g)`` from it).  Every float operation is the one a scalar
-    per-node ``sorted`` sample would take.
+    ``b - d*(1-g)`` from it).  The upper side is computed as
+    ``b + d*(g-1)``, which rounds identically (IEEE rounding is
+    symmetric under negation), so one expression serves both sides.
+    Everything but ``a`` and ``b`` depends only on how many rows a
+    segment keeps, and is tabulated per count once.
     """
 
     def __init__(
@@ -101,49 +104,77 @@ class _Side:
         owners: np.ndarray,
         partners: np.ndarray,
         values: np.ndarray,
+        rank: np.ndarray,
         num_nodes: int,
+        q: float,
     ) -> None:
-        order = np.lexsort((values, owners))  # stable: ties keep row order
+        # ``rank`` is the stable value order, so the keys are distinct
+        # and sort like ``lexsort((values, owners))``: ties keep row order.
+        order = np.argsort(owners * len(values) + rank)
         self.values = values[order]
         self.owner = owners[order]
         self.partner = partners[order]
         self.counts = np.bincount(owners, minlength=num_nodes)
         self.nodes = self.counts.nonzero()[0]  #: owners with >= 1 row
-        self.count = self.counts[self.nodes]
-        self.edges = np.concatenate(([0], np.cumsum(self.count)))
-
-    def quantiles(self, keep: np.ndarray, q: float) -> np.ndarray:
-        """Per-owner ``q``-quantile (aligned with :attr:`nodes`) of the
-        rows the boolean mask ``keep`` selects."""
-        kept_at = keep.nonzero()[0]
-        bounds = kept_at.searchsorted(self.edges)
-        kept = bounds[1:] - bounds[:-1]
-        none = kept == 0  # nothing kept: fall back to the whole sample
-        size = np.where(none, self.count, kept)
-        # One gather pool: all rows, then the kept rows in order.
-        pool = np.concatenate((self.values, self.values[kept_at]))
-        offset = np.where(
-            none, self.edges[:-1], bounds[:-1] + len(self.values)
-        )
-        last = size - 1
+        count = self.counts[self.nodes]
+        self.edges = np.concatenate(([0], np.cumsum(count)))
+        # Per kept count: the lower element's offset in the segment, the
+        # upper one's step above it, which one the result starts from,
+        # and the weight of ``b - a`` added to it.  At the clamp (index
+        # >= last) ``a`` and ``b`` are one element and the weight is
+        # -0.0, so the sum returns ``b`` bit for bit, signed zeros too.
+        # Count 0 only reads a valid row; its result is replaced.
+        last = np.arange(self.counts.max(initial=0) + 1) - 1
         index = last * q
         lo = index.astype(np.intp)
-        a = pool[offset + lo]
-        b = pool[offset + np.minimum(lo + 1, last)]
         gamma = index - lo
-        diff = b - a
-        inner = np.where(gamma < 0.5, a + diff * gamma, b - diff * (1 - gamma))
-        return np.where(index >= last, b, inner)
+        clamped = index >= last
+        lo[0] = -1
+        self._lo = lo
+        self._step = (lo < last).astype(np.intp)
+        self._from_a = (gamma < 0.5) & ~clamped
+        self._weight = np.where(
+            clamped, -0.0, np.where(self._from_a, gamma, gamma - 1)
+        )
+        #: every owner's quantile of all its rows (the fallback)
+        self.whole = self._pick(self.values, self.edges[:-1], count)
+
+    def _pick(
+        self, values: np.ndarray, start: np.ndarray, count: np.ndarray
+    ) -> np.ndarray:
+        """The quantile of each sorted segment ``values[start:start +
+        count]``."""
+        a_at = start + self._lo[count]
+        a = values[a_at]
+        b = values[a_at + self._step[count]]
+        return np.where(self._from_a[count], a, b) + (b - a) * self._weight[count]
+
+    def quantiles(self, keep: np.ndarray) -> np.ndarray:
+        """Per-owner quantile (aligned with :attr:`nodes`) of the rows
+        the boolean mask ``keep`` selects."""
+        kept_at = keep.nonzero()[0]
+        if not kept_at.size:
+            return self.whole
+        start = kept_at.searchsorted(self.edges)
+        kept = start[1:] - start[:-1]
+        picked = self._pick(self.values[kept_at], start[:-1], kept)
+        return np.where(kept == 0, self.whole, picked)
 
 
 class _LastMileFit(NamedTuple):
     """The alternating fit's raw output, in index space."""
 
-    b_out: list[float]  #: fitted, unmeasured nodes imputed
-    b_in: list[float]  #: inf for nodes nothing was measured into
-    #: node -> quantile of its own outgoing values (the fit's initial
-    #: ``b_out``), for every node that sent at least one probe
-    out_quantile: dict[int, float]
+    b_out: np.ndarray  #: fitted, unmeasured nodes imputed
+    b_in: np.ndarray  #: inf for nodes nothing was measured into
+    #: each node's quantile of its own outgoing values (the fit's
+    #: initial ``b_out``); inf for nodes that sent no probe
+    out_cap: np.ndarray
+
+    @property
+    def out_quantile(self) -> dict[int, float]:
+        """:attr:`out_cap` over the nodes that sent at least one probe."""
+        sent = np.isfinite(self.out_cap).nonzero()[0]
+        return dict(zip(sent.tolist(), self.out_cap[sent].tolist()))
 
 
 def _fit_lastmile(
@@ -164,8 +195,11 @@ def _fit_lastmile(
     sources = np.asarray(sources, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     values = np.asarray(values, dtype=float)
-    out = _Side(sources, targets, values, num_nodes)
-    inc = _Side(targets, sources, values, num_nodes)
+    # Each row's place in the stable value order, shared by both sides.
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[np.argsort(values, kind="stable")] = np.arange(len(values))
+    out = _Side(sources, targets, values, rank, num_nodes, quantile)
+    inc = _Side(targets, sources, values, rank, num_nodes, quantile)
     unmeasured_nodes = (out.counts == 0).nonzero()[0]
     if unmeasured_nodes.size and unmeasured == "raise":
         raise EstimationError(
@@ -183,21 +217,19 @@ def _fit_lastmile(
     # (every sender-limited observation equals ``b_out_i``, so any
     # quantile that lands on that mass returns it) while a lone outlier
     # can no longer anchor the fit.
-    every = np.ones(len(values), dtype=bool)
-    out_quantile = out.quantiles(every, quantile)
     b_out = np.zeros(num_nodes)
-    b_out[out.nodes] = out_quantile
+    b_out[out.nodes] = out.whole
     b_in = np.full(num_nodes, math.inf)
-    b_in[inc.nodes] = inc.quantiles(every, quantile)
+    b_in[inc.nodes] = inc.whole
 
     for _ in range(iterations):
         # Re-fit b_out from pairs where the receiver is (currently) not
         # the binding side; fall back to all pairs when none qualify.
         # Both masks read the estimates before their own side's update.
         unexplained = b_in[out.partner] >= b_out[out.owner]
-        b_out[out.nodes] = out.quantiles(unexplained, quantile)
+        b_out[out.nodes] = out.quantiles(unexplained)
         unexplained = b_out[inc.partner] >= b_in[inc.owner]
-        b_in[inc.nodes] = inc.quantiles(unexplained, quantile)
+        b_in[inc.nodes] = inc.quantiles(unexplained)
 
     if unmeasured_nodes.size:
         if unmeasured == "median":
@@ -214,11 +246,9 @@ def _fit_lastmile(
                 )
         b_out[unmeasured_nodes] = fill
 
-    return _LastMileFit(
-        b_out.tolist(),
-        b_in.tolist(),
-        dict(zip(out.nodes.tolist(), out_quantile.tolist())),
-    )
+    out_cap = np.full(num_nodes, math.inf)
+    out_cap[out.nodes] = out.whole
+    return _LastMileFit(b_out, b_in, out_cap)
 
 
 def estimate_lastmile(
@@ -274,14 +304,11 @@ def estimate_lastmile(
     )
 
     # Fit diagnostic: multiplicative residuals over all measured pairs.
+    b_out, b_in = fit.b_out.tolist(), fit.b_in.tolist()
     logs = []
     for msr in measurements:
-        model = min(fit.b_out[msr.source], fit.b_in[msr.target])
+        model = min(b_out[msr.source], b_in[msr.target])
         if model > 0 and msr.value > 0:
             logs.append(np.log(msr.value / model))
     rms = float(np.sqrt(np.mean(np.square(logs)))) if logs else 0.0
-    return LastMileEstimate(
-        tuple(float(v) for v in fit.b_out),
-        tuple(float(v) for v in fit.b_in),
-        rms,
-    )
+    return LastMileEstimate(tuple(b_out), tuple(b_in), rms)

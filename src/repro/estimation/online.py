@@ -58,16 +58,46 @@ import numpy as np
 
 from ..core.instance import Instance, NodeKind
 from .lastmile import _fit_lastmile, guarded_relative_errors
-from .measurements import Measurement, pair_noises
+from .measurements import pair_noises
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.events import DynamicPlatform, Event
 
-__all__ = ["ProbeScheduler", "OnlineEstimator", "EstimatedPlatformView"]
+__all__ = [
+    "ProbeRound",
+    "ProbeScheduler",
+    "OnlineEstimator",
+    "EstimatedPlatformView",
+]
 
 #: Stream-domain tag for pair *selection* (disjoint from the value
 #: streams of :func:`~repro.estimation.measurements.pair_noise`).
 _SCHEDULE_DOMAIN = 0x50B3
+#: The estimator keys a directed pair as the int64 ``source << 32 |
+#: target``, so endpoints must be below 2**31.
+_ID_LIMIT = 1 << 31
+_LOW_32 = np.int64(0xFFFFFFFF)
+
+
+class ProbeRound:
+    """One round of directed probes as aligned columns (external ids):
+    ``sources[k] -> targets[k]`` measured ``values[k]``.
+
+    The scheduler issues rounds in this form and the estimator ingests
+    them, so no per-probe object is built on the way.
+    """
+
+    __slots__ = ("sources", "targets", "values")
+
+    def __init__(self, sources, targets, values) -> None:
+        self.sources = np.asarray(sources, dtype=np.int64)
+        self.targets = np.asarray(targets, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.float64)
+        if not len(self.sources) == len(self.targets) == len(self.values):
+            raise ValueError("probe columns must have the same length")
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 class ProbeScheduler:
@@ -123,34 +153,29 @@ class ProbeScheduler:
             num_alive * (num_alive - 1),
         )
 
-    def probe(self, platform: "DynamicPlatform", now: int) -> List[Measurement]:
-        """Issue one round of probes at slot ``now`` (external-id space)."""
+    def probe(self, platform: "DynamicPlatform", now: int) -> ProbeRound:
+        """Issue one round of probes at slot ``now`` (external-id space),
+        in ascending order of the flat pair index."""
         ids = platform.alive_ids()
         n = len(ids)
         k = self.budget(n)
         if k <= 0:
-            return []
+            return ProbeRound((), (), ())
         rng = np.random.default_rng((_SCHEDULE_DOMAIN, self.seed, now))
-        flat = rng.choice(n * (n - 1), size=k, replace=False)
-        sources: List[int] = []
-        targets: List[int] = []
-        for f in sorted(int(x) for x in flat):
-            i, r = divmod(f, n - 1)
-            sources.append(ids[i])
-            targets.append(ids[r + (r >= i)])
+        flat = np.sort(rng.choice(n * (n - 1), size=k, replace=False))
+        i, r = np.divmod(flat, n - 1)
+        j = r + (r >= i)
+        alive = np.array(ids, dtype=np.int64)
+        sources, targets = alive[i], alive[j]
         noises = pair_noises(
             self.seed, now, sources, targets, self.noise_sigma
         )
         nodes = platform.nodes
-        return [
-            Measurement(
-                src,
-                dst,
-                min(nodes[src].bandwidth, self.headroom * nodes[dst].bandwidth)
-                * noise,
-            )
-            for src, dst, noise in zip(sources, targets, noises)
-        ]
+        upload = np.array([nodes[ext].bandwidth for ext in ids])
+        sent, received = upload[i], self.headroom * upload[j]
+        # Python's min: the receiver side only when strictly smaller.
+        pair = np.where(received < sent, received, sent)
+        return ProbeRound(sources, targets, pair * noises)
 
 
 class OnlineEstimator:
@@ -204,14 +229,22 @@ class OnlineEstimator:
             raise ValueError(
                 f"min_weight must be in (0, 1), got {min_weight}"
             )
-        if prior_bw < 0:
-            raise ValueError(f"prior_bw must be >= 0, got {prior_bw}")
+        if not 0.0 <= quantile <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {quantile}")
+        if not 0 <= prior_bw < math.inf:
+            raise ValueError(
+                f"prior_bw must be finite and >= 0, got {prior_bw}"
+            )
         self.decay = float(decay)
         self.min_weight = float(min_weight)
         self.quantile = float(quantile)
         self.prior_bw = float(prior_bw)
-        #: directed pair -> (value, round it was measured in)
-        self._latest: Dict[Tuple[int, int], Tuple[float, int]] = {}
+        # The probe store: one row per directed pair (the newest probe
+        # wins), rows in the order of the round that wrote them, so the
+        # rounds column never decreases and expiry drops a prefix.
+        self._pairs = np.empty(0, dtype=np.int64)  #: source << 32 | target
+        self._values = np.empty(0)
+        self._rounds = np.empty(0, dtype=np.int64)
         self._round = 0
         self._dirty = True
         self._fit: Dict[int, float] = {}
@@ -226,28 +259,50 @@ class OnlineEstimator:
         return int(math.floor(math.log(self.min_weight) / math.log(self.decay)))
 
     def __len__(self) -> int:
-        return len(self._latest)
+        return len(self._pairs)
 
     # ------------------------------------------------------------------
     # Observation intake
     # ------------------------------------------------------------------
-    def ingest(self, probes: Iterable[Measurement]) -> None:
+    def ingest(self, probes: ProbeRound) -> None:
         """Absorb one round of probes (external-id space).
 
         The whole round is validated before the store is touched: one
-        non-finite or negative probe raises :class:`ValueError` and
-        leaves the estimator exactly as it was, instead of poisoning
-        every re-fit until the probe ages out of the window.
+        non-finite or negative probe, or an endpoint outside
+        ``[0, 2**31)``, raises :class:`ValueError` and leaves the
+        estimator exactly as it was, instead of poisoning every re-fit
+        until the probe ages out of the window.
         """
-        probes = list(probes)
-        for m in probes:
-            if not (math.isfinite(m.value) and m.value >= 0):
+        values = probes.values
+        bad = ~(np.isfinite(values) & (values >= 0))
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(
+                f"probe values must be finite and >= 0, got "
+                f"{probes.sources[k]} -> {probes.targets[k]}: {values[k]!r}"
+            )
+        for ends in (probes.sources, probes.targets):
+            if len(ends) and not (ends.min() >= 0 and ends.max() < _ID_LIMIT):
                 raise ValueError(
-                    f"probe values must be finite and >= 0, got {m}"
+                    f"probe endpoints must be in [0, 2**31), got "
+                    f"{ends.min()}..{ends.max()}"
                 )
         self._round += 1
-        for m in probes:
-            self._latest[(m.source, m.target)] = (m.value, self._round)
+        if len(values):
+            # The newest probe of a pair wins, within the round too.
+            pairs, last = np.unique(
+                (probes.sources << 32 | probes.targets)[::-1],
+                return_index=True,
+            )
+            found = np.minimum(pairs.searchsorted(self._pairs), len(pairs) - 1)
+            kept = pairs[found] != self._pairs
+            self._pairs = np.concatenate((self._pairs[kept], pairs))
+            self._values = np.concatenate(
+                (self._values[kept], values[::-1][last])
+            )
+            self._rounds = np.concatenate(
+                (self._rounds[kept], np.full(len(pairs), self._round))
+            )
             self._dirty = True
         self._expire()
 
@@ -255,31 +310,32 @@ class OnlineEstimator:
         window = self.window
         if window is None:
             return
-        stale = [
-            pair
-            for pair, (_, rnd) in self._latest.items()
-            if self._round - rnd > window
-        ]
-        for pair in stale:
-            del self._latest[pair]
-            self._dirty = True
+        stale = int(self._rounds.searchsorted(self._round - window))
+        if stale:
+            self._keep(slice(stale, None))
+
+    def _keep(self, rows) -> None:
+        self._pairs = self._pairs[rows]
+        self._values = self._values[rows]
+        self._rounds = self._rounds[rows]
+        self._dirty = True
 
     def observe_leave(self, node_id: int) -> None:
         """Drop every measurement touching a departed peer."""
-        self._purge(lambda s, t: s == node_id or t == node_id)
+        self._purge(node_id, incoming=True)
 
     def observe_drift(self, node_id: int) -> None:
         """A drifted upload invalidates the drifter's *outgoing* probes
         (its incoming ones measured the partners' uploads, which still
         stand under the headroom model)."""
-        self._purge(lambda s, t: s == node_id)
+        self._purge(node_id, incoming=False)
 
-    def _purge(self, predicate) -> None:
-        doomed = [p for p in self._latest if predicate(*p)]
-        for pair in doomed:
-            del self._latest[pair]
-        if doomed:
-            self._dirty = True
+    def _purge(self, node_id: int, *, incoming: bool) -> None:
+        doomed = self._pairs >> 32 == node_id
+        if incoming:
+            doomed |= self._pairs & _LOW_32 == node_id
+        if doomed.any():
+            self._keep(~doomed)
 
     def apply_events(self, events: Iterable["Event"]) -> None:
         """React to applied platform events (the churn delta feed)."""
@@ -299,6 +355,20 @@ class OnlineEstimator:
     # ------------------------------------------------------------------
     # Estimates
     # ------------------------------------------------------------------
+    def _rows(self, alive: Tuple[int, ...]):
+        """The store as fit rows ``(sources, targets, values)``, the
+        endpoints as indices into ``alive`` (sorted, like every
+        ``alive_ids``); pairs with a departed endpoint sit out.  Store
+        order is fine: every quantile of the fit sorts its sample."""
+        ids = np.array(alive, dtype=np.int64)
+        live = np.ones(len(self._pairs), dtype=bool)
+        ends = []
+        for column in (self._pairs >> 32, self._pairs & _LOW_32):
+            at = np.minimum(ids.searchsorted(column), len(ids) - 1)
+            live &= ids[at] == column
+            ends.append(at)
+        return ends[0][live], ends[1][live], self._values[live]
+
     def estimates(self, platform: "DynamicPlatform") -> Dict[int, float]:
         """Estimated ``b_out`` for every alive receiver (external ids).
 
@@ -308,35 +378,21 @@ class OnlineEstimator:
         alive = tuple(platform.alive_ids())
         if not self._dirty and alive == self._fit_alive:
             return self._fit
-        index = {ext: k for k, ext in enumerate(alive)}
-        # Store order is fine: every quantile of the fit sorts its sample.
-        rows = [
-            (index[s], index[t], value)
-            for (s, t), (value, _) in self._latest.items()
-            if s in index and t in index
-        ]
-        if not rows or len(alive) < 2:
+        rows = self._rows(alive) if len(alive) >= 2 else None
+        if rows is None or not len(rows[0]):
             fit = {ext: self.prior_bw for ext in alive}
         else:
-            sources, targets, values = zip(*rows)
             est = _fit_lastmile(
-                sources,
-                targets,
-                values,
+                *rows,
                 len(alive),
                 quantile=self.quantile,
                 unmeasured="median",
             )
-            fit = {}
-            for ext, k in index.items():
-                value = est.b_out[k]
-                cap = est.out_quantile.get(k)
-                if cap is not None:
-                    # Conservative envelope (see class docstring): the
-                    # fit may never exceed the node's own observation
-                    # quantile — which is exactly the fit's initial b_out.
-                    value = min(value, cap)
-                fit[ext] = value
+            # Conservative envelope (see class docstring): the fit may
+            # never exceed the node's own observation quantile — which
+            # is exactly the fit's initial b_out.
+            capped = np.where(est.out_cap < est.b_out, est.out_cap, est.b_out)
+            fit = dict(zip(alive, capped.tolist()))
             self.fits += 1
         self._fit = fit
         self._fit_alive = alive

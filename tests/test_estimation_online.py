@@ -9,11 +9,18 @@ noise never beat the oracle on the seeded scenario grid.
 
 import dataclasses
 import hashlib
+import math
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro import (
     EstimatedPlatformView,
@@ -24,11 +31,10 @@ from repro import (
     random_instance,
     sample_measurements,
 )
-from repro.estimation.measurements import (
-    Measurement,
-    pair_noise,
-    pair_noises,
-)
+import repro.estimation.measurements as measurements
+from repro.estimation.lastmile import _fit_lastmile
+from repro.estimation.measurements import pair_noise, pair_noises
+from repro.estimation.online import ProbeRound
 from repro.planning import PlanCache
 from repro.runtime import (
     BandwidthDrift,
@@ -50,6 +56,20 @@ from repro.runtime import (
 def platform():
     rng = np.random.default_rng(5)
     return DynamicPlatform.from_instance(random_instance(rng, 16, 0.6, "Unif100"))
+
+
+def _round(*rows):
+    """A :class:`ProbeRound` of ``(source, target, value)`` rows."""
+    return ProbeRound(
+        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+    )
+
+
+def _rows(probes):
+    """A round's ``(source, target, value)`` rows."""
+    return list(zip(
+        probes.sources.tolist(), probes.targets.tolist(), probes.values.tolist()
+    ))
 
 
 def _fresh_view(platform, *, budget=6.0, sigma=0.1, decay=0.8, seed=3):
@@ -75,28 +95,32 @@ class TestProbeScheduler:
         probes = sched.probe(platform, now=0)
         assert len(probes) == sched.budget(platform.num_alive)
         alive = set(platform.alive_ids())
-        for m in probes:
-            assert m.source in alive and m.target in alive
-            assert m.source != m.target
-            assert m.value >= 0
+        for source, target, value in _rows(probes):
+            assert source in alive and target in alive
+            assert source != target
+            assert value >= 0
 
     def test_deterministic_per_slot(self, platform):
         a = ProbeScheduler(seed=7, probes_per_node=3.0).probe(platform, 5)
         b = ProbeScheduler(seed=7, probes_per_node=3.0).probe(platform, 5)
-        assert a == b
+        assert _rows(a) == _rows(b)
         c = ProbeScheduler(seed=7, probes_per_node=3.0).probe(platform, 6)
-        assert a != c  # fresh pairs/noise at the next boundary
+        assert _rows(a) != _rows(c)  # fresh pairs/noise at the next boundary
 
     def test_pair_values_independent_of_budget(self, platform):
         """The engine-facing mode-independence guarantee: a pair's value
         depends only on (seed, slot, pair), never on the other pairs."""
         small = {
-            (m.source, m.target): m.value
-            for m in ProbeScheduler(seed=7, probes_per_node=2.0).probe(platform, 0)
+            (s, t): v
+            for s, t, v in _rows(
+                ProbeScheduler(seed=7, probes_per_node=2.0).probe(platform, 0)
+            )
         }
         large = {
-            (m.source, m.target): m.value
-            for m in ProbeScheduler(seed=7, probes_per_node=10.0).probe(platform, 0)
+            (s, t): v
+            for s, t, v in _rows(
+                ProbeScheduler(seed=7, probes_per_node=10.0).probe(platform, 0)
+            )
         }
         common = set(small) & set(large)
         assert common
@@ -105,15 +129,20 @@ class TestProbeScheduler:
 
     def test_noiseless_probe_is_lastmile_pair_bandwidth(self, platform):
         sched = ProbeScheduler(seed=2, probes_per_node=4.0, noise_sigma=0.0)
-        for m in sched.probe(platform, 0):
+        for source, target, value in _rows(sched.probe(platform, 0)):
             expected = min(
-                platform.nodes[m.source].bandwidth,
-                sched.headroom * platform.nodes[m.target].bandwidth,
+                platform.nodes[source].bandwidth,
+                sched.headroom * platform.nodes[target].bandwidth,
             )
-            assert m.value == pytest.approx(expected)
+            assert value == pytest.approx(expected)
 
     def test_zero_budget_probes_nothing(self, platform):
-        assert ProbeScheduler(seed=0, probes_per_node=0.0).probe(platform, 0) == []
+        probes = ProbeScheduler(seed=0, probes_per_node=0.0).probe(platform, 0)
+        assert len(probes) == 0 and _rows(probes) == []
+
+    def test_round_columns_must_align(self):
+        with pytest.raises(ValueError, match="same length"):
+            ProbeRound([1, 2], [3], [1.0, 2.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -203,33 +232,32 @@ class TestOnlineEstimator:
     def test_stale_measurements_expire(self, platform):
         est = OnlineEstimator(decay=0.5, min_weight=0.05)
         ids = platform.alive_ids()
-        est.ingest([Measurement(ids[0], ids[1], 10.0)])
+        est.ingest(_round((ids[0], ids[1], 10.0)))
         assert len(est) == 1
         for _ in range(est.window):
-            est.ingest([])
+            est.ingest(_round())
         assert len(est) == 1  # exactly at the window edge: retained
-        est.ingest([])
+        est.ingest(_round())
         assert len(est) == 0  # one round past: decayed away
 
     def test_leave_purges_both_directions(self, platform):
         est = OnlineEstimator()
         a, b, c = platform.alive_ids()[:3]
-        est.ingest([Measurement(a, b, 1.0), Measurement(c, a, 2.0),
-                    Measurement(b, c, 3.0)])
+        est.ingest(_round((a, b, 1.0), (c, a, 2.0), (b, c, 3.0)))
         est.observe_leave(a)
         assert len(est) == 1  # only b -> c survives
 
     def test_drift_purges_outgoing_only(self, platform):
         est = OnlineEstimator()
         a, b = platform.alive_ids()[:2]
-        est.ingest([Measurement(a, b, 1.0), Measurement(b, a, 2.0)])
+        est.ingest(_round((a, b, 1.0), (b, a, 2.0)))
         est.observe_drift(a)
         assert len(est) == 1  # a's outgoing probe lied; b's still stands
 
     def test_apply_events_routes_by_type(self, platform):
         est = OnlineEstimator()
         a, b = platform.alive_ids()[:2]
-        est.ingest([Measurement(a, b, 1.0), Measurement(b, a, 2.0)])
+        est.ingest(_round((a, b, 1.0), (b, a, 2.0)))
         est.apply_events([
             NodeJoin(time=1, bandwidth=5.0, node_id=99),  # no-op
             BandwidthDrift(time=1, node_id=b, bandwidth=3.0),
@@ -266,10 +294,13 @@ class TestOnlineEstimator:
         overestimated relays starve subtrees, underestimates only waste
         slack (see OnlineEstimator docstring)."""
         view = _fresh_view(platform, budget=8.0, sigma=0.3)
+        frozen = _DictEstimator(decay=view.estimator.decay)
         for now in range(3):
             view.refresh(now)
+            # A slot's probes are a pure function of (seed, slot).
+            frozen.ingest(view.scheduler.probe(platform, now))
         by_src = {}
-        for (s, _), (v, _) in view.estimator._latest.items():
+        for (s, _), (v, _) in frozen._latest.items():
             by_src.setdefault(s, []).append(v)
         for node, obs in by_src.items():
             cap = float(np.quantile(obs, view.estimator.quantile))
@@ -281,10 +312,10 @@ class TestOnlineEstimator:
         estimates untouched — one bad probe cannot poison later refits."""
         est = OnlineEstimator()
         a, b, c = platform.alive_ids()[:3]
-        est.ingest([Measurement(a, b, 4.0), Measurement(b, c, 6.0)])
+        est.ingest(_round((a, b, 4.0), (b, c, 6.0)))
         before = (len(est), est._round, dict(est.estimates(platform)))
         with pytest.raises(ValueError, match="finite"):
-            est.ingest([Measurement(c, a, 5.0), Measurement(a, c, bad)])
+            est.ingest(_round((c, a, 5.0), (a, c, bad)))
         assert (len(est), est._round, est.estimates(platform)) == before
 
     @pytest.mark.parametrize(
@@ -306,6 +337,37 @@ class TestOnlineEstimator:
             OnlineEstimator(min_weight=1.0)
         with pytest.raises(ValueError):
             OnlineEstimator(prior_bw=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"quantile": 1.5}, "quantile"), ({"quantile": -0.1}, "quantile"),
+         ({"quantile": float("nan")}, "quantile"),
+         ({"prior_bw": float("nan")}, "prior_bw"),
+         ({"prior_bw": float("inf")}, "prior_bw"),
+         ({"prior_bw": -1.0}, "prior_bw")],
+    )
+    def test_bad_options_rejected_at_construction(self, kwargs, name):
+        """A bad quantile used to surface at the first fit, mid-run, and
+        a non-finite prior reached planners as every unprobed peer's
+        bandwidth."""
+        with pytest.raises(ValueError, match=name):
+            OnlineEstimator(**kwargs)
+
+    @pytest.mark.parametrize("end", [-1, 2**31])
+    def test_out_of_range_endpoint_rejected_atomically(self, platform, end):
+        est = OnlineEstimator()
+        a, b = platform.alive_ids()[:2]
+        est.ingest(_round((a, b, 4.0)))
+        with pytest.raises(ValueError, match="endpoints"):
+            est.ingest(_round((b, a, 5.0), (a, end, 1.0)))
+        assert (len(est), est._round) == (1, 1)
+
+    def test_repeated_pair_in_a_round_keeps_the_last(self, platform):
+        est = OnlineEstimator()
+        a, b = platform.alive_ids()[:2]
+        est.ingest(_round((a, b, 4.0), (b, a, 1.0), (a, b, 9.0)))
+        assert len(est) == 2
+        assert est.estimates(platform)[a] == 9.0
 
 
 class TestEstimatedPlatformView:
@@ -953,3 +1015,274 @@ class TestOnlineTransportChoice:
         )
         assert attempts and not memo_calls
         assert _epoch_digest(result) == GOLDEN_LIVE40_ONLINE[1]
+
+
+class _DictEstimator:
+    """The dict-based probe store the columnar one replaced, frozen as
+    the oracle of :class:`TestStoreEquivalence`: pair -> (value, round)
+    in dict order, a full scan per expiry, a predicate per purge and
+    fit rows built per pair.  Only the intake reads a
+    :class:`ProbeRound` and the fit's outputs are arrays now."""
+
+    def __init__(self, *, decay=0.8, min_weight=0.05, quantile=0.5,
+                 prior_bw=1.0):
+        self.decay = decay
+        self.min_weight = min_weight
+        self.quantile = quantile
+        self.prior_bw = prior_bw
+        self._latest = {}
+        self._round = 0
+        self._dirty = True
+        self._fit = {}
+        self._fit_alive = ()
+        self.fits = 0
+
+    @property
+    def window(self):
+        if self.decay >= 1.0:
+            return None
+        return int(math.floor(math.log(self.min_weight) / math.log(self.decay)))
+
+    def __len__(self):
+        return len(self._latest)
+
+    def ingest(self, probes):
+        probes = _rows(probes)
+        for m in probes:
+            if not (math.isfinite(m[2]) and m[2] >= 0):
+                raise ValueError(f"probe values must be finite and >= 0, got {m}")
+        self._round += 1
+        for source, target, value in probes:
+            self._latest[(source, target)] = (value, self._round)
+            self._dirty = True
+        self._expire()
+
+    def _expire(self):
+        window = self.window
+        if window is None:
+            return
+        stale = [
+            pair
+            for pair, (_, rnd) in self._latest.items()
+            if self._round - rnd > window
+        ]
+        for pair in stale:
+            del self._latest[pair]
+            self._dirty = True
+
+    def _purge(self, predicate):
+        doomed = [p for p in self._latest if predicate(*p)]
+        for pair in doomed:
+            del self._latest[pair]
+        if doomed:
+            self._dirty = True
+
+    def apply_events(self, events):
+        for ev in events:
+            if isinstance(ev, NodeLeave):
+                self._purge(lambda s, t: ev.node_id in (s, t))
+            elif isinstance(ev, BandwidthDrift):
+                self._purge(lambda s, t: s == ev.node_id)
+
+    def estimates(self, platform):
+        alive = tuple(platform.alive_ids())
+        if not self._dirty and alive == self._fit_alive:
+            return self._fit
+        index = {ext: k for k, ext in enumerate(alive)}
+        rows = [
+            (index[s], index[t], value)
+            for (s, t), (value, _) in self._latest.items()
+            if s in index and t in index
+        ]
+        if not rows or len(alive) < 2:
+            fit = {ext: self.prior_bw for ext in alive}
+        else:
+            sources, targets, values = zip(*rows)
+            est = _fit_lastmile(
+                sources, targets, values, len(alive),
+                quantile=self.quantile, unmeasured="median",
+            )
+            b_out, caps = est.b_out.tolist(), est.out_quantile
+            fit = {}
+            for ext, k in index.items():
+                value = b_out[k]
+                cap = caps.get(k)
+                if cap is not None:
+                    value = min(value, cap)
+                fit[ext] = value
+            self.fits += 1
+        self._fit = fit
+        self._fit_alive = alive
+        self._dirty = False
+        return fit
+
+
+#: Probe endpoints: the six seeded receivers, the source, ids that join
+#: later and ids that never exist, so some rows never enter a fit.
+_store_ids = st.integers(min_value=0, max_value=9)
+#: Probe values with ties and zeros; no -0.0, which compares equal to
+#: 0.0 but whose place among ties would depend on row order.
+_store_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+    st.floats(min_value=0.0, max_value=50.0),
+)
+_store_rows = st.lists(
+    st.tuples(_store_ids, _store_ids, _store_values), max_size=10
+)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """The columnar :class:`OnlineEstimator` against :class:`_DictEstimator`:
+    after every step both hold as many pairs, hand out the same
+    estimates to the last bit and have run as many fits."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(17)
+        self.platform = DynamicPlatform.from_instance(
+            random_instance(rng, 6, 0.5, "Unif100")
+        )
+        self.live = self.frozen = None
+
+    @initialize(
+        decay=st.sampled_from([0.5, 0.8, 1.0]),
+        quantile=st.sampled_from([0.0, 0.3, 0.5, 0.85, 1.0]),
+    )
+    def start(self, decay, quantile):
+        self.live = OnlineEstimator(decay=decay, quantile=quantile)
+        self.frozen = _DictEstimator(decay=decay, quantile=quantile)
+
+    @rule(rows=_store_rows)
+    def ingest(self, rows):
+        """Pairs repeat within and across rounds; empty rounds too."""
+        self.live.ingest(_round(*rows))
+        self.frozen.ingest(_round(*rows))
+
+    @rule(
+        rows=_store_rows,
+        bad=st.sampled_from([float("nan"), float("inf"), -1.0]),
+        at=st.integers(min_value=0, max_value=10),
+    )
+    def ingest_invalid(self, rows, bad, at):
+        rows.insert(at, (1, 2, bad))
+        for est in (self.live, self.frozen):
+            with pytest.raises(ValueError, match="finite"):
+                est.ingest(_round(*rows))
+
+    @rule(node=_store_ids)
+    def leave_purge(self, node):
+        for est in (self.live, self.frozen):
+            est.apply_events([NodeLeave(time=0, node_id=node)])
+
+    @rule(node=_store_ids)
+    def drift_purge(self, node):
+        for est in (self.live, self.frozen):
+            est.apply_events([
+                BandwidthDrift(time=0, node_id=node, bandwidth=3.0)
+            ])
+
+    @rule(node=_store_ids)
+    def roster_change(self, node):
+        """A peer leaves or (re)joins the roster, unknown to the store."""
+        if node == 0:
+            return
+        if self.platform.is_alive(node):
+            self.platform.apply(NodeLeave(time=0, node_id=node))
+        else:
+            self.platform.apply(
+                NodeJoin(time=0, bandwidth=5.0, node_id=node)
+            )
+
+    @invariant()
+    def same_store(self):
+        if self.live is None:
+            return
+        assert len(self.live) == len(self.frozen)
+        live = self.live.estimates(self.platform)
+        frozen = self.frozen.estimates(self.platform)
+        assert [(k, v.hex()) for k, v in live.items()] == [
+            (k, v.hex()) for k, v in frozen.items()
+        ]
+        assert self.live.fits == self.frozen.fits
+
+
+TestStoreEquivalence = StoreMachine.TestCase
+TestStoreEquivalence.settings = settings(
+    max_examples=max(100, settings.default.max_examples),
+    stateful_step_count=20,
+)
+
+
+def _layer_rounds():
+    """Twenty rounds of all 182 ordered pairs of 14 peers: 3640 probes,
+    enough that every certified layer index occurs on the first-try
+    path and layers 1 and 2 and over-bound draws fall back."""
+    pairs = [(s, t) for s in range(1, 15) for t in range(1, 15) if s != t]
+    sources = [s for s, _ in pairs]
+    targets = [t for _, t in pairs]
+    return [(301, r, sources, targets) for r in range(20)]
+
+
+class TestZigguratReplay:
+    """``pair_noises`` replays numpy's ziggurat where :func:`_ziggurat`
+    certified the first try, and lets numpy draw everything else."""
+
+    def _expected(self):
+        return [
+            [pair_noise(seed, s, t, 0.3, r).hex() for s, t in zip(src, dst)]
+            for seed, r, src, dst in _layer_rounds()
+        ]
+
+    def _noises(self):
+        return [
+            [v.hex() for v in pair_noises(seed, r, src, dst, 0.3).tolist()]
+            for seed, r, src, dst in _layer_rounds()
+        ]
+
+    def test_every_layer_and_the_fallback_match(self):
+        bound = measurements._ziggurat()[1]
+        fast, slow = set(), 0
+        for seed, r, src, dst in _layer_rounds():
+            states = measurements._stream_states(
+                seed, r, np.array(src), np.array(dst)
+            )
+            word = measurements._first_outputs(states)
+            idx = (word & np.uint64(255)).astype(int)
+            rabs = (word >> np.uint64(9)) & np.uint64((1 << 52) - 1)
+            first = rabs < bound[idx]
+            fast.update(idx[first].tolist())
+            slow += int((~first).sum())
+            assert set(idx.tolist()) <= set(range(256))
+        assert fast == set(np.nonzero(bound)[0].tolist())
+        assert len(fast) == 254 and slow > 0
+        assert self._noises() == self._expected()
+
+    def test_fallback_alone_matches(self, monkeypatch):
+        wi, bound = measurements._ziggurat()
+        monkeypatch.setattr(
+            measurements, "_ziggurat", lambda: (wi, np.zeros_like(bound))
+        )
+        assert self._noises() == self._expected()
+
+    def test_every_derivation_draw_consumed_one_output(self):
+        """Replays each certified layer's two derivation words through a
+        fresh generator: each returns ``rabs * wi`` and leaves the
+        generator exactly one step on (``inc = 1``: the state is the
+        word itself)."""
+        wi, bound = measurements._ziggurat()
+        mult_inv = pow(measurements._PCG_MULT, -1, 1 << 128)
+        certified = np.nonzero(bound)[0].tolist()
+        assert 1 not in certified and 2 not in certified
+        for idx in certified:
+            for rabs in (1, int(bound[idx]) - 1):
+                word = idx | rabs << 9
+                bitgen = np.random.PCG64(0)
+                state = bitgen.state
+                state["state"] = {
+                    "state": (word - 1) * mult_inv % (1 << 128), "inc": 1,
+                }
+                state["has_uint32"] = 0
+                bitgen.state = state
+                value = np.random.Generator(bitgen).standard_normal()
+                assert bitgen.state["state"]["state"] == word
+                assert value == float(rabs) * wi[idx]
