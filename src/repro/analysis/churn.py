@@ -90,21 +90,14 @@ def churn_experiment(
     distribution: str = "Unif100",
     slots: int = 300,
     seed: Optional[int] = 23,
-    sim_backend: str = "auto",
-    warm_epochs: bool = False,
 ) -> ChurnReport:
     """Fail the busiest relay mid-run and measure collapse + repair.
 
     One engine run under the no-repair policy: the epoch before the
     departure is the healthy control window, the epoch after it shows the
     collapse, and the recomputed per-epoch ``T*_ac`` of the survivors is
-    exactly the rate a static re-optimization would restore.
-
-    ``sim_backend`` selects the transport implementation for the epoch
-    simulations (see :mod:`repro.simulation.backends`; the default
-    ``"auto"`` is the runtime engine's); ``warm_epochs``
-    carries packet buffers across the failure boundary, so the collapse
-    epoch measures the mid-stream stall rather than a cold restart.
+    exactly the rate a static re-optimization would restore.  Epochs
+    run on the engine's default transport (cold, ``auto``).
 
     The same trace is then replayed under the reactive (full-rebuild)
     and incremental (local-repair) policies, filling the repair-vs-
@@ -128,8 +121,6 @@ def churn_experiment(
             slots,
             seed=seed,
             cache=replay_cache,
-            sim_backend=sim_backend,
-            warm_epochs=warm_epochs,
         )
         return engine.run(controller)
 

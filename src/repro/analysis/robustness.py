@@ -93,16 +93,15 @@ def perturbation_experiment(
     seed: int = 29,
     *,
     transport_slots: int = 0,
-    sim_backend: str = "auto",
 ) -> list[RobustnessReport]:
     """Sweep perturbation magnitudes on a fixed overlay.
 
     With ``transport_slots > 0`` the worst clipped overlay of each
     epsilon is additionally run through
-    :func:`~repro.simulation.simulate_packet_broadcast` for that many
-    slots at its max-flow rate, and the achieved worst-receiver
-    efficiency is reported — confirming the flow-level "no cliff" claim
-    survives the randomized packet layer.
+    :func:`~repro.simulation.simulate_packet_broadcast` (``auto``
+    transport) for that many slots at its max-flow rate, and the
+    achieved worst-receiver efficiency is reported — confirming the
+    flow-level "no cliff" claim survives the randomized packet layer.
     """
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, size, open_prob, "Unif100")
@@ -134,7 +133,7 @@ def perturbation_experiment(
                     slots=transport_slots,
                     packets_per_unit=2.0 / worst_rate,
                     seed=seed,
-                    backend=sim_backend,
+                    backend="auto",
                 )
                 transport_efficiency = res.efficiency()
         reports.append(

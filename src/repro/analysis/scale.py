@@ -21,8 +21,8 @@ RSS — the numbers behind ``benchmarks/test_bench_scale.py``.
 transport's one runner (re-exported here): the runtime
 :class:`~repro.simulation.backends.sharded.ShardedBackend` wraps one
 built from a dict-based scheme, while :func:`build_fleet` builds one
-straight from the edge arrays, minus the dict detour.  Serial, thread
-and forked-process workers share its code path.
+straight from the edge arrays, minus the dict detour.  Serial and
+thread-pool runs share its code path.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import resource
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -119,7 +118,6 @@ def build_fleet(
     packets_per_slot: float = 64.0,
     burst_cap: float = 4.0,
     workers: int = 1,
-    worker_mode: Optional[str] = None,
     min_tree_weight_frac: float = 0.0,
 ) -> tuple[ShardFleet, float, dict]:
     """Plan + decompose + shard one swarm; no simulation.
@@ -161,7 +159,6 @@ def build_fleet(
         packets_per_slot / (rate * RATE_BACKOFF),
         burst_cap,
         workers=workers,
-        worker_mode=worker_mode,
     )
     t3 = time.perf_counter()
     timings = {
@@ -182,7 +179,6 @@ def measure_scale(
     packets_per_slot: float = 64.0,
     burst_cap: float = 4.0,
     workers: int = 1,
-    worker_mode: Optional[str] = None,
     min_tree_weight_frac: float = 0.0,
 ) -> ScaleReport:
     """Run the full array pipeline once and report timings + goodput.
@@ -197,22 +193,16 @@ def measure_scale(
         packets_per_slot=packets_per_slot,
         burst_cap=burst_cap,
         workers=workers,
-        worker_mode=worker_mode,
         min_tree_weight_frac=min_tree_weight_frac,
     )
-    try:
-        t0 = time.perf_counter()
-        fleet.run(slots)
-        simulate = time.perf_counter() - t0
-        delivered = fleet.delivered()
-        ppu = packets_per_slot / (rate * RATE_BACKOFF)
-        min_goodput = (
-            float(delivered[1:].min()) / slots / ppu
-            if fleet.num > 1
-            else 0.0
-        )
-    finally:
-        fleet.close()
+    t0 = time.perf_counter()
+    fleet.run(slots)
+    simulate = time.perf_counter() - t0
+    delivered = fleet.delivered()
+    ppu = packets_per_slot / (rate * RATE_BACKOFF)
+    min_goodput = (
+        float(delivered[1:].min()) / slots / ppu if fleet.num > 1 else 0.0
+    )
     return ScaleReport(
         num_nodes=runs.num_nodes,
         num_classes=len(runs.open_runs) + len(runs.guarded_runs),

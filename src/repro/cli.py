@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     # (a plugin registering a controller/planner/broker shows up
     # immediately, and nothing here can drift from the code).
     from .planning import planner_names
-    from .simulation.core import available_backends
+    from .runtime.engine import SIM_BACKENDS
 
     runtime = sub.add_parser(
         "runtime",
@@ -246,16 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
            help="number of seeds per cell in --batch mode (starting at "
                 "--seed)")
     runtime.add_argument("--sim-backend", default="auto",
-                         choices=list(available_backends()),
+                         choices=SIM_BACKENDS,
                          help="per-epoch transport implementation: "
-                              "'auto' (default: sharded when the overlay "
-                              "decomposes into broadcast trees, "
-                              "reference otherwise), 'reference' "
-                              "(historical per-edge random-useful-packet "
-                              "loop, any scheme) or 'sharded' "
-                              "(arborescence-decomposed, acyclic "
-                              "equal-in-rate schemes only, never under "
-                              "--estimation online)")
+                              "'auto' (default: the plan's broadcast "
+                              "trees on the sharded transport when the "
+                              "overlay decomposes, reference otherwise) "
+                              "or 'reference' (historical per-edge "
+                              "random-useful-packet loop, any scheme)")
     runtime.add_argument("--profile", action="store_true",
                          help="after the run, print the per-phase "
                               "wall-clock breakdown (plan / arbitrate / "

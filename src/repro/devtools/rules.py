@@ -2,9 +2,9 @@
 
 Each rule documents, in ``guarantee``, the replay invariant it protects
 — the linter is the executable form of the contracts scattered through
-docstrings (``core/runs.py``'s fsum bracket, the sharded backend's
-fork-shared registry, the ledger's grant-for-grant recovery).  Scoping
-is by module path: e.g. wall-clock reads are the *product* in
+docstrings (``core/runs.py``'s fsum bracket, the job pools' serial ==
+process results, the ledger's grant-for-grant recovery).  Scoping is
+by module path: e.g. wall-clock reads are the *product* in
 ``repro/analysis/`` and ``benchmarks/`` but a replay hazard inside the
 deterministic compute packages.
 
@@ -578,12 +578,11 @@ class UnfinalizedSharedMemory(Rule):
     """REP006 — ``SharedMemory`` without visible teardown.
 
     A created segment outlives the process unless someone calls
-    ``close()``/``unlink()``; the discipline (``ShardFleet``, the one
-    runner behind the sharded backend and the scale pipeline) pairs
-    creation with a ``weakref.finalize`` that closes *and* unlinks.
-    The check is module-scoped: creation in one helper (``to_shared``)
-    with the finalizer installed by its caller is fine, a module that
-    creates segments and never tears any down is not.
+    ``close()``/``unlink()``; the discipline pairs creation with a
+    ``weakref.finalize`` that closes *and* unlinks.  The check is
+    module-scoped: creation in one helper with the finalizer installed
+    by its caller is fine, a module that creates segments and never
+    tears any down is not.
     """
 
     code = "REP006"
@@ -628,8 +627,7 @@ class WorkerGlobalMutation(Rule):
     State crossing a pool boundary must be passed explicitly (args /
     return values) or live behind an explicitly fork-shared mechanism
     (``multiprocessing.shared_memory`` + a registry populated *before*
-    the fork, as the sharded backend does — with a suppression on any
-    deliberate exception).
+    the fork — with a suppression on any deliberate exception).
     """
 
     code = "REP007"

@@ -91,7 +91,7 @@ from ..planning import (
     plan_step,
     planner_names,
 )
-from ..simulation.core import PacketSimEngine, available_backends
+from ..simulation.core import PacketSimEngine
 from .events import DynamicPlatform, Event, EventQueue, NodeJoin, NodeLeave
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,6 +115,10 @@ PACKETS_PER_SLOT = 2.0
 WARMUP_FRACTION = 0.3
 #: Credit burst cap of the per-epoch transport.
 BURST_CAP = 4.0
+#: Epoch transports the engine runs: the paper's tree schedule with its
+#: fallback, and the random-useful-packet oracle.  ``sharded`` is not
+#: one: wherever it would run, ``auto`` builds the same backend.
+SIM_BACKENDS = ("auto", "reference")
 
 
 @dataclass
@@ -245,7 +249,7 @@ class RuntimeEngine:
 
     ``sim_backend`` picks the epoch transport: ``"auto"`` (default; the
     plan's broadcast trees on ``sharded``, ``reference`` for schemes
-    that do not decompose), ``"reference"`` or ``"sharded"``.
+    that do not decompose) or ``"reference"``.
     """
 
     def __init__(
@@ -275,10 +279,10 @@ class RuntimeEngine:
         # Fail fast: an unknown backend or a bad combination would otherwise
         # only surface mid-run, at the first simulated epoch (or, via
         # the batch runner, after a whole sweep has been dispatched).
-        if sim_backend not in available_backends():
+        if sim_backend not in SIM_BACKENDS:
             raise ValueError(
                 f"unknown simulation backend {sim_backend!r} "
-                f"(known: {', '.join(available_backends())})"
+                f"(known: {', '.join(SIM_BACKENDS)})"
             )
         if isinstance(planner, str) and planner not in planner_names():
             raise ValueError(
@@ -290,7 +294,7 @@ class RuntimeEngine:
                 raise ValueError(
                     f"repair_tolerance must be in [0, 1), got {repair_tolerance}"
                 )
-            if planner == "full" or isinstance(planner, Planner):
+            if planner is not None and planner != "incremental":
                 raise ValueError(
                     "repair_tolerance applies to the 'incremental' planner; "
                     "configure an explicit planner instance directly"
@@ -312,14 +316,6 @@ class RuntimeEngine:
         if not 0 <= noise_sigma < math.inf:
             raise ValueError(
                 f"noise_sigma must be finite and >= 0, got {noise_sigma}"
-            )
-        if sim_backend == "sharded" and estimation == "online":
-            raise ValueError(
-                "sim_backend 'sharded' cannot run estimation='online': "
-                "truth-clipped transport schemes mostly have unequal "
-                "in-rates, which do not decompose into broadcast trees "
-                "(use 'auto', which falls back to 'reference' on those, "
-                "or 'reference')"
             )
         self.platform = platform
         self.queue = EventQueue(events)

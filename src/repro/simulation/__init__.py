@@ -4,7 +4,9 @@ The packet layer is a small subsystem: a resumable engine
 (:class:`PacketSimEngine` — pause/resume, snapshots, failure injection,
 warm state across epochs) over pluggable backends
 (:mod:`repro.simulation.backends` — ``reference`` and ``sharded``,
-plus the ``auto`` choice between them).
+plus the ``auto`` choice between them; the runtime engine runs ``auto``
+or the ``reference`` oracle, and ``workers`` sizes the ``sharded``
+thread pool).
 :func:`simulate_packet_broadcast` remains the one-shot
 entry point, and :mod:`repro.simulation.fluid` the deterministic
 fluid-schedule view.

@@ -32,10 +32,9 @@ Which backend applies where:
   scheme, cyclic included.
 * ``sharded`` — decomposes an acyclic equal-in-rate scheme into weighted
   arborescences (:mod:`repro.flows.arborescence`) and pipelines each
-  substream deterministically with numpy, optionally across
-  ``concurrent.futures`` workers (``worker_mode="thread"`` GIL-shared,
-  or ``"process"`` over fork + ``multiprocessing.shared_memory`` —
-  bit-identical results either way).  Raises
+  substream deterministically with numpy, optionally across a
+  ``workers``-sized thread pool (bit-identical results either way).
+  Raises
   :class:`~repro.core.exceptions.DecompositionError` on cyclic schemes —
   ``backend="auto"`` falls back to the reference there.
 * ``auto`` (resolved per run by :class:`~repro.simulation.core.
@@ -46,10 +45,13 @@ Which backend applies where:
   check before it touches the edge list, so the fallback stays cheap.
 
 ``auto`` is the default of :class:`~repro.runtime.engine.RuntimeEngine`
-(and so of ``repro runtime``, ``repro sessions`` and batch sweeps).
+(and so of ``repro runtime``, ``repro sessions`` and batch sweeps),
+which offers only ``auto`` and the ``reference`` oracle: wherever
+``sharded`` would run, ``auto`` builds the same backend.
 :class:`~repro.simulation.core.PacketSimEngine` and
 ``simulate_packet_broadcast`` keep ``backend="reference"`` as their
-default: the historical oracle API.
+default (the historical oracle API) and accept ``sharded`` by name, for
+tests and the scale path.
 """
 
 from __future__ import annotations

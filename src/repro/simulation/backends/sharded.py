@@ -14,8 +14,8 @@ recombines per-node goodput, which buys two things:
   pairs at that depth.  No per-packet sets, no RNG.  At ``n = 1000``
   this is about 6x faster than the (inlined) reference loop;
 * **sharding** — trees are independent, so they split into groups that
-  can advance on ``concurrent.futures`` workers (``workers=N``); results
-  are bit-identical regardless of worker count or scheduling.
+  can advance on a thread pool (``workers=N``); results are
+  bit-identical regardless of worker count or scheduling.
 
 :class:`ShardFleet` is the one runner, used by both paths: the scale
 pipeline (:func:`repro.analysis.scale.build_fleet`) builds one straight
@@ -55,13 +55,10 @@ the edge arrays and summing the in-rates.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import threading
-import uuid
-import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Optional
+from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -73,32 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import SimConfig
 
 __all__ = ["ShardFleet", "ShardedBackend"]
-
-#: Fork-inherited shard registry for ``worker_mode="process"``.  The
-#: parent registers its shards *before* the pool forks; children inherit
-#: the whole mapping (static arrays copy-on-write, mutable arrays as
-#: views into ``multiprocessing.shared_memory`` — the mmap is a shared
-#: mapping, so child mutations land in parent-visible memory directly
-#: and nothing but ``(token, shard index, slots)`` ever crosses a pipe).
-_PROCESS_SHARDS: dict = {}  # token -> list of _TreeShard
-
-
-def _run_process_shard(args: tuple) -> None:
-    token, index, num_slots = args
-    _PROCESS_SHARDS[token][index].run(num_slots)
-
-
-def _release_process_state(token: str, shms: list, box: dict) -> None:
-    pool = box.get("executor")
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-    _PROCESS_SHARDS.pop(token, None)
-    for shm in shms:
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
 
 #: Value-keyed memo of recent decompositions.  The runtime engine's
 #: cold mode builds a fresh backend on an unchanged scheme every epoch
@@ -194,28 +165,6 @@ class _TreeShard:
         order: entry ``k * (num - 1) + v - 1`` is where the in-edge of
         ``v`` in tree ``k`` lives in ``cap`` / ``credit`` / ``alive``."""
         return (self._perm.reshape(self.K, self.num)[:, 1:] - self.K).ravel()
-
-    def to_shared(self) -> list:
-        """Move the mutable state into ``multiprocessing.shared_memory``.
-
-        Returns the (parent-owned) segments; the arrays become views
-        into them, so after the worker pool forks, both sides mutate the
-        same physical pages.  Static arrays (layout, levels, rates)
-        stay ordinary — fork shares them copy-on-write.
-        """
-        from multiprocessing import shared_memory
-
-        shms = []
-        for name in ("injected", "recv", "credit", "alive"):
-            arr = getattr(self, name)
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(arr.nbytes, 1)
-            )
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
-            setattr(self, name, view)
-            shms.append(shm)
-        return shms
 
     @staticmethod
     def _build_levels(
@@ -346,10 +295,6 @@ class _TreeShard:
         }
 
     def load(self, payload: dict) -> None:
-        # Copy *into* the existing arrays instead of adopting the
-        # payload: under worker_mode="process" they are shared-memory
-        # views the forked workers already hold — rebinding here would
-        # silently detach the parent from its own pool.
         np.copyto(self.injected, payload["injected"])
         np.copyto(self.recv, payload["recv"])
         np.copyto(self.credit, payload["credit"])
@@ -359,16 +304,10 @@ class _TreeShard:
 class ShardFleet:
     """The sharded transport's one runner: K weighted arborescences
     (``decompose_broadcast_arrays`` output) split into ``g::groups``
-    shards, advanced serially, across threads, or across forked
-    processes.  ``num`` is explicit so an empty fleet (a zero-rate
-    scheme) still reports one count per node.
-
-    ``worker_mode="process"`` moves the mutable shard state into
-    ``multiprocessing.shared_memory`` up front and forks the pool lazily
-    at the first :meth:`run` (children inherit the registry and the
-    static arrays copy-on-write).  It degrades to threads when there is
-    a single shard or worker, or no ``fork`` start method; every mode is
-    bit-identical to the serial path.
+    shards, advanced serially or, with ``workers > 1``, on a thread pool
+    scoped to each :meth:`run`.  Results are bit-identical either way.
+    ``num`` is explicit so an empty fleet (a zero-rate scheme) still
+    reports one count per node.
     """
 
     def __init__(
@@ -381,10 +320,7 @@ class ShardFleet:
         burst_cap: float,
         *,
         workers: int = 1,
-        worker_mode: Optional[str] = None,
     ) -> None:
-        if worker_mode not in (None, "thread", "process"):
-            raise ValueError(f"unknown worker_mode {worker_mode!r}")
         self.num = num
         self.workers = max(1, workers)
         groups = max(1, min(self.workers, len(weights)))
@@ -394,45 +330,9 @@ class ShardFleet:
             for g in range(groups)
             if len(weights[g::groups])
         ]
-        self.worker_mode = worker_mode or "thread"
-        self._token: Optional[str] = None
-        self._box: dict = {"executor": None}
-        if (
-            self.worker_mode == "process"
-            and self.workers > 1
-            and len(self.shards) > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        ):
-            shms: list = []
-            for shard in self.shards:
-                shms.extend(shard.to_shared())
-            token = uuid.uuid4().hex
-            _PROCESS_SHARDS[token] = self.shards
-            self._token = token
-            self._finalizer = weakref.finalize(
-                self, _release_process_state, token, shms, self._box
-            )
-        else:
-            # Single shard / single worker / no fork: nothing to gain
-            # from (or no way to run) a process pool — results are
-            # bit-identical on the in-thread path anyway.
-            self.worker_mode = "thread"
 
     def run(self, num_slots: int) -> None:
-        if self._token is not None:
-            # Lazy pool: forking *after* the shard registry and shared
-            # state exist is what lets children inherit everything.
-            pool = self._box["executor"]
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(self.shards)),
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-                self._box["executor"] = pool
-            token = self._token
-            jobs = [(token, i, num_slots) for i in range(len(self.shards))]
-            list(pool.map(_run_process_shard, jobs))
-        elif self.workers > 1 and len(self.shards) > 1:
+        if self.workers > 1 and len(self.shards) > 1:
             # A scoped pool per run(): spawn cost is negligible next to
             # a chunk of slots, and nothing leaks across engine
             # lifetimes (rebuild-heavy sweeps create many backends).
@@ -455,12 +355,6 @@ class ShardFleet:
         for shard in self.shards:
             total += shard.delivered()
         return total
-
-    def close(self) -> None:
-        """Tear down the fork pool and shared segments eagerly."""
-        if self._token is not None:
-            self._finalizer()
-            self._token = None
 
 
 @register_backend
@@ -491,7 +385,6 @@ class ShardedBackend(SimBackend):
             config.packets_per_unit,
             config.burst_cap,
             workers=config.workers or 1,
-            worker_mode=config.worker_mode,
         )
 
     def run(self, start_slot: int, num_slots: int) -> None:

@@ -58,12 +58,8 @@ class SimConfig:
     rate: float  #: stream rate in bandwidth units
     packets_per_unit: float = 1.0
     burst_cap: float = 4.0
+    #: Thread-pool size for worker-capable backends (``sharded``).
     workers: Optional[int] = None
-    #: How worker-capable backends parallelize: ``"thread"`` (default) or
-    #: ``"process"`` (fork workers over ``multiprocessing.shared_memory``
-    #: — sidesteps the GIL for CPU-bound numpy shards; results are
-    #: bit-identical either way).
-    worker_mode: Optional[str] = None
 
     @property
     def num(self) -> int:
@@ -121,8 +117,7 @@ class PacketSimEngine:
     class); the additions are ``backend`` — ``"reference"``,
     ``"sharded"``, or ``"auto"`` (sharded when the
     scheme decomposes into arborescences, reference otherwise) — and
-    ``workers`` for backends that shard work across
-    ``concurrent.futures`` pools.
+    ``workers``, the thread-pool size of backends that shard their work.
 
     ``failures`` maps node ids to the **absolute** slot at which the
     node departs; more failures can be scheduled later with
@@ -138,11 +133,9 @@ class PacketSimEngine:
         packets_per_unit: float = 1.0,
         burst_cap: float = 4.0,
         seed: Optional[int] = 0,
-        rng: Optional[random.Random] = None,
         failures: Optional[dict[int, int]] = None,
         backend: str = "reference",
         workers: Optional[int] = None,
-        worker_mode: Optional[str] = None,
     ) -> None:
         if scheme.num_nodes != instance.num_nodes:
             raise ValueError("scheme/instance node count mismatch")
@@ -150,11 +143,6 @@ class PacketSimEngine:
             raise ValueError("rate must be non-negative")
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if worker_mode not in (None, "thread", "process"):
-            raise ValueError(
-                f"worker_mode must be None, 'thread' or 'process', "
-                f"got {worker_mode!r}"
-            )
         self.instance = instance
         self.config = SimConfig(
             scheme=scheme,
@@ -162,9 +150,8 @@ class PacketSimEngine:
             packets_per_unit=packets_per_unit,
             burst_cap=burst_cap,
             workers=workers,
-            worker_mode=worker_mode,
         )
-        rng = rng if rng is not None else random.Random(seed)
+        rng = random.Random(seed)
         if backend == "auto":
             try:
                 self._backend = make_backend("sharded", self.config, rng)
@@ -174,7 +161,7 @@ class PacketSimEngine:
                 # instead of rejecting it.
                 self._backend = make_backend(
                     "reference",
-                    replace(self.config, workers=None, worker_mode=None),
+                    replace(self.config, workers=None),
                     rng,
                 )
         else:

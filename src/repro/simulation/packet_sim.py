@@ -26,7 +26,6 @@ on *cyclic* schemes where the tree decomposition of
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from ..core.instance import Instance
@@ -46,11 +45,9 @@ def simulate_packet_broadcast(
     burst_cap: float = 4.0,
     warmup_fraction: float = 0.5,
     seed: Optional[int] = 0,
-    rng: Optional[random.Random] = None,
     failures: Optional[dict[int, int]] = None,
     backend: str = "reference",
     workers: Optional[int] = None,
-    worker_mode: Optional[str] = None,
 ) -> PacketSimResult:
     """Run the randomized useful-packet broadcast on an overlay.
 
@@ -62,8 +59,8 @@ def simulate_packet_broadcast(
     Randomness is reproducible end to end: the default ``seed=0`` pins
     the run, any other int gives an independent pinned stream, and
     ``seed=None`` draws entropy from the OS.  Callers composing larger
-    experiments (the runtime engine derives one sub-seed per epoch) can
-    pass a pre-built ``rng`` instead, which takes precedence.
+    experiments derive one sub-seed per run, as the runtime engine does
+    per epoch.
 
     ``failures`` maps node ids to the slot at which the node departs
     (churn injection): from that slot on, all of its incident edges go
@@ -74,7 +71,7 @@ def simulate_packet_broadcast(
 
     ``backend`` selects the simulation implementation (``"reference"``,
     ``"sharded"``, or ``"auto"``) and ``workers`` the
-    shard parallelism — see :mod:`repro.simulation.backends` for which
+    shard thread pool — see :mod:`repro.simulation.backends` for which
     backend applies where.  For pause/resume, snapshots, or warm-state
     reuse across epochs, use :class:`~repro.simulation.core.
     PacketSimEngine` directly.
@@ -86,11 +83,9 @@ def simulate_packet_broadcast(
         packets_per_unit=packets_per_unit,
         burst_cap=burst_cap,
         seed=seed,
-        rng=rng,
         failures=failures,
         backend=backend,
         workers=workers,
-        worker_mode=worker_mode,
     )
     warmup = int(slots * warmup_fraction)
     engine.step(warmup)

@@ -207,10 +207,11 @@ class TestPlannerRegistry:
             RuntimeEngine(platform, [], 100, planner="oracle")
         with pytest.raises(ValueError, match="repair_tolerance"):
             RuntimeEngine(platform, [], 100, repair_tolerance=1.5)
-        with pytest.raises(ValueError, match="repair_tolerance"):
-            RuntimeEngine(
-                platform, [], 100, planner="full", repair_tolerance=0.1
-            )
+        for planner in ("full", "collapsed"):
+            with pytest.raises(ValueError, match="repair_tolerance"):
+                RuntimeEngine(
+                    platform, [], 100, planner=planner, repair_tolerance=0.1
+                )
 
     def test_planner_auto_resolution_pairs_with_controller(self, fig1):
         def run(controller):

@@ -72,7 +72,7 @@ class TestPerturbation:
         """
         reports = perturbation_experiment(
             epsilons=(0.1,), size=15, trials=4, seed=29,
-            transport_slots=200, sim_backend="auto",
+            transport_slots=200,
         )
         assert reports[0].transport_efficiency is not None
         assert reports[0].transport_efficiency > 0.8

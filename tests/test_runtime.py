@@ -424,7 +424,7 @@ class TestWarmEpochs:
         ).run(StaticController())
         assert explicit.epochs == default.epochs
 
-    @pytest.mark.parametrize("backend", ["sharded", "auto"])
+    @pytest.mark.parametrize("backend", ["auto"])
     def test_alternate_backends_drive_the_engine(self, fig1, backend):
         failed = _busiest_relay(fig1)
         engine = RuntimeEngine(
@@ -440,8 +440,9 @@ class TestWarmEpochs:
 
     def test_bad_sim_backend_combinations_fail_at_construction(self, fig1):
         platform = DynamicPlatform.from_instance(fig1)
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            RuntimeEngine(platform, [], 100, sim_backend="typo")
+        for backend in ("typo", "sharded"):
+            with pytest.raises(ValueError, match="unknown simulation backend"):
+                RuntimeEngine(platform, [], 100, sim_backend=backend)
 
     def test_warm_epochs_travel_through_batch_jobs(self):
         jobs = scenario_grid(
@@ -491,12 +492,20 @@ class TestRuntimeCli:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "'bitset'" in err[0]
 
+    def test_sharded_backend_rejected(self, capsys):
+        """``auto`` builds the same sharded transport wherever ``sharded``
+        would run, so the runtime offers only ``auto`` and ``reference``."""
+        assert main(["runtime", "--sim-backend", "sharded", "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'auto'" in err[0] and "'reference'" in err[0]
+
     def test_nonpositive_workers_rejected(self, capsys):
         rc = main(["runtime", "--scenario", "rack-failure", "--workers", "0"])
         assert rc == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("backend", ["reference", "sharded", "auto"])
+    @pytest.mark.parametrize("backend", ["reference", "auto"])
     def test_single_run_workers_rejected(self, capsys, backend):
         rc = main(
             ["runtime", "--scenario", "rack-failure", "--seed", "2",

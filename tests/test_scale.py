@@ -2,8 +2,8 @@
 
 Covers the array-native greedy tree extraction (bit-identical to the
 scalar dict-based greedy kept as a test oracle), the :class:`ShardFleet`
-transport (serial == process-pool bit-identity, dust truncation
-accounting, an empty fleet's per-node zeros), :func:`measure_scale` reports, the
+transport (dust truncation accounting, an empty fleet's per-node
+zeros), :func:`measure_scale` reports, the
 saturated-swarm repair (an optimal plan has zero spare upload, so a
 departure must fall back to a rebuild), and the engine-level
 ``phase_seconds`` wiring.
@@ -11,7 +11,8 @@ departure must fall back to a rebuild), and the engine-level
 The shard's level-contiguous layout is pinned against
 :class:`_ReferenceShard`, the tree-major gather/scatter shard it
 replaced: counters, credits and deliveries match bit for bit on random
-arborescence sets and on the n = 10k scale swarm, and the BFS schedule's
+arborescence sets and on the n = 10k scale swarm (serially and on a
+two-thread pool), and the BFS schedule's
 invariants (one level per position, non-decreasing parents ahead of the
 level, ``intp`` indices, unreachable receivers rejected) hold.
 """
@@ -103,29 +104,15 @@ class TestShardFleet:
         runs = class_runs(None, SCALE_CLASSES)
         return build_fleet(runs, **kwargs)
 
-    def test_process_mode_bit_identical_to_serial(self):
-        serial_fleet, _, _ = self._fleet()
-        pooled_fleet, _, _ = self._fleet(workers=2, worker_mode="process")
-        try:
-            serial_fleet.run(200)
-            pooled_fleet.run(200)
-            assert (serial_fleet.delivered() == pooled_fleet.delivered()).all()
-        finally:
-            serial_fleet.close()
-            pooled_fleet.close()
-
     def test_goodput_approaches_the_planned_rate(self):
         runs = class_runs(None, SCALE_CLASSES)
         fleet, rate, _ = build_fleet(runs, packets_per_slot=64.0)
-        try:
-            slots = 400
-            fleet.run(slots)
-            per_packet = rate / 64.0  # bandwidth units per packet
-            goodput = fleet.delivered()[1:] * per_packet / slots
-            assert goodput.min() >= 0.95 * rate
-            assert goodput.max() <= rate * (1 + 1e-9)
-        finally:
-            fleet.close()
+        slots = 400
+        fleet.run(slots)
+        per_packet = rate / 64.0  # bandwidth units per packet
+        goodput = fleet.delivered()[1:] * per_packet / slots
+        assert goodput.min() >= 0.95 * rate
+        assert goodput.max() <= rate * (1 + 1e-9)
 
     @pytest.mark.parametrize("node", (0, -2, -1, 8, 100))
     def test_kill_rejects_the_source_and_out_of_range_ids(self, node):
@@ -134,21 +121,17 @@ class TestShardFleet:
         runs = ClassRuns.from_classes(10.0, [("open", 5.0, 4), ("open", 2.0, 3)])
         fleet, _, _ = build_fleet(runs)
         reference, _, _ = build_fleet(runs)
-        try:
-            assert fleet.num == 8
+        assert fleet.num == 8
+        with pytest.raises(ValueError, match="cannot kill"):
+            fleet.kill(node)
+        for shard in fleet.shards:
             with pytest.raises(ValueError, match="cannot kill"):
-                fleet.kill(node)
-            for shard in fleet.shards:
-                with pytest.raises(ValueError, match="cannot kill"):
-                    shard.kill(node)
-                assert shard.alive.all()
-            fleet.run(50)
-            reference.run(50)
-            assert fleet.delivered().tolist() == reference.delivered().tolist()
-            assert fleet.delivered()[1:].min() > 0
-        finally:
-            fleet.close()
-            reference.close()
+                shard.kill(node)
+            assert shard.alive.all()
+        fleet.run(50)
+        reference.run(50)
+        assert fleet.delivered().tolist() == reference.delivered().tolist()
+        assert fleet.delivered()[1:].min() > 0
 
     def test_one_runner_behind_both_paths(self):
         from repro import analysis
@@ -160,32 +143,25 @@ class TestShardFleet:
         reports one (zero) count per node."""
         fleet = ShardFleet(
             np.zeros(0), np.zeros((0, 5), dtype=np.int64), 5, 1.0, 1.0, 4.0,
-            workers=3, worker_mode="process",
+            workers=3,
         )
-        try:
-            assert fleet.shards == [] and fleet.worker_mode == "thread"
-            fleet.run(10)
-            fleet.kill(2)
-            assert fleet.delivered().tolist() == [0] * 5
-        finally:
-            fleet.close()
+        assert fleet.shards == []
+        fleet.run(10)
+        fleet.kill(2)
+        assert fleet.delivered().tolist() == [0] * 5
 
     def test_kill_starves_a_subtree(self):
         fleet, _, _ = self._fleet()
-        try:
-            fleet.run(50)
-            fleet.kill(1)
-            mark = fleet.delivered()[1]
-            fleet.run(100)
-            assert fleet.delivered()[1] == mark
-        finally:
-            fleet.close()
+        fleet.run(50)
+        fleet.kill(1)
+        mark = fleet.delivered()[1]
+        fleet.run(100)
+        assert fleet.delivered()[1] == mark
 
     def test_dust_truncation_is_accounted(self):
         runs = class_runs(None, SCALE_CLASSES)
         _, rate, exact = build_fleet(runs)
-        fleet, rate2, pruned = build_fleet(runs, min_tree_weight_frac=0.05)
-        fleet.close()
+        _, rate2, pruned = build_fleet(runs, min_tree_weight_frac=0.05)
         assert rate2 == rate  # the planned rate is never touched
         assert pruned["num_trees"] <= exact["num_trees"]
         total_dropped = pruned["dropped_rate"]
@@ -417,8 +393,8 @@ class TestShardLayout:
                 shard.kill(victim)
                 oracle.kill(victim)
 
-    @pytest.mark.parametrize("mode", (None, "process"))
-    def test_scale_swarm_digest_matches_reference(self, mode):
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_scale_swarm_digest_matches_reference(self, workers):
         runs = class_runs(
             None,
             [("open", 150.0, 5_000), ("open", 50.0, 5_000), ("guarded", 100.0, 2)],
@@ -431,17 +407,14 @@ class TestShardLayout:
         oracle = _ReferenceShard(
             weights, parents, runs.num_nodes, RATE_BACKOFF, ppu, 4.0
         )
-        fleet, _, _ = build_fleet(runs, workers=2, worker_mode=mode)
-        try:
-            for slots, victim in ((40, None), (24, 17), (16, None)):
-                fleet.run(slots)
-                oracle.run(slots)
-                if victim is not None:
-                    fleet.kill(victim)
-                    oracle.kill(victim)
-            got = hashlib.sha256(fleet.delivered().tobytes()).hexdigest()
-        finally:
-            fleet.close()
+        fleet, _, _ = build_fleet(runs, workers=workers)
+        for slots, victim in ((40, None), (24, 17), (16, None)):
+            fleet.run(slots)
+            oracle.run(slots)
+            if victim is not None:
+                fleet.kill(victim)
+                oracle.kill(victim)
+        got = hashlib.sha256(fleet.delivered().tobytes()).hexdigest()
         want = hashlib.sha256(oracle.delivered().tobytes()).hexdigest()
         assert got == want
 
