@@ -124,6 +124,14 @@ class TestChurn:
     def report(self):
         return churn_experiment(size=25, slots=160, seed=23)
 
+    @pytest.mark.parametrize(
+        "keyword, value", (("sim_backend", "reference"), ("warm_epochs", 1))
+    )
+    def test_deleted_transport_keywords_rejected(self, keyword, value):
+        """The churn run always uses the runtime's default transport."""
+        with pytest.raises(TypeError, match=keyword):
+            churn_experiment(size=25, slots=160, seed=23, **{keyword: value})
+
     def test_healthy_run_near_planned_rate(self, report):
         assert report.healthy_min_goodput > 0.8 * report.planned_rate
 

@@ -542,6 +542,23 @@ class TestEngineIntegration:
         with pytest.raises(ValueError, match="seed"):
             RuntimeEngine(platform, [], 10, seed=-1, estimation="online")
 
+    def test_sharded_backend_refuses_online_estimation(self):
+        """The runtime offers no ``sharded`` transport, so the pair is
+        refused at construction as an unknown backend; ``auto`` builds
+        the same sharded transport wherever it can run and falls back
+        to ``reference`` for the truth-clipped schemes it cannot."""
+        run = SteadyChurn(size=14, horizon=160).build(1, name="steady-churn")
+        with pytest.raises(ValueError, match="unknown simulation backend"):
+            RuntimeEngine(
+                run.platform, run.events, run.horizon, seed=1,
+                sim_backend="sharded", estimation="online",
+            )
+        result = RuntimeEngine(
+            run.platform, run.events, run.horizon, seed=1,
+            sim_backend="auto", estimation="online",
+        ).run(make_controller("reactive"))
+        assert result.estimation == "online" and result.probes > 0
+
 
 class TestMonotoneDegradation:
     """Satellite acceptance: on the seeded scenario grid, less probing or
@@ -707,6 +724,10 @@ class TestCli:
              "--noise-sigma"),
             (["--estimation", "online", "--seed", "-1"], "--seed"),
             (["--batch", "--seeds", "1", "--period", "0"], "period"),
+            (["--estimation", "online", "--sim-backend", "sharded"],
+             "'sharded'"),
+            (["--estimation", "online", "--sim-backend", "sharded",
+              "--batch", "--seeds", "1"], "'sharded'"),
         ],
     )
     def test_invalid_estimation_flags(self, capsys, argv, message):

@@ -77,6 +77,14 @@ class TestPerturbation:
         assert reports[0].transport_efficiency is not None
         assert reports[0].transport_efficiency > 0.8
 
+    def test_transport_backend_is_not_a_keyword(self):
+        """Transport validation always runs ``auto``."""
+        with pytest.raises(TypeError, match="sim_backend"):
+            perturbation_experiment(
+                epsilons=(0.1,), size=15, trials=4, seed=29,
+                transport_slots=200, sim_backend="reference",
+            )
+
 
 class TestFigure7Exports:
     @pytest.fixture(scope="class")

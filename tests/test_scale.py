@@ -138,6 +138,15 @@ class TestShardFleet:
 
         assert analysis.ShardFleet is ShardFleet
 
+    def test_thread_pool_needs_no_close(self):
+        """``workers > 1`` is a per-``run()`` thread pool: nothing
+        outlives a run, so a fleet has no ``close`` and no
+        ``worker_mode``."""
+        assert not hasattr(ShardFleet, "close")
+        runs = class_runs(None, SCALE_CLASSES)
+        with pytest.raises(TypeError, match="worker_mode"):
+            build_fleet(runs, workers=2, worker_mode="process")
+
     def test_empty_fleet_reports_every_node(self):
         """A zero-rate scheme decomposes into no trees; the fleet still
         reports one (zero) count per node."""

@@ -917,6 +917,33 @@ class TestShardedWorkers:
         assert runs[0].received == runs[1].received == runs[2].received
         assert runs[0].goodput == runs[1].goodput == runs[2].goodput
 
+    def test_thread_pool_survives_stepping_and_failures(self):
+        inst, scheme, rate = _random_acyclic(size=30, seed=4)
+        kwargs = dict(packets_per_unit=2.0, seed=2)
+        pooled = PacketSimEngine(
+            inst, scheme, rate, backend="sharded", workers=2, **kwargs
+        )
+        serial = PacketSimEngine(inst, scheme, rate, backend="sharded", **kwargs)
+        for sim in (pooled, serial):
+            sim.step(40)
+            sim.fail_node(3)
+            sim.step(40)
+        assert pooled.delivered() == serial.delivered()
+
+    @pytest.mark.parametrize("keyword", ("rng", "worker_mode"))
+    @pytest.mark.parametrize("entry", ("engine", "simulate"))
+    def test_deleted_transport_keywords_rejected(self, entry, keyword):
+        """The shards draw no random numbers and run on one pool, so
+        neither entry point takes an ``rng`` or a ``worker_mode``."""
+        inst, scheme, rate = _fig1()
+        value = {"rng": random.Random(0), "worker_mode": "process"}[keyword]
+        call = {
+            "engine": PacketSimEngine,
+            "simulate": simulate_packet_broadcast,
+        }[entry]
+        with pytest.raises(TypeError, match=keyword):
+            call(inst, scheme, rate, backend="sharded", **{keyword: value})
+
     def test_restore_rejects_mismatched_shard_layouts(self):
         """A snapshot only restores into an identically-sharded engine."""
         inst, scheme, rate = _random_acyclic(size=30, seed=4)
@@ -940,7 +967,7 @@ class TestShardedWorkers:
         "06a47aeba692682fcdb6036751e9ecab48a7e74469fe60ab6a3c340d8e5fa9ed"
     )
 
-    @pytest.mark.parametrize("workers", (1, 3))
+    @pytest.mark.parametrize("workers", (1, 2, 3))
     def test_delivery_matches_golden_digest(self, workers):
         import numpy as np
 
