@@ -22,7 +22,9 @@ transport's one runner (re-exported here): the runtime
 :class:`~repro.simulation.backends.sharded.ShardedBackend` wraps one
 built from a dict-based scheme, while :func:`build_fleet` builds one
 straight from the edge arrays, minus the dict detour.  Serial and
-thread-pool runs share its code path.
+thread-pool runs share its code path.  The stream is cut into
+:data:`PACKETS_PER_SLOT` packets per slot and injected at
+:data:`~repro.simulation.backends.RATE_BACKOFF` of the planned rate.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ import numpy as np
 from ..algorithms.acyclic_guarded import collapsed_scheme
 from ..core.runs import ClassRuns
 from ..flows.arborescence import decompose_broadcast_arrays
+from ..simulation.backends import RATE_BACKOFF
 from ..simulation.backends.sharded import ShardFleet
 
 __all__ = ["ScaleReport", "ShardFleet", "build_fleet", "measure_scale", "peak_rss_kb"]
 
-#: The simulated stream runs a hair under the planned rate so integer
-#: packet quantization never outruns edge capacity.
-RATE_BACKOFF = 1.0 - 1e-9
+#: Packets the source injects per slot: fine enough that every
+#: substream of the scale swarms moves whole packets most slots.
+PACKETS_PER_SLOT = 64.0
 
 
 def peak_rss_kb() -> int:
@@ -115,8 +118,6 @@ class ScaleReport:
 def build_fleet(
     runs: ClassRuns,
     *,
-    packets_per_slot: float = 64.0,
-    burst_cap: float = 4.0,
     workers: int = 1,
     min_tree_weight_frac: float = 0.0,
 ) -> tuple[ShardFleet, float, dict]:
@@ -156,8 +157,7 @@ def build_fleet(
         parents,
         num,
         RATE_BACKOFF,
-        packets_per_slot / (rate * RATE_BACKOFF),
-        burst_cap,
+        PACKETS_PER_SLOT / (rate * RATE_BACKOFF),
         workers=workers,
     )
     t3 = time.perf_counter()
@@ -176,8 +176,6 @@ def measure_scale(
     runs: ClassRuns,
     *,
     slots: int = 256,
-    packets_per_slot: float = 64.0,
-    burst_cap: float = 4.0,
     workers: int = 1,
     min_tree_weight_frac: float = 0.0,
 ) -> ScaleReport:
@@ -190,8 +188,6 @@ def measure_scale(
     """
     fleet, rate, timings = build_fleet(
         runs,
-        packets_per_slot=packets_per_slot,
-        burst_cap=burst_cap,
         workers=workers,
         min_tree_weight_frac=min_tree_weight_frac,
     )
@@ -199,7 +195,7 @@ def measure_scale(
     fleet.run(slots)
     simulate = time.perf_counter() - t0
     delivered = fleet.delivered()
-    ppu = packets_per_slot / (rate * RATE_BACKOFF)
+    ppu = PACKETS_PER_SLOT / (rate * RATE_BACKOFF)
     min_goodput = (
         float(delivered[1:].min()) / slots / ppu if fleet.num > 1 else 0.0
     )
@@ -211,7 +207,7 @@ def measure_scale(
         num_trees=timings["num_trees"],
         num_edges=timings["num_edges"],
         slots=slots,
-        packets_per_slot=packets_per_slot,
+        packets_per_slot=PACKETS_PER_SLOT,
         plan_seconds=timings["plan"],
         decompose_seconds=timings["decompose"],
         build_seconds=timings["build"],

@@ -28,6 +28,9 @@ from ..simulation.core import PacketSimEngine
 
 __all__ = ["WarmForkReport", "warm_snapshot_ab"]
 
+#: Transport granularity of every fork: packets per bandwidth unit.
+PACKETS_PER_UNIT = 2.0
+
 #: A variant receives the restored engine and may mutate it (fail nodes,
 #: schedule more failures, …) before the measurement window opens.
 VariantFn = Callable[[PacketSimEngine], None]
@@ -62,10 +65,7 @@ def warm_snapshot_ab(
     warm_slots: int,
     measure_slots: int,
     variants: Mapping[str, Optional[VariantFn]],
-    backend: str = "reference",
     seed: Optional[int] = 0,
-    packets_per_unit: float = 2.0,
-    burst_cap: float = 4.0,
 ) -> WarmForkReport:
     """Warm one transport run, then fork and measure every variant.
 
@@ -75,7 +75,8 @@ def warm_snapshot_ab(
     to the original, mutated by the variant callable (``None`` = control
     arm), and measured for ``measure_slots``.  Restores replay exactly,
     so every variant sees the same buffers, credits *and* RNG stream —
-    the measured differences are the variants', nothing else's.
+    the measured differences are the variants', nothing else's.  The
+    forks run the ``reference`` transport at :data:`PACKETS_PER_UNIT`.
     """
     if warm_slots < 0:
         raise ValueError(f"warm_slots must be >= 0, got {warm_slots}")
@@ -89,10 +90,9 @@ def warm_snapshot_ab(
             instance,
             scheme,
             rate,
-            packets_per_unit=packets_per_unit,
-            burst_cap=burst_cap,
+            packets_per_unit=PACKETS_PER_UNIT,
             seed=seed,
-            backend=backend,
+            backend="reference",
         )
 
     base = build().step(warm_slots)

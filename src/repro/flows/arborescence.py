@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,17 +48,12 @@ __all__ = [
     "BroadcastTree",
     "decompose_broadcast_trees",
     "decompose_broadcast_arrays",
-    "check_in_rates",
+    "common_in_rate",
     "verify_decomposition",
 ]
 
 #: Residuals below this fraction of the total rate are treated as zero.
 _REL_EPS = 1e-9
-
-#: :func:`check_in_rates` refuses only beyond this many equality
-#: tolerances, so rounding in how a caller summed the in-rates can never
-#: make it refuse a scheme the exact check accepts.
-_PRECHECK_MARGIN = 2.0
 
 
 def _stranded_slack(total: float, units: int) -> float:
@@ -91,40 +85,29 @@ def _equal_in_rate_tol(num: int, total: float) -> float:
     )
 
 
-def check_in_rates(in_rates: Sequence[float]) -> None:
-    """Refuse, in O(n), a scheme whose in-rates are clearly unequal.
+def common_in_rate(in_rates: np.ndarray) -> float:
+    """The scheme rate ``T`` every receiver ingests at.
 
-    ``in_rates`` is :meth:`~repro.core.scheme.BroadcastScheme.in_rates`
-    (index 0, the source, is ignored).  Raises
-    :class:`~repro.core.exceptions.DecompositionError` when some
-    receiver's in-rate differs from receiver 1's by more than
-    ``_PRECHECK_MARGIN`` times :func:`decompose_broadcast_arrays`'
-    equality tolerance, so it refuses only schemes the exact check
-    refuses too; a borderline scheme passes here and is left to that
-    check.  Callers that may see many non-decomposable schemes (``auto``
-    under online estimation, whose truth-clipped schemes rarely keep
-    equal in-rates) run this before sorting, cycle-checking and copying
-    the edge list.
+    ``in_rates[v - 1]`` is receiver ``v``'s in-edges summed in edge
+    order.  Raises :class:`~repro.core.exceptions.DecompositionError`
+    when some receiver's in-rate sits further than
+    :func:`_equal_in_rate_tol` from receiver 1's: the decomposition's one
+    equality rule, run by :func:`decompose_broadcast_arrays` and, before
+    its memo lookup, by the sharded transport.  A NaN in-rate never
+    refuses; a scheme without receivers has rate 0.
     """
-    num = len(in_rates)
-    if num <= 2:
-        return
-    total = float(in_rates[1])
-    limit = _PRECHECK_MARGIN * _equal_in_rate_tol(num, total)
-    receivers = in_rates[1:]
-    if max(receivers) - total <= limit and total - min(receivers) <= limit:
-        return
-    # Same comparison as the exact check (a NaN in-rate never refuses).
-    v = next((v for v in range(2, num) if abs(in_rates[v] - total) > limit), 0)
-    if v:
-        raise _unequal_in_rate(v, in_rates[v], total)
-
-
-def _unequal_in_rate(v: int, rate: float, total: float) -> DecompositionError:
-    return DecompositionError(
-        f"receiver {v} has in-rate {rate:g} != scheme rate {total:g}; "
-        f"the greedy decomposition only handles equal-in-rate schemes"
-    )
+    if not len(in_rates):
+        return 0.0
+    total = float(in_rates[0])
+    off = np.abs(in_rates - total) > _equal_in_rate_tol(len(in_rates) + 1, total)
+    if off.any():
+        v = int(np.argmax(off)) + 1
+        raise DecompositionError(
+            f"receiver {v} has in-rate {in_rates[v - 1]:g} != scheme rate "
+            f"{total:g}; the greedy decomposition only handles "
+            f"equal-in-rate schemes"
+        )
+    return total
 
 
 @dataclass(frozen=True)
@@ -246,13 +229,11 @@ def decompose_broadcast_arrays(
     # ``BroadcastScheme.in_rates`` adds them: ``add.reduceat`` sums a
     # segment of 8+ edges pairwise, and ``total`` (the first round's
     # ``remaining``) would then drift from the scheme's rate by ulps.
-    in_rates = np.bincount(dst - 1, weights=res, minlength=num - 1)
-    total = float(in_rates[0])
+    total = common_in_rate(
+        np.bincount(dst - 1, weights=res, minlength=num - 1)
+    )
     tol = _REL_EPS * max(1.0, total)
     eq_tol = _equal_in_rate_tol(num, total)
-    if (np.abs(in_rates - total) > eq_tol).any():
-        v = int(np.argmax(np.abs(in_rates - total) > eq_tol)) + 1
-        raise _unequal_in_rate(v, in_rates[v - 1], total)
     if total <= tol:
         return empty
 

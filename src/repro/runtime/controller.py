@@ -13,7 +13,7 @@ design space the paper's conclusion gestures at:
 * :class:`ReactiveController` — event-triggered: re-plan as soon as
   membership changes (departures always; arrivals optionally), go back
   to sleep otherwise — a rebuild under the default full planner.
-* :class:`IncrementalController` — the reactive triggers with drift on,
+* :class:`IncrementalController` — the reactive triggers plus drift,
   paired with the :class:`~repro.planning.IncrementalRepairPlanner`,
   which patches the surviving overlay and falls back to a rebuild past
   its degradation tolerance.
@@ -103,57 +103,29 @@ class PeriodicController(Controller):
 class ReactiveController(Controller):
     """Re-plan the instant membership changes; sleep otherwise.
 
-    ``on_leave``/``on_join``/``on_drift`` select which event classes
-    trigger a re-plan (departures by default — the catastrophic case —
-    plus arrivals, so flash crowds get served; drift is opt-in because a
-    sine wobble would otherwise re-plan every sample).  With the default
-    full planner every re-plan is an event-triggered rebuild.
+    :attr:`triggers` lists the event classes that call for a re-plan:
+    departures (the catastrophic case) and arrivals, so flash crowds get
+    served; drift is left out because a sine wobble would otherwise
+    re-plan every sample.  With the default full planner every re-plan
+    is an event-triggered rebuild.
     """
 
     name = "reactive"
-
-    def __init__(
-        self,
-        *,
-        on_leave: bool = True,
-        on_join: bool = True,
-        on_drift: bool = False,
-    ) -> None:
-        self.on_leave = on_leave
-        self.on_join = on_join
-        self.on_drift = on_drift
-
-    def _triggers(self, event: Event) -> bool:
-        if isinstance(event, NodeLeave):
-            return self.on_leave
-        if isinstance(event, NodeJoin):
-            return self.on_join
-        if isinstance(event, BandwidthDrift):
-            return self.on_drift
-        return False
+    triggers: tuple[type, ...] = (NodeLeave, NodeJoin)
 
     def on_change(self, now: int, events: tuple[Event, ...]) -> bool:
-        return any(self._triggers(ev) for ev in events)
+        return any(isinstance(ev, self.triggers) for ev in events)
 
 
 class IncrementalController(ReactiveController):
-    """The reactive triggers, paired with the incremental repair planner.
-
-    Drift triggers default to *on* here — repairs are cheap, and feeding
-    drift to the planner keeps its overlay model's bandwidths in sync.
+    """The reactive triggers plus drift, paired with the incremental
+    repair planner: repairs are cheap, and feeding drift to the planner
+    keeps its overlay model's bandwidths in sync.
     """
 
     name = "incremental"
     planner = "incremental"
-
-    def __init__(
-        self,
-        *,
-        on_leave: bool = True,
-        on_join: bool = True,
-        on_drift: bool = True,
-    ) -> None:
-        super().__init__(on_leave=on_leave, on_join=on_join, on_drift=on_drift)
+    triggers = (NodeLeave, NodeJoin, BandwidthDrift)
 
 
 #: Name -> factory registry (picklable job specs carry the name plus

@@ -91,6 +91,7 @@ from ..planning import (
     plan_step,
     planner_names,
 )
+from ..simulation.backends import RATE_BACKOFF
 from ..simulation.core import PacketSimEngine
 from .events import DynamicPlatform, Event, EventQueue, NodeJoin, NodeLeave
 
@@ -104,17 +105,11 @@ __all__ = [
     "RuntimeEngine",
 ]
 
-#: Simulated at slightly below the planned rate so credit quantization
-#: never asks the overlay for more than it provisions (same back-off the
-#: churn experiment has always used).
-RATE_BACKOFF = 1.0 - 1e-9
 #: Per-epoch transport granularity: packets injected per slot.
 PACKETS_PER_SLOT = 2.0
 #: Share of a new transport run's first epoch spent warming up before
 #: goodput is measured.
 WARMUP_FRACTION = 0.3
-#: Credit burst cap of the per-epoch transport.
-BURST_CAP = 4.0
 #: Epoch transports the engine runs: the paper's tree schedule with its
 #: fallback, and the random-useful-packet oracle.  ``sharded`` is not
 #: one: wherever it would run, ``auto`` builds the same backend.
@@ -668,7 +663,6 @@ class RuntimeEngine:
                 self._transport_scheme(plan),
                 rate,
                 packets_per_unit=PACKETS_PER_SLOT / max(rate, 1e-12),
-                burst_cap=BURST_CAP,
                 seed=sim_seed,
                 failures={k: 0 for k in sorted(failed)},
                 backend=self.sim_backend,

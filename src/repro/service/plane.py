@@ -86,6 +86,7 @@ from .requests import (
     Response,
     StartSession,
     StopSession,
+    check_request,
     decode_request,
     encode_request,
     encode_response,
@@ -95,6 +96,13 @@ __all__ = ["ControlPlane", "ServiceStats"]
 
 #: Journal format version (bumped on any record-shape change).
 _LEDGER_VERSION = 1
+#: Header keys :meth:`ControlPlane.recover` passes to the constructor.
+_HEADER_KEYS = (
+    "broker", "admission", "admission_floor", "planning",
+    "repair_tolerance", "seed",
+)
+#: Keys every batch record must carry for replay and verification.
+_RECORD_KEYS = ("requests", "responses", "grants", "bounds")
 
 #: LRU bound of the plan cache a plane creates for itself.  The cache
 #: is a pure memo (grants, journals and plan operations never depend on
@@ -308,11 +316,16 @@ class ControlPlane:
         ``status="error"`` and mutates nothing, while the rest of the
         batch proceeds.  Queries inside a mutating batch observe the
         control state at their position but pre-batch *grants* (grants
-        move once, at the batch boundary).
+        move once, at the batch boundary).  A malformed request (an
+        unknown type, a field of the wrong type) is no request at all:
+        the whole batch raises ``ValueError`` before it is sequenced, so
+        the journal never sees it.
         """
         requests = tuple(requests)
         if not requests:
             raise ValueError("empty request batch")
+        for req in requests:
+            check_request(req)
         started = time.perf_counter()  # repro: noqa REP002 -- latency/plan-op stats; decisions replay from the ledger, not wall time
         self.seq += 1
         responses = [self._apply_control(req) for req in requests]
@@ -376,9 +389,7 @@ class ControlPlane:
                 return self._migrate(req)
             if isinstance(req, PriorityChange):
                 return self._priority(req)
-            if isinstance(req, Query):
-                return self._query(req)
-            raise ValueError(f"unknown request type {type(req).__name__}")
+            return self._query(req)
         except (ValueError, KeyError) as exc:
             self.errors += 1
             return Response(
@@ -697,7 +708,9 @@ class ControlPlane:
         records start on a line of their own.
         """
         records = ReservationLedger.read(path)
-        if not records or not records[0].get("header"):
+        if not records or not (
+            isinstance(records[0], dict) and records[0].get("header")
+        ):
             raise ValueError(f"{path!r} is not a reservation ledger")
         header = records[0]
         if header.get("version") != _LEDGER_VERSION:
@@ -705,31 +718,48 @@ class ControlPlane:
                 f"ledger version {header.get('version')!r} unsupported "
                 f"(expected {_LEDGER_VERSION})"
             )
-        plane = cls(
-            cls._platform_from_header(header),
-            broker=header["broker"],
-            admission=header["admission"],
-            admission_floor=header["admission_floor"],
-            planning=header["planning"],
-            repair_tolerance=header["repair_tolerance"],
-            seed=header["seed"],
-            cache=cache,
-            ledger=None,
-        )
-        for rec in records[1:]:
-            batch = tuple(decode_request(d) for d in rec["requests"])
+        try:
+            plane = cls(
+                cls._platform_from_header(header),
+                **{key: header[key] for key in _HEADER_KEYS},
+                cache=cache,
+                ledger=None,
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"{path!r} record 1 (the header) lacks key {exc}"
+            ) from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path!r} record 1 (the header) is malformed: {exc}"
+            ) from None
+        for index, rec in enumerate(records[1:], start=2):
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path!r} record {index} is not an object")
+            missing = [key for key in _RECORD_KEYS if key not in rec]
+            if missing:
+                raise ValueError(
+                    f"{path!r} record {index} lacks "
+                    f"{', '.join(map(repr, missing))}"
+                )
+            try:
+                batch = tuple(decode_request(d) for d in rec["requests"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path!r} record {index} holds a bad request: {exc}"
+                ) from None
             responses = plane.submit_batch(batch)
             if not verify:
                 continue
             replayed = [encode_response(r, timing=False) for r in responses]
             if replayed != rec["responses"]:
                 raise RuntimeError(
-                    f"ledger replay diverged at seq {rec['seq']}: "
+                    f"ledger replay diverged at seq {rec.get('seq')}: "
                     f"responses {replayed!r} != recorded {rec['responses']!r}"
                 )
             if plane._grants_payload() != rec["grants"]:
                 raise RuntimeError(
-                    f"ledger replay diverged at seq {rec['seq']}: grants "
+                    f"ledger replay diverged at seq {rec.get('seq')}: grants "
                     f"differ from the journal"
                 )
             bounds = {
@@ -737,7 +767,7 @@ class ControlPlane:
             }
             if bounds != rec["bounds"]:
                 raise RuntimeError(
-                    f"ledger replay diverged at seq {rec['seq']}: bounds "
+                    f"ledger replay diverged at seq {rec.get('seq')}: bounds "
                     f"differ from the journal"
                 )
         if resume_appending:

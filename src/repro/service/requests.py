@@ -19,6 +19,7 @@ help strings read the registry, never a hard-coded copy.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ __all__ = [
     "Response",
     "encode_request",
     "decode_request",
+    "check_request",
     "encode_response",
     "decode_response",
     "RequestTrace",
@@ -146,7 +148,13 @@ def encode_request(req: Request) -> dict:
 
 
 def decode_request(payload: dict) -> Request:
-    """Inverse of :func:`encode_request` (raises on unknown ``op``)."""
+    """Inverse of :func:`encode_request` (raises on unknown ``op``).
+
+    Field types are left to :func:`check_request`, which the plane runs
+    on every request before it serves a batch.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("a request must be a JSON object")
     op = payload.get("op")
     cls = _REQUEST_TYPES.get(op)
     if cls is None:
@@ -154,9 +162,45 @@ def decode_request(payload: dict) -> Request:
         raise ValueError(f"unknown request op {op!r} (known: {known})")
     data = {k: v for k, v in payload.items() if k != "op"}
     for key in ("members", "add", "remove"):
-        if key in data and data[key] is not None:
+        if isinstance(data.get(key), list):
             data[key] = tuple(data[key])
     return cls(**data)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_node_ids(value) -> bool:
+    return isinstance(value, tuple) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    )
+
+
+#: Per annotated field type: its check and how an error names it.
+_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "Optional[str]": (lambda v: v is None or isinstance(v, str), "a string"),
+    "float": (_is_number, "a number"),
+    "Optional[float]": (lambda v: v is None or _is_number(v), "a number"),
+    "Tuple[int, ...]": (_is_node_ids, "a list of node ids"),
+}
+
+
+def check_request(req: Request) -> None:
+    """Raise ``ValueError`` unless ``req`` is a known request type whose
+    every field has its declared type (a wire payload can carry any JSON
+    value in any field)."""
+    if _REQUEST_TYPES.get(getattr(req, "op", None)) is not type(req):
+        raise ValueError(f"unknown request type {type(req).__name__}")
+    for f in dataclasses.fields(req):
+        ok, what = _FIELD_TYPES[f.type]
+        value = getattr(req, f.name)
+        if not ok(value):
+            raise ValueError(
+                f"{req.op}: field {f.name!r} must be {what}, "
+                f"got {type(value).__name__}"
+            )
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,15 @@ Which backend applies where:
   PacketSimEngine`) — ``sharded`` when the run's scheme decomposes, else
   ``reference`` with the worker request dropped.  The runtime's
   truth-clipped schemes (online estimation) mostly do not, but some do;
-  ``sharded`` refuses the clearly unequal ones with an O(E) in-rate
-  check before it touches the edge list, so the fallback stays cheap.
+  ``sharded`` refuses unequal in-rates with the decomposition's own
+  exact check, O(E), before the memo lookup and the cycle check, so the
+  fallback stays cheap.
+
+Every backend is built from the run's ``seed`` and draws, if at all,
+from its own stock ``random.Random(seed)``.  The transport constants
+live here: :data:`BURST_CAP`, the credit an edge may bank, and
+:data:`RATE_BACKOFF`, the hair below the planned rate at which callers
+inject so integer packet quantization never outruns edge capacity.
 
 ``auto`` is the default of :class:`~repro.runtime.engine.RuntimeEngine`
 (and so of ``repro runtime``, ``repro sessions`` and batch sweeps),
@@ -56,19 +63,26 @@ tests and the scale path.
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, Dict, Type
+from typing import TYPE_CHECKING, Dict, Optional, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import SimConfig
 
 __all__ = [
+    "BURST_CAP",
+    "RATE_BACKOFF",
     "SimBackend",
     "BACKENDS",
     "register_backend",
     "make_backend",
     "backend_names",
 ]
+
+#: Credit an edge may bank beyond one slot's gain, in packets.
+BURST_CAP = 4.0
+#: Planned rates are simulated at this fraction so integer packet
+#: quantization never asks an edge for more than it provisions.
+RATE_BACKOFF = 1.0 - 1e-9
 
 
 class SimBackend:
@@ -79,7 +93,7 @@ class SimBackend:
     #: Whether ``workers > 1`` is meaningful for this backend.
     supports_workers: bool = False
 
-    def __init__(self, config: "SimConfig", rng: random.Random) -> None:
+    def __init__(self, config: "SimConfig", seed: Optional[int]) -> None:
         raise NotImplementedError
 
     def run(self, start_slot: int, num_slots: int) -> None:
@@ -116,9 +130,9 @@ def backend_names() -> list[str]:
 
 
 def make_backend(
-    name: str, config: "SimConfig", rng: random.Random
+    name: str, config: "SimConfig", seed: Optional[int]
 ) -> SimBackend:
-    """Instantiate a registered backend on ``config``."""
+    """Instantiate a registered backend on ``config`` for run ``seed``."""
     try:
         cls = BACKENDS[name]
     except KeyError:
@@ -133,7 +147,7 @@ def make_backend(
             f"requires a backend with worker support ('sharded', or "
             f"'auto' on decomposable schemes)"
         )
-    return cls(config, rng)
+    return cls(config, seed)
 
 
 # Populate the registry (imports must come after the decorator exists).

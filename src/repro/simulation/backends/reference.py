@@ -12,38 +12,30 @@ historical test suite pins behavior through the wrapper, which makes
 this backend the equivalence baseline the sharded backend is tested
 against.
 
-Exact-stream contract.  The useful-packet draw is inlined into the edge
-loop: up to 16 rejection tries ``pool[randrange(len(pool))]``, then a
-uniform draw from the sorted useful packets.  For a stock
-``random.Random`` the loop draws with ``k = n.bit_length(); r =
-getrandbits(k); while r >= n: r = getrandbits(k)`` — the body of the
-stdlib's ``Random._randbelow_with_getrandbits``, which is what
-``randrange(n)`` runs — so it consumes the very same bits without the
-per-draw call frames.  That path is taken only when the RNG's class
-still uses the stdlib ``_randbelow_with_getrandbits`` and ``randrange``;
-any other subclass (one that overrides only ``random()`` gets
-``_randbelow_without_getrandbits``, a different integer stream) draws
-through its own ``randrange``.
+Exact-stream contract.  The backend draws from its own stock
+``random.Random(seed)``.  The useful-packet draw is inlined into the
+edge loop: up to 16 rejection tries ``pool[randrange(len(pool))]``, then
+a uniform draw from the sorted useful packets.  Each try draws with ``k =
+n.bit_length(); r = getrandbits(k); while r >= n: r = getrandbits(k)`` —
+the body of the stdlib's ``Random._randbelow_with_getrandbits``, which
+is what ``randrange(n)`` runs — so it consumes the very same bits
+without the per-draw call frames.
 
 Two more shortcuts skip work whose result is already known:
 
 * *Empty useful set.*  When the relay holds no packet the receiver
   lacks (``items.isdisjoint(holder)``), all 16 tries must miss and the
   exact scan must find nothing, so the loop only consumes the tries'
-  draws and stops: 16 accepted ``getrandbits(k)`` words below ``n`` on
-  the stock path (rejected words are drawn again, exactly as each try
-  would), 16 ``randrange(n)`` calls otherwise.  No draw is skipped, so
-  the stream is unchanged; skipped are the pool lookups, the membership
-  tests, the intersection and the sort.  The check comes after the
-  pool compaction, which still runs because ``state()`` exposes the
-  pool.
+  draws and stops: 16 accepted ``getrandbits(k)`` words below ``n``
+  (rejected words are drawn again, exactly as each try would).  No draw
+  is skipped, so the stream is unchanged; skipped are the pool lookups,
+  the membership tests, the intersection and the sort.  The check comes
+  after the pool compaction, which still runs because ``state()``
+  exposes the pool.
 * *Inlined shuffle.*  The slot's ``rng.shuffle(order)`` runs as the
   stdlib's Fisher–Yates body (``for i in reversed(range(1, len(x))):
   j = randbelow(i + 1)``) with the same getrandbits loop inlined for
   ``randbelow``, so the order and the bits consumed are the stdlib's.
-  It is taken only when the draws are stock *and* the class keeps
-  ``random.Random.shuffle``; a subclass that overrides ``shuffle`` goes
-  through its own.
 
 Golden-state digests in ``tests/test_simulation_backends.py`` pin the
 stream, the buffers, the credits and the RNG state against the original
@@ -60,9 +52,9 @@ from __future__ import annotations
 
 import random
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-from . import SimBackend, register_backend
+from . import BURST_CAP, SimBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import SimConfig
@@ -88,15 +80,6 @@ class _MissingSet:
         self.pool: list[int] = []
 
 
-def _stock_randbelow(rng: random.Random) -> bool:
-    """Whether ``rng.randrange(n)`` runs the stdlib getrandbits loop."""
-    cls = type(rng)
-    return (
-        cls._randbelow is random.Random._randbelow_with_getrandbits
-        and cls.randrange is random.Random.randrange
-    )
-
-
 @register_backend
 class ReferenceBackend(SimBackend):
     """Per-edge Python loop with random useful-packet transfers."""
@@ -104,9 +87,9 @@ class ReferenceBackend(SimBackend):
     name = "reference"
     supports_workers = False
 
-    def __init__(self, config: "SimConfig", rng: random.Random) -> None:
+    def __init__(self, config: "SimConfig", seed: Optional[int]) -> None:
         self.config = config
-        self.rng = rng
+        self.rng = random.Random(seed)
         num = config.num
         self.edges = config.edge_list()
         self.credit = [0.0] * len(self.edges)
@@ -121,14 +104,9 @@ class ReferenceBackend(SimBackend):
     def run(self, start_slot: int, num_slots: int) -> None:
         # Local bindings: this is the hot loop.
         rng = self.rng
-        stock = _stock_randbelow(rng)
         getrandbits = rng.getrandbits
-        # rng.randrange(n) minus its argument checks, unless a subclass
-        # changed how it draws
-        draw = rng._randbelow if stock else rng.randrange
-        stock_shuffle = stock and type(rng).shuffle is random.Random.shuffle
+        draw = rng._randbelow  # rng.randrange(n) minus its argument checks
         pkt_rate = self.config.pkt_rate
-        burst_cap = self.config.burst_cap
         credit, have, missing = self.credit, self.have, self.missing
         arrivals, order, dead = self.arrivals, self.order, self.dead
         receivers = missing[1:]
@@ -137,7 +115,7 @@ class ReferenceBackend(SimBackend):
         plan = [
             None
             if u in dead or v in dead
-            else (v, cap, burst_cap + cap, missing[v], have[v],
+            else (v, cap, BURST_CAP + cap, missing[v], have[v],
                   None if u == 0 else have[u])
             for u, v, cap in self.edges
         ]
@@ -156,14 +134,11 @@ class ReferenceBackend(SimBackend):
                     m.items.update(fresh)
                     m.pool.extend(fresh)
                 self.horizon = new_horizon
-            if stock_shuffle:
-                for i, k in swaps:
+            for i, k in swaps:
+                j = getrandbits(k)
+                while j > i:
                     j = getrandbits(k)
-                    while j > i:
-                        j = getrandbits(k)
-                    order[i], order[j] = order[j], order[i]
-            else:
-                rng.shuffle(order)
+                order[i], order[j] = order[j], order[i]
             for e in order:
                 edge = plan[e]
                 if edge is None:
@@ -183,36 +158,24 @@ class ReferenceBackend(SimBackend):
                     if n > 4 * len(items):
                         pool = m.pool = [p for p in pool if p in items]
                         n = len(pool)
+                    k = n.bit_length()
                     if holder is not None and items.isdisjoint(holder):
                         # The relay holds nothing the receiver lacks: every
                         # try misses and the exact scan comes up empty, so
                         # spend the tries' draws and nothing else.
-                        if stock:
-                            k = n.bit_length()
-                            for _ in repeat(None, _TRIES):
-                                while getrandbits(k) >= n:
-                                    pass
-                        else:
-                            for _ in repeat(None, _TRIES):
-                                draw(n)
+                        for _ in repeat(None, _TRIES):
+                            while getrandbits(k) >= n:
+                                pass
                         break
                     pkt = None
-                    if stock:
-                        k = n.bit_length()
-                        for _ in repeat(None, _TRIES):
+                    for _ in repeat(None, _TRIES):
+                        r = getrandbits(k)
+                        while r >= n:
                             r = getrandbits(k)
-                            while r >= n:
-                                r = getrandbits(k)
-                            p = pool[r]
-                            if p in items and (holder is None or p in holder):
-                                pkt = p
-                                break
-                    else:
-                        for _ in repeat(None, _TRIES):
-                            p = pool[draw(n)]
-                            if p in items and (holder is None or p in holder):
-                                pkt = p
-                                break
+                        p = pool[r]
+                        if p in items and (holder is None or p in holder):
+                            pkt = p
+                            break
                     if pkt is None:
                         # Exact scan (bounded by the node's lag), in
                         # sorted order so restores replay identically.

@@ -46,25 +46,25 @@ subtrees stall in every substream — the same collateral-damage model the
 reference implements.  Cyclic or unequal-in-rate schemes raise
 :class:`~repro.core.exceptions.DecompositionError`; ``backend="auto"``
 (the runtime engine's default) falls back to the reference backend for
-those.  Clearly unequal in-rates — most truth-clipped schemes under
-online estimation — are refused by an O(E) in-rate check
-(:func:`~repro.flows.arborescence.check_in_rates`) before the memo
-lookup and the cycle check, so a refusal costs about as much as building
-the edge arrays and summing the in-rates.
+those.  Unequal in-rates — most truth-clipped schemes under online
+estimation — are refused by the decomposition's own exact check
+(:func:`~repro.flows.arborescence.common_in_rate`) on the backend's
+per-receiver sums, before the memo lookup and the cycle check, so a
+refusal costs about as much as building the edge arrays and summing the
+in-rates.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ...core.exceptions import DecompositionError
-from ...flows.arborescence import check_in_rates, decompose_broadcast_arrays
-from . import SimBackend, register_backend
+from ...flows.arborescence import common_in_rate, decompose_broadcast_arrays
+from . import BURST_CAP, SimBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import SimConfig
@@ -307,7 +307,8 @@ class ShardFleet:
     shards, advanced serially or, with ``workers > 1``, on a thread pool
     scoped to each :meth:`run`.  Results are bit-identical either way.
     ``num`` is explicit so an empty fleet (a zero-rate scheme) still
-    reports one count per node.
+    reports one count per node.  Every edge banks at most
+    :data:`~repro.simulation.backends.BURST_CAP` credit.
     """
 
     def __init__(
@@ -317,14 +318,13 @@ class ShardFleet:
         num: int,
         rate_fraction: float,
         packets_per_unit: float,
-        burst_cap: float,
         *,
         workers: int = 1,
     ) -> None:
         self.num = num
         self.workers = max(1, workers)
         groups = max(1, min(self.workers, len(weights)))
-        shared = (num, rate_fraction, packets_per_unit, burst_cap)
+        shared = (num, rate_fraction, packets_per_unit, BURST_CAP)
         self.shards = [
             _TreeShard(weights[g::groups], parents[g::groups], *shared)
             for g in range(groups)
@@ -364,18 +364,19 @@ class ShardedBackend(SimBackend):
     name = "sharded"
     supports_workers = True
 
-    def __init__(self, config: "SimConfig", rng: random.Random) -> None:
+    def __init__(self, config: "SimConfig", seed: Optional[int]) -> None:
+        # The trees draw no random numbers: ``seed`` goes unused.
         self.config = config
         scheme = config.scheme
         # Raises DecompositionError for cyclic / unequal-in-rate schemes;
-        # clearly unequal in-rates are refused in O(E), before the memo
-        # lookup and the cycle check.  ``bincount`` sums each receiver's
-        # in-edges in edge order, as ``scheme.in_rates()`` does.
+        # unequal in-rates are refused in O(E), before the memo lookup
+        # and the cycle check.  ``bincount`` sums each receiver's
+        # in-edges in edge order, as ``decompose_broadcast_arrays`` does.
         src, dst, rate = scheme.edge_arrays()
-        in_rates = np.bincount(dst, weights=rate, minlength=config.num).tolist()
-        check_in_rates(in_rates)
+        scheme_rate = common_in_rate(
+            np.bincount(dst, weights=rate, minlength=config.num)[1:]
+        )
         weights, parents = _decompose_cached(scheme, src, dst, rate)
-        scheme_rate = in_rates[1] if config.num > 1 else 0.0
         fraction = config.rate / scheme_rate if scheme_rate > 0 else 0.0
         self.fleet = ShardFleet(
             weights,
@@ -383,7 +384,6 @@ class ShardedBackend(SimBackend):
             config.num,
             fraction,
             config.packets_per_unit,
-            config.burst_cap,
             workers=config.workers or 1,
         )
 

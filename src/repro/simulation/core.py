@@ -11,7 +11,9 @@ every edge).  :class:`PacketSimEngine` splits the two concerns:
   schedule (a heap — the old code rescanned the whole ``failures`` dict
   every slot), and measurement windows over cumulative arrival counts;
 * a pluggable **backend** (:mod:`repro.simulation.backends`) owns the
-  buffers/credits/RNG and advances them slot by slot.
+  buffers/credits/RNG and advances them slot by slot; it is built from
+  the run's ``seed`` and banks at most
+  :data:`~repro.simulation.backends.BURST_CAP` credit per edge.
 
 Everything is resumable: ``step(a); step(b)`` is state-identical to
 ``step(a + b)``, and :meth:`snapshot`/:meth:`restore` capture and replay
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import copy
 import heapq
-import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,7 +58,6 @@ class SimConfig:
     scheme: BroadcastScheme
     rate: float  #: stream rate in bandwidth units
     packets_per_unit: float = 1.0
-    burst_cap: float = 4.0
     #: Thread-pool size for worker-capable backends (``sharded``).
     workers: Optional[int] = None
 
@@ -131,7 +131,6 @@ class PacketSimEngine:
         rate: float,
         *,
         packets_per_unit: float = 1.0,
-        burst_cap: float = 4.0,
         seed: Optional[int] = 0,
         failures: Optional[dict[int, int]] = None,
         backend: str = "reference",
@@ -148,13 +147,11 @@ class PacketSimEngine:
             scheme=scheme,
             rate=rate,
             packets_per_unit=packets_per_unit,
-            burst_cap=burst_cap,
             workers=workers,
         )
-        rng = random.Random(seed)
         if backend == "auto":
             try:
-                self._backend = make_backend("sharded", self.config, rng)
+                self._backend = make_backend("sharded", self.config, seed)
             except DecompositionError:
                 # "auto" means best *applicable*: the fallback runs the
                 # serial reference loop, so drop the worker request
@@ -162,10 +159,10 @@ class PacketSimEngine:
                 self._backend = make_backend(
                     "reference",
                     replace(self.config, workers=None),
-                    rng,
+                    seed,
                 )
         else:
-            self._backend = make_backend(backend, self.config, rng)
+            self._backend = make_backend(backend, self.config, seed)
         self.backend_name = self._backend.name
         self.slot = 0
         self._failures: list[tuple[int, int]] = []  # (slot, node) heap

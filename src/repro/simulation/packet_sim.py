@@ -11,11 +11,14 @@ in :mod:`repro.simulation.core` (resumable engine) and
 implementations).
 
 :func:`simulate_packet_broadcast` is a thin wrapper over
-:class:`~repro.simulation.core.PacketSimEngine`: it runs the warm-up,
-opens the measurement window, and condenses the window into a
-:class:`~repro.simulation.core.PacketSimResult`.  With the default
+:class:`~repro.simulation.core.PacketSimEngine`: it warms up for the
+first half of the run, opens the measurement window for the second and
+condenses it into a :class:`~repro.simulation.core.PacketSimResult`;
+every edge banks the transport's fixed
+:data:`~repro.simulation.backends.BURST_CAP`.  With the default
 ``backend="reference"`` it executes the historical monolithic loop —
-same RNG stream, same transfer policy (see
+same RNG stream, drawn from ``random.Random(seed)``, same transfer
+policy (see
 :mod:`~repro.simulation.backends.reference` for the one snapshot-related
 caveat) — which is how the existing test suite pins behavior.  The
 measured per-node goodput over the steady-state window
@@ -42,8 +45,6 @@ def simulate_packet_broadcast(
     *,
     slots: int = 400,
     packets_per_unit: float = 1.0,
-    burst_cap: float = 4.0,
-    warmup_fraction: float = 0.5,
     seed: Optional[int] = 0,
     failures: Optional[dict[int, int]] = None,
     backend: str = "reference",
@@ -54,7 +55,7 @@ def simulate_packet_broadcast(
     ``rate`` is the stream rate in bandwidth units; ``packets_per_unit``
     converts bandwidth units to packets per slot (increase it to reduce
     quantization noise at the cost of CPU).  The goodput window is the
-    last ``1 - warmup_fraction`` of the run.
+    second half of the run; the first half warms the buffers up.
 
     Randomness is reproducible end to end: the default ``seed=0`` pins
     the run, any other int gives an independent pinned stream, and
@@ -81,13 +82,12 @@ def simulate_packet_broadcast(
         scheme,
         rate,
         packets_per_unit=packets_per_unit,
-        burst_cap=burst_cap,
         seed=seed,
         failures=failures,
         backend=backend,
         workers=workers,
     )
-    warmup = int(slots * warmup_fraction)
+    warmup = slots // 2
     engine.step(warmup)
     engine.begin_window()
     engine.step(slots - warmup)

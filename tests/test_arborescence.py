@@ -31,8 +31,9 @@ from repro.flows.arborescence import (
     BroadcastTree,
     _equal_in_rate_tol,
     _stranded_slack,
-    check_in_rates,
 )
+from repro.simulation.backends.sharded import ShardedBackend
+from repro.simulation.core import SimConfig
 
 from .conftest import instances, open_instances
 
@@ -330,38 +331,41 @@ def clipped_inputs(draw):
     return clip_to_capacities(scheme, caps)
 
 
-def _precheck_refuses(scheme):
+def _sharded_refuses(scheme):
     try:
-        check_in_rates(scheme.in_rates())
+        ShardedBackend(SimConfig(scheme=scheme, rate=1.0), 0)
     except DecompositionError:
         return True
     return False
 
 
-class TestInRatePrecheck:
-    """``check_in_rates`` refuses only what the exact greedy refuses."""
+class TestShardedInRateRule:
+    """The sharded transport runs the greedy's own equal-in-rate rule
+    before its memo lookup, so it refuses exactly what
+    :func:`decompose_broadcast_trees` refuses."""
 
     @settings(max_examples=max(300, settings.default.max_examples))
     @given(st.one_of(decomposition_inputs(), clipped_inputs()))
-    def test_never_refuses_a_decomposable_scheme(self, scheme):
-        if _precheck_refuses(scheme):
-            assert _outcome(decompose_broadcast_trees, scheme) == "raises"
+    def test_refuses_exactly_what_the_greedy_refuses(self, scheme):
+        greedy = _outcome(decompose_broadcast_trees, scheme) == "raises"
+        assert _sharded_refuses(scheme) == greedy
 
     def test_refuses_clearly_unequal_in_rates(self):
         s = BroadcastScheme.from_edges(
             3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
         )
-        assert _precheck_refuses(s)
+        assert _sharded_refuses(s)
         assert _outcome(decompose_broadcast_trees, s) == "raises"
 
-    def test_leaves_borderline_schemes_to_the_exact_check(self):
-        """An in-rate 1.5 equality tolerances off: the exact check
-        refuses it, the pre-check (margin 2) lets it through."""
-        gap = 1.5 * _equal_in_rate_tol(3, 1.0)
+    @pytest.mark.parametrize("tolerances, refused", ((0.5, False), (1.5, True)))
+    def test_borderline_in_rates_meet_one_tolerance(self, tolerances, refused):
+        """An in-rate half or one and a half equality tolerances off:
+        both paths draw the line at the same place."""
+        gap = tolerances * _equal_in_rate_tol(3, 1.0)
         s = BroadcastScheme.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0 + gap)])
-        assert not _precheck_refuses(s)
-        assert _outcome(decompose_broadcast_trees, s) == "raises"
+        assert _sharded_refuses(s) == refused
+        assert (_outcome(decompose_broadcast_trees, s) == "raises") == refused
 
     def test_source_and_edgeless_schemes_pass(self):
-        assert not _precheck_refuses(BroadcastScheme(1))
-        assert not _precheck_refuses(BroadcastScheme(4))
+        assert not _sharded_refuses(BroadcastScheme(1))
+        assert not _sharded_refuses(BroadcastScheme(4))

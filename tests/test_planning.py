@@ -847,6 +847,6 @@ class TestPolicyAxis:
             DynamicPlatform.from_instance(fig1), [drift, leave], 40,
             seed=0, planner=spy,
         )
-        result = engine.run(ReactiveController(on_drift=False))
+        result = engine.run(ReactiveController())
         assert spy.calls == [(drift, leave)]
         assert [e.plan_op for e in result.epochs] == ["build", "keep", "build"]

@@ -4,12 +4,14 @@ import pytest
 
 from repro import figure1_instance
 from repro.algorithms.acyclic_guarded import acyclic_guarded_scheme
+from repro.core.instance import NodeKind
 from repro.cli import main
 from repro.runtime import (
     BandwidthDrift,
     BatchJob,
     DynamicPlatform,
     EventQueue,
+    IncrementalController,
     NodeJoin,
     NodeLeave,
     PeriodicController,
@@ -20,6 +22,7 @@ from repro.runtime import (
     StaticController,
     SteadyChurn,
     get_scenario,
+    make_controller,
     register_scenario,
     run_batch,
     scenario_grid,
@@ -191,6 +194,36 @@ class TestControllerPolicies:
         hits, misses = cache.stats()
         assert misses == 2  # two distinct populations ever seen
         assert hits > misses
+
+
+class TestControllerTriggers:
+    """Controllers say *when* through a class-level ``triggers`` tuple:
+    reactive re-plans on leaves and joins, incremental on drift too."""
+
+    @pytest.mark.parametrize(
+        "controller, fires",
+        (
+            (ReactiveController, (NodeLeave, NodeJoin)),
+            (IncrementalController, (NodeLeave, NodeJoin, BandwidthDrift)),
+        ),
+    )
+    def test_triggers_pick_the_event_classes(self, controller, fires):
+        events = {
+            NodeLeave: NodeLeave(time=1, node_id=2),
+            NodeJoin: NodeJoin(time=1, kind=NodeKind.OPEN, bandwidth=1.0),
+            BandwidthDrift: BandwidthDrift(time=1, node_id=2, bandwidth=1.0),
+        }
+        policy = controller()
+        assert controller.triggers == fires
+        for cls, event in events.items():
+            assert policy.on_change(1, (event,)) == (cls in fires)
+        assert not policy.on_change(1, ())
+
+    @pytest.mark.parametrize("keyword", ("on_leave", "on_join", "on_drift"))
+    @pytest.mark.parametrize("name", ("reactive", "incremental"))
+    def test_deleted_trigger_keywords_rejected(self, name, keyword):
+        with pytest.raises(TypeError, match="takes no arguments"):
+            make_controller(name, **{keyword: True})
 
 
 class TestEpochScoring:

@@ -28,7 +28,7 @@ from repro.algorithms.acyclic_guarded import (
     collapsed_scheme,
 )
 from repro.analysis import ScaleReport, build_fleet, measure_scale, peak_rss_kb
-from repro.analysis.scale import RATE_BACKOFF
+from repro.analysis.scale import PACKETS_PER_SLOT
 from repro.core.runs import ClassRuns
 from repro.flows.arborescence import decompose_broadcast_arrays
 from repro.instances import class_runs, random_instance
@@ -43,6 +43,7 @@ from repro.runtime import (
     NodeLeave,
     RuntimeEngine,
 )
+from repro.simulation.backends import BURST_CAP, RATE_BACKOFF
 from repro.simulation.backends.sharded import ShardFleet, _TreeShard
 
 from .test_arborescence import _reference_decompose
@@ -106,10 +107,10 @@ class TestShardFleet:
 
     def test_goodput_approaches_the_planned_rate(self):
         runs = class_runs(None, SCALE_CLASSES)
-        fleet, rate, _ = build_fleet(runs, packets_per_slot=64.0)
+        fleet, rate, _ = build_fleet(runs)
         slots = 400
         fleet.run(slots)
-        per_packet = rate / 64.0  # bandwidth units per packet
+        per_packet = rate / PACKETS_PER_SLOT  # bandwidth units per packet
         goodput = fleet.delivered()[1:] * per_packet / slots
         assert goodput.min() >= 0.95 * rate
         assert goodput.max() <= rate * (1 + 1e-9)
@@ -147,11 +148,22 @@ class TestShardFleet:
         with pytest.raises(TypeError, match="worker_mode"):
             build_fleet(runs, workers=2, worker_mode="process")
 
+    @pytest.mark.parametrize("keyword", ("packets_per_slot", "burst_cap"))
+    @pytest.mark.parametrize(
+        "entry", (build_fleet, measure_scale), ids=("build_fleet", "measure_scale")
+    )
+    def test_deleted_scale_keywords_rejected(self, entry, keyword):
+        """The scale path always cuts the stream into
+        ``PACKETS_PER_SLOT`` packets and banks ``BURST_CAP`` credit."""
+        runs = class_runs(None, SCALE_CLASSES)
+        with pytest.raises(TypeError, match=keyword):
+            entry(runs, **{keyword: 64.0})
+
     def test_empty_fleet_reports_every_node(self):
         """A zero-rate scheme decomposes into no trees; the fleet still
         reports one (zero) count per node."""
         fleet = ShardFleet(
-            np.zeros(0), np.zeros((0, 5), dtype=np.int64), 5, 1.0, 1.0, 4.0,
+            np.zeros(0), np.zeros((0, 5), dtype=np.int64), 5, 1.0, 1.0,
             workers=3,
         )
         assert fleet.shards == []
@@ -412,9 +424,9 @@ class TestShardLayout:
         weights, parents = decompose_broadcast_arrays(
             runs.num_nodes, *sol.scheme.edge_arrays()
         )
-        ppu = 64.0 / (sol.throughput * RATE_BACKOFF)
+        ppu = PACKETS_PER_SLOT / (sol.throughput * RATE_BACKOFF)
         oracle = _ReferenceShard(
-            weights, parents, runs.num_nodes, RATE_BACKOFF, ppu, 4.0
+            weights, parents, runs.num_nodes, RATE_BACKOFF, ppu, BURST_CAP
         )
         fleet, _, _ = build_fleet(runs, workers=workers)
         for slots, victim in ((40, None), (24, 17), (16, None)):

@@ -804,6 +804,144 @@ class TestTransports:
         assert set(plane.sessions) == {"a", "b"}
 
 
+def _two_session_plane(path):
+    """A journaled plane running sessions ``a`` and ``b``."""
+    plane = ControlPlane(small_platform(), ledger=ReservationLedger(path))
+    for name, members in (("a", (1, 2, 3)), ("b", (2, 3, 4))):
+        resp = plane.submit(
+            StartSession(name=name, source_bw=4.0, members=members)
+        )
+        assert resp.status == "admitted"
+    return plane
+
+
+#: Wire lines whose fields carry the wrong JSON type.
+_ILL_TYPED_LINES = (
+    {"op": "stop_session", "name": ["a"]},
+    {"op": "start_session", "name": "c", "source_bw": "4", "members": [1]},
+    {"op": "start_session", "name": "c", "source_bw": 4.0, "members": "12"},
+    {"op": "start_session", "name": "c", "source_bw": 4.0, "members": [1.5]},
+    {"op": "start_session", "name": "c", "source_bw": True, "members": [1]},
+    {"op": "migrate_session", "name": "a", "source_bw": "4"},
+    {"op": "migrate_session", "name": "a", "add": 5},
+    {"op": "priority_change", "name": "a", "priority": None},
+    {"op": "query", "name": 5},
+    [{"op": "priority_change", "name": "a", "priority": 2.0},
+     {"op": "stop_session", "name": {"a": 1}}],
+)
+
+
+class TestIllTypedRequests:
+    """A field of the wrong JSON type is a request error that never
+    reaches the journal: it used to raise ``TypeError`` after the batch
+    was sequenced, so the next batch's record skipped a seq and
+    ``recover(verify=True)`` diverged."""
+
+    @staticmethod
+    def _recovers(plane, path):
+        plane.ledger.close()
+        recovered = ControlPlane.recover(path, verify=True)
+        assert recovered.seq == plane.seq
+        assert recovered._grants_payload() == plane._grants_payload()
+
+    @pytest.mark.parametrize("line", _ILL_TYPED_LINES)
+    def test_server_dispatch_answers_an_error(self, tmp_path, line):
+        path = str(tmp_path / "ledger.jsonl")
+        plane = _two_session_plane(path)
+        server = ControlPlaneServer(plane)
+        answer = server._dispatch(json.loads(json.dumps(line)))
+        assert decode_response(answer).status == "error"
+        assert "must be" in answer["error"]
+        assert plane.seq == 2 and set(plane.sessions) == {"a", "b"}
+        valid = server._dispatch(
+            [encode_request(PriorityChange(name="b", priority=2.0))]
+        )
+        assert [decode_response(r).status for r in valid] == ["applied"]
+        self._recovers(plane, path)
+
+    def test_in_process_transport_raises_before_sequencing(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        plane = _two_session_plane(path)
+        transport = InProcessTransport(plane)
+        with pytest.raises(ValueError, match="'name' must be a string"):
+            transport.submit(StopSession(name=["a"]))
+        with pytest.raises(ValueError, match="'source_bw' must be a number"):
+            transport.submit_batch(
+                [Query(), MigrateSession(name="a", source_bw="4")]
+            )
+        assert plane.seq == 2
+        resp = transport.submit_batch([StopSession(name="a"), Query()])
+        assert [r.status for r in resp] == ["stopped", "ok"]
+        assert resp[0].seq == 3
+        self._recovers(plane, path)
+
+    def test_valid_failures_stay_journaled(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        plane = _two_session_plane(path)
+        assert plane.submit(StopSession(name="zz")).status == "error"
+        assert plane.seq == 3
+        assert len(plane.ledger.records) == 4
+        self._recovers(plane, path)
+
+
+def _malformed_ledger(tmp_path, shape):
+    """A two-session journal broken into ``shape``; returns its path."""
+    path = tmp_path / f"{shape}.jsonl"
+    plane = _two_session_plane(str(path))
+    plane.ledger.close()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    header = records[0]
+    if shape == "not-an-object":
+        records = [[1, 2]]
+    elif shape == "header-without-platform":
+        del header["platform"]
+    elif shape == "header-without-broker":
+        del header["broker"]
+    elif shape == "node-without-bandwidth":
+        del next(iter(header["platform"]["nodes"].values()))["bandwidth"]
+    elif shape == "record-not-an-object":
+        records[1] = [1]
+    else:  # "record-without-<key>"
+        del records[2][shape.split("-")[-1]]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+_LEDGER_SHAPES = {
+    "not-an-object": "not a reservation ledger",
+    "header-without-platform": "record 1 .* lacks key 'platform'",
+    "header-without-broker": "record 1 .* lacks key 'broker'",
+    "node-without-bandwidth": "record 1 .* lacks key 'bandwidth'",
+    "record-not-an-object": "record 2 is not an object",
+    "record-without-requests": "record 3 lacks 'requests'",
+    "record-without-responses": "record 3 lacks 'responses'",
+    "record-without-grants": "record 3 lacks 'grants'",
+    "record-without-bounds": "record 3 lacks 'bounds'",
+}
+
+
+class TestMalformedLedgers:
+    """Every malformed journal is a ``ValueError`` naming the bad
+    record, so ``repro request`` prints one ``error:`` line and exits 2
+    instead of a traceback."""
+
+    @pytest.mark.parametrize("shape", sorted(_LEDGER_SHAPES))
+    def test_recover_names_the_bad_record(self, tmp_path, shape):
+        path = _malformed_ledger(tmp_path, shape)
+        with pytest.raises(ValueError, match=_LEDGER_SHAPES[shape]):
+            ControlPlane.recover(path, resume_appending=False)
+
+    @pytest.mark.parametrize("shape", sorted(_LEDGER_SHAPES))
+    def test_request_cli_exits_2(self, tmp_path, capsys, shape):
+        from repro.cli import main
+
+        path = _malformed_ledger(tmp_path, shape)
+        capsys.readouterr()
+        assert main(["request", "--ledger", path, "--op", "query"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestRequestTraces:
     def test_registry_names(self):
         assert trace_names() == sorted(REQUESTS)

@@ -621,6 +621,20 @@ class TestWarmSnapshotAB:
                 variants={"a": None},
             )
 
+    @pytest.mark.parametrize(
+        "keyword, value",
+        (("backend", "sharded"), ("packets_per_unit", 2.0), ("burst_cap", 4.0)),
+    )
+    def test_deleted_transport_keywords_rejected(self, keyword, value):
+        """Every fork runs the ``reference`` transport at two packets per
+        bandwidth unit and the engine's burst cap."""
+        inst, scheme, rate = self._setup()
+        with pytest.raises(TypeError, match=keyword):
+            warm_snapshot_ab(
+                inst, scheme, rate, warm_slots=10, measure_slots=10,
+                variants={"a": None}, **{keyword: value},
+            )
+
 
 class TestSessionsCLI:
     """The sessions subcommand reads its choices from live registries."""

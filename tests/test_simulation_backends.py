@@ -32,7 +32,9 @@ from repro import (
 from repro.core.exceptions import DecompositionError
 from repro.core.throughput import maxflow_throughput
 from repro.flows.dinic import maxflow
+from repro.simulation.backends import BURST_CAP
 from repro.simulation.backends.reference import ReferenceBackend
+from repro.simulation.backends.sharded import ShardFleet
 from repro.simulation.core import SimConfig
 
 from .conftest import instances, open_instances
@@ -225,27 +227,35 @@ class TestMaxFlowYardstick:
     holds for the random useful-packet loop and the tree pipelines alike.
     """
 
-    BURST_CAP = 4.0
-
-    @settings(max_examples=max(80, settings.default.max_examples))
-    @given(_yardstick_runs())
-    def test_no_receiver_beats_its_max_flow(self, run):
+    @staticmethod
+    def _within_max_flow(run, workers=None):
         backend, inst, scheme, rate, ppu, failures, slots = run
         sim = PacketSimEngine(
-            inst, scheme, rate, packets_per_unit=ppu,
-            burst_cap=self.BURST_CAP, seed=0, failures=failures,
-            backend=backend,
+            inst, scheme, rate, packets_per_unit=ppu, seed=0,
+            failures=failures, backend=backend, workers=workers,
         )
         assert sim.backend_name == backend
         delivered = sim.step(slots).delivered()
         dead = {v for v, when in failures.items() if when == 0}
         flows = _live_maxflows(scheme, dead)
         for v in range(1, scheme.num_nodes):
-            bound = flows[v] * slots * ppu * (1 + 1e-9) + self.BURST_CAP
+            bound = flows[v] * slots * ppu * (1 + 1e-9) + BURST_CAP
             assert delivered[v] <= bound, (
                 f"node {v} got {delivered[v]} > max-flow bound {bound:g} "
                 f"on {backend}"
             )
+
+    @settings(max_examples=max(80, settings.default.max_examples))
+    @given(_yardstick_runs())
+    def test_no_receiver_beats_its_max_flow(self, run):
+        self._within_max_flow(run)
+
+    @settings(max_examples=max(80, settings.default.max_examples))
+    @given(_yardstick_runs(backends=("sharded",)), st.integers(1, 3))
+    def test_sharded_receivers_never_beat_their_max_flow(self, run, workers):
+        """Every example on the tree pipelines, sharded across 1-3
+        threads."""
+        self._within_max_flow(run, workers)
 
 
 def _source_injected(sim):
@@ -365,7 +375,6 @@ class TestEngineStepping:
         inst, scheme, rate = _fig1()
         res = simulate_packet_broadcast(
             inst, scheme, rate, slots=200, seed=9, packets_per_unit=2.0,
-            warmup_fraction=0.5,
         )
         sim = PacketSimEngine(
             inst, scheme, rate, packets_per_unit=2.0, seed=9
@@ -470,14 +479,6 @@ def _golden_case(case):
     return inst, scheme, rng.uniform(0.3, 2.5), kwargs, split, slots - split
 
 
-class _RandomOnly(random.Random):
-    """Overrides only ``random()``, so the stdlib derives ``_randbelow``
-    from floats instead of ``getrandbits`` — a different integer stream."""
-
-    def random(self):
-        return super().random()
-
-
 #: SHA-256 state digests of the ``reference`` backend, recorded before its
 #: hot loop was rewritten; the rewrite must reproduce every draw exactly.
 GOLDEN_CASES = {
@@ -522,9 +523,6 @@ GOLDEN_CASES = {
     38: "205accb4a0a0c244d3aab00b0c24a3312cea07dd624649c327c4d7e65e36ade6",
     39: "8e4ce29c2a8522ecabe13faf25746fb303132fc937a19633e523c75f6da371b6",
 }
-GOLDEN_RANDOM_ONLY = (
-    "8b89cd5ec4f668f1673fc4476e273b6c75a9b70d457d32f51076ea05fcc66705"
-)
 #: SHA-256 of each run's per-epoch (min_goodput, mean_goodput,
 #: optimal_rate) tuples on the ``reference`` transport (the engine's
 #: default when they were recorded).
@@ -610,15 +608,6 @@ class TestReferenceGoldenState:
         assert stepped == replayed == _state_digest(fresh.step(b))
         assert stepped == GOLDEN_CASES[7]
 
-    def test_random_only_subclass_keeps_its_own_stream(self):
-        inst, scheme, rate, kwargs, a, b = _golden_case(3)
-        sim = PacketSimEngine(inst, scheme, rate, **kwargs)
-        # The backend reads its RNG only when it runs: swap in the
-        # subclass before the first step.
-        sim._backend.rng = _RandomOnly(kwargs["seed"])
-        sim.step(a + b)
-        assert _state_digest(sim) == GOLDEN_RANDOM_ONLY
-
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNTIME))
     def test_runtime_epochs_match_golden(self, name):
         digest = _runtime_digest(name, sim_backend="reference")
@@ -629,33 +618,6 @@ class TestReferenceGoldenState:
         assert _runtime_digest(name) == GOLDEN_RUNTIME_DEFAULT[name]
 
 
-class _OwnShuffle(random.Random):
-    """Overrides only ``shuffle`` (with an order the stdlib never gives),
-    keeping the stock integer draws, and counts its calls."""
-
-    calls = 0
-
-    def shuffle(self, x):
-        self.calls += 1
-        super().shuffle(x)
-        x.reverse()
-
-
-RNG_CLASSES = {
-    "stock": random.Random,
-    "random-only": _RandomOnly,
-    "own-shuffle": _OwnShuffle,
-}
-
-
-def _frozen_stock_randbelow(rng):
-    cls = type(rng)
-    return (
-        cls._randbelow is random.Random._randbelow_with_getrandbits
-        and cls.randrange is random.Random.randrange
-    )
-
-
 class _FrozenReference(ReferenceBackend):
     """Test oracle: the ``reference`` backend's ``run`` frozen as it was
     before the empty-useful shortcut and the inlined shuffle.  The live
@@ -663,11 +625,10 @@ class _FrozenReference(ReferenceBackend):
 
     def run(self, start_slot, num_slots):
         rng = self.rng
-        stock = _frozen_stock_randbelow(rng)
         getrandbits = rng.getrandbits
-        draw = rng._randbelow if stock else rng.randrange
+        draw = rng._randbelow
         pkt_rate = self.config.pkt_rate
-        burst_cap = self.config.burst_cap
+        burst_cap = BURST_CAP
         credit, have, missing = self.credit, self.have, self.missing
         arrivals, order, dead = self.arrivals, self.order, self.dead
         receivers = missing[1:]
@@ -709,22 +670,15 @@ class _FrozenReference(ReferenceBackend):
                         pool = m.pool = [p for p in pool if p in items]
                         n = len(pool)
                     pkt = None
-                    if stock:
-                        k = n.bit_length()
-                        for _ in repeat(None, 16):
+                    k = n.bit_length()
+                    for _ in repeat(None, 16):
+                        r = getrandbits(k)
+                        while r >= n:
                             r = getrandbits(k)
-                            while r >= n:
-                                r = getrandbits(k)
-                            p = pool[r]
-                            if p in items and (holder is None or p in holder):
-                                pkt = p
-                                break
-                    else:
-                        for _ in repeat(None, 16):
-                            p = pool[draw(n)]
-                            if p in items and (holder is None or p in holder):
-                                pkt = p
-                                break
+                        p = pool[r]
+                        if p in items and (holder is None or p in holder):
+                            pkt = p
+                            break
                     if pkt is None:
                         useful = sorted(
                             items if holder is None else items & holder
@@ -755,8 +709,8 @@ def _slow_relay_config(num=5):
 @st.composite
 def _transport_runs(draw):
     """A random overlay (acyclic, cyclic or a slow relay feeding a fast
-    child), its packet rate, an RNG class and seed, and a sequence of
-    steps, kills, snapshots and restores."""
+    child), its packet rate, a seed, and a sequence of steps, kills,
+    snapshots and restores."""
     kind = draw(st.sampled_from(("acyclic", "cyclic", "slow-relay")))
     num = draw(st.integers(3, 9))
     caps = st.floats(0.1, 2.0)
@@ -793,7 +747,6 @@ def _transport_runs(draw):
     )
     return (
         config,
-        draw(st.sampled_from(sorted(RNG_CLASSES))),
         draw(st.integers(0, 2**32 - 1)),
         draw(st.lists(action, min_size=1, max_size=8)),
     )
@@ -805,10 +758,9 @@ class TestReferenceMatchesFrozenLoop:
     @settings(max_examples=max(300, settings.default.max_examples))
     @given(_transport_runs())
     def test_state_matches_frozen_loop_after_every_step(self, case):
-        config, rng_name, seed, actions = case
-        rng_cls = RNG_CLASSES[rng_name]
-        live = ReferenceBackend(config, rng_cls(seed))
-        frozen = _FrozenReference(config, rng_cls(seed))
+        config, seed, actions = case
+        live = ReferenceBackend(config, seed)
+        frozen = _FrozenReference(config, seed)
         snaps = None
         slot = 0
         for action in actions:
@@ -828,8 +780,8 @@ class TestReferenceMatchesFrozenLoop:
 
     def test_slow_relay_reaches_the_empty_useful_case(self):
         """The shortcut's trigger, seen at slot boundaries."""
-        live = ReferenceBackend(_slow_relay_config(), random.Random(4))
-        frozen = _FrozenReference(_slow_relay_config(), random.Random(4))
+        live = ReferenceBackend(_slow_relay_config(), 4)
+        frozen = _FrozenReference(_slow_relay_config(), 4)
         hits = 0
         for slot in range(120):
             live.run(slot, 1)
@@ -839,23 +791,6 @@ class TestReferenceMatchesFrozenLoop:
         assert hits > 30
         assert live.state() == frozen.state()
 
-    def test_shuffle_override_is_honoured(self):
-        """A subclass that overrides only ``shuffle`` keeps the inlined
-        useful-packet draws but goes through its own ``shuffle``."""
-        inst, scheme, rate, kwargs, a, b = _golden_case(3)
-        config = SimConfig(
-            scheme=scheme, rate=rate,
-            packets_per_unit=kwargs["packets_per_unit"],
-        )
-        rng = _OwnShuffle(kwargs["seed"])
-        live = ReferenceBackend(config, rng)
-        frozen = _FrozenReference(config, _OwnShuffle(kwargs["seed"]))
-        stock = ReferenceBackend(config, random.Random(kwargs["seed"]))
-        for backend in (live, frozen, stock):
-            backend.run(0, a + b)
-        assert rng.calls == a + b
-        assert live.state() == frozen.state()
-        assert live.state()["order"] != stock.state()["order"]
 
 
 class TestDecompositionMemo:
@@ -930,19 +865,45 @@ class TestShardedWorkers:
             sim.step(40)
         assert pooled.delivered() == serial.delivered()
 
-    @pytest.mark.parametrize("keyword", ("rng", "worker_mode"))
+    @pytest.mark.parametrize("keyword", ("rng", "worker_mode", "burst_cap"))
     @pytest.mark.parametrize("entry", ("engine", "simulate"))
     def test_deleted_transport_keywords_rejected(self, entry, keyword):
-        """The shards draw no random numbers and run on one pool, so
-        neither entry point takes an ``rng`` or a ``worker_mode``."""
+        """Backends build their own RNG from the seed, the shards run on
+        one pool and every edge banks ``BURST_CAP`` credit, so neither
+        entry point takes an ``rng``, a ``worker_mode`` or a
+        ``burst_cap``."""
         inst, scheme, rate = _fig1()
-        value = {"rng": random.Random(0), "worker_mode": "process"}[keyword]
+        value = {
+            "rng": random.Random(0), "worker_mode": "process", "burst_cap": 4.0,
+        }[keyword]
         call = {
             "engine": PacketSimEngine,
             "simulate": simulate_packet_broadcast,
         }[entry]
         with pytest.raises(TypeError, match=keyword):
             call(inst, scheme, rate, backend="sharded", **{keyword: value})
+
+    def test_wrapper_measures_the_second_half(self):
+        """``simulate_packet_broadcast`` always warms up for half the
+        run: no ``warmup_fraction``."""
+        inst, scheme, rate = _fig1()
+        with pytest.raises(TypeError, match="warmup_fraction"):
+            simulate_packet_broadcast(inst, scheme, rate, warmup_fraction=0.3)
+        assert simulate_packet_broadcast(
+            inst, scheme, rate, slots=201
+        ).window == (100, 201)
+
+    def test_config_and_fleet_take_no_burst_cap(self):
+        import numpy as np
+
+        inst, scheme, rate = _fig1()
+        with pytest.raises(TypeError, match="burst_cap"):
+            SimConfig(scheme=scheme, rate=rate, burst_cap=4.0)
+        with pytest.raises(TypeError, match="burst_cap"):
+            ShardFleet(
+                np.zeros(0), np.zeros((0, 3), dtype=np.int64), 3, 1.0, 1.0,
+                burst_cap=4.0,
+            )
 
     def test_restore_rejects_mismatched_shard_layouts(self):
         """A snapshot only restores into an identically-sharded engine."""
