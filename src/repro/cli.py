@@ -157,7 +157,8 @@ def _add_engine(parser: argparse.ArgumentParser, *, workers_help: str) -> None:
                              "estimates re-fit every epoch from seeded "
                              "sparse pairwise probes (repro.estimation."
                              "online), with planned rates clipped to "
-                             "true capacities in the transport")
+                             "true capacities and leveled to the worst "
+                             "receiver's max-flow in the transport")
     _typed(parser, "--probes-per-node", float, "finite and >= 0",
            default=4.0, metavar="K",
            help="probe budget per node per epoch boundary: round(K * "

@@ -249,6 +249,7 @@ class OnlineEstimator:
         self._dirty = True
         self._fit: Dict[int, float] = {}
         self._fit_alive: Tuple[int, ...] = ()
+        self._fit_values = np.zeros(0)
         self.fits = 0  #: alternating fits actually run (vs memo returns)
 
     @property
@@ -380,7 +381,8 @@ class OnlineEstimator:
             return self._fit
         rows = self._rows(alive) if len(alive) >= 2 else None
         if rows is None or not len(rows[0]):
-            fit = {ext: self.prior_bw for ext in alive}
+            values = np.full(len(alive), self.prior_bw)
+            fit = dict.fromkeys(alive, self.prior_bw)
         else:
             est = _fit_lastmile(
                 *rows,
@@ -391,13 +393,19 @@ class OnlineEstimator:
             # Conservative envelope (see class docstring): the fit may
             # never exceed the node's own observation quantile — which
             # is exactly the fit's initial b_out.
-            capped = np.where(est.out_cap < est.b_out, est.out_cap, est.b_out)
-            fit = dict(zip(alive, capped.tolist()))
+            values = np.where(est.out_cap < est.b_out, est.out_cap, est.b_out)
+            fit = dict(zip(alive, values.tolist()))
             self.fits += 1
         self._fit = fit
         self._fit_alive = alive
+        self._fit_values = values
         self._dirty = False
         return fit
+
+    def fit_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The last :meth:`estimates` map as ``(ids, values)`` arrays,
+        ids ascending: the same floats, without a per-id lookup."""
+        return np.array(self._fit_alive, dtype=np.int64), self._fit_values
 
 
 class EstimatedPlatformView:
@@ -420,6 +428,8 @@ class EstimatedPlatformView:
         self.scheduler = scheduler
         self.estimator = estimator
         self._estimates: Dict[int, float] = {}
+        #: ``self._estimates`` as ``(ids, values)`` arrays.
+        self._estimate_arrays = (np.zeros(0, dtype=np.int64), np.zeros(0))
         self.total_probes = 0
 
     # ------------------------------------------------------------------
@@ -434,6 +444,7 @@ class EstimatedPlatformView:
         probes = self.scheduler.probe(self.platform, now)
         self.estimator.ingest(probes)
         self._estimates = self.estimator.estimates(self.platform)
+        self._estimate_arrays = self.estimator.fit_arrays()
         self.total_probes += len(probes)
         return len(probes)
 
@@ -503,12 +514,18 @@ class EstimatedPlatformView:
     def relative_errors(self) -> np.ndarray:
         """Per-alive-receiver relative error vs the oracle platform
         (inf-guarded on dead uplinks — see
-        :func:`~repro.estimation.lastmile.guarded_relative_errors`)."""
-        alive = self.platform.alive_ids()
-        return guarded_relative_errors(
-            [self.bandwidth(i) for i in alive],
-            [self.platform.nodes[i].bandwidth for i in alive],
-        )
+        :func:`~repro.estimation.lastmile.guarded_relative_errors`), in
+        ascending id order.  Each estimate is :meth:`bandwidth`'s, read
+        from the fit's arrays: an id the last fit did not cover reads
+        ``prior_bw``."""
+        ids, truth = self.platform.alive_capacities()
+        known, values = self._estimate_arrays
+        estimates = np.full(len(ids), self.estimator.prior_bw)
+        if len(known) and len(ids):
+            at = np.minimum(known.searchsorted(ids), len(known) - 1)
+            hit = known[at] == ids
+            estimates[hit] = values[at[hit]]
+        return guarded_relative_errors(estimates, truth)
 
     def median_error(self) -> Optional[float]:
         """Median relative estimation error over alive receivers."""

@@ -49,6 +49,7 @@ __all__ = [
     "decompose_broadcast_trees",
     "decompose_broadcast_arrays",
     "common_in_rate",
+    "level_in_rates",
     "verify_decomposition",
 ]
 
@@ -108,6 +109,33 @@ def common_in_rate(in_rates: np.ndarray) -> float:
             f"equal-in-rate schemes"
         )
     return total
+
+
+def level_in_rates(
+    num: int, dst: np.ndarray, rate: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Scale every receiver's in-edges down to the smallest in-rate.
+
+    ``dst``/``rate`` are a scheme's edge arrays over nodes ``0..num-1``
+    (source 0).  Returns ``(leveled, r)``: ``r`` is the smallest
+    receiver in-rate (the ``bincount`` sums :func:`common_in_rate`
+    reads) and ``leveled`` scales each edge by ``r / in_rate[dst]``, so
+    every receiver ingests ``r`` and no edge grows.  In an acyclic
+    scheme ``r`` is also the worst receiver's max-flow (the first
+    sink-side node of any cut, in topological order, has all its
+    in-edges crossing it), so the leveled scheme passes
+    :func:`common_in_rate`, decomposes into trees, and those trees carry
+    the max-flow bound of the scheme it came from.  A receiver without
+    in-rate gives ``r == 0`` and all-zero rates; a scheme without
+    receivers has ``r == 0`` too.
+    """
+    dst = np.asarray(dst, dtype=np.int64)
+    rate = np.asarray(rate, dtype=np.float64)
+    in_rates = np.bincount(dst, weights=rate, minlength=num)[1:]
+    r = float(in_rates.min()) if in_rates.size else 0.0
+    if r <= 0.0:
+        return np.zeros_like(rate), 0.0
+    return rate * (r / in_rates[dst - 1]), r
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ overlay -> packet simulation) into a *control loop* over a
    Section II-C schedule: the plan's weighted broadcast trees on the
    ``sharded`` transport, falling back per transport run to the
    ``reference`` random-useful-packet loop for schemes that do not
-   split into trees (cyclic, or unequal in-rates after truth-clipping);
+   split into trees (none of the engine's do: oracle plans are
+   equal-in-rate DAGs and truth-clipped ones are leveled, below);
    ``sim_backend="reference"`` names that loop for every epoch;
 4. record an :class:`EpochReport` (goodput, delivered-vs-planned rate,
    distance to the *recomputed* optimum ``T*_ac``, plan-op and
@@ -58,6 +59,9 @@ epoch transport stays honest: planned edge rates are clipped to the
 :func:`~repro.analysis.robustness.clip_to_capacities`), so
 overestimated uplinks under-deliver exactly as they would in the field,
 while ``optimal_rate`` keeps scoring epochs against the oracle optimum.
+The clipped plan is then leveled to its worst receiver's max-flow
+(:func:`~repro.flows.arborescence.level_in_rates`) and injected at that
+rate, so it splits into Section II-C trees like an oracle plan.
 Per-epoch probe counts and estimation errors land in
 :class:`EpochReport`; probes never touch the engine's simulation RNG,
 so oracle and estimated runs of the same seed share transport noise.
@@ -78,11 +82,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from ..core.instance import Instance
+from ..core.scheme import BroadcastScheme
 from ..estimation.online import (
     EstimatedPlatformView,
     OnlineEstimator,
     ProbeScheduler,
 )
+from ..flows.arborescence import level_in_rates
 from ..planning import (
     Plan,
     PlanCache,
@@ -356,9 +362,10 @@ class RuntimeEngine:
             )
         self._pending_probes = 0
         self._pending_est_error: Optional[float] = None
-        #: Truth-clipped transport scheme, memoized per installed plan.
+        #: Truth-clipped, leveled transport scheme and its rate,
+        #: memoized per installed plan.
         self._clip_plan: Optional[Plan] = None
-        self._clip_scheme = None
+        self._clip_scheme: Optional[tuple[BroadcastScheme, float]] = None
 
     # ------------------------------------------------------------------
     # Estimation seam
@@ -389,30 +396,43 @@ class RuntimeEngine:
         self._pending_probes += self._view.refresh(self.now)
         self._pending_est_error = self._view.median_error()
 
-    def _transport_scheme(self, plan: Plan):
-        """The scheme the per-epoch transport actually runs.
+    def _transport_scheme(self, plan: Plan) -> tuple[BroadcastScheme, float]:
+        """The scheme the per-epoch transport actually runs, with its rate.
 
-        Oracle mode simulates the plan verbatim.  Under estimation the
-        plan's edge rates were provisioned against *estimated* uplinks,
-        so each member's outgoing rates are proportionally clipped to
-        its true capacity at install time (per-node QoS enforcement, the
-        model of :func:`~repro.analysis.robustness.clip_to_capacities`)
-        — an overestimated relay under-delivers downstream exactly as it
-        would in the field, which is what makes the measured
-        estimation gap real rather than cosmetic.
+        Oracle mode simulates the plan verbatim at ``plan.rate``.  Under
+        estimation the plan's edge rates were provisioned against
+        *estimated* uplinks, so each member's outgoing rates are
+        proportionally clipped to its true capacity at install time
+        (per-node QoS enforcement, the model of
+        :func:`~repro.analysis.robustness.clip_to_capacities`) — an
+        overestimated relay under-delivers downstream exactly as it
+        would in the field, which is what makes the measured estimation
+        gap real rather than cosmetic.  Clipping only lowers rates, so
+        the clipped plan stays acyclic and its worst receiver's max-flow
+        is its smallest in-rate ``r``; the scheme is then leveled to
+        ``r`` (:func:`~repro.flows.arborescence.level_in_rates`), an
+        equal-in-rate DAG whose Section II-C trees deliver that bound.
+        ``r`` is 0 when some receiver's feeders all have true capacity
+        0.  Memoized per installed plan.
         """
         if self._view is None:
-            return plan.scheme
-        if self._clip_plan is plan:
-            return self._clip_scheme
-        # Deferred import: repro.analysis imports repro.runtime at module
-        # load, so the clipper can only be resolved lazily here.
-        from ..analysis.robustness import clip_to_capacities
+            return plan.scheme, plan.rate
+        if self._clip_plan is not plan:
+            # Deferred import: repro.analysis imports repro.runtime at
+            # module load, so the clipper can only be resolved lazily.
+            from ..analysis.robustness import clip_to_capacities
 
-        self._clip_scheme = clip_to_capacities(
-            plan.scheme, self.platform.true_capacities(plan.node_ids)
-        )
-        self._clip_plan = plan
+            clipped = clip_to_capacities(
+                plan.scheme, self.platform.true_capacities(plan.node_ids)
+            )
+            src, dst, rate = clipped.edge_arrays()
+            leveled, level = level_in_rates(clipped.num_nodes, dst, rate)
+            scheme = BroadcastScheme.from_edges(
+                clipped.num_nodes,
+                list(zip(src.tolist(), dst.tolist(), leveled.tolist())),
+            )
+            self._clip_scheme = (scheme, level)
+            self._clip_plan = plan
         return self._clip_scheme
 
     # ------------------------------------------------------------------
@@ -642,9 +662,11 @@ class RuntimeEngine:
     ) -> list[float]:
         """Run the epoch's transport; per-member goodput of its window.
 
-        A new run (always when cold, on a new plan when warm) draws its
-        seed from the engine's RNG, fails departed members from slot 0
-        and spends ``WARMUP_FRACTION`` of the epoch warming up.  A warm
+        A new run (always when cold, on a new plan when warm) injects at
+        the rate :meth:`_transport_scheme` returns, draws its seed from
+        the engine's RNG, fails departed members from slot 0 and spends
+        ``WARMUP_FRACTION`` of the epoch warming up; a leveled rate of 0
+        starts no run and draws no seed, and every member reads 0.  A warm
         run carries its packet buffers/credits/RNG into the plan's later
         epochs, which are measured over their full span, so short epochs
         measure real transients instead of fresh ramp-ups; members that
@@ -654,13 +676,18 @@ class RuntimeEngine:
         """
         sim = self._warm_sim if self._warm_plan is plan else None
         if sim is None:
-            rate = plan.rate * RATE_BACKOFF
+            scheme, level = self._transport_scheme(plan)
+            if level <= 0.0:
+                # A receiver lost every feeder to truth-clipping: the
+                # leveled scheme carries nothing, so nothing is run.
+                return [0.0] * plan.size
+            rate = level * RATE_BACKOFF
             sim_seed = (
                 self._rng.randrange(2**32) if self.seed is not None else None
             )
             sim = PacketSimEngine(
                 plan.instance,
-                self._transport_scheme(plan),
+                scheme,
                 rate,
                 packets_per_unit=PACKETS_PER_SLOT / max(rate, 1e-12),
                 seed=sim_seed,

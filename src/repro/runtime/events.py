@@ -29,6 +29,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from ..core.instance import Instance, NodeKind, canonicalize_population
 
 __all__ = [
@@ -241,6 +243,22 @@ class DynamicPlatform:
         if state is None or not state.alive:
             raise ValueError(f"{what} targets unknown/departed node {node_id}")
         return state
+
+    def alive_capacities(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, bandwidths)`` arrays of the alive receivers, ids
+        ascending as :meth:`alive_ids` lists them: the oracle uploads
+        estimation error is scored against."""
+        states = self.nodes
+        ids = np.fromiter(
+            (i for i, s in states.items() if s.alive), dtype=np.int64
+        )
+        bandwidths = np.fromiter(
+            (s.bandwidth for s in states.values() if s.alive),
+            dtype=np.float64,
+            count=len(ids),
+        )
+        order = np.argsort(ids, kind="stable")
+        return ids[order], bandwidths[order]
 
     def true_capacities(self, node_ids: Iterable[int]) -> list[float]:
         """Oracle upload capacity per external id, in ``node_ids`` order.

@@ -39,11 +39,13 @@ Which backend applies where:
   ``backend="auto"`` falls back to the reference there.
 * ``auto`` (resolved per run by :class:`~repro.simulation.core.
   PacketSimEngine`) — ``sharded`` when the run's scheme decomposes, else
-  ``reference`` with the worker request dropped.  The runtime's
-  truth-clipped schemes (online estimation) mostly do not, but some do;
-  ``sharded`` refuses unequal in-rates with the decomposition's own
-  exact check, O(E), before the memo lookup and the cycle check, so the
-  fallback stays cheap.
+  ``reference`` with the worker request dropped.  Every runtime scheme
+  decomposes: the engine levels its truth-clipped ones (online
+  estimation) to equal in-rates.  Clipped schemes that are not leveled
+  (:mod:`repro.analysis.robustness`) mostly do not; ``sharded`` refuses
+  unequal in-rates with the decomposition's own exact check, O(E),
+  before the memo lookup and the cycle check, so the fallback stays
+  cheap.
 
 Every backend is built from the run's ``seed`` and draws, if at all,
 from its own stock ``random.Random(seed)``.  The transport constants

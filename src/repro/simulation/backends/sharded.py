@@ -46,8 +46,10 @@ subtrees stall in every substream — the same collateral-damage model the
 reference implements.  Cyclic or unequal-in-rate schemes raise
 :class:`~repro.core.exceptions.DecompositionError`; ``backend="auto"``
 (the runtime engine's default) falls back to the reference backend for
-those.  Unequal in-rates — most truth-clipped schemes under online
-estimation — are refused by the decomposition's own exact check
+those.  Unequal in-rates — most capacity-clipped schemes that are not
+leveled, such as :mod:`repro.analysis.robustness`'s (the runtime levels
+its own, see :func:`~repro.flows.arborescence.level_in_rates`) — are
+refused by the decomposition's own exact check
 (:func:`~repro.flows.arborescence.common_in_rate`) on the backend's
 per-receiver sums, before the memo lookup and the cycle check, so a
 refusal costs about as much as building the edge arrays and summing the

@@ -26,11 +26,14 @@ from repro import (
     verify_decomposition,
 )
 from repro.analysis import clip_to_capacities
+from repro.core.throughput import maxflow_throughput
 from repro.flows.arborescence import (
     _REL_EPS,
     BroadcastTree,
     _equal_in_rate_tol,
     _stranded_slack,
+    common_in_rate,
+    level_in_rates,
 )
 from repro.simulation.backends.sharded import ShardedBackend
 from repro.simulation.core import SimConfig
@@ -369,3 +372,85 @@ class TestShardedInRateRule:
     def test_source_and_edgeless_schemes_pass(self):
         assert not _sharded_refuses(BroadcastScheme(1))
         assert not _sharded_refuses(BroadcastScheme(4))
+
+
+@st.composite
+def clipped_packed_overlays(draw):
+    """A packed (acyclic, equal-in-rate) overlay with every sender
+    clipped into a random true capacity, as online estimation's
+    transport clips a plan built on estimated uplinks: some capacities
+    are 0 (a free-rider the estimator overrated), some cut the sender's
+    out-rate, some leave it alone."""
+    inst = draw(instances(
+        max_open=6, max_guarded=6, min_receivers=1, positive=True
+    ))
+    scheme = acyclic_guarded_scheme(inst).scheme
+    num = scheme.num_nodes
+    factors = st.one_of(st.just(1.0), st.floats(0.01, 1.5))
+    caps = [scheme.out_rate(i) * draw(factors) for i in range(num)]
+    for i in draw(st.lists(st.integers(0, num - 1), max_size=2)):
+        caps[i] = 0.0
+    return clip_to_capacities(scheme, caps)
+
+
+def _leveled(clipped):
+    src, dst, rate = clipped.edge_arrays()
+    leveled, r = level_in_rates(clipped.num_nodes, dst, rate)
+    return src, dst, rate, leveled, r
+
+
+class TestLeveling:
+    """:func:`level_in_rates` turns a truth-clipped DAG into an
+    equal-in-rate DAG at its worst receiver's max-flow."""
+
+    @settings(max_examples=max(200, settings.default.max_examples))
+    @given(clipped_packed_overlays())
+    def test_leveled_scheme_decomposes_at_the_max_flow(self, clipped):
+        src, dst, rate, leveled, r = _leveled(clipped)
+        num = clipped.num_nodes
+        # No edge grows: each is scaled by r / in_rate <= 1.
+        assert (leveled <= rate).all()
+        # The fact leveling rests on: on a DAG the smallest in-rate is
+        # the smallest receiver max-flow.
+        assert clipped.is_acyclic()
+        flow = maxflow_throughput(clipped)
+        assert r == pytest.approx(flow, rel=1e-9, abs=1e-9)
+        in_rates = np.bincount(dst, weights=leveled, minlength=num)[1:]
+        if r == 0.0:
+            assert not leveled.any()
+            return
+        assert common_in_rate(in_rates) == pytest.approx(r, rel=1e-12)
+        scheme = BroadcastScheme.from_edges(
+            num, list(zip(src.tolist(), dst.tolist(), leveled.tolist()))
+        )
+        assert scheme.is_acyclic()
+        trees = decompose_broadcast_trees(scheme)
+        verify_decomposition(scheme, trees, r)
+
+    def test_a_starved_receiver_levels_to_zero(self):
+        """Node 2's only feeder has true capacity 0: its in-rate, the
+        worst max-flow and ``r`` are all 0, and nothing is left."""
+        s = BroadcastScheme.from_edges(
+            3, [(0, 1, 2.0), (1, 2, 2.0)]
+        )
+        clipped = clip_to_capacities(s, [2.0, 0.0, 0.0])
+        src, dst, rate, leveled, r = _leveled(clipped)
+        assert r == 0.0 == maxflow_throughput(clipped)
+        assert leveled.size == 1 and not leveled.any()
+
+    def test_min_receiver_keeps_its_edges(self):
+        """Receiver 2 ingests the least (1.0): its edges stay bit for
+        bit, receiver 1's shrink to sum 1.0."""
+        s = BroadcastScheme.from_edges(
+            3, [(0, 1, 3.0), (0, 2, 0.5), (1, 2, 3.0)]
+        )
+        clipped = clip_to_capacities(s, [3.5, 0.5, 0.0])
+        src, dst, rate, leveled, r = _leveled(clipped)
+        assert r == 1.0
+        assert dict(zip(zip(src.tolist(), dst.tolist()), leveled.tolist())) == {
+            (0, 1): 1.0, (0, 2): 0.5, (1, 2): 0.5,
+        }
+
+    def test_no_receivers(self):
+        leveled, r = level_in_rates(1, np.zeros(0, np.int64), np.zeros(0))
+        assert r == 0.0 and leveled.size == 0

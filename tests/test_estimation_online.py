@@ -32,9 +32,11 @@ from repro import (
     sample_measurements,
 )
 import repro.estimation.measurements as measurements
-from repro.estimation.lastmile import _fit_lastmile
+from repro.estimation.lastmile import _fit_lastmile, guarded_relative_errors
 from repro.estimation.measurements import pair_noise, pair_noises
 from repro.estimation.online import ProbeRound
+from repro.analysis import clip_to_capacities
+from repro.core.exceptions import DecompositionError
 from repro.planning import PlanCache
 from repro.runtime import (
     BandwidthDrift,
@@ -44,12 +46,12 @@ from repro.runtime import (
     NodeLeave,
     RuntimeEngine,
     SteadyChurn,
-    get_scenario,
     make_controller,
     run_batch,
     scenario_grid,
     summarize_batch,
 )
+from repro.simulation.core import PacketSimEngine, SimConfig
 
 
 @pytest.fixture
@@ -424,6 +426,75 @@ class TestEstimatedPlatformView:
         platform.nodes[node].bandwidth = 0.0  # uplink died; estimate stale
         errors = view.relative_errors()
         assert np.isinf(errors).any()
+
+
+def _listed_errors(view):
+    """The list-built errors the array path replaced: ``bandwidth()``
+    and ``nodes[i].bandwidth`` per alive id."""
+    alive = view.platform.alive_ids()
+    return guarded_relative_errors(
+        [view.bandwidth(i) for i in alive],
+        [view.platform.nodes[i].bandwidth for i in alive],
+    )
+
+
+class TestErrorArrays:
+    """``relative_errors`` reads the fit's and the platform's arrays and
+    returns the list version's floats in its order, so ``median_error``
+    is the same float."""
+
+    @staticmethod
+    def _same(view, median_error=EstimatedPlatformView.median_error):
+        arrays, listed = view.relative_errors(), _listed_errors(view)
+        assert arrays.dtype == listed.dtype
+        assert arrays.tobytes() == listed.tobytes()
+        median = median_error(view)
+        if listed.size:
+            assert median.hex() == float(np.median(listed)).hex()
+        else:
+            assert median is None
+        return median
+
+    @pytest.mark.parametrize("name", ["live-stream", "steady-churn"])
+    def test_every_boundary_of_an_online_run(self, name, monkeypatch):
+        checked = []
+
+        def spy(view):
+            checked.append(view)
+            return self._same(view)
+
+        monkeypatch.setattr(EstimatedPlatformView, "median_error", spy)
+        spec = (LiveStreamTrace(size=40) if name == "live-stream"
+                else SteadyChurn(size=30))
+        run = spec.build(1, name=name)
+        RuntimeEngine(
+            run.platform, run.events, run.horizon, seed=1,
+            estimation="online",
+        ).run(make_controller("incremental"))
+        assert len(checked) > 10
+
+    def test_roster_changes_since_the_last_refresh(self, platform):
+        view = _fresh_view(platform)
+        self._same(view)  # no fit yet: every estimate is the prior
+        view.refresh(0)
+        self._same(view)
+        first = platform.alive_ids()[0]
+        events = [
+            NodeJoin(time=1, bandwidth=77.0, node_id=1000),
+            NodeJoin(time=1, bandwidth=5.0, node_id=999),  # out of id order
+            NodeLeave(time=1, node_id=first),
+            BandwidthDrift(time=1, node_id=platform.alive_ids()[1],
+                           bandwidth=0.0),
+        ]
+        for ev in events:
+            platform.apply(ev)
+            view.note_events([ev])
+            self._same(view)
+        view.refresh(1)
+        self._same(view)
+        for node in platform.alive_ids():
+            platform.apply(NodeLeave(time=2, node_id=node))
+        self._same(view)
 
 
 class TestEngineIntegration:
@@ -885,16 +956,18 @@ GOLDEN_LASTMILE = {
     19: "b9b20a0b851f3cec38af90de2ef1dc2500617039b8addfc48413894b8b837d28",
 }
 #: SHA-256 of every online estimate map plus the per-epoch reports of
-#: one engine run under ``estimation="online"``, recorded likewise.
+#: one engine run under ``estimation="online"``, re-recorded when the
+#: transport began leveling truth-clipped schemes (the estimate maps
+#: did not move; the epoch goodputs did).
 GOLDEN_ONLINE = {
-    "live-stream:1": "d7a06a0fb1662cf3eeefaa1d3600a5852de5287bb9db200eaa61e5c6330066f5",
-    "live-stream:2": "ceef0fd9ea0eaa2bb9415ef41afc5ce49ab287a9290b23aa41dea11d442f16a9",
-    "live-stream:3": "c970229b54eea20457fc8582f1656fd9933e329f7631ad823f29bc61ca5cce17",
-    "live-stream:4": "e4d81c43e837a15cf9bf9f39bd4f97979d1e9316cdcd8f59a702219ea248aeb6",
-    "steady-churn:1": "6432bd1e2075ef41bcb5fbfcc16ce94b60c0a93e44ff85ae9e01085e3fd5afd6",
-    "steady-churn:2": "42830da5e208b1839442c7a54f150c1f32a5cb80dafaec7fbf676a659be1ff58",
-    "steady-churn:3": "6e4e3f4ce68d3a5166de040815ed3e303631faf31d3203ea8ffa963bb0e95fc3",
-    "steady-churn:4": "62100df86dc4d0c67300a92d8390fe86cd362f6f60899737f7b8d7fbfc8b6b16",
+    "live-stream:1": "310c5ef1d0d5abe31ce37bcfcb7d095d5db84a2c754bffce650ebf72261cf29e",
+    "live-stream:2": "1c381d7729c023f0f3d6bfbad6309ca024f474b5ffdefc2f327b2150099e6ff5",
+    "live-stream:3": "bbd5db2706c6c4f1140d20767de189937463c91aaae3f26c663f828094117474",
+    "live-stream:4": "6b31e1472b8aed1b1545e0d951d0a8edf1581fd3f2e59301902ffe391ae60ee9",
+    "steady-churn:1": "851ea86adac09801498768bb6b50a40fc28b0862a02fdd077133265a6894c5c2",
+    "steady-churn:2": "ad9dc84e2c7f651803b86e5108062c71db5eeedbb5fd9b23801f4d4e29f542c0",
+    "steady-churn:3": "dce745eca76756d5dcda2be4bbb3a96e0331d80a6257133a4e360bb67c7dc3bd",
+    "steady-churn:4": "66858dc0265eb4672ad97af654ebde3cc9d9179e055f7419d80b97ffefc02aa5",
 }
 
 
@@ -935,25 +1008,49 @@ def _live_online_run(spec, seed, **kwargs):
 
 
 #: Epoch digests of ``LiveStreamTrace(size=40)`` incremental runs under
-#: online estimation, recorded while a third (packed) transport still
-#: existed.  ``auto`` and ``reference`` share them, warm and cold: no
-#: truth-clipped scheme of these runs decomposes.
+#: online estimation, per seed and transport; warm and cold runs share
+#: them.  Both transports run the same leveled scheme: ``auto`` on its
+#: trees, ``reference`` with its random useful-packet rule.
 GOLDEN_LIVE40_ONLINE = {
-    1: "049b1e6122b7a15e19151a3fc2665229f46fbfe7a852857409af7ef788d8db17",
-    2: "b5fc0c2330e1f40a904ecdcbb7f82476475363ce56e9055d817747671e9ea3d6",
-    3: "0de5c8375d9edb7bf272d293b56d73594f77368b1bc3930ffebecc09cda68892",
+    1: {
+        "auto": "57b2ee50d56e37514a76c083321a914f7aab19b3ac078bb1fa2a5b48872bc33c",
+        "reference": "572fab91e8aec2338b2c396756d872350ae5651ac00d6ad820aff545f357aa45",
+    },
+    2: {
+        "auto": "92d2922b90fa866a51e63ea3ef467b30506ba91c4d1e70fac555c6204ab21d73",
+        "reference": "5e8ee445cb0aa5d3ffae32cb4d1409ab21b7a093e0ce3d21a8921cc6ae69d3c0",
+    },
+    3: {
+        "auto": "215230820e774fb012fdef571a92ab326e20bac948dc4152b7c3187883f632f1",
+        "reference": "cebd7c393d9d2d4344dbb1ad578f90d57e1563e1f418fb3e5be8ec2a8ccace86",
+    },
 }
-#: The registered ``live-stream`` scenario (30 peers), seed 2, recorded
-#: likewise: one truth-clipped scheme decomposes, so ``auto`` runs that
-#: epoch on ``sharded`` and its table differs from ``reference``'s.
-GOLDEN_LIVE30_SEED2 = {
-    "auto": "8291f8a4cecd8f86386041ce3bda10831c6d73e91c1ccbdf0ab5ce67117269b3",
-    "reference": "f6785c805cd6c4a12f64ce64c8d352c4e6f529f6f0efda97d0e14051e9ed6e32",
-}
+
+
+def _spy_sharded_builds(monkeypatch):
+    """Record ``True``/``False`` per ``ShardedBackend`` build attempt
+    (built, or refused with ``DecompositionError``)."""
+    import repro.simulation.backends.sharded as sharded
+
+    outcomes = []
+    init = sharded.ShardedBackend.__init__
+
+    def spy(backend, config, seed):
+        try:
+            init(backend, config, seed)
+        except DecompositionError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+
+    monkeypatch.setattr(sharded.ShardedBackend, "__init__", spy)
+    return outcomes
 
 
 class TestOnlineTransportChoice:
-    """``auto`` under online estimation picks its transport per run."""
+    """Online estimation runs leveled schemes: ``auto`` builds the trees
+    for every one of them, ``reference`` stays the named oracle of the
+    same scheme."""
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("backend", ["auto", "reference"])
@@ -963,59 +1060,98 @@ class TestOnlineTransportChoice:
             LiveStreamTrace(size=40), seed,
             sim_backend=backend, warm_epochs=warm,
         )
-        assert _epoch_digest(result) == GOLDEN_LIVE40_ONLINE[seed]
+        assert _epoch_digest(result) == GOLDEN_LIVE40_ONLINE[seed][backend]
 
-    def test_auto_runs_sharded_where_a_clipped_scheme_decomposes(
-        self, monkeypatch
-    ):
-        """Truth-clipping usually breaks equal in-rates, but not always:
-        resolving ``auto`` to ``reference`` once per engine would change
-        this run's epoch table."""
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_LIVE40_ONLINE))
+    def test_auto_never_refuses_a_leveled_scheme(self, seed, monkeypatch):
+        """Every transport run of the golden runs builds ``sharded``:
+        0 refusals, so ``auto`` never falls back."""
+        outcomes = _spy_sharded_builds(monkeypatch)
+        result = _live_online_run(
+            LiveStreamTrace(size=40), seed, sim_backend="auto"
+        )
+        assert outcomes and all(outcomes)
+        assert len(outcomes) == sum(
+            1 for ep in result.epochs if ep.planned_rate > 0
+        )
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_zero_leveled_rate_runs_no_transport(self, warm, monkeypatch):
+        """Every true capacity 0: clipping drops every edge, so some
+        receiver has no feeder and the leveled rate is 0.  No transport
+        run is built and every alive receiver reads 0."""
+        built = []
+        init = PacketSimEngine.__init__
+
+        def spy(sim, *args, **kwargs):
+            built.append(sim)
+            init(sim, *args, **kwargs)
+
+        monkeypatch.setattr(PacketSimEngine, "__init__", spy)
+        run = LiveStreamTrace(size=40).build(1)
+        engine = RuntimeEngine(
+            run.platform, run.events, run.horizon, seed=1,
+            estimation="online", warm_epochs=warm,
+        )
+        monkeypatch.setattr(
+            engine.platform, "true_capacities", lambda ids: [0.0] * len(ids)
+        )
+        result = engine.run(make_controller("incremental"))
+        assert not built
+        scheme, level = engine._transport_scheme(engine._clip_plan)
+        assert level == 0.0 and scheme.num_edges == 0
+        served = [ep for ep in result.epochs if ep.num_alive]
+        assert served and all(ep.planned_rate > 0 for ep in served)
+        assert all(ep.min_goodput == ep.mean_goodput == 0.0 for ep in served)
+
+    def test_auto_refuses_an_unleveled_clipped_scheme(self, monkeypatch):
+        """The robustness path clips without leveling: there ``auto``
+        still meets the exact in-rate refusal, before the decomposition
+        memo is consulted, and falls back to ``reference``; the leveled
+        scheme of the same clip builds the trees."""
         import repro.simulation.backends.sharded as sharded
 
-        outcomes = []
-        init = sharded.ShardedBackend.__init__
+        run = LiveStreamTrace(size=40).build(1)
+        engine = RuntimeEngine(
+            run.platform, run.events, run.horizon, seed=1,
+            estimation="online",
+        )
+        installs = []
+        transport_scheme = engine._transport_scheme
 
-        def spy(backend, config, rng):
-            try:
-                init(backend, config, rng)
-            except Exception:
-                outcomes.append(False)
-                raise
-            outcomes.append(True)
+        def spy_install(plan):
+            if not installs:
+                installs.append((plan, clip_to_capacities(
+                    plan.scheme,
+                    engine.platform.true_capacities(plan.node_ids),
+                ), transport_scheme(plan)))
+            return transport_scheme(plan)
 
-        monkeypatch.setattr(sharded.ShardedBackend, "__init__", spy)
-        spec = get_scenario("live-stream")
-        result = _live_online_run(spec, 2, sim_backend="auto")
-        assert True in outcomes and False in outcomes
-        assert _epoch_digest(result) == GOLDEN_LIVE30_SEED2["auto"]
-        reference = _live_online_run(spec, 2, sim_backend="reference")
-        assert _epoch_digest(reference) == GOLDEN_LIVE30_SEED2["reference"]
-
-    def test_clipped_refusals_never_reach_the_memo_sort(self, monkeypatch):
-        """``auto`` tries ``sharded`` on every run; the O(E) in-rate
-        check refuses each truth-clipped scheme of this run before the
-        decomposition memo is consulted."""
-        import repro.simulation.backends.sharded as sharded
-
-        attempts, memo_calls = [], []
-        init, memo = sharded.ShardedBackend.__init__, sharded._decompose_cached
-
-        def spy_init(backend, config, rng):
-            attempts.append(config.scheme)
-            init(backend, config, rng)
+        engine._transport_scheme = spy_install
+        engine.run(make_controller("incremental"))
+        plan, clipped, (leveled, level) = installs[0]
+        memo_calls = []
+        memo = sharded._decompose_cached
 
         def spy_memo(scheme, *arrays):
             memo_calls.append(scheme)
             return memo(scheme, *arrays)
 
-        monkeypatch.setattr(sharded.ShardedBackend, "__init__", spy_init)
         monkeypatch.setattr(sharded, "_decompose_cached", spy_memo)
-        result = _live_online_run(
-            LiveStreamTrace(size=40), 1, sim_backend="auto"
+        outcomes = _spy_sharded_builds(monkeypatch)
+        sim = PacketSimEngine(
+            plan.instance, clipped, plan.rate, seed=0, backend="auto"
         )
-        assert attempts and not memo_calls
-        assert _epoch_digest(result) == GOLDEN_LIVE40_ONLINE[1]
+        assert sim.backend_name == "reference"
+        assert outcomes == [False] and not memo_calls
+        with pytest.raises(DecompositionError, match="has in-rate .* != "
+                           "scheme rate .*equal-in-rate schemes"):
+            sharded.ShardedBackend(SimConfig(scheme=clipped, rate=1.0), 0)
+
+        sim = PacketSimEngine(
+            plan.instance, leveled, level, seed=0, backend="auto"
+        )
+        assert sim.backend_name == "sharded" and len(memo_calls) == 1
 
 
 class _DictEstimator:

@@ -776,32 +776,34 @@ def _axis_digest(case, seed=3):
 
 
 #: Recorded while controllers still built plans themselves (only the
-#: incremental controller reached the planner's ``replan``).
+#: incremental controller reached the planner's ``replan``); the
+#: ``*:incremental-online`` entries were re-recorded when the transport
+#: began leveling truth-clipped schemes.
 GOLDEN_AXIS = {
     "steady-churn:static": "06bf20910cd8d0f1b919bd8cfc361d2ae058d3b4a4bbbc1d33473a3fc052fcf8",
     "steady-churn:periodic": "216b1d0c834006d96e81c255694897e2b60b98368b8c8f24154c49014f38a1f9",
     "steady-churn:reactive": "4e3febc5d62ddbd2c4040c098d7a6b5c26c914c78d5636a6f214bc04de7a21fd",
     "steady-churn:incremental": "f57e614759697d5545dce7a20b032c802ffd75e1901d1e9eb1b7b55db3db4ded",
     "steady-churn:reactive-full": "4e3febc5d62ddbd2c4040c098d7a6b5c26c914c78d5636a6f214bc04de7a21fd",
-    "steady-churn:incremental-online": "ffecf45cb86ef10d31e089fe7d9bffc50e5d821b5c791d4eb357b9d21ad40bdd",
+    "steady-churn:incremental-online": "c149ba317e8cc0368eb957b67c58df77a3e7a884b3cccd7bd3fa8587f749c5d8",
     "live-stream:static": "ed8b65835ab8c512b5fd50a1c2e5afd319afd653b7e3e1774467dec2512ce39a",
     "live-stream:periodic": "90da0b48da9bdc005f886bb80848bad8aee0a781f69cb1c7d4d7e3685b900e84",
     "live-stream:reactive": "1ed0fe57f4439c67b12798dff6c1cdecd716486af68cdcca77f2dd0fc65dfd15",
     "live-stream:incremental": "5b3d509f6cfef9a26f38ff877c18dafbc39fcd45d1a98d3c0b742223b2776cc3",
     "live-stream:reactive-full": "1ed0fe57f4439c67b12798dff6c1cdecd716486af68cdcca77f2dd0fc65dfd15",
-    "live-stream:incremental-online": "2f6368adfbf2010cdbfc9b5d60a7784b59246bbe040a39148daa03c8c2e78ead",
+    "live-stream:incremental-online": "f0fa02c3c1e821b3a4e8db0eba0ef2473adfedbcf1ff7fa908785fd09d7e6a3e",
     "flash-crowd:static": "edf0ea78b482f4d75ba5582f7a5e4f98a4736cf1af8f7bf3a117b8f3d2ba6b66",
     "flash-crowd:periodic": "65be764002444be5ba8ed02bb27192bd889210826d789a3aa02d8f39ff663f68",
     "flash-crowd:reactive": "b0a7f9f891eef26a790277d01a9350c2d32f62120de8d7f783a63cf411a0630f",
     "flash-crowd:incremental": "59f62cff56820a57422aeb6f7b14329c903914a5003d2c7e19d24991197b775a",
     "flash-crowd:reactive-full": "b0a7f9f891eef26a790277d01a9350c2d32f62120de8d7f783a63cf411a0630f",
-    "flash-crowd:incremental-online": "b1fb99bd3b68d134a88d65186825189350e8160d53b44eaa768de0eb4692d4fe",
+    "flash-crowd:incremental-online": "f4f412c6923640b77f463d730aecd075eca8be3eb697af13dbecffbacd0bec10",
     "diurnal:static": "439ab17481b33b5c5ca506bd10e96171aedf88197ed1d034e70ffd2a4c8a00d4",
     "diurnal:periodic": "d9118a638c0f7f0aa719d1302eb8022fa3840b18b10ae00ce825e89fc89c77bd",
     "diurnal:reactive": "439ab17481b33b5c5ca506bd10e96171aedf88197ed1d034e70ffd2a4c8a00d4",
     "diurnal:incremental": "ff56bfd4fbff74d033b18c2e26fc39483f897c390c5438b153e2b46723d9ef79",
     "diurnal:reactive-full": "439ab17481b33b5c5ca506bd10e96171aedf88197ed1d034e70ffd2a4c8a00d4",
-    "diurnal:incremental-online": "e8aae692bbf6e9c426660a8776729e59ae1f02c476e85fa1ca61875fd32c5d9c",
+    "diurnal:incremental-online": "421700c262fe77ca19bbbb583f34f25788ddbc92cd194ceec6be1d83e3e39196",
 }
 
 
