@@ -14,19 +14,14 @@ from .estimation_gap import (
     estimation_gap_experiment,
 )
 from .fleet import (
-    FleetComparisonRow,
     FleetFlowReport,
     FlowSessionRow,
-    fleet_experiment,
     fleet_flow_report,
     jain_fairness,
 )
 from .metrics import SchemeStats, compare_stats, scheme_depths, scheme_stats
-from .robustness import (
-    RobustnessReport,
-    clip_to_capacities,
-    perturbation_experiment,
-)
+from ..flows.arborescence import clip_to_capacities
+from .robustness import RobustnessReport, perturbation_experiment
 from .scale import (
     ScaleReport,
     ShardFleet,
@@ -57,9 +52,7 @@ __all__ = [
     "perturbation_experiment",
     "clip_to_capacities",
     "RobustnessReport",
-    "fleet_experiment",
     "fleet_flow_report",
-    "FleetComparisonRow",
     "FleetFlowReport",
     "FlowSessionRow",
     "jain_fairness",

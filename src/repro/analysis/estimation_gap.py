@@ -39,8 +39,8 @@ from ..algorithms.acyclic_guarded import acyclic_guarded_scheme
 from ..core.instance import Instance
 from ..core.throughput import dag_throughput
 from ..estimation.online import EstimatedPlatformView, OnlineEstimator, ProbeScheduler
+from ..flows.arborescence import clip_to_capacities
 from ..instances.generators import random_instance
-from .robustness import clip_to_capacities
 
 __all__ = [
     "EstimationGapRow",

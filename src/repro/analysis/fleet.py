@@ -1,23 +1,18 @@
 """Fleet-level analysis: aggregate vs per-session goodput, fairness.
 
-Two instruments, mirroring the single-tenant analysis split:
+:func:`fleet_flow_report` is the *flow-level* capacity view: one
+arbitration round on a static fleet, each session's Theorem 4.1
+optimum computed on its allocated sub-platform and compared against
+its solo Lemma 5.1 bound.  No transport noise, no churn — this is the
+deterministic instrument the sessions benchmark sweeps at ``n = 1000``,
+where K engine runs per cell would dominate the wall clock.  The
+engine-level broker comparison (full :class:`~repro.sessions.FleetEngine`
+runs with churn and re-arbitration) is
+:func:`~repro.experiments.ablations.sessions_ablation`.
 
-* :func:`fleet_experiment` — the *engine-level* comparison: the same
-  multi-tenant workload replayed under each broker policy through full
-  :class:`~repro.sessions.FleetEngine` runs (churn, re-arbitration,
-  transport validation included), condensed into one
-  :class:`FleetComparisonRow` per broker.
-* :func:`fleet_flow_report` — the *flow-level* capacity view: one
-  arbitration round on a static fleet, each session's Theorem 4.1
-  optimum computed on its allocated sub-platform and compared against
-  its solo Lemma 5.1 bound.  No transport noise, no churn — this is the
-  deterministic instrument the sessions benchmark sweeps at
-  ``n = 1000``, where K engine runs per cell would dominate the wall
-  clock.
-
-Both report Jain's fairness index over ceiling-normalized session rates
-and the fleet aggregate against the sum of per-session bounds (the
-uncontended ideal).
+The report gives Jain's fairness index over ceiling-normalized session
+rates and the fleet aggregate against the sum of per-session bounds
+(the uncontended ideal).
 """
 
 from __future__ import annotations
@@ -25,14 +20,12 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from ..core.instance import NodeKind, canonicalize_population
 from ..planning import PlanCache
 from ..runtime.scenarios import Scenario
 from ..sessions import (
-    FleetEngine,
-    FleetResult,
     SessionClaim,
     jain_fairness,
     lemma51_bound,
@@ -42,78 +35,11 @@ from ..sessions import (
 from ..sessions.arbiter import alive_snapshot, make_claim
 
 __all__ = [
-    "FleetComparisonRow",
     "FleetFlowReport",
     "FlowSessionRow",
-    "fleet_experiment",
     "fleet_flow_report",
     "jain_fairness",
 ]
-
-
-@dataclass(frozen=True)
-class FleetComparisonRow:
-    """One broker policy's engine-level outcome on a shared workload."""
-
-    broker: str
-    num_sessions: int
-    admitted: int
-    aggregate_goodput: float  #: sum of admitted sessions' mean rates
-    bound_sum: float  #: sum of admitted sessions' rate ceilings
-    fairness: float  #: Jain index over ceiling-normalized goodputs
-    admission_rate: float
-    worst_session: float  #: lowest admitted session mean rate
-    rearbitrations: int
-    session_goodputs: tuple[float, ...] = ()  #: per session, spec order
-
-
-def fleet_experiment(
-    scenario: Union[str, Scenario] = "steady-churn",
-    num_sessions: int = 3,
-    seed: int = 0,
-    *,
-    overlap: float = 0.3,
-    brokers: Sequence[str] = ("equal", "proportional", "waterfill"),
-    admission: str = "degrade",
-    admission_floor: float = 0.0,
-    controller: str = "reactive",
-    mode: str = "serial",
-    **engine_kwargs,
-) -> list[FleetComparisonRow]:
-    """Replay one multi-tenant workload under each broker policy.
-
-    The fleet (membership, events, seeds) is identical across rows —
-    :func:`~repro.sessions.make_fleet` is a pure function of its
-    arguments — so every difference between rows is the broker's.
-    """
-    rows = []
-    for broker in brokers:
-        fleet = make_fleet(scenario, num_sessions, seed, overlap=overlap)
-        result: FleetResult = FleetEngine.from_fleet(
-            fleet,
-            broker=broker,
-            admission=admission,
-            admission_floor=admission_floor,
-            controller=controller,
-            **engine_kwargs,
-        ).run(mode=mode)
-        rows.append(
-            FleetComparisonRow(
-                broker=broker,
-                num_sessions=num_sessions,
-                admitted=len(result.admitted),
-                aggregate_goodput=result.aggregate_goodput,
-                bound_sum=result.bound_sum,
-                fairness=result.fairness,
-                admission_rate=result.admission_rate,
-                worst_session=result.worst_session_goodput,
-                rearbitrations=result.rearbitrations,
-                session_goodputs=tuple(
-                    s.goodput for s in result.sessions
-                ),
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

@@ -32,35 +32,12 @@ import numpy as np
 from typing import Optional
 
 from ..algorithms.acyclic_guarded import acyclic_guarded_scheme
-from ..core.scheme import BroadcastScheme
 from ..core.throughput import maxflow_throughput
+from ..flows.arborescence import clip_to_capacities
 from ..instances.generators import random_instance
 from ..simulation import simulate_packet_broadcast
 
-__all__ = ["RobustnessReport", "clip_to_capacities", "perturbation_experiment"]
-
-
-def clip_to_capacities(
-    scheme: BroadcastScheme, capacities: list[float]
-) -> BroadcastScheme:
-    """Proportionally rescale each sender's edges into its true capacity.
-
-    Models per-node QoS enforcement after a bandwidth drop: the node keeps
-    all connections but shares its (reduced) capacity in the same
-    proportions.
-    """
-    clipped = scheme.copy()
-    for i in range(scheme.num_nodes):
-        out = clipped.out_rate(i)
-        cap = capacities[i]
-        if out > cap > 0:
-            factor = cap / out
-            for j, r in clipped.successors(i).items():
-                clipped.set_rate(i, j, r * factor)
-        elif out > cap:  # cap == 0
-            for j in list(clipped.successors(i)):
-                clipped.remove_edge(i, j)
-    return clipped
+__all__ = ["RobustnessReport", "perturbation_experiment"]
 
 
 @dataclass

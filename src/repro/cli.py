@@ -144,6 +144,7 @@ def _add_fleet(parser: argparse.ArgumentParser, *, admission: str) -> None:
 
 def _add_engine(parser: argparse.ArgumentParser, *, workers_help: str) -> None:
     """Engine-run flags of ``runtime`` and ``sessions``."""
+    from .estimation.online import PROBES_PER_NODE
     from .runtime.controller import controller_names
 
     parser.add_argument("--controller", default="reactive",
@@ -160,7 +161,7 @@ def _add_engine(parser: argparse.ArgumentParser, *, workers_help: str) -> None:
                              "true capacities and leveled to the worst "
                              "receiver's max-flow in the transport")
     _typed(parser, "--probes-per-node", float, "finite and >= 0",
-           default=4.0, metavar="K",
+           default=PROBES_PER_NODE, metavar="K",
            help="probe budget per node per epoch boundary: round(K * "
                 "num_alive) directed pairs, amortized across the "
                 "sessions of a fleet (--estimation online only)")

@@ -64,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.events import DynamicPlatform, Event
 
 __all__ = [
+    "PROBES_PER_NODE",
     "ProbeRound",
     "ProbeScheduler",
     "OnlineEstimator",
@@ -77,6 +78,10 @@ _SCHEDULE_DOMAIN = 0x50B3
 #: target``, so endpoints must be below 2**31.
 _ID_LIMIT = 1 << 31
 _LOW_32 = np.int64(0xFFFFFFFF)
+
+#: Default probe budget per node per epoch boundary, shared by the
+#: scheduler, the runtime engine, the fleet's amortization and the CLI.
+PROBES_PER_NODE = 4.0
 
 
 class ProbeRound:
@@ -122,7 +127,7 @@ class ProbeScheduler:
         self,
         seed: int = 0,
         *,
-        probes_per_node: float = 4.0,
+        probes_per_node: float = PROBES_PER_NODE,
         noise_sigma: float = 0.1,
         headroom: float = 4.0,
     ) -> None:

@@ -50,6 +50,7 @@ __all__ = [
     "decompose_broadcast_arrays",
     "common_in_rate",
     "level_in_rates",
+    "clip_to_capacities",
     "verify_decomposition",
 ]
 
@@ -136,6 +137,29 @@ def level_in_rates(
     if r <= 0.0:
         return np.zeros_like(rate), 0.0
     return rate * (r / in_rates[dst - 1]), r
+
+
+def clip_to_capacities(
+    scheme: BroadcastScheme, capacities: list[float]
+) -> BroadcastScheme:
+    """Proportionally rescale each sender's edges into its true capacity.
+
+    Models per-node QoS enforcement after a bandwidth drop: the node keeps
+    all connections but shares its (reduced) capacity in the same
+    proportions.
+    """
+    clipped = scheme.copy()
+    for i in range(scheme.num_nodes):
+        out = clipped.out_rate(i)
+        cap = capacities[i]
+        if out > cap > 0:
+            factor = cap / out
+            for j, r in clipped.successors(i).items():
+                clipped.set_rate(i, j, r * factor)
+        elif out > cap:  # cap == 0
+            for j in list(clipped.successors(i)):
+                clipped.remove_edge(i, j)
+    return clipped
 
 
 @dataclass(frozen=True)

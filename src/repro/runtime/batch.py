@@ -20,6 +20,11 @@ turns those repeats into lookups.
 Results are bit-identical across both modes — parallelism changes
 completion order, never the per-job RNG streams — which the test suite
 asserts.
+
+Every job is one single-session :class:`RuntimeEngine` run.  Fleets
+have one runner, :meth:`~repro.sessions.FleetEngine.run`, whose serial
+or process pool is :func:`run_ordered`; a multi-tenant seed sweep is a
+loop over ``FleetEngine.from_fleet(...).run(mode="process")``.
 """
 
 from __future__ import annotations
@@ -48,14 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchJob:
-    """One engine run: scenario x controller x seed (picklable).
-
-    ``fleet_kwargs`` switches the job into multi-tenant mode: the worker
-    builds a :func:`~repro.sessions.make_fleet` workload from the
-    scenario and drives a :class:`~repro.sessions.FleetEngine` (the
-    sessions run serially inside the job — the pool already parallelizes
-    across jobs) instead of a single :class:`RuntimeEngine`.
-    """
+    """One engine run: scenario x controller x seed (picklable)."""
 
     scenario: Union[str, Scenario]  #: registry name or inline spec
     controller: str  #: controller registry name
@@ -63,7 +61,6 @@ class BatchJob:
     controller_kwargs: tuple = ()  #: sorted (key, value) pairs
     engine_kwargs: tuple = ()  #: sorted (key, value) pairs for RuntimeEngine
     label: str = ""
-    fleet_kwargs: tuple = ()  #: sorted pairs; non-empty = multi-tenant job
 
     @classmethod
     def make(
@@ -74,7 +71,6 @@ class BatchJob:
         *,
         label: str = "",
         engine_kwargs: Optional[dict] = None,
-        fleet_kwargs: Optional[dict] = None,
         **controller_kwargs,
     ) -> "BatchJob":
         return cls(
@@ -84,7 +80,6 @@ class BatchJob:
             controller_kwargs=tuple(sorted(controller_kwargs.items())),
             engine_kwargs=tuple(sorted((engine_kwargs or {}).items())),
             label=label,
-            fleet_kwargs=tuple(sorted((fleet_kwargs or {}).items())),
         )
 
     @property
@@ -122,12 +117,6 @@ class RunSummary:
     #: oracle mode).  Probe values are seeded per pair, so this is as
     #: deterministic as the measurements and participates in equality.
     estimation_error: Optional[float] = None
-    #: Multi-tenant columns (zero / None on single-session jobs).
-    sessions: int = 0  #: sessions the fleet declared
-    admitted: int = 0  #: sessions that passed admission control
-    broker: str = ""  #: capacity-broker policy the fleet ran under
-    fleet_goodput: Optional[float] = None  #: aggregate mean session rate
-    fairness: Optional[float] = None  #: Jain index, ceiling-normalized
     #: Cache traffic this job generated.  Excluded from equality along
     #: with the wall times: the warm state of a worker's cache depends on
     #: which jobs it happened to run before this one, so these vary
@@ -173,130 +162,15 @@ class RunSummary:
             plan_seconds=result.plan_seconds,
         )
 
-    @classmethod
-    def from_fleet(
-        cls, job: BatchJob, fleet_result, wall_time: float
-    ) -> "RunSummary":
-        """Condense a :class:`~repro.sessions.FleetResult` into one row.
-
-        Per-run aggregates are fleet-wide sums (rebuilds, repairs,
-        probes, epochs, alive peers); the quality fractions are plain
-        means over the admitted sessions, and the fleet's own metrics
-        (aggregate goodput, fairness, admission) land in the dedicated
-        multi-tenant columns.
-        """
-        runs = [s.result for s in fleet_result.admitted if s.result]
-        latencies = [lat for r in runs for lat in r.repair_latencies]
-        errors = [
-            r.mean_estimation_error
-            for r in runs
-            if r.mean_estimation_error is not None
-        ]
-
-        def mean(values: list[float]) -> float:
-            # An all-rejected fleet delivered *nothing*: 0.0, never the
-            # single-run "no epochs" convention of 1.0.
-            return sum(values) / len(values) if values else 0.0
-
-        return cls(
-            scenario=job.scenario_name,
-            controller=job.controller,
-            seed=job.seed,
-            horizon=fleet_result.horizon,
-            num_epochs=sum(len(r.epochs) for r in runs),
-            rebuilds=sum(r.rebuilds for r in runs),
-            mean_delivered=round(
-                mean([r.mean_delivered_fraction for r in runs]), 9
-            ),
-            worst_delivered=round(
-                min(
-                    (r.worst_delivered_fraction for r in runs),
-                    default=0.0,
-                ),
-                9,
-            ),
-            mean_optimality=round(
-                mean([r.mean_optimality_fraction for r in runs]), 9
-            ),
-            mean_repair_latency=(
-                round(sum(latencies) / len(latencies), 6)
-                if latencies
-                else None
-            ),
-            final_alive=sum(s.final_alive for s in fleet_result.admitted),
-            planner=runs[0].planner if runs else "full",
-            repairs=sum(r.repairs for r in runs),
-            repair_fallbacks=sum(r.repair_fallbacks for r in runs),
-            estimation=runs[0].estimation if runs else "oracle",
-            probes=sum(r.probes for r in runs),
-            estimation_error=(
-                round(sum(errors) / len(errors), 9) if errors else None
-            ),
-            sessions=len(fleet_result.sessions),
-            admitted=len(fleet_result.admitted),
-            broker=fleet_result.broker,
-            fleet_goodput=round(fleet_result.aggregate_goodput, 9),
-            fairness=round(fleet_result.fairness, 9),
-            cache_hits=sum(r.cache_hits for r in runs),
-            cache_misses=sum(r.cache_misses for r in runs),
-            wall_time=wall_time,
-            plan_seconds=sum(r.plan_seconds for r in runs),
-        )
-
-
 #: One overlay memo per process, shared across the jobs it runs: a pool
 #: worker, like a serial sweep, runs its jobs one after another, so the
 #: per-job hit/miss deltas stay attributable.
 _WORKER_CACHE = PlanCache()
 
 
-def _run_fleet_job(job: BatchJob, started: float) -> RunSummary:
-    """Multi-tenant flavor of :func:`run_job`: one fleet per job.
-
-    The sessions run serially inside the job against the worker's
-    shared :class:`PlanCache` — so a seed sweep replaying the same
-    fleet population hits the Theorem 4.1 memo across jobs, exactly
-    like single-tenant sweeps do.
-    Deferred imports keep :mod:`repro.runtime` loadable without the
-    sessions subsystem being imported eagerly everywhere.
-    """
-    from ..sessions import FleetEngine, make_fleet
-
-    cache = _WORKER_CACHE
-    hits0, misses0 = cache.stats()
-    fleet_kwargs = dict(job.fleet_kwargs)
-    fleet = make_fleet(
-        job.scenario,
-        fleet_kwargs.pop("sessions"),
-        job.seed,
-        overlap=fleet_kwargs.pop("overlap", 0.0),
-        demand=fleet_kwargs.pop("session_demand", float("inf")),
-        name=job.scenario_name,
-    )
-    result = FleetEngine.from_fleet(
-        fleet,
-        controller=job.controller,
-        controller_kwargs=dict(job.controller_kwargs),
-        cache=cache,
-        **fleet_kwargs,
-        **dict(job.engine_kwargs),
-    ).run(mode="serial")
-    summary = RunSummary.from_fleet(
-        job, result, wall_time=time.perf_counter() - started  # repro: noqa REP002 -- wall_time telemetry in RunSummary; never feeds replayed decisions
-    )
-    hits1, misses1 = cache.stats()
-    # Per-session RunResults read the *cumulative* shared counters;
-    # report this job's own traffic instead, like the single-run path.
-    return dataclasses.replace(
-        summary, cache_hits=hits1 - hits0, cache_misses=misses1 - misses0
-    )
-
-
 def run_job(job: BatchJob) -> RunSummary:
     """Execute one job start to finish (top-level: picklable for pools)."""
     started = time.perf_counter()  # repro: noqa REP002 -- wall_time telemetry in RunSummary; never feeds replayed decisions
-    if job.fleet_kwargs:
-        return _run_fleet_job(job, started)
     cache = _WORKER_CACHE
     hits0, misses0 = cache.stats()
     spec = (
@@ -372,7 +246,6 @@ def scenario_grid(
     *,
     controller_kwargs: Optional[Dict[str, dict]] = None,
     engine_kwargs: Optional[dict] = None,
-    fleet_kwargs: Optional[dict] = None,
 ) -> list[BatchJob]:
     """The full cross product as a job list (seed-major, stable order).
 
@@ -383,27 +256,14 @@ def scenario_grid(
     values derive from per-pair counter-based streams, so estimated
     sweeps stay bit-identical across execution modes like everything
     else.
-
-    ``fleet_kwargs`` with ``sessions=K`` switches every job into
-    multi-tenant mode: the worker builds a K-channel fleet over the
-    scenario's shared swarm (:func:`~repro.sessions.make_fleet`, which
-    also takes ``overlap`` and ``session_demand``) and sweeps it through
-    a :class:`~repro.sessions.FleetEngine`, which takes the remaining
-    keys (``broker``, ``admission``, ``admission_floor``).
     """
     controller_kwargs = controller_kwargs or {}
-    if fleet_kwargs and "sessions" not in fleet_kwargs:
-        raise ValueError(
-            f"fleet_kwargs {sorted(fleet_kwargs)} require sessions= "
-            f"(the multi-tenant switch)"
-        )
     return [
         BatchJob.make(
             scenario,
             controller,
             seed,
             engine_kwargs=engine_kwargs,
-            fleet_kwargs=fleet_kwargs,
             **controller_kwargs.get(controller, {}),
         )
         for seed in seeds
@@ -413,13 +273,7 @@ def scenario_grid(
 
 
 def summarize_batch(results: Sequence[RunSummary]) -> str:
-    """Render a sweep as the repo's standard fixed-width table.
-
-    Multi-tenant sweeps grow four fleet columns (broker, admitted
-    sessions, aggregate goodput, fairness); single-session sweeps keep
-    the historical shape.
-    """
-    fleet = any(r.sessions for r in results)
+    """Render a sweep as the repo's standard fixed-width table."""
     rows = [
         [
             r.scenario,
@@ -437,16 +291,6 @@ def summarize_batch(results: Sequence[RunSummary]) -> str:
             "-" if r.estimation_error is None else f"{r.estimation_error:.3f}",
             f"{r.cache_hits}/{r.cache_hits + r.cache_misses}",
         ]
-        + (
-            [
-                r.broker or "-",
-                f"{r.admitted}/{r.sessions}" if r.sessions else "-",
-                "-" if r.fleet_goodput is None else f"{r.fleet_goodput:.1f}",
-                "-" if r.fairness is None else f"{r.fairness:.3f}",
-            ]
-            if fleet
-            else []
-        )
         for r in results
     ]
     return format_table(
@@ -454,7 +298,6 @@ def summarize_batch(results: Sequence[RunSummary]) -> str:
             "scenario", "controller", "seed", "rebuilds", "repairs",
             "mean dlv", "worst dlv", "mean opt", "repair lat", "alive",
             "estim", "probes", "est err", "cache",
-        ]
-        + (["broker", "sessions", "fleet gp", "fairness"] if fleet else []),
+        ],
         rows,
     )

@@ -56,7 +56,7 @@ is what planners consult through :attr:`RuntimeEngine.view` — the
 controller re-optimizes on *measured*, not oracle, bandwidths.  The
 epoch transport stays honest: planned edge rates are clipped to the
 *true* capacities of the plan's members (the QoS-limiter model of
-:func:`~repro.analysis.robustness.clip_to_capacities`), so
+:func:`~repro.flows.arborescence.clip_to_capacities`), so
 overestimated uplinks under-deliver exactly as they would in the field,
 while ``optimal_rate`` keeps scoring epochs against the oracle optimum.
 The clipped plan is then leveled to its worst receiver's max-flow
@@ -84,11 +84,12 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 from ..core.instance import Instance
 from ..core.scheme import BroadcastScheme
 from ..estimation.online import (
+    PROBES_PER_NODE,
     EstimatedPlatformView,
     OnlineEstimator,
     ProbeScheduler,
 )
-from ..flows.arborescence import level_in_rates
+from ..flows.arborescence import clip_to_capacities, level_in_rates
 from ..planning import (
     Plan,
     PlanCache,
@@ -267,7 +268,7 @@ class RuntimeEngine:
         planner: Union[str, Planner, None] = None,
         repair_tolerance: Optional[float] = None,
         estimation: Optional[str] = None,
-        probes_per_node: float = 4.0,
+        probes_per_node: float = PROBES_PER_NODE,
         estimator_decay: float = 0.8,
         noise_sigma: float = 0.1,
     ) -> None:
@@ -404,7 +405,7 @@ class RuntimeEngine:
         *estimated* uplinks, so each member's outgoing rates are
         proportionally clipped to its true capacity at install time
         (per-node QoS enforcement, the model of
-        :func:`~repro.analysis.robustness.clip_to_capacities`) — an
+        :func:`~repro.flows.arborescence.clip_to_capacities`) — an
         overestimated relay under-delivers downstream exactly as it
         would in the field, which is what makes the measured estimation
         gap real rather than cosmetic.  Clipping only lowers rates, so
@@ -418,10 +419,6 @@ class RuntimeEngine:
         if self._view is None:
             return plan.scheme, plan.rate
         if self._clip_plan is not plan:
-            # Deferred import: repro.analysis imports repro.runtime at
-            # module load, so the clipper can only be resolved lazily.
-            from ..analysis.robustness import clip_to_capacities
-
             clipped = clip_to_capacities(
                 plan.scheme, self.platform.true_capacities(plan.node_ids)
             )

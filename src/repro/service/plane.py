@@ -805,8 +805,8 @@ class ControlPlane:
 
     def to_fleet(self, horizon: int = 50, **kwargs) -> FleetEngine:
         """A :class:`~repro.sessions.fleet.FleetEngine` over the live
-        session table — the bridge back to the batch world, used to
-        check that a recovered plane reproduces identical fleet
+        session table — the bridge to the one multi-tenant runner, used
+        to check that a recovered plane reproduces identical fleet
         summaries (bit-identical across serial and process, like
         every fleet run)."""
         if not self.sessions:

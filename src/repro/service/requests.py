@@ -171,10 +171,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_node_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_node_ids(value) -> bool:
-    return isinstance(value, tuple) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    )
+    return isinstance(value, tuple) and all(map(_is_node_id, value))
+
+
+def _type_of(value) -> str:
+    """How an error names a rejected value: a node-id list (decoded to a
+    tuple) by its first offending element and that element's index."""
+    if isinstance(value, tuple):
+        for k, v in enumerate(value):
+            if not _is_node_id(v):
+                return f"{type(v).__name__} at index {k}"
+    return type(value).__name__
 
 
 #: Per annotated field type: its check and how an error names it.
@@ -199,7 +211,7 @@ def check_request(req: Request) -> None:
         if not ok(value):
             raise ValueError(
                 f"{req.op}: field {f.name!r} must be {what}, "
-                f"got {type(value).__name__}"
+                f"got {_type_of(value)}"
             )
 
 

@@ -44,6 +44,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Union
 
+from ..estimation.online import PROBES_PER_NODE
 from ..runtime.batch import run_ordered
 from ..runtime.controller import make_controller
 from ..runtime.engine import RunResult, RuntimeEngine
@@ -383,7 +384,9 @@ class FleetEngine:
 
         # Fleet-wide probe amortization: scale the per-node budget so the
         # whole fleet pays ~one platform's worth of probes per boundary.
-        fleet_pps = float(self.engine_kwargs.get("probes_per_node", 4.0))
+        fleet_pps = float(
+            self.engine_kwargs.get("probes_per_node", PROBES_PER_NODE)
+        )
         subscriptions = sum(
             self._initial_members[sp.name] for sp in active
         )

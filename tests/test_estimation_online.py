@@ -9,6 +9,7 @@ noise never beat the oracle on the seeded scenario grid.
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import pickle
 
@@ -34,7 +35,7 @@ from repro import (
 import repro.estimation.measurements as measurements
 from repro.estimation.lastmile import _fit_lastmile, guarded_relative_errors
 from repro.estimation.measurements import pair_noise, pair_noises
-from repro.estimation.online import ProbeRound
+from repro.estimation.online import PROBES_PER_NODE, ProbeRound
 from repro.analysis import clip_to_capacities
 from repro.core.exceptions import DecompositionError
 from repro.planning import PlanCache
@@ -80,6 +81,41 @@ def _fresh_view(platform, *, budget=6.0, sigma=0.1, decay=0.8, seed=3):
         ProbeScheduler(seed=seed, probes_per_node=budget, noise_sigma=sigma),
         OnlineEstimator(decay=decay),
     )
+
+
+class TestProbeBudgetDefault:
+    """One declared default budget: the scheduler, the engine, the
+    fleet's amortization and the CLI all read ``PROBES_PER_NODE``."""
+
+    @pytest.mark.parametrize("callable_", (ProbeScheduler, RuntimeEngine))
+    def test_constructor_default(self, callable_):
+        param = inspect.signature(callable_).parameters["probes_per_node"]
+        assert param.default is PROBES_PER_NODE
+
+    def test_fleet_amortizes_the_default(self):
+        from repro.sessions import FleetEngine, make_fleet
+
+        def amortized(**budget):
+            fleet = make_fleet(
+                SteadyChurn(size=12, horizon=60), 2, seed=3, overlap=0.3
+            )
+            engine = FleetEngine.from_fleet(
+                fleet, estimation="online", **budget
+            )
+            engine.prepare()
+            return engine.probes_per_node
+
+        default = amortized()
+        assert default > 0
+        assert default == amortized(probes_per_node=PROBES_PER_NODE)
+        assert default != amortized(probes_per_node=2 * PROBES_PER_NODE)
+
+    @pytest.mark.parametrize("command", ("runtime", "sessions"))
+    def test_cli_default(self, command):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args([command])
+        assert args.probes_per_node is PROBES_PER_NODE
 
 
 class TestProbeScheduler:

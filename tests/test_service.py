@@ -822,6 +822,8 @@ _ILL_TYPED_LINES = (
     {"op": "start_session", "name": "c", "source_bw": 4.0, "members": "12"},
     {"op": "start_session", "name": "c", "source_bw": 4.0, "members": [1.5]},
     {"op": "start_session", "name": "c", "source_bw": True, "members": [1]},
+    {"op": "start_session", "name": "c", "source_bw": 10, "members": [True]},
+    {"op": "start_session", "name": "c", "source_bw": 10, "members": [1, "2"]},
     {"op": "migrate_session", "name": "a", "source_bw": "4"},
     {"op": "migrate_session", "name": "a", "add": 5},
     {"op": "priority_change", "name": "a", "priority": None},
@@ -858,6 +860,24 @@ class TestIllTypedRequests:
         )
         assert [decode_response(r).status for r in valid] == ["applied"]
         self._recovers(plane, path)
+
+    @pytest.mark.parametrize(
+        "members, named",
+        (([True], "got bool at index 0"), ([1, "2"], "got str at index 1")),
+    )
+    def test_node_id_error_names_the_offending_element(
+        self, tmp_path, members, named
+    ):
+        """A list of ids is a list; the fault is one element of it."""
+        plane = _two_session_plane(str(tmp_path / "ledger.jsonl"))
+        answer = ControlPlaneServer(plane)._dispatch(
+            {"op": "start_session", "name": "c", "source_bw": 10,
+             "members": members}
+        )
+        assert answer["error"].endswith(
+            f"field 'members' must be a list of node ids, {named}"
+        )
+        assert plane.seq == 2
 
     def test_in_process_transport_raises_before_sequencing(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")

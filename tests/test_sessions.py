@@ -7,24 +7,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import (
-    fleet_experiment,
     fleet_flow_report,
     jain_fairness,
     warm_snapshot_ab,
 )
 from repro.core.bounds import cyclic_optimum
 from repro.core.instance import NodeKind, canonicalize_population
+from repro.experiments.ablations import sessions_ablation
 from repro.planning import PlanCache
 from repro.runtime import (
     BandwidthDrift,
+    BatchJob,
     NodeJoin,
     NodeLeave,
-    run_batch,
+    run_job,
     scenario_grid,
-    summarize_batch,
 )
 from repro.runtime.events import DynamicPlatform, NodeState
-from repro.runtime.scenarios import RackFailure, Scenario, SteadyChurn
+from repro.runtime.scenarios import Scenario, SteadyChurn
 from repro.sessions import (
     ADMISSIONS,
     BROKERS,
@@ -498,34 +498,6 @@ class TestDeterminism:
         }
         assert by_name_fwd == by_name_bwd
 
-    def test_batch_modes_bit_identical(self):
-        jobs = scenario_grid(
-            ["rack-failure"],
-            ["reactive"],
-            seeds=(0, 1),
-            fleet_kwargs={"sessions": 2, "broker": "waterfill", "overlap": 0.3},
-        )
-        serial = run_batch(jobs, mode="serial")
-        process = run_batch(jobs, mode="process", max_workers=2)
-        assert serial == process
-        assert all(r.sessions == 2 for r in serial)
-
-    def test_summarize_batch_grows_fleet_columns(self):
-        jobs = scenario_grid(
-            ["rack-failure"],
-            ["reactive"],
-            fleet_kwargs={"sessions": 2, "broker": "equal"},
-        )
-        table = summarize_batch(run_batch(jobs, mode="serial"))
-        assert "broker" in table and "fairness" in table
-        assert "equal" in table
-
-    def test_grid_rejects_fleet_opts_without_sessions(self):
-        with pytest.raises(ValueError, match="require sessions="):
-            scenario_grid(
-                ["rack-failure"], ["reactive"], fleet_kwargs={"broker": "equal"}
-            )
-
 
 class TestAnalysis:
     def test_jain_fairness(self):
@@ -552,19 +524,41 @@ class TestAnalysis:
             assert row.achieved_rate > 0
             assert row.achieved_rate <= row.solo_bound + 1e-6
 
-    def test_fleet_experiment_rows(self):
-        rows = fleet_experiment(
-            scenario=RackFailure(size=16, horizon=160),
-            num_sessions=2,
-            seed=1,
-            overlap=0.2,
-            brokers=("equal", "waterfill"),
-        )
-        assert [r.broker for r in rows] == ["equal", "waterfill"]
+    def test_sessions_ablation_rows(self):
+        """The engine-level broker sweep ``repro ablations`` prints."""
+        rows = sessions_ablation(num_sessions=2, size=16, horizon=160)
+        assert [r.broker for r in rows] == broker_names()
         for row in rows:
             assert row.admitted == 2
-            assert row.aggregate_goodput > 0
+            assert row.aggregate > 0
             assert 0 < row.fairness <= 1.0
+
+
+class TestDeletedFleetBatchMode:
+    """Fleets run only through ``FleetEngine``: the batch runner has no
+    multi-tenant mode and ``repro.analysis`` no second broker sweep."""
+
+    def test_scenario_grid_rejects_fleet_kwargs(self):
+        with pytest.raises(TypeError, match="fleet_kwargs"):
+            scenario_grid(
+                ["rack-failure"], ["reactive"], fleet_kwargs={"sessions": 2}
+            )
+
+    def test_batch_job_rejects_fleet_kwargs(self):
+        with pytest.raises(TypeError, match="fleet_kwargs"):
+            BatchJob("rack-failure", "reactive", fleet_kwargs=())
+        # make() forwards unknown keywords to the controller, whose
+        # constructor refuses this one before the engine runs.
+        job = BatchJob.make("rack-failure", "reactive", fleet_kwargs={})
+        assert job.controller_kwargs == (("fleet_kwargs", {}),)
+        with pytest.raises(TypeError):
+            run_job(job)
+
+    def test_analysis_has_no_fleet_experiment(self):
+        import repro.analysis
+
+        assert not hasattr(repro.analysis, "fleet_experiment")
+        assert not hasattr(repro.analysis, "FleetComparisonRow")
 
 
 class TestWarmSnapshotAB:
@@ -759,8 +753,7 @@ class TestEstimationInTheFleet:
 
 
 class TestReviewRegressions:
-    """Fixes surfaced by review: rerunnability, memberless sessions,
-    all-rejected summaries, worker-cache reuse in fleet batch jobs."""
+    """Fixes surfaced by review: rerunnability and memberless sessions."""
 
     def test_run_is_repeatable_and_mode_stable(self):
         fleet = make_fleet("rack-failure", 2, seed=1, overlap=0.3)
@@ -789,32 +782,6 @@ class TestReviewRegressions:
         assert math.isfinite(result.aggregate_goodput)
         assert math.isfinite(result.bound_sum)
         assert 0.0 < result.fairness <= 1.0
-
-    def test_all_rejected_fleet_summarizes_as_zero_delivery(self):
-        jobs = scenario_grid(
-            ["rack-failure"],
-            ["reactive"],
-            fleet_kwargs={
-                "sessions": 2, "admission": "reject", "admission_floor": 1e9
-            },
-        )
-        (summary,) = run_batch(jobs, mode="serial")
-        assert summary.admitted == 0
-        assert summary.mean_delivered == 0.0
-        assert summary.worst_delivered == 0.0
-        assert summary.fleet_goodput == 0.0
-
-    def test_fleet_batch_jobs_share_the_worker_cache(self):
-        jobs = scenario_grid(
-            ["rack-failure"], ["reactive"], seeds=(0, 0),
-            fleet_kwargs={"sessions": 2},
-        )
-        first, repeat = run_batch(jobs, mode="serial")
-        # The identical second job replays entirely from the worker's
-        # shared plan cache: every solve is a hit.
-        assert repeat.cache_hits > 0
-        assert repeat.cache_misses == 0
-        assert first == repeat  # cache reuse never changes measurements
 
 
 # ----------------------------------------------------------------------
